@@ -5,7 +5,7 @@ environment variables are consulted.  The grids below are the built-in
 verification grids driven by ``trigdunkl.verify`` and the acceptance tests.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,6 @@ class Numerics:
 
 
 NUMERICS = Numerics()
-
-
-def with_overrides(**kwargs) -> Numerics:
-    return replace(NUMERICS, **kwargs)
 
 
 # Default tolerances of the verification suites (overridable via --tol).

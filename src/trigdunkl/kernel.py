@@ -1,4 +1,4 @@
-"""Intertwining kernel and its building blocks.
+"""Intertwining kernel and its building blocks, all from one integral.
 
 The main kernel is the density of the operator that intertwines the plain
 derivative with the differential-difference operator: for |y| < |x|,
@@ -7,17 +7,32 @@ derivative with the differential-difference operator: for |y| < |x|,
               sigma(x, y, z) (cosh(z/2) - cosh(y/2))^{k1-1}
               (cosh x - cosh z)^{k2-1} sinh(z/2) dz.
 
-Substituting u = cosh(z/2) absorbs the sinh(z/2) dz and turns both endpoint
-factors into exact algebraic powers of (u - b) and (a - u) with a smooth,
-in fact linear-times-analytic, remainder: sigma is linear in u and
-cosh x - cosh z = 2 (a - u)(a + u).  Gauss-Jacobi rules then deliver
-spectral accuracy for real parameters; complex parameters use the
-double-exponential path with exact endpoint distances.
+An independent route assembles K from the kernel of the hyperbolic-cosine
+(Jacobi) setting, its antiderivative Ktilde (three equal forms) and the
+y-derivative of Ktilde; the two routes serve as mutual oracles.
 
-An independent evaluation route assembles the same kernel from the kernel of
-the hyperbolic-cosine (Jacobi) setting, its z-antiderivative, and the
-y-derivative of that antiderivative; the two routes share only the rule
-generators and serve as mutual oracles.
+With u = cosh(z/2) (u = cosh z for the cosine-setting pieces) each of these
+is one call of ``_cosh_gap_integral``, the Jacobi-weighted integral
+
+    J(alpha, beta; q) = integral over u in (b, a) = (cosh Y, cosh X) of
+                        (2 (a^2 - u^2))^alpha (u - b)^beta q(u) du,
+
+times its own constant (cosh 2X - cosh 2Z = 2 (a^2 - u^2)):
+
+    K              = (c/2) sign x / A(x)  J(k2-1, k1-1; e^x + 1 - 2 e^{-y/2} u)
+                     at X = |x|/2, Y = |y|/2
+    cosine kernel  = 2c |sinh 2x| / A(2x) J(k2-1, k1-1; 1)
+    Ktilde direct  = (c/k2)               J(k2,   k1-1; 1)
+    Ktilde byparts = (4c/k1)              J(k2-1, k1;   u)
+    dKtilde/dy     = -4c sinh y           J(k2-1, k1-1; u)
+
+On u = mid + rad t, rad = (a - b)/2, the endpoint powers become the weight
+(1-t)^alpha (1+t)^beta, which the rule absorbs (Gauss-Jacobi for real k,
+tanh-sinh weights times the weight at exact endpoint distances for complex
+k).  The radius enters as log sinh((X+Y)/2) + log sinh((X-Y)/2), so tiny
+gaps stay representable.  Point evaluations get the coarser companion sum
+from the same pass: Gauss-Jacobi n beside 2n nodes, or the even-indexed
+tanh-sinh nodes, which are exactly the next coarser level.
 """
 
 import math
@@ -27,11 +42,25 @@ import numpy as np
 from .config import NUMERICS
 from .errors import DomainError
 from .params import KernelPoint, Multiplicity
-from .quadrature import EvalResult, _gauss_jacobi_arrays, _tanh_sinh_full
+from .quadrature import _MAX_GAUSS_N, EvalResult, _as_scalar, _gauss_jacobi_arrays, _tanh_sinh_full
 from .specfun import gamma_real, loggamma_right_half
 
 _SQRT_PI = math.sqrt(math.pi)
-_MAX_GAUSS_N = 512
+_LOG2 = math.log(2.0)
+
+
+def _k12(k: Multiplicity):
+    """(k1, k2) as floats on the real path, as complex numbers otherwise."""
+    if k.real_positive:
+        return complex(k.k1).real, complex(k.k2).real
+    return complex(k.k1), complex(k.k2)
+
+
+def _log_weight(k: Multiplicity, x):
+    """log A(x), principal branch for complex parameters; -inf at x = 0."""
+    k1, k2 = _k12(k)
+    xa = np.abs(x)
+    return 2.0 * k1 * np.log(2.0 * np.sinh(xa / 2.0)) + 2.0 * k2 * np.log(2.0 * np.sinh(xa))
 
 
 def weight_A(k: Multiplicity, x):
@@ -40,28 +69,20 @@ def weight_A(k: Multiplicity, x):
     Accepts scalars or numpy arrays; vanishes at x = 0 since Re(k1+k2) > 0.
     """
     xarr = np.asarray(x, dtype=float)
-    s1 = np.abs(2.0 * np.sinh(xarr / 2.0))
-    s2 = np.abs(2.0 * np.sinh(xarr))
-    if k.real_positive:
-        out = s1 ** (2.0 * complex(k.k1).real) * s2 ** (2.0 * complex(k.k2).real)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.exp(2.0 * complex(k.k1) * np.log(s1) + 2.0 * complex(k.k2) * np.log(s2))
-        out = np.where(xarr == 0.0, 0.0, out)
-    if np.ndim(x) == 0:
-        out = out.item()
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(xarr == 0.0, 0.0, np.exp(_log_weight(k, xarr)))
+    return out.item() if np.ndim(x) == 0 else out
 
 
 def constant_c(k: Multiplicity) -> float:
     """Normalizing constant 2^{3k1+3k2} Gamma(k1+k2+1/2) / (sqrt(pi) Gamma(k1) Gamma(k2)).
 
-    Restricted to real positive parameters; the complex-parameter kernel path
-    computes the same expression through the principal log-Gamma.
+    Restricted to real positive parameters; the kernels use its logarithm,
+    which ``_log_c`` also gives for complex parameters.
     """
     if not k.real_positive:
         raise DomainError(f"constant_c needs real k1, k2 > 0, got ({k.k1}, {k.k2})")
-    k1, k2 = complex(k.k1).real, complex(k.k2).real
+    k1, k2 = _k12(k)
     return (
         2.0 ** (3.0 * (k1 + k2))
         * gamma_real(k1 + k2 + 0.5)
@@ -69,18 +90,17 @@ def constant_c(k: Multiplicity) -> float:
     )
 
 
-def _constant_c_any(k: Multiplicity):
+def _log_c(k: Multiplicity):
     if k.real_positive:
-        return constant_c(k)
-    k1, k2 = complex(k.k1), complex(k.k2)
-    log_c = (
-        3.0 * (k1 + k2) * math.log(2.0)
+        return math.log(constant_c(k))
+    k1, k2 = _k12(k)
+    return (
+        3.0 * (k1 + k2) * _LOG2
         + loggamma_right_half(k1 + k2 + 0.5)
         - 0.5 * math.log(math.pi)
         - loggamma_right_half(k1)
         - loggamma_right_half(k2)
     )
-    return np.exp(log_c)
 
 
 def sigma(x, y, z):
@@ -107,20 +127,93 @@ def _resolve(nodes, level):
     return n, lv
 
 
-def _singular_rule(alpha, beta, real_path: bool, n: int, level: int):
-    """Nodes and effective weights for int (1-t)^alpha (1+t)^beta g(t) dt."""
-    if real_path:
-        return _gauss_jacobi_arrays(n, float(complex(alpha).real), float(complex(beta).real))
-    t, w, glo, ghi, _ = _tanh_sinh_full(level)
-    wmod = w * np.exp(complex(alpha) * np.log(ghi) + complex(beta) * np.log(glo))
-    return t, wmod
+def _rule_label(k: Multiplicity, nodes=None, level=None, refined=False) -> str:
+    """Name of the rule ``_cosh_gap_integral`` uses for these settings."""
+    n, lv = _resolve(nodes, level)
+    if not k.real_positive:
+        return f"tanh-sinh(level={lv - 1}->{lv})" if refined else f"tanh-sinh(level={lv})"
+    n2 = min(NUMERICS.refine_factor * n, _MAX_GAUSS_N)
+    return f"gauss-jacobi(n={n}->{n2})" if refined else f"gauss-jacobi(n={n})"
 
 
-def _pow(base, expo, real_path: bool):
-    # base > 0 elementwise; principal power for complex exponents
-    if real_path:
-        return base ** complex(expo).real
-    return np.exp(complex(expo) * np.log(base))
+def _rule(k: Multiplicity, alpha, beta, n: int, lv: int, refine: bool):
+    """Nodes on (-1, 1) and weights absorbing (1-t)^alpha (1+t)^beta.
+
+    With ``refine`` the weights are the refined rule's, and a second vector
+    over the same nodes (zero where it has none) is its coarser companion's.
+    """
+    if k.real_positive:
+        t, w = _gauss_jacobi_arrays(n, alpha, beta)
+        if not refine:
+            return t, w, None
+        n2 = min(NUMERICS.refine_factor * n, _MAX_GAUSS_N)
+        t2, w2 = _gauss_jacobi_arrays(n2, alpha, beta)
+        return (np.concatenate((t2, t)), np.concatenate((w2, np.zeros(n))),
+                np.concatenate((np.zeros(n2), w)))
+    t, w, glo, ghi, coarse = _tanh_sinh_full(lv)
+    w = w * np.exp(alpha * np.log(ghi) + beta * np.log(glo))
+    return t, w, (np.where(coarse, 2.0 * w, 0.0) if refine else None)
+
+
+def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, *,
+                       nodes=None, level=None, refine=False):
+    """J(alpha, beta; q) over (cosh(xa - gap), cosh xa), broadcasting.
+
+    Returns (log_scale, fine, coarse) with J = exp(log_scale) * fine.
+    ``q`` maps u (with a trailing node axis) to the integrand's factor and
+    defaults to 1.  ``coarse`` is the companion rule's sum under ``refine``
+    and None otherwise.  ``gap`` = xa - (lower end) is passed separately so
+    callers that know it without cancellation keep it exact.
+    """
+    n, lv = _resolve(nodes, level)
+    ya = xa - gap
+    a, b = np.cosh(xa), np.cosh(ya)
+    f1, f2 = np.sinh((xa + ya) / 2.0), np.sinh(gap / 2.0)
+    log_scale = alpha * _LOG2 + (alpha + beta + 1.0) * (np.log(f1) + np.log(f2))
+    t, w, wc = _rule(k, alpha, beta, n, lv, refine)
+    u = (0.5 * (a + b))[..., None] + (f1 * f2)[..., None] * t
+    # exp(alpha log) rather than a complex power, which is much slower;
+    # in-place products keep the (points, nodes) temporaries few
+    if k.real_positive:
+        smooth = (a[..., None] + u) ** alpha
+    else:
+        smooth = np.exp(alpha * np.log(a[..., None] + u))
+    if q is not None:
+        smooth *= q(u)
+    return log_scale, smooth @ w, (smooth @ wc if refine else None)
+
+
+def _point_result(k, nodes, level, scale, fine, coarse) -> EvalResult:
+    return EvalResult(_as_scalar(scale * fine), float(abs(scale * (fine - coarse))),
+                      _rule_label(k, nodes, level, refined=True))
+
+
+def _ktilde_point(k, x, y, alpha, beta, q, pref, nodes, level) -> EvalResult:
+    """pref * c * J(alpha, beta; q) over (cosh y, cosh x), with its error bar."""
+    log_j, fine, coarse = _cosh_gap_integral(
+        k, abs(x), abs(x) - abs(y), alpha, beta, q, nodes=nodes, level=level, refine=True,
+    )
+    return _point_result(k, nodes, level, pref * np.exp(_log_c(k) + log_j), fine, coarse)
+
+
+def _kernel_terms(k, x, y, gap, nodes, level, refine):
+    """(scale, fine, coarse) of K: the kernel is scale * fine."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xa = np.abs(x)
+    if gap is None:
+        gap = xa - np.abs(y)
+    e_fwd = (np.exp(x) + 1.0)[..., None]          # e^{x/2} * 2 cosh(x/2)
+    d_bwd = (2.0 * np.exp(-y / 2.0))[..., None]   # e^{-y/2} * 2, multiplies u
+    k1, k2 = _k12(k)
+    log_j, fine, coarse = _cosh_gap_integral(
+        k, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, k2 - 1.0, k1 - 1.0,
+        lambda u: e_fwd - d_bwd * u, nodes=nodes, level=level, refine=refine,
+    )
+    # one exponent: A(x) ~ |x|^{2(k1+k2)} near 0 and the radius power near
+    # y = -/+ x stay inside double range only in combination
+    scale = 0.5 * np.sign(x) * np.exp(_log_c(k) + log_j - _log_weight(k, x))
+    return scale, fine, coarse
 
 
 def _kernel_values(k: Multiplicity, x, y, *, gap=None, nodes=None, level=None):
@@ -130,259 +223,68 @@ def _kernel_values(k: Multiplicity, x, y, *, gap=None, nodes=None, level=None):
     is what the endpoint power actually depends on, so integrators that know
     the gap exactly (double-exponential tails) must pass it.
     """
-    n, lv = _resolve(nodes, level)
-    real_path = k.real_positive
-    k1 = complex(k.k1).real if real_path else complex(k.k1)
-    k2 = complex(k.k2).real if real_path else complex(k.k2)
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xa = np.abs(x)
-    if gap is None:
-        gap = xa - np.abs(y)
-    gap = np.asarray(gap, dtype=float)
-    x, y, gap = np.broadcast_arrays(x, y, gap)
-    xa = np.abs(x)
-    ya = xa - gap
-
-    a = np.cosh(xa / 2.0)
-    b = np.cosh(ya / 2.0)
-    f1 = np.sinh((xa + ya) / 4.0)
-    f2 = np.sinh(gap / 4.0)
-    rad = f1 * f2                      # (a - b) / 2
-    mid = 0.5 * (a + b)
-    e_fwd = np.exp(x) + 1.0            # e^{x/2} * 2 cosh(x/2)
-    d_bwd = 2.0 * np.exp(-y / 2.0)     # e^{-y/2} * 2, multiplies u = cosh(z/2)
-
-    t, w = _singular_rule(k2 - 1.0, k1 - 1.0, real_path, n, lv)
-    u = mid[..., None] + rad[..., None] * t
-    smooth = _pow(a[..., None] + u, k2 - 1.0, real_path) * (
-        e_fwd[..., None] - d_bwd[..., None] * u
-    )
-    s = smooth @ w
-
-    c = _constant_c_any(k)
-    if real_path:
-        # sign(x) * s > 0 and every other factor is positive, so the whole
-        # value can be assembled in log space; this keeps x near 0
-        # (prefactor ~ |x|^{-2(k1+k2)}) and y near -/+ x (radius power)
-        # inside double range
-        with np.errstate(divide="ignore"):
-            log_mag = (
-                math.log(0.25 * c)
-                + k2 * math.log(2.0)
-                + (k1 + k2 - 1.0) * (np.log(f1) + np.log(f2))
-                - 2.0 * k1 * np.log(2.0 * np.sinh(xa / 2.0))
-                - 2.0 * k2 * np.log(2.0 * np.sinh(xa))
-                + np.log(np.maximum(np.sign(x) * s, 0.0))
-            )
-        return np.exp(log_mag)
-    pref = (
-        0.25 * c
-        * np.sign(x)
-        * _pow(2.0, k2, real_path)
-        * _pow(rad, k1 + k2 - 1.0, real_path)
-        / np.asarray(weight_A(k, x))
-    )
-    return pref * s
-
-
-def _refined(fn, real_path: bool, n: int, lv: int):
-    """Evaluate fn on a rule and its refinement; return refined value + gap."""
-    if real_path:
-        n2 = min(NUMERICS.refine_factor * n, _MAX_GAUSS_N)
-        coarse, fine = fn(nodes=n, level=lv), fn(nodes=n2, level=lv)
-        method = f"gauss-jacobi(n={n}->{n2})"
-    else:
-        coarse, fine = fn(nodes=n, level=max(lv - 1, 1)), fn(nodes=n, level=lv)
-        method = f"tanh-sinh(level={lv - 1}->{lv})"
-    return EvalResult(_scalarize(fine), float(abs(fine - coarse)), method)
-
-
-def _scalarize(v):
-    v = complex(v)
-    return v.real if v.imag == 0.0 else v
+    scale, fine, _ = _kernel_terms(k, x, y, gap, nodes, level, False)
+    return scale * fine
 
 
 def kernel_K(k: Multiplicity, x: float, y: float, *, nodes=None, level=None) -> EvalResult:
     """Main kernel at a single admissible point, with a refinement error bar."""
     KernelPoint(x, y)
-    n, lv = _resolve(nodes, level)
-    return _refined(
-        lambda nodes, level: _kernel_values(k, x, y, nodes=nodes, level=level).item(),
-        k.real_positive, n, lv,
-    )
+    return _point_result(k, nodes, level, *_kernel_terms(k, x, y, None, nodes, level, True))
 
 
-def kernel_K_limit_k1zero(k2: float, x: float, y: float) -> float:
-    """Closed-form kernel in the vanishing-k1 limit (k2 > 0 real)."""
-    if isinstance(k2, complex) or not math.isfinite(k2) or k2 <= 0:
-        raise DomainError(f"require real k2 > 0, got {k2!r}")
+def _limit_kernel(k: float, x: float, y: float, name: str) -> float:
+    if isinstance(k, complex) or not math.isfinite(k) or k <= 0:
+        raise DomainError(f"require real {name} > 0, got {k!r}")
     KernelPoint(x, y)
     xa, ya = abs(x), abs(y)
     cosh_gap = 2.0 * math.sinh((xa + ya) / 2.0) * math.sinh((xa - ya) / 2.0)
     return (
-        2.0 ** (k2 - 1.0)
-        * gamma_real(k2 + 0.5) / (_SQRT_PI * gamma_real(k2))
-        * abs(math.sinh(x)) ** (-2.0 * k2)
-        * cosh_gap ** (k2 - 1.0)
+        2.0 ** (k - 1.0)
+        * gamma_real(k + 0.5) / (_SQRT_PI * gamma_real(k))
+        * abs(math.sinh(x)) ** (-2.0 * k)
+        * cosh_gap ** (k - 1.0)
         * math.copysign(1.0, x)
         * (math.exp(x) - math.exp(-y))
     )
 
 
+def kernel_K_limit_k1zero(k2: float, x: float, y: float) -> float:
+    """Closed-form kernel in the vanishing-k1 limit (k2 > 0 real)."""
+    return _limit_kernel(k2, x, y, "k2")
+
+
 def kernel_K_limit_k2zero(k1: float, x: float, y: float) -> float:
-    """Closed-form kernel in the vanishing-k2 limit (k1 > 0 real)."""
-    if isinstance(k1, complex) or not math.isfinite(k1) or k1 <= 0:
-        raise DomainError(f"require real k1 > 0, got {k1!r}")
-    KernelPoint(x, y)
-    xa, ya = abs(x), abs(y)
-    cosh_gap = 2.0 * math.sinh((xa + ya) / 4.0) * math.sinh((xa - ya) / 4.0)
-    return (
-        2.0 ** (k1 - 2.0)
-        * gamma_real(k1 + 0.5) / (_SQRT_PI * gamma_real(k1))
-        * abs(math.sinh(x / 2.0)) ** (-2.0 * k1)
-        * cosh_gap ** (k1 - 1.0)
-        * math.copysign(1.0, x)
-        * (math.exp(x / 2.0) - math.exp(-y / 2.0))
+    """Closed-form kernel in the vanishing-k2 limit (k1 > 0 real).
+
+    It is the vanishing-k1 form at half arguments, halved.
+    """
+    return 0.5 * _limit_kernel(k1, x / 2.0, y / 2.0, "k1")
+
+
+def _cosine_terms(k, x, gap, nodes, level, refine, *, with_density=False):
+    """(scale, fine, coarse) of the cosine-setting kernel at (x, |x| - gap).
+
+    ``with_density`` multiplies by the measure density A(2x), which cancels
+    the kernel's normalizing division where either alone would overflow.
+    """
+    k1, k2 = _k12(k)
+    log_j, fine, coarse = _cosh_gap_integral(
+        k, np.abs(x), gap, k2 - 1.0, k1 - 1.0, nodes=nodes, level=level, refine=refine,
     )
-
-
-def _jacobi_kernel_values(k: Multiplicity, x, y, *, gap=None, nodes=None, level=None):
-    """Hyperbolic-cosine-setting kernel, broadcasting over x and y."""
-    n, lv = _resolve(nodes, level)
-    real_path = k.real_positive
-    k1 = complex(k.k1).real if real_path else complex(k.k1)
-    k2 = complex(k.k2).real if real_path else complex(k.k2)
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xa = np.abs(x)
-    if gap is None:
-        gap = xa - np.abs(y)
-    gap = np.asarray(gap, dtype=float)
-    x, y, gap = np.broadcast_arrays(x, y, gap)
-    xa = np.abs(x)
-    ya = xa - gap
-
-    abar = np.cosh(xa)
-    bbar = np.cosh(ya)
-    f1 = np.sinh((xa + ya) / 2.0)
-    f2 = np.sinh(gap / 2.0)
-    rad = f1 * f2                      # (abar - bbar) / 2
-    mid = 0.5 * (abar + bbar)
-
-    t, w = _singular_rule(k2 - 1.0, k1 - 1.0, real_path, n, lv)
-    u = mid[..., None] + rad[..., None] * t
-    s = _pow(abar[..., None] + u, k2 - 1.0, real_path) @ w
-
-    c = _constant_c_any(k)
-    if real_path:
-        # log-space magnitude; the weight density at the doubled argument is
-        # |2 sinh x|^{2k1} |2 sinh 2x|^{2k2}
-        with np.errstate(divide="ignore"):
-            log_mag = (
-                math.log(2.0 * c)
-                + (k2 - 1.0) * math.log(2.0)
-                + np.log(np.abs(np.sinh(2.0 * x)))
-                + (k1 + k2 - 1.0) * (np.log(f1) + np.log(f2))
-                - 2.0 * k1 * np.log(2.0 * np.sinh(xa))
-                - 2.0 * k2 * np.log(2.0 * np.sinh(2.0 * xa))
-                + np.log(s)
-            )
-        return np.exp(log_mag)
-    a2 = np.asarray(weight_A(k, 2.0 * x))
-    pref = (
-        2.0 * c * np.abs(np.sinh(2.0 * x)) / a2
-        * _pow(2.0, k2 - 1.0, real_path)
-        * _pow(rad, k1 + k2 - 1.0, real_path)
-    )
-    return pref * s
+    # |sinh 2x| goes into the exponent too: at the nested route's inner
+    # end it is tiny while the radius power alone overflows
+    log_pref = _log_c(k) + log_j + np.log(np.abs(np.sinh(2.0 * x)))
+    if not with_density:
+        log_pref = log_pref - _log_weight(k, 2.0 * x)
+    return 2.0 * np.exp(log_pref), fine, coarse
 
 
 def jacobi_kernel(k: Multiplicity, x: float, y: float, *, nodes=None, level=None) -> EvalResult:
     """Kernel of the intertwining operator in the hyperbolic-cosine setting."""
     KernelPoint(x, y)
-    n, lv = _resolve(nodes, level)
-    return _refined(
-        lambda nodes, level: _jacobi_kernel_values(k, x, y, nodes=nodes, level=level).item(),
-        k.real_positive, n, lv,
-    )
-
-
-def _ktilde_direct(k, x, y, *, nodes=None, level=None):
-    n, lv = _resolve(nodes, level)
-    real_path = k.real_positive
-    k1 = complex(k.k1).real if real_path else complex(k.k1)
-    k2 = complex(k.k2).real if real_path else complex(k.k2)
-    xa, ya = abs(x), abs(y)
-    abar, bbar = math.cosh(xa), math.cosh(ya)
-    rad = math.sinh((xa + ya) / 2.0) * math.sinh((xa - ya) / 2.0)
-    mid = 0.5 * (abar + bbar)
-    t, w = _singular_rule(k2, k1 - 1.0, real_path, n, lv)
-    u = mid + rad * t
-    s = _pow(abar + u, k2, real_path) @ w
-    c = _constant_c_any(k)
-    return (c / k2) * _pow(2.0, k2, real_path) * _pow(rad, k1 + k2, real_path) * s
-
-
-def _ktilde_byparts(k, x, y, *, nodes=None, level=None):
-    n, lv = _resolve(nodes, level)
-    real_path = k.real_positive
-    k1 = complex(k.k1).real if real_path else complex(k.k1)
-    k2 = complex(k.k2).real if real_path else complex(k.k2)
-    xa, ya = abs(x), abs(y)
-    abar, bbar = math.cosh(xa), math.cosh(ya)
-    rad = math.sinh((xa + ya) / 2.0) * math.sinh((xa - ya) / 2.0)
-    mid = 0.5 * (abar + bbar)
-    t, w = _singular_rule(k2 - 1.0, k1, real_path, n, lv)
-    u = mid + rad * t
-    s = (_pow(abar + u, k2 - 1.0, real_path) * u) @ w
-    c = _constant_c_any(k)
-    return (4.0 * c / k1) * _pow(2.0, k2 - 1.0, real_path) * _pow(rad, k1 + k2, real_path) * s
-
-
-def _jacobi_kernel_density(k, x, *, gap, nodes=None, level=None):
-    """Cosine-setting kernel times its own measure density at 2x.
-
-    ``gap`` is x - |y| > 0.  The density cancels the kernel's normalizing
-    division, so the fused product stays representable where either factor
-    alone would overflow or underflow (x near 0 or near |y|).
-    """
-    n, lv = _resolve(nodes, level)
-    real_path = k.real_positive
-    k1 = complex(k.k1).real if real_path else complex(k.k1)
-    k2 = complex(k.k2).real if real_path else complex(k.k2)
-    x = np.asarray(x, dtype=float)
-    gap = np.asarray(gap, dtype=float)
-    x, gap = np.broadcast_arrays(x, gap)
-    xa = np.abs(x)
-    ya = xa - gap
-    abar, bbar = np.cosh(xa), np.cosh(ya)
-    f1 = np.sinh((xa + ya) / 2.0)
-    f2 = np.sinh(gap / 2.0)
-    rad = f1 * f2
-    mid = 0.5 * (abar + bbar)
-    t, w = _singular_rule(k2 - 1.0, k1 - 1.0, real_path, n, lv)
-    u = mid[..., None] + rad[..., None] * t
-    s = _pow(abar[..., None] + u, k2 - 1.0, real_path) @ w
-    c = _constant_c_any(k)
-    if real_path:
-        with np.errstate(divide="ignore"):
-            log_mag = (
-                math.log(2.0 * c)
-                + (k2 - 1.0) * math.log(2.0)
-                + np.log(np.abs(np.sinh(2.0 * x)))
-                + (k1 + k2 - 1.0) * (np.log(f1) + np.log(f2))
-                + np.log(s)
-            )
-        return np.exp(log_mag)
-    return (
-        2.0 * c * np.abs(np.sinh(2.0 * x))
-        * _pow(2.0, k2 - 1.0, real_path)
-        * _pow(rad, k1 + k2 - 1.0, real_path)
-        * s
-    )
+    return _point_result(k, nodes, level,
+                         *_cosine_terms(k, x, abs(x) - abs(y), nodes, level, True))
 
 
 def _ktilde_defining(k, x, y, *, nodes=None, level=None):
@@ -391,14 +293,15 @@ def _ktilde_defining(k, x, y, *, nodes=None, level=None):
     lv = NUMERICS.nested_level if level is None else int(level)
     xa, ya = abs(x), abs(y)
     t, w, glo, ghi, coarse = _tanh_sinh_full(lv)
-    span = xa - ya
+    half = 0.5 * (xa - ya)
     # inner endpoint w -> |y| carries the (w - |y|)^{k1+k2-1} singularity
-    ws = ya + 0.5 * span * glo
-    gaps = 0.5 * span * glo
-    vals = _jacobi_kernel_density(k, ws, gap=gaps, nodes=n) * w
-    fine = vals.sum() * 0.5 * span
-    coarse_sum = 2.0 * vals[coarse].sum() * 0.5 * span
-    return fine, abs(fine - coarse_sum), f"nested tanh-sinh(level={lv}) x gauss-jacobi(n={n})"
+    scale, fine, _ = _cosine_terms(k, ya + half * glo, half * glo, n, None, False,
+                                   with_density=True)
+    vals = scale * fine * w
+    total = vals.sum() * half
+    coarse_sum = 2.0 * vals[coarse].sum() * half
+    return EvalResult(_as_scalar(total), float(abs(total - coarse_sum)),
+                      f"nested tanh-sinh(level={lv}) x {_rule_label(k, n)}")
 
 
 _KTILDE_FORMS = ("direct", "byparts", "defining")
@@ -415,42 +318,20 @@ def ktilde(k: Multiplicity, x: float, y: float, form: str = "direct",
     KernelPoint(x, y)
     if form not in _KTILDE_FORMS:
         raise DomainError(f"form must be one of {_KTILDE_FORMS}, got {form!r}")
-    n, lv = _resolve(nodes, level)
     if form == "defining":
-        val, est, method = _ktilde_defining(k, x, y, nodes=nodes, level=level)
-        return EvalResult(_scalarize(val), float(est), method)
-    fn = _ktilde_direct if form == "direct" else _ktilde_byparts
-    return _refined(
-        lambda nodes, level: fn(k, x, y, nodes=nodes, level=level),
-        k.real_positive, n, lv,
-    )
+        return _ktilde_defining(k, x, y, nodes=nodes, level=level)
+    k1, k2 = _k12(k)
+    if form == "direct":
+        return _ktilde_point(k, x, y, k2, k1 - 1.0, None, 1.0 / k2, nodes, level)
+    return _ktilde_point(k, x, y, k2 - 1.0, k1, lambda u: u, 4.0 / k1, nodes, level)
 
 
 def dktilde_dy(k: Multiplicity, x: float, y: float, *, nodes=None, level=None) -> EvalResult:
     """Same-variable y-derivative of the antiderivative; odd in y, zero at y = 0."""
     KernelPoint(x, y)
-    n, lv = _resolve(nodes, level)
-    real_path = k.real_positive
-    k1 = complex(k.k1).real if real_path else complex(k.k1)
-    k2 = complex(k.k2).real if real_path else complex(k.k2)
-
-    def evaluate(nodes, level):
-        xa, ya = abs(x), abs(y)
-        abar, bbar = math.cosh(xa), math.cosh(ya)
-        rad = math.sinh((xa + ya) / 2.0) * math.sinh((xa - ya) / 2.0)
-        mid = 0.5 * (abar + bbar)
-        t, w = _singular_rule(k2 - 1.0, k1 - 1.0, real_path, nodes, level)
-        u = mid + rad * t
-        s = (_pow(abar + u, k2 - 1.0, real_path) * u) @ w
-        c = _constant_c_any(k)
-        return (
-            -4.0 * c * math.sinh(y)
-            * _pow(2.0, k2 - 1.0, real_path)
-            * _pow(rad, k1 + k2 - 1.0, real_path)
-            * s
-        )
-
-    return _refined(evaluate, real_path, n, lv)
+    k1, k2 = _k12(k)
+    return _ktilde_point(k, x, y, k2 - 1.0, k1 - 1.0, lambda u: u, -4.0 * math.sinh(y),
+                         nodes, level)
 
 
 def kernel_K_mourou(k: Multiplicity, x: float, y: float, *, nodes=None, level=None) -> EvalResult:
@@ -473,4 +354,4 @@ def kernel_K_mourou(k: Multiplicity, x: float, y: float, *, nodes=None, level=No
     coef_d = -sgn * 0.25 * ainv
     value = 0.25 * kj.value + coef_t * kt.value + coef_d * dk.value
     est = 0.25 * kj.est_error + abs(coef_t) * kt.est_error + abs(coef_d) * dk.est_error
-    return EvalResult(_scalarize(value), float(est), f"mourou[{kj.method}]")
+    return EvalResult(_as_scalar(value), float(est), f"mourou[{kj.method}]")

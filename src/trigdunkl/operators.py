@@ -22,9 +22,9 @@ import numpy as np
 from . import config
 from .config import NUMERICS
 from .errors import ContractError, DomainError
-from .kernel import _kernel_values, kernel_K, weight_A
+from .kernel import _kernel_values, _rule_label, kernel_K, weight_A
 from .params import Multiplicity
-from .quadrature import EvalResult, _tanh_sinh_full
+from .quadrature import EvalResult, _as_scalar, _tanh_sinh_full
 
 
 @dataclass(frozen=True)
@@ -160,28 +160,6 @@ def cherednik_D(k: Multiplicity, f: TestFunction, x: float, form: str = "cothtan
     return f.deriv(x) + coeff * (f.eval(x) - f.eval(-x)) - rho * f.eval(-x)
 
 
-def _v_halves(k, f, x, level):
-    """Both half-interval sums of the V integral with refinement estimates."""
-    t, w, glo, ghi, coarse = _op_rule(level)
-    xa = abs(x)
-    total = 0.0
-    est = 0.0
-    for side in (+1, -1):
-        if side > 0:
-            y = 0.5 * xa * glo          # runs over (0, |x|); gap at y -> |x|
-            gap = 0.5 * xa * ghi
-        else:
-            y = -0.5 * xa * ghi         # runs over (-|x|, 0); gap at y -> -|x|
-            gap = 0.5 * xa * glo
-        kv = _kernel_values(k, x, y, gap=gap)
-        vals = kv * np.asarray(f.eval(y)) * w
-        fine = vals.sum() * 0.5 * xa
-        half = 2.0 * vals[coarse].sum() * 0.5 * xa
-        total = total + fine
-        est += abs(fine - half)
-    return total, est
-
-
 _BATCH = 64  # outer abscissae per kernel batch, keeps temporaries ~10 MB
 
 
@@ -199,50 +177,62 @@ def _op_rule(level):
     return t[keep], w[keep], glo[keep], ghi[keep], coarse[keep]
 
 
-def _v_values(k, f, xs, level):
-    """Values of Vf over an array of nonzero points (no error estimates)."""
-    t, w, glo, ghi, _ = _op_rule(level)
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros(xs.shape, dtype=complex)
-    for i in range(0, xs.size, _BATCH):
-        xb = xs[i:i + _BATCH]
+def _outer_sums(k, points, level, sides):
+    """Outer tanh-sinh integrals at each of ``points``, in batches.
+
+    ``sides(batch, t, glo, ghi)`` yields, per half of the domain, the
+    integrand at the abscissae (one row per point) and the half-width.
+    Returns the values, refinement estimates (the level against its
+    even-indexed nodes) and the method string naming outer and inner rule.
+    """
+    t, w, glo, ghi, coarse = _op_rule(level)
+    points = np.asarray(points, dtype=float)
+    values = np.zeros(points.shape, dtype=complex)
+    est = np.zeros(points.shape)
+    for i in range(0, points.size, _BATCH):
+        sl = slice(i, i + _BATCH)
+        for integrand, half in sides(points[sl], t, glo, ghi):
+            vals = integrand * w
+            fine = vals.sum(axis=1) * half
+            values[sl] += fine
+            est[sl] += np.abs(fine - 2.0 * vals[:, coarse].sum(axis=1) * half)
+    return values, est, f"tanh-sinh(level={level}) x {_rule_label(k)}"
+
+
+def _v_batch(k, f, xs, level):
+    """Vf at nonzero points xs, each half of (-|x|, |x|) from its end at 0."""
+    def sides(xb, t, glo, ghi):
         xa = np.abs(xb)[:, None]
-        acc = 0.0
-        for side in (+1, -1):
-            if side > 0:
-                y, gap = 0.5 * xa * glo, 0.5 * xa * ghi
-            else:
-                y, gap = -0.5 * xa * ghi, 0.5 * xa * glo
+        for y, gap in ((0.5 * xa * glo, 0.5 * xa * ghi),      # (0, |x|)
+                       (-0.5 * xa * ghi, 0.5 * xa * glo)):    # (-|x|, 0)
             kv = _kernel_values(k, xb[:, None], y, gap=gap)
-            acc = acc + (kv * np.asarray(f.eval(y)) * w).sum(axis=1)
-        out[i:i + _BATCH] = acc * 0.5 * xa[:, 0]
-    return out
+            yield kv * np.asarray(f.eval(y)), 0.5 * xa[:, 0]
+    return _outer_sums(k, xs, level, sides)
 
 
-def _vt_values(k, g, ys, level):
-    """Values of tVg over an array of points inside the support of g."""
+def _vt_batch(k, g, ys, level):
+    """tVg at points ys, each sign of x from its singular end -/+ |y|.
+
+    Zero outside the support [-a, a] of g.
+    """
     a = float(g.support)
-    t, w, glo, ghi, _ = _op_rule(level)
     ys = np.asarray(ys, dtype=float)
-    out = np.zeros(ys.shape, dtype=complex)
-    inside = np.flatnonzero(np.abs(ys) < a)
-    for i in range(0, inside.size, _BATCH):
-        idx = inside[i:i + _BATCH]
-        yb = ys[idx]
+
+    def sides(yb, t, glo, ghi):
         ya = np.abs(yb)[:, None]
         span = a - ya
-        acc = 0.0
-        for side in (+1, -1):
-            if side > 0:
-                x = np.where(t <= 0.0, ya + 0.5 * span * glo, a - 0.5 * span * ghi)
-                gap = 0.5 * span * glo
-            else:
-                x = np.where(t >= 0.0, -ya - 0.5 * span * ghi, -a + 0.5 * span * glo)
-                gap = 0.5 * span * ghi
+        for x, gap in ((np.where(t <= 0.0, ya + 0.5 * span * glo, a - 0.5 * span * ghi),
+                        0.5 * span * glo),
+                       (np.where(t >= 0.0, -ya - 0.5 * span * ghi, -a + 0.5 * span * glo),
+                        0.5 * span * ghi)):
             kv = _kernel_values(k, x, yb[:, None], gap=gap)
-            acc = acc + (kv * np.asarray(g.eval(x)) * np.asarray(weight_A(k, x)) * w).sum(axis=1)
-        out[idx] = acc * 0.5 * span[:, 0]
-    return out
+            yield kv * np.asarray(g.eval(x)) * np.asarray(weight_A(k, x)), 0.5 * span[:, 0]
+
+    values = np.zeros(ys.shape, dtype=complex)
+    est = np.zeros(ys.shape)
+    inside = np.abs(ys) < a
+    values[inside], est[inside], method = _outer_sums(k, ys[inside], level, sides)
+    return values, est, method
 
 
 def apply_V(k: Multiplicity, f: TestFunction, x: float, *, level=None) -> EvalResult:
@@ -256,13 +246,10 @@ def apply_V(k: Multiplicity, f: TestFunction, x: float, *, level=None) -> EvalRe
     if not math.isfinite(x):
         raise DomainError(f"non-finite evaluation point {x!r}")
     if x == 0:
-        return EvalResult(_scalar(f.eval(0.0)), 0.0, "point-evaluation")
+        return EvalResult(_as_scalar(f.eval(0.0)), 0.0, "point-evaluation")
     lv = NUMERICS.operator_level if level is None else int(level)
-    value, est = _v_halves(k, f, x, lv)
-    return EvalResult(
-        _scalar(value), float(est),
-        f"tanh-sinh(level={lv}) x kernel(n={NUMERICS.jacobi_nodes})",
-    )
+    values, est, method = _v_batch(k, f, [x], lv)
+    return EvalResult(_as_scalar(values[0]), float(est[0]), method)
 
 
 def apply_Vt(k: Multiplicity, g: TestFunction, y: float, *, level=None) -> EvalResult:
@@ -275,32 +262,11 @@ def apply_Vt(k: Multiplicity, g: TestFunction, y: float, *, level=None) -> EvalR
         raise ContractError(f"{g.id} declares no compact support; the dual needs one")
     if not math.isfinite(y):
         raise DomainError(f"non-finite evaluation point {y!r}")
-    a = float(g.support)
-    ya = abs(y)
-    lv = NUMERICS.nested_level if level is None else int(level)
-    if ya >= a:
+    if abs(y) >= float(g.support):
         return EvalResult(0.0, 0.0, "empty-domain")
-    t, w, glo, ghi, coarse = _op_rule(lv)
-    span = a - ya
-    total = 0.0
-    est = 0.0
-    for side in (+1, -1):
-        if side > 0:
-            x = np.where(t <= 0.0, ya + 0.5 * span * glo, a - 0.5 * span * ghi)
-            gap = 0.5 * span * glo          # |x| - |y| at the singular end
-        else:
-            x = np.where(t >= 0.0, -ya - 0.5 * span * ghi, -a + 0.5 * span * glo)
-            gap = 0.5 * span * ghi
-        kv = _kernel_values(k, x, y, gap=gap)
-        vals = kv * np.asarray(g.eval(x)) * np.asarray(weight_A(k, x)) * w
-        fine = vals.sum() * 0.5 * span
-        half = 2.0 * vals[coarse].sum() * 0.5 * span
-        total = total + fine
-        est += abs(fine - half)
-    return EvalResult(
-        _scalar(total), float(est),
-        f"tanh-sinh(level={lv}) x kernel(n={NUMERICS.jacobi_nodes})",
-    )
+    lv = NUMERICS.nested_level if level is None else int(level)
+    values, est, method = _vt_batch(k, g, [y], lv)
+    return EvalResult(_as_scalar(values[0]), float(est[0]), method)
 
 
 def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction, *, level=None) -> float:
@@ -314,16 +280,12 @@ def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction, *, level=None
     a = float(g.support)
     lv = NUMERICS.nested_level if level is None else int(level)
     t, w, glo, ghi, _ = _op_rule(lv)
-
-    lhs = 0.0
-    rhs = 0.0
-    for side in (+1, -1):
-        xs = side * 0.5 * a * (glo if side > 0 else ghi)
-        vf = _v_values(k, f, xs, lv)
-        lhs = lhs + (vf * np.asarray(g.eval(xs)) * np.asarray(weight_A(k, xs)) * w).sum() * 0.5 * a
-        tv = _vt_values(k, g, xs, lv)
-        rhs = rhs + (np.asarray(f.eval(xs)) * tv * w).sum() * 0.5 * a
-
+    # both halves of (-a, a) at once, each mapped from its end at 0
+    xs = 0.5 * a * np.concatenate((glo, -ghi))
+    w = 0.5 * a * np.concatenate((w, w))
+    vf = _v_batch(k, f, xs, lv)[0]
+    lhs = (vf * np.asarray(g.eval(xs)) * np.asarray(weight_A(k, xs)) * w).sum()
+    rhs = (np.asarray(f.eval(xs)) * _vt_batch(k, g, xs, lv)[0] * w).sum()
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -404,7 +366,3 @@ def positivity_scan(k_grid, x_grid, y_fraction_grid, *, nodes=None) -> ScanRepor
         all_positive=min_value > 0.0,
     )
 
-
-def _scalar(v):
-    v = complex(v)
-    return v.real if v.imag == 0.0 else v

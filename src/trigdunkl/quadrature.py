@@ -46,8 +46,9 @@ class EvalResult:
 class QuadratureRule:
     """Nodes and weights of a concrete rule on the open interval (-1, 1).
 
-    For tanh-sinh rules, ``gap_lo`` / ``gap_hi`` hold the distances 1 + t and
-    1 - t computed without cancellation; they are None for Gauss rules.
+    Gauss rules carry the exponents of their weight (1-t)^alpha (1+t)^beta
+    (0, 0 for Legendre); tanh-sinh rules their ``level`` and the distances
+    1 + t, 1 - t computed without cancellation (None for Gauss rules).
     """
 
     kind: str
@@ -55,6 +56,9 @@ class QuadratureRule:
     weights: np.ndarray
     gap_lo: np.ndarray | None = None
     gap_hi: np.ndarray | None = None
+    alpha: float = 0.0
+    beta: float = 0.0
+    level: int | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.nodes) <= 0):
@@ -124,7 +128,8 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
         if isinstance(v, complex) or not math.isfinite(v) or v <= -1.0:
             raise DomainError(f"{name} must be a finite real > -1, got {v!r}")
     nodes, weights = _gauss_jacobi_arrays(n, float(alpha), float(beta))
-    return QuadratureRule(f"jacobi(n={n},alpha={alpha},beta={beta})", nodes, weights)
+    return QuadratureRule(f"jacobi(n={n},alpha={alpha},beta={beta})", nodes, weights,
+                          alpha=float(alpha), beta=float(beta))
 
 
 @lru_cache(maxsize=32)
@@ -165,7 +170,7 @@ def tanh_sinh(level: int) -> QuadratureRule:
     keep = np.minimum(gap_lo, gap_hi) >= _TS_PUBLIC_GAP
     return QuadratureRule(
         f"tanh-sinh(level={level})",
-        nodes[keep], weights[keep], gap_lo[keep], gap_hi[keep],
+        nodes[keep], weights[keep], gap_lo[keep], gap_hi[keep], level=level,
     )
 
 
@@ -211,24 +216,16 @@ def integrate(rule: QuadratureRule, f, interval) -> EvalResult:
         raise DomainError(f"integration interval must be finite, got {interval!r}")
     if not lo < hi:
         raise DomainError(f"require lo < hi, got ({lo}, {hi})")
-    kind = rule.kind
-    if kind.startswith("tanh-sinh"):
-        level = int(kind.split("level=")[1].rstrip(")"))
-        refined = min(level + 1, _MAX_TS_LEVEL)
+    if rule.level is not None:
+        refined = min(rule.level + 1, _MAX_TS_LEVEL)
         fine, coarse = _ts_sums(refined, f, lo, hi)
-        return EvalResult(_as_scalar(fine), abs(fine - coarse), f"{kind}->level={refined}")
-    # Gauss rule: rebuild the refined companion from the descriptor.
-    n = len(rule.nodes)
-    n_ref = min(NUMERICS.refine_factor * n, _MAX_GAUSS_N)
-    if kind.startswith("jacobi"):
-        alpha = float(kind.split("alpha=")[1].split(",")[0])
-        beta = float(kind.split("beta=")[1].rstrip(")"))
-        ref_nodes, ref_weights = _gauss_jacobi_arrays(n_ref, alpha, beta)
-    else:
-        ref_nodes, ref_weights = _gauss_jacobi_arrays(n_ref, 0.0, 0.0)
+        return EvalResult(_as_scalar(fine), abs(fine - coarse), f"{rule.kind}->level={refined}")
+    # Gauss rule: the refined companion has the same weight exponents
+    n_ref = min(NUMERICS.refine_factor * len(rule.nodes), _MAX_GAUSS_N)
+    ref_nodes, ref_weights = _gauss_jacobi_arrays(n_ref, rule.alpha, rule.beta)
     base = _gauss_value(rule.nodes, rule.weights, f, lo, hi)
     fine = _gauss_value(ref_nodes, ref_weights, f, lo, hi)
-    return EvalResult(_as_scalar(fine), abs(fine - base), f"{kind}->n={n_ref}")
+    return EvalResult(_as_scalar(fine), abs(fine - base), f"{rule.kind}->n={n_ref}")
 
 
 def _as_scalar(v):

@@ -7,6 +7,9 @@ from trigdunkl import (
     DomainError,
     KernelPoint,
     Multiplicity,
+    apply_V,
+    apply_Vt,
+    bump,
     constant_c,
     dktilde_dy,
     jacobi_kernel,
@@ -15,6 +18,7 @@ from trigdunkl import (
     kernel_K_limit_k2zero,
     kernel_K_mourou,
     ktilde,
+    plane_wave,
     sigma,
     weight_A,
 )
@@ -137,6 +141,14 @@ class TestKernelK:
         assert abs(near_val - real_val) <= 1e-6 * abs(real_val)
         assert abs(near_val.imag) <= 1e-6 * abs(real_val)
 
+    def test_complex_parameters_continuity_operators(self):
+        # the operators' inner rule switches from Gauss-Jacobi to tanh-sinh
+        real_k, near_k = Multiplicity(0.5, 0.7), Multiplicity(0.5 + 1e-8j, 0.7)
+        for op, fn in ((apply_V, plane_wave(1.5)), (apply_Vt, bump(2.0))):
+            real_val = op(real_k, fn, 0.5).value
+            near_val = op(near_k, fn, 0.5).value
+            assert abs(near_val - real_val) <= 1e-6 * abs(real_val), op.__name__
+
     def test_complex_parameters_oracle(self):
         k = Multiplicity(0.9 + 0.25j, 0.7 - 0.1j)
         direct = kernel_K(k, 1.2, -0.5)
@@ -188,11 +200,16 @@ class TestJacobiSettingPieces:
         tiny = jacobi_kernel(Multiplicity(1.0, 1.0), 1.0, 1.0 - 1e-12).value
         assert 0 <= tiny < 1e-6
 
-    def test_ktilde_forms_agree(self):
-        k = Multiplicity(0.7, 0.4)
-        direct = ktilde(k, 1.2, 0.5, "direct").value
-        byparts = ktilde(k, 1.2, 0.5, "byparts").value
-        defining = ktilde(k, 1.2, 0.5, "defining").value
+    @pytest.mark.parametrize("k, x, y", [
+        (Multiplicity(0.7, 0.4), 1.2, 0.5),
+        (Multiplicity(0.5 + 0.2j, 0.7), 1.2, 0.5),
+        # the nested route's inner end sees radius factors ~1e-280 each
+        (Multiplicity(0.05 + 0.2j, 0.05), 2.4, 0.0),
+    ], ids=["real", "complex", "complex-small-k"])
+    def test_ktilde_forms_agree(self, k, x, y):
+        direct = ktilde(k, x, y, "direct").value
+        byparts = ktilde(k, x, y, "byparts").value
+        defining = ktilde(k, x, y, "defining").value
         assert abs(direct - byparts) <= 1e-8 * abs(direct)
         assert abs(direct - defining) <= 1e-6 * abs(direct)
 
@@ -222,13 +239,13 @@ class TestJacobiSettingPieces:
         assert plus == pytest.approx(-minus, rel=1e-13)
 
     def test_derivative_matches_finite_difference(self):
-        k = Multiplicity(0.7, 0.4)
         h = 1e-5
-        for x, y in ((1.2, 0.5), (2.0, -0.9), (0.8, 0.3)):
-            exact = dktilde_dy(k, x, y).value
-            fd = (ktilde(k, x, y + h, "byparts").value
-                  - ktilde(k, x, y - h, "byparts").value) / (2.0 * h)
-            assert abs(exact - fd) <= 1e-5 * abs(exact)
+        for k in (Multiplicity(0.7, 0.4), Multiplicity(0.5 + 0.2j, 0.7)):
+            for x, y in ((1.2, 0.5), (2.0, -0.9), (0.8, 0.3)):
+                exact = dktilde_dy(k, x, y).value
+                fd = (ktilde(k, x, y + h, "byparts").value
+                      - ktilde(k, x, y - h, "byparts").value) / (2.0 * h)
+                assert abs(exact - fd) <= 1e-5 * abs(exact), (k, x, y)
 
 
 class TestMourouAssembly:

@@ -120,10 +120,16 @@ class TestCherednikD:
 
 class TestApplyV:
     def test_plane_wave_reproduces_eigenfunction(self):
-        k = Multiplicity(0.5, 0.5)
-        res = apply_V(k, plane_wave(1.5), 1.0)
-        target = opdam_G(k, 1.5, 1.0)
-        assert abs(res.value - target) <= 1e-6 * (1.0 + abs(target))
+        for k in (Multiplicity(0.5, 0.5), Multiplicity(0.5 + 0.2j, 0.7)):
+            res = apply_V(k, plane_wave(1.5), 1.0)
+            target = opdam_G(k, 1.5, 1.0)
+            assert abs(res.value - target) <= 1e-6 * (1.0 + abs(target)), k
+
+    def test_method_names_inner_rule(self):
+        for k, inner in ((Multiplicity(0.5, 0.7), "gauss-jacobi(n=64)"),
+                         (Multiplicity(0.5 + 0.2j, 0.7), "tanh-sinh(level=8)")):
+            assert apply_V(k, plane_wave(1.5), 1.0).method == f"tanh-sinh(level=6) x {inner}"
+            assert apply_Vt(k, bump(2.0), 0.5).method == f"tanh-sinh(level=4) x {inner}"
 
     def test_constant_function_gives_lambda_zero(self):
         k = Multiplicity(0.7, 1.1)
