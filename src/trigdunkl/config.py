@@ -1,8 +1,9 @@
 """Central defaults: quadrature sizes, tolerances, and verification grids.
 
-Every tunable lives here and nowhere else.  CLI flags override per run; no
-environment variables are consulted.  The grids below are the built-in
-verification grids driven by ``trigdunkl.verify`` and the acceptance tests.
+Every tunable lives here and nowhere else.  The only per-run override is
+``trigdunkl verify --tol``; no environment variables are consulted.  The
+grids below are the built-in verification grids driven by
+``trigdunkl.verify`` and the acceptance tests.
 """
 
 from dataclasses import dataclass
@@ -12,10 +13,11 @@ from dataclasses import dataclass
 class Numerics:
     """Quadrature and finite-difference knobs.
 
-    jacobi_nodes      Gauss-Jacobi nodes for kernel integrals (refined x2
-                      for the error estimate).
+    jacobi_nodes      Gauss-Jacobi nodes for kernel integrals (the error
+                      estimate compares them with twice as many).
     tanh_sinh_level   double-exponential level (step 2**-level) for the
-                      complex-parameter kernel path and generic ``integrate``.
+                      complex-parameter kernel path; ``integrate`` instead
+                      refines its rule's own level by one.
     operator_level    tanh-sinh level of the outer integrals of V and tV.
     nested_level      level used when V or tV appears inside another
                       integral (duality checking), where each abscissa costs
@@ -26,7 +28,6 @@ class Numerics:
     """
 
     jacobi_nodes: int = 64
-    refine_factor: int = 2
     tanh_sinh_level: int = 8
     operator_level: int = 6
     nested_level: int = 4
@@ -45,8 +46,6 @@ TOL_DERIV = 1e-5          # relative gap, dK-tilde/dy vs finite difference
 TOL_LIMITS = 1e-3         # relative gap, kernel at k ~ 0 vs closed form
 TOL_DUALITY = 1e-6        # normalized duality gap
 TOL_INTERTWINE = 1e-4     # |D(Vf) - V(f')|, finite-difference limited
-TOL_CHEREDNIK = 1e-12     # relative gap between the two displayed forms
-TOL_EIGEN_CHEREDNIK = 1e-5  # |D G - i lam G| <= tol * (1 + |lam G|)
 
 # Multiplicity grid shared by all suites.
 K_VALUES = (0.3, 0.7, 1.5)

@@ -30,9 +30,9 @@ On u = mid + rad t, rad = (a - b)/2, the endpoint powers become the weight
 (1-t)^alpha (1+t)^beta, which the rule absorbs (Gauss-Jacobi for real k,
 tanh-sinh weights times the weight at exact endpoint distances for complex
 k).  The radius enters as log sinh((X+Y)/2) + log sinh((X-Y)/2), so tiny
-gaps stay representable.  Point evaluations get the coarser companion sum
-from the same pass: Gauss-Jacobi n beside 2n nodes, or the even-indexed
-tanh-sinh nodes, which are exactly the next coarser level.
+gaps stay representable.  Point evaluations also sum against the rule's
+coarser companion from ``quadrature`` (Gauss-Jacobi n beside 2n nodes, or the
+tanh-sinh level below); rule sizes come from ``NUMERICS`` alone.
 """
 
 import math
@@ -42,7 +42,8 @@ import numpy as np
 from .config import NUMERICS
 from .errors import DomainError
 from .params import KernelPoint, Multiplicity
-from .quadrature import _MAX_GAUSS_N, EvalResult, _as_scalar, _gauss_jacobi_arrays, _tanh_sinh_full
+from .quadrature import (EvalResult, _as_scalar, _gauss_jacobi_arrays, _gauss_jacobi_pair,
+                         _tanh_sinh_full)
 from .specfun import gamma_real, loggamma_right_half
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -117,46 +118,31 @@ def sigma(x, y, z):
     return val
 
 
-def _resolve(nodes, level):
-    n = NUMERICS.jacobi_nodes if nodes is None else int(nodes)
-    if not 1 <= n <= _MAX_GAUSS_N:
-        raise DomainError(f"nodes must be in 1..{_MAX_GAUSS_N}, got {nodes!r}")
-    lv = NUMERICS.tanh_sinh_level if level is None else int(level)
-    if not 1 <= lv <= 12:
-        raise DomainError(f"level must be in 1..12, got {level!r}")
-    return n, lv
-
-
-def _rule_label(k: Multiplicity, nodes=None, level=None, refined=False) -> str:
-    """Name of the rule ``_cosh_gap_integral`` uses for these settings."""
-    n, lv = _resolve(nodes, level)
+def _rule_label(k: Multiplicity, refined=False) -> str:
+    """Name of the rule ``_cosh_gap_integral`` uses."""
     if not k.real_positive:
+        lv = NUMERICS.tanh_sinh_level
         return f"tanh-sinh(level={lv - 1}->{lv})" if refined else f"tanh-sinh(level={lv})"
-    n2 = min(NUMERICS.refine_factor * n, _MAX_GAUSS_N)
-    return f"gauss-jacobi(n={n}->{n2})" if refined else f"gauss-jacobi(n={n})"
+    n = NUMERICS.jacobi_nodes
+    return f"gauss-jacobi(n={n}->{2 * n})" if refined else f"gauss-jacobi(n={n})"
 
 
-def _rule(k: Multiplicity, alpha, beta, n: int, lv: int, refine: bool):
+def _rule(k: Multiplicity, alpha, beta, refine: bool):
     """Nodes on (-1, 1) and weights absorbing (1-t)^alpha (1+t)^beta.
 
     With ``refine`` the weights are the refined rule's, and a second vector
-    over the same nodes (zero where it has none) is its coarser companion's.
+    over the same nodes is its coarser companion's; otherwise it is None.
     """
     if k.real_positive:
-        t, w = _gauss_jacobi_arrays(n, alpha, beta)
-        if not refine:
-            return t, w, None
-        n2 = min(NUMERICS.refine_factor * n, _MAX_GAUSS_N)
-        t2, w2 = _gauss_jacobi_arrays(n2, alpha, beta)
-        return (np.concatenate((t2, t)), np.concatenate((w2, np.zeros(n))),
-                np.concatenate((np.zeros(n2), w)))
-    t, w, glo, ghi, coarse = _tanh_sinh_full(lv)
-    w = w * np.exp(alpha * np.log(ghi) + beta * np.log(glo))
-    return t, w, (np.where(coarse, 2.0 * w, 0.0) if refine else None)
+        if refine:
+            return _gauss_jacobi_pair(NUMERICS.jacobi_nodes, alpha, beta)
+        return (*_gauss_jacobi_arrays(NUMERICS.jacobi_nodes, alpha, beta), None)
+    t, w, glo, ghi, wc = _tanh_sinh_full(NUMERICS.tanh_sinh_level)
+    power = np.exp(alpha * np.log(ghi) + beta * np.log(glo))
+    return t, w * power, (wc * power if refine else None)
 
 
-def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, *,
-                       nodes=None, level=None, refine=False):
+def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, *, refine=False):
     """J(alpha, beta; q) over (cosh(xa - gap), cosh xa), broadcasting.
 
     Returns (log_scale, fine, coarse) with J = exp(log_scale) * fine.
@@ -165,12 +151,11 @@ def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, *,
     and None otherwise.  ``gap`` = xa - (lower end) is passed separately so
     callers that know it without cancellation keep it exact.
     """
-    n, lv = _resolve(nodes, level)
     ya = xa - gap
     a, b = np.cosh(xa), np.cosh(ya)
     f1, f2 = np.sinh((xa + ya) / 2.0), np.sinh(gap / 2.0)
     log_scale = alpha * _LOG2 + (alpha + beta + 1.0) * (np.log(f1) + np.log(f2))
-    t, w, wc = _rule(k, alpha, beta, n, lv, refine)
+    t, w, wc = _rule(k, alpha, beta, refine)
     u = (0.5 * (a + b))[..., None] + (f1 * f2)[..., None] * t
     # exp(alpha log) rather than a complex power, which is much slower;
     # in-place products keep the (points, nodes) temporaries few
@@ -183,20 +168,20 @@ def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, *,
     return log_scale, smooth @ w, (smooth @ wc if refine else None)
 
 
-def _point_result(k, nodes, level, scale, fine, coarse) -> EvalResult:
+def _point_result(k, scale, fine, coarse) -> EvalResult:
     return EvalResult(_as_scalar(scale * fine), float(abs(scale * (fine - coarse))),
-                      _rule_label(k, nodes, level, refined=True))
+                      _rule_label(k, refined=True))
 
 
-def _ktilde_point(k, x, y, alpha, beta, q, pref, nodes, level) -> EvalResult:
+def _ktilde_point(k, x, y, alpha, beta, q, pref) -> EvalResult:
     """pref * c * J(alpha, beta; q) over (cosh y, cosh x), with its error bar."""
     log_j, fine, coarse = _cosh_gap_integral(
-        k, abs(x), abs(x) - abs(y), alpha, beta, q, nodes=nodes, level=level, refine=True,
+        k, abs(x), abs(x) - abs(y), alpha, beta, q, refine=True,
     )
-    return _point_result(k, nodes, level, pref * np.exp(_log_c(k) + log_j), fine, coarse)
+    return _point_result(k, pref * np.exp(_log_c(k) + log_j), fine, coarse)
 
 
-def _kernel_terms(k, x, y, gap, nodes, level, refine):
+def _kernel_terms(k, x, y, gap, refine):
     """(scale, fine, coarse) of K: the kernel is scale * fine."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -208,7 +193,7 @@ def _kernel_terms(k, x, y, gap, nodes, level, refine):
     k1, k2 = _k12(k)
     log_j, fine, coarse = _cosh_gap_integral(
         k, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, k2 - 1.0, k1 - 1.0,
-        lambda u: e_fwd - d_bwd * u, nodes=nodes, level=level, refine=refine,
+        lambda u: e_fwd - d_bwd * u, refine=refine,
     )
     # one exponent: A(x) ~ |x|^{2(k1+k2)} near 0 and the radius power near
     # y = -/+ x stay inside double range only in combination
@@ -216,21 +201,21 @@ def _kernel_terms(k, x, y, gap, nodes, level, refine):
     return scale, fine, coarse
 
 
-def _kernel_values(k: Multiplicity, x, y, *, gap=None, nodes=None, level=None):
+def _kernel_values(k: Multiplicity, x, y, *, gap=None):
     """Kernel values, broadcasting over x and y.
 
     ``gap`` optionally supplies |x| - |y| computed without cancellation; it
     is what the endpoint power actually depends on, so integrators that know
     the gap exactly (double-exponential tails) must pass it.
     """
-    scale, fine, _ = _kernel_terms(k, x, y, gap, nodes, level, False)
+    scale, fine, _ = _kernel_terms(k, x, y, gap, False)
     return scale * fine
 
 
-def kernel_K(k: Multiplicity, x: float, y: float, *, nodes=None, level=None) -> EvalResult:
+def kernel_K(k: Multiplicity, x: float, y: float) -> EvalResult:
     """Main kernel at a single admissible point, with a refinement error bar."""
     KernelPoint(x, y)
-    return _point_result(k, nodes, level, *_kernel_terms(k, x, y, None, nodes, level, True))
+    return _point_result(k, *_kernel_terms(k, x, y, None, True))
 
 
 def _limit_kernel(k: float, x: float, y: float, name: str) -> float:
@@ -262,7 +247,7 @@ def kernel_K_limit_k2zero(k1: float, x: float, y: float) -> float:
     return 0.5 * _limit_kernel(k1, x / 2.0, y / 2.0, "k1")
 
 
-def _cosine_terms(k, x, gap, nodes, level, refine, *, with_density=False):
+def _cosine_terms(k, x, gap, refine, *, with_density=False):
     """(scale, fine, coarse) of the cosine-setting kernel at (x, |x| - gap).
 
     ``with_density`` multiplies by the measure density A(2x), which cancels
@@ -270,7 +255,7 @@ def _cosine_terms(k, x, gap, nodes, level, refine, *, with_density=False):
     """
     k1, k2 = _k12(k)
     log_j, fine, coarse = _cosh_gap_integral(
-        k, np.abs(x), gap, k2 - 1.0, k1 - 1.0, nodes=nodes, level=level, refine=refine,
+        k, np.abs(x), gap, k2 - 1.0, k1 - 1.0, refine=refine,
     )
     # |sinh 2x| goes into the exponent too: at the nested route's inner
     # end it is tiny while the radius power alone overflows
@@ -280,35 +265,30 @@ def _cosine_terms(k, x, gap, nodes, level, refine, *, with_density=False):
     return 2.0 * np.exp(log_pref), fine, coarse
 
 
-def jacobi_kernel(k: Multiplicity, x: float, y: float, *, nodes=None, level=None) -> EvalResult:
+def jacobi_kernel(k: Multiplicity, x: float, y: float) -> EvalResult:
     """Kernel of the intertwining operator in the hyperbolic-cosine setting."""
     KernelPoint(x, y)
-    return _point_result(k, nodes, level,
-                         *_cosine_terms(k, x, abs(x) - abs(y), nodes, level, True))
+    return _point_result(k, *_cosine_terms(k, x, abs(x) - abs(y), True))
 
 
-def _ktilde_defining(k, x, y, *, nodes=None, level=None):
+def _ktilde_defining(k, x, y):
     # nested route: integrate the cosine-setting kernel against its measure
-    n, _ = _resolve(nodes, level)
-    lv = NUMERICS.nested_level if level is None else int(level)
+    lv = NUMERICS.nested_level
     xa, ya = abs(x), abs(y)
-    t, w, glo, ghi, coarse = _tanh_sinh_full(lv)
+    t, w, glo, ghi, wc = _tanh_sinh_full(lv)
     half = 0.5 * (xa - ya)
     # inner endpoint w -> |y| carries the (w - |y|)^{k1+k2-1} singularity
-    scale, fine, _ = _cosine_terms(k, ya + half * glo, half * glo, n, None, False,
-                                   with_density=True)
-    vals = scale * fine * w
-    total = vals.sum() * half
-    coarse_sum = 2.0 * vals[coarse].sum() * half
-    return EvalResult(_as_scalar(total), float(abs(total - coarse_sum)),
-                      f"nested tanh-sinh(level={lv}) x {_rule_label(k, n)}")
+    scale, fine, _ = _cosine_terms(k, ya + half * glo, half * glo, False, with_density=True)
+    vals = scale * fine
+    total, coarse = (vals @ w) * half, (vals @ wc) * half
+    return EvalResult(_as_scalar(total), float(abs(total - coarse)),
+                      f"nested tanh-sinh(level={lv}) x {_rule_label(k)}")
 
 
 _KTILDE_FORMS = ("direct", "byparts", "defining")
 
 
-def ktilde(k: Multiplicity, x: float, y: float, form: str = "direct",
-           *, nodes=None, level=None) -> EvalResult:
+def ktilde(k: Multiplicity, x: float, y: float, form: str = "direct") -> EvalResult:
     """Antiderivative-in-|x| of the cosine-setting kernel against its measure.
 
     Three algebraically equal routes: ``direct`` carries the full power of
@@ -319,22 +299,21 @@ def ktilde(k: Multiplicity, x: float, y: float, form: str = "direct",
     if form not in _KTILDE_FORMS:
         raise DomainError(f"form must be one of {_KTILDE_FORMS}, got {form!r}")
     if form == "defining":
-        return _ktilde_defining(k, x, y, nodes=nodes, level=level)
+        return _ktilde_defining(k, x, y)
     k1, k2 = _k12(k)
     if form == "direct":
-        return _ktilde_point(k, x, y, k2, k1 - 1.0, None, 1.0 / k2, nodes, level)
-    return _ktilde_point(k, x, y, k2 - 1.0, k1, lambda u: u, 4.0 / k1, nodes, level)
+        return _ktilde_point(k, x, y, k2, k1 - 1.0, None, 1.0 / k2)
+    return _ktilde_point(k, x, y, k2 - 1.0, k1, lambda u: u, 4.0 / k1)
 
 
-def dktilde_dy(k: Multiplicity, x: float, y: float, *, nodes=None, level=None) -> EvalResult:
+def dktilde_dy(k: Multiplicity, x: float, y: float) -> EvalResult:
     """Same-variable y-derivative of the antiderivative; odd in y, zero at y = 0."""
     KernelPoint(x, y)
     k1, k2 = _k12(k)
-    return _ktilde_point(k, x, y, k2 - 1.0, k1 - 1.0, lambda u: u, -4.0 * math.sinh(y),
-                         nodes, level)
+    return _ktilde_point(k, x, y, k2 - 1.0, k1 - 1.0, lambda u: u, -4.0 * math.sinh(y))
 
 
-def kernel_K_mourou(k: Multiplicity, x: float, y: float, *, nodes=None, level=None) -> EvalResult:
+def kernel_K_mourou(k: Multiplicity, x: float, y: float) -> EvalResult:
     """Main kernel assembled from the cosine-setting pieces at half arguments.
 
     The assembly takes the y-derivative of y -> Ktilde(x/2, y/2); the
@@ -345,9 +324,9 @@ def kernel_K_mourou(k: Multiplicity, x: float, y: float, *, nodes=None, level=No
     """
     KernelPoint(x, y)
     xh, yh = x / 2.0, y / 2.0
-    kj = jacobi_kernel(k, xh, yh, nodes=nodes, level=level)
-    kt = ktilde(k, xh, yh, "direct", nodes=nodes, level=level)
-    dk = dktilde_dy(k, xh, yh, nodes=nodes, level=level)
+    kj = jacobi_kernel(k, xh, yh)
+    kt = ktilde(k, xh, yh, "direct")
+    dk = dktilde_dy(k, xh, yh)
     sgn = math.copysign(1.0, x)
     ainv = 1.0 / weight_A(k, x)
     coef_t = sgn * (k.k1 / 4.0 + k.k2 / 2.0) * ainv

@@ -14,7 +14,6 @@ reproducible.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -155,59 +154,61 @@ def cherednik_D(k: Multiplicity, f: TestFunction, x: float, form: str = "cothtan
         return f.deriv(x) + coeff * (f.eval(x) - f.eval(-x)) - rho * f.eval(x)
     if x == 0:
         return (1.0 + 2.0 * (k1 + k2)) * f.deriv(0.0) - rho * f.eval(0.0)
+    return _d_cothtanh(k, x, f.deriv(x), f.eval(x), f.eval(-x))
+
+
+def _d_cothtanh(k: Multiplicity, x: float, deriv, fx, fmx):
+    """D f(x), x != 0, in the coth/tanh form from f'(x), f(x) and f(-x)."""
     th = math.tanh(x / 2.0)
-    coeff = (k1 + k2) / (2.0 * th) + k2 * th / 2.0
-    return f.deriv(x) + coeff * (f.eval(x) - f.eval(-x)) - rho * f.eval(-x)
+    coeff = (k.k1 + k.k2) / (2.0 * th) + k.k2 * th / 2.0
+    return deriv + coeff * (fx - fmx) - k.rho * fmx
 
 
 _BATCH = 64  # outer abscissae per kernel batch, keeps temporaries ~10 MB
 
 
-@lru_cache(maxsize=32)
-def _op_rule(level):
-    """Double-exponential rule truncated at endpoint gap 1e-60.
-
-    Operator integrands behave like gap^{k1+k2-1} times smooth factors, so
-    the discarded tail is O(gap_cut^{Re(k1+k2)}); the truncation keeps the
-    nested gap products (outer abscissa times inner endpoint distance)
-    representable in double precision.
-    """
-    t, w, glo, ghi, coarse = _tanh_sinh_full(level)
-    keep = np.minimum(glo, ghi) >= 1e-60
-    return t[keep], w[keep], glo[keep], ghi[keep], coarse[keep]
+# Outer integrands behave like gap^{k1+k2-1} times smooth factors, so
+# cutting the outer rule at endpoint gap 1e-60 discards O(1e-60^{Re(k1+k2)});
+# the cut keeps the nested gap products (outer abscissa times inner endpoint
+# distance) representable in double precision.
+_OUTER_GAP = 1e-60
 
 
-def _outer_sums(k, points, level, sides):
-    """Outer tanh-sinh integrals at each of ``points``, in batches.
+def _outer_sums(k, points, active, fill, level, sides):
+    """Outer tanh-sinh integrals at the ``active`` ones of ``points``, in batches.
 
     ``sides(batch, t, glo, ghi)`` yields, per half of the domain, the
     integrand at the abscissae (one row per point) and the half-width.
-    Returns the values, refinement estimates (the level against its
-    even-indexed nodes) and the method string naming outer and inner rule.
+    Returns the values (``fill`` elsewhere), refinement estimates (against
+    the level below) and the method string naming outer and inner rule.
     """
-    t, w, glo, ghi, coarse = _op_rule(level)
+    t, w, glo, ghi, wc = _tanh_sinh_full(level, _OUTER_GAP)
     points = np.asarray(points, dtype=float)
     values = np.zeros(points.shape, dtype=complex)
+    values[~active] = fill
     est = np.zeros(points.shape)
-    for i in range(0, points.size, _BATCH):
-        sl = slice(i, i + _BATCH)
+    idx = np.flatnonzero(active)
+    for i in range(0, idx.size, _BATCH):
+        sl = idx[i:i + _BATCH]
         for integrand, half in sides(points[sl], t, glo, ghi):
-            vals = integrand * w
-            fine = vals.sum(axis=1) * half
+            fine = (integrand @ w) * half
             values[sl] += fine
-            est[sl] += np.abs(fine - 2.0 * vals[:, coarse].sum(axis=1) * half)
+            est[sl] += np.abs(fine - (integrand @ wc) * half)
     return values, est, f"tanh-sinh(level={level}) x {_rule_label(k)}"
 
 
 def _v_batch(k, f, xs, level):
-    """Vf at nonzero points xs, each half of (-|x|, |x|) from its end at 0."""
+    """Vf at points xs (f(0) at 0), each half of (-|x|, |x|) from its end at 0."""
     def sides(xb, t, glo, ghi):
         xa = np.abs(xb)[:, None]
         for y, gap in ((0.5 * xa * glo, 0.5 * xa * ghi),      # (0, |x|)
                        (-0.5 * xa * ghi, 0.5 * xa * glo)):    # (-|x|, 0)
             kv = _kernel_values(k, xb[:, None], y, gap=gap)
             yield kv * np.asarray(f.eval(y)), 0.5 * xa[:, 0]
-    return _outer_sums(k, xs, level, sides)
+
+    nonzero = np.asarray(xs) != 0.0
+    fill = 0.0 if nonzero.all() else f.eval(0.0)
+    return _outer_sums(k, xs, nonzero, fill, level, sides)
 
 
 def _vt_batch(k, g, ys, level):
@@ -216,7 +217,6 @@ def _vt_batch(k, g, ys, level):
     Zero outside the support [-a, a] of g.
     """
     a = float(g.support)
-    ys = np.asarray(ys, dtype=float)
 
     def sides(yb, t, glo, ghi):
         ya = np.abs(yb)[:, None]
@@ -228,14 +228,10 @@ def _vt_batch(k, g, ys, level):
             kv = _kernel_values(k, x, yb[:, None], gap=gap)
             yield kv * np.asarray(g.eval(x)) * np.asarray(weight_A(k, x)), 0.5 * span[:, 0]
 
-    values = np.zeros(ys.shape, dtype=complex)
-    est = np.zeros(ys.shape)
-    inside = np.abs(ys) < a
-    values[inside], est[inside], method = _outer_sums(k, ys[inside], level, sides)
-    return values, est, method
+    return _outer_sums(k, ys, np.abs(ys) < a, 0.0, level, sides)
 
 
-def apply_V(k: Multiplicity, f: TestFunction, x: float, *, level=None) -> EvalResult:
+def apply_V(k: Multiplicity, f: TestFunction, x: float) -> EvalResult:
     """Intertwining operator applied to a registered function at x.
 
     At x = 0 returns f(0), the defining point evaluation; elsewhere the
@@ -247,12 +243,11 @@ def apply_V(k: Multiplicity, f: TestFunction, x: float, *, level=None) -> EvalRe
         raise DomainError(f"non-finite evaluation point {x!r}")
     if x == 0:
         return EvalResult(_as_scalar(f.eval(0.0)), 0.0, "point-evaluation")
-    lv = NUMERICS.operator_level if level is None else int(level)
-    values, est, method = _v_batch(k, f, [x], lv)
+    values, est, method = _v_batch(k, f, [x], NUMERICS.operator_level)
     return EvalResult(_as_scalar(values[0]), float(est[0]), method)
 
 
-def apply_Vt(k: Multiplicity, g: TestFunction, y: float, *, level=None) -> EvalResult:
+def apply_Vt(k: Multiplicity, g: TestFunction, y: float) -> EvalResult:
     """Dual operator: kernel integral against g and the measure over |x| > |y|.
 
     Truncated to the declared support [-a, a] of g; identically zero once
@@ -264,12 +259,11 @@ def apply_Vt(k: Multiplicity, g: TestFunction, y: float, *, level=None) -> EvalR
         raise DomainError(f"non-finite evaluation point {y!r}")
     if abs(y) >= float(g.support):
         return EvalResult(0.0, 0.0, "empty-domain")
-    lv = NUMERICS.nested_level if level is None else int(level)
-    values, est, method = _vt_batch(k, g, [y], lv)
+    values, est, method = _vt_batch(k, g, [y], NUMERICS.nested_level)
     return EvalResult(_as_scalar(values[0]), float(est[0]), method)
 
 
-def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction, *, level=None) -> float:
+def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
     """Normalized defect of the pairing identity between V and its dual.
 
     |LHS - RHS| / max(|LHS|, |RHS|, 1) with LHS the measure-weighted pairing
@@ -278,18 +272,18 @@ def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction, *, level=None
     if g.support is None:
         raise ContractError(f"{g.id} declares no compact support")
     a = float(g.support)
-    lv = NUMERICS.nested_level if level is None else int(level)
-    t, w, glo, ghi, _ = _op_rule(lv)
+    lv = NUMERICS.nested_level
+    t, w, glo, ghi, _ = _tanh_sinh_full(lv, _OUTER_GAP)
     # both halves of (-a, a) at once, each mapped from its end at 0
     xs = 0.5 * a * np.concatenate((glo, -ghi))
     w = 0.5 * a * np.concatenate((w, w))
     vf = _v_batch(k, f, xs, lv)[0]
-    lhs = (vf * np.asarray(g.eval(xs)) * np.asarray(weight_A(k, xs)) * w).sum()
-    rhs = (np.asarray(f.eval(xs)) * _vt_batch(k, g, xs, lv)[0] * w).sum()
+    lhs = (vf * np.asarray(g.eval(xs)) * np.asarray(weight_A(k, xs))) @ w
+    rhs = (np.asarray(f.eval(xs)) * _vt_batch(k, g, xs, lv)[0]) @ w
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
-def intertwine_gap(k: Multiplicity, f: TestFunction, x: float, *, level=None) -> float:
+def intertwine_gap(k: Multiplicity, f: TestFunction, x: float) -> float:
     """Defect |D(Vf)(x) - V(f')(x)| of the intertwining identity.
 
     D acts on Vf through a centered difference with step 1e-4 max(1, |x|),
@@ -299,15 +293,11 @@ def intertwine_gap(k: Multiplicity, f: TestFunction, x: float, *, level=None) ->
         raise DomainError("intertwining defect is evaluated away from x = 0")
     if f.deriv is None:
         raise ContractError(f"{f.id} has no derivative")
-    lv = NUMERICS.operator_level if level is None else int(level)
     h = NUMERICS.fd_step_scale * max(1.0, abs(x))
-    vf = lambda t: apply_V(k, f, t, level=lv).value
-    d_vf = (vf(x + h) - vf(x - h)) / (2.0 * h)
-    th = math.tanh(x / 2.0)
-    coeff = (k.k1 + k.k2) / (2.0 * th) + k.k2 * th / 2.0
-    lhs = d_vf + coeff * (vf(x) - vf(-x)) - k.rho * vf(-x)
+    v_fwd, v_bwd, v_x, v_mx = _v_batch(k, f, [x + h, x - h, x, -x], NUMERICS.operator_level)[0]
+    lhs = _d_cothtanh(k, x, (v_fwd - v_bwd) / (2.0 * h), v_x, v_mx)
     f_prime = TestFunction(id=f"{f.id}'", eval=f.deriv, support=f.support)
-    rhs = apply_V(k, f_prime, x, level=lv).value
+    rhs = apply_V(k, f_prime, x).value
     return abs(lhs - rhs)
 
 
@@ -324,7 +314,7 @@ class ScanReport:
     all_positive: bool
 
 
-def positivity_scan(k_grid, x_grid, y_fraction_grid, *, nodes=None) -> ScanReport:
+def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
     """Kernel values over a (k, x, y = fraction |x|) grid, tracking the minimum.
 
     Restricted to real positive parameter pairs, where strict positivity is
@@ -351,7 +341,7 @@ def positivity_scan(k_grid, x_grid, y_fraction_grid, *, nodes=None) -> ScanRepor
         for x in x_grid:
             for fr in fracs:
                 y = fr * abs(x)
-                value = kernel_K(k, x, y, nodes=nodes).value
+                value = kernel_K(k, x, y).value
                 cells.append((k1, k2, x, y, value))
                 if value < min_value:
                     min_value = value

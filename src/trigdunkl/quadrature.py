@@ -10,11 +10,14 @@ Two families cover everything the kernel formulas need:
   singularity.
 
 Tanh-sinh abscissae crowd the endpoints double-exponentially, far below the
-resolution of ``1 - |t|`` in floating point.  Public rule objects are
-therefore truncated where node floats stay distinct and strictly inside
-(-1, 1); integration drivers regenerate the full tail internally and work
-with exact endpoint distances (``gap_lo = 1 + t``, ``gap_hi = 1 - t``), so
-integrable singularities like t^{p-1} with small p > 0 are still resolved.
+resolution of ``1 - |t|`` in floating point.  ``_tanh_sinh_full`` keeps exact
+endpoint distances (``gap_lo = 1 + t``, ``gap_hi = 1 - t``) down to a cut:
+1e-280 in the kernel integrals, so integrable singularities like t^{p-1} with
+small p > 0 are still resolved, and 1e-12 for public rules, whose node floats
+stay distinct and inside (-1, 1).  Each rule comes with its coarser companion
+(n beside 2n Gauss nodes; a tanh-sinh level's even-indexed nodes, which are
+the level below) as a second weight vector ``wc`` on the same nodes, so every
+integral forms its value and error estimate as ``vals @ w`` and ``vals @ wc``.
 """
 
 import math
@@ -23,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import NUMERICS
 from .errors import DomainError, EvaluationError
 from .specfun import gamma_real
 
@@ -133,13 +135,14 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
 
 
 @lru_cache(maxsize=32)
-def _tanh_sinh_full(level: int):
-    """Full double-exponential node set at step h = 2**-level.
+def _tanh_sinh_full(level: int, cut: float = _TS_FULL_GAP):
+    """Double-exponential node set at step h = 2**-level.
 
-    Returns (nodes, weights, gap_lo, gap_hi, coarse_mask); coarse_mask marks
-    the nodes shared with level - 1, so one evaluation pass yields both sums.
-    Arrays run out to endpoint gaps ~ 1e-280; callers must use the gap
-    arrays, not 1 -/+ node, near the ends.
+    Returns (nodes, weights, gap_lo, gap_hi, companion) for the nodes whose
+    endpoint gap min(1 + t, 1 - t) is at least ``cut``; ``companion`` is
+    the next coarser level's weights on the same nodes (twice the weight on
+    even-indexed nodes, zero elsewhere).  Near the ends callers must use
+    the gap arrays, not 1 -/+ node.
     """
     h = 2.0 ** (-level)
     jmax = int(math.asinh(-math.log(_TS_FULL_GAP / 2.0) / math.pi) / h)
@@ -154,9 +157,9 @@ def _tanh_sinh_full(level: int):
     gap_lo = np.where(sigma >= 0, gap_large, gap_small)
     sech = 2.0 * np.exp(-np.abs(sigma)) / (1.0 + e)
     weights = h * 0.5 * math.pi * np.cosh(u) * sech * sech
-    coarse = (j % 2 == 0)
-    keep = weights > 0.0
-    out = tuple(a[keep] for a in (nodes, weights, gap_lo, gap_hi, coarse))
+    companion = np.where(j % 2 == 0, 2.0 * weights, 0.0)
+    keep = gap_small >= cut
+    out = tuple(a[keep] for a in (nodes, weights, gap_lo, gap_hi, companion))
     for a in out:
         a.setflags(write=False)
     return out
@@ -166,12 +169,21 @@ def tanh_sinh(level: int) -> QuadratureRule:
     """Double-exponential rule on (-1, 1); each level halves the step size."""
     if not isinstance(level, int) or isinstance(level, bool) or not 1 <= level <= _MAX_TS_LEVEL:
         raise DomainError(f"level must be an integer in 1..{_MAX_TS_LEVEL}, got {level!r}")
-    nodes, weights, gap_lo, gap_hi, _ = _tanh_sinh_full(level)
-    keep = np.minimum(gap_lo, gap_hi) >= _TS_PUBLIC_GAP
-    return QuadratureRule(
-        f"tanh-sinh(level={level})",
-        nodes[keep], weights[keep], gap_lo[keep], gap_hi[keep], level=level,
-    )
+    nodes, weights, gap_lo, gap_hi, _ = _tanh_sinh_full(level, _TS_PUBLIC_GAP)
+    return QuadratureRule(f"tanh-sinh(level={level})", nodes, weights, gap_lo, gap_hi,
+                          level=level)
+
+
+def _gauss_jacobi_pair(n: int, alpha: float, beta: float):
+    """The 2n-node Jacobi rule's nodes followed by the n-node rule's.
+
+    Returns (nodes, weights, companion): the 2n-node weights (zero on the
+    n-node part) and the n-node weights (zero on the 2n-node part).
+    """
+    t2, w2 = _gauss_jacobi_arrays(2 * n, alpha, beta)
+    t, w = _gauss_jacobi_arrays(n, alpha, beta)
+    return (np.concatenate((t2, t)), np.concatenate((w2, np.zeros(n))),
+            np.concatenate((np.zeros(2 * n), w)))
 
 
 def _eval_integrand(f, xs):
@@ -183,24 +195,6 @@ def _eval_integrand(f, xs):
         node = float(xs[np.argmax(bad)])
         raise EvaluationError(f"integrand is not finite at x={node!r}", node=node)
     return vals
-
-
-def _ts_sums(level, f, lo, hi):
-    nodes, weights, gap_lo, gap_hi, coarse = _tanh_sinh_full(level)
-    half = 0.5 * (hi - lo)
-    # abscissae as exact offsets from the nearer endpoint
-    xs = np.where(nodes <= 0.0, lo + half * gap_lo, hi - half * gap_hi)
-    vals = _eval_integrand(f, xs) * weights
-    fine = vals.sum() * half
-    coarse_sum = 2.0 * vals[coarse].sum() * half
-    return fine, coarse_sum
-
-
-def _gauss_value(nodes, weights, f, lo, hi):
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    xs = mid + half * nodes
-    return (_eval_integrand(f, xs) * weights).sum() * half
 
 
 def integrate(rule: QuadratureRule, f, interval) -> EvalResult:
@@ -216,16 +210,22 @@ def integrate(rule: QuadratureRule, f, interval) -> EvalResult:
         raise DomainError(f"integration interval must be finite, got {interval!r}")
     if not lo < hi:
         raise DomainError(f"require lo < hi, got ({lo}, {hi})")
+    half = 0.5 * (hi - lo)
     if rule.level is not None:
         refined = min(rule.level + 1, _MAX_TS_LEVEL)
-        fine, coarse = _ts_sums(refined, f, lo, hi)
-        return EvalResult(_as_scalar(fine), abs(fine - coarse), f"{rule.kind}->level={refined}")
-    # Gauss rule: the refined companion has the same weight exponents
-    n_ref = min(NUMERICS.refine_factor * len(rule.nodes), _MAX_GAUSS_N)
-    ref_nodes, ref_weights = _gauss_jacobi_arrays(n_ref, rule.alpha, rule.beta)
-    base = _gauss_value(rule.nodes, rule.weights, f, lo, hi)
-    fine = _gauss_value(ref_nodes, ref_weights, f, lo, hi)
-    return EvalResult(_as_scalar(fine), abs(fine - base), f"{rule.kind}->n={n_ref}")
+        t, w, gap_lo, gap_hi, wc = _tanh_sinh_full(refined)
+        # abscissae as exact offsets from the nearer endpoint
+        xs = np.where(t <= 0.0, lo + half * gap_lo, hi - half * gap_hi)
+        method = f"{rule.kind}->level={refined}"
+    else:
+        # Gauss rule: the refined companion has the same weight exponents
+        n = len(rule.nodes)
+        t, w, wc = _gauss_jacobi_pair(n, rule.alpha, rule.beta)
+        xs = 0.5 * (hi + lo) + half * t
+        method = f"{rule.kind}->n={2 * n}"
+    vals = _eval_integrand(f, xs)
+    fine, coarse = (vals @ w) * half, (vals @ wc) * half
+    return EvalResult(_as_scalar(fine), abs(fine - coarse), method)
 
 
 def _as_scalar(v):

@@ -103,22 +103,17 @@ def suite_limits(tol=None):
     eps = config.LIMIT_EPS
     other = config.LIMIT_K_OTHER
     rows = []
-    for x in config.LIMIT_X:
-        for fr in config.LIMIT_FRACS:
-            y = fr * x
-            point = _pt(x=x, y=y)
-            near = kernel_K(Multiplicity(eps, other), x, y).value
-            closed = kernel_K_limit_k1zero(other, x, y)
-            gap = abs(near - closed) / abs(closed)
-            rows.append(_row("kernel_limit_k1_to_zero", point, near, closed, gap, base))
-    for x in config.LIMIT_X:
-        for fr in config.LIMIT_FRACS:
-            y = fr * x
-            point = _pt(x=x, y=y)
-            near = kernel_K(Multiplicity(other, eps), x, y).value
-            closed = kernel_K_limit_k2zero(other, x, y)
-            gap = abs(near - closed) / abs(closed)
-            rows.append(_row("kernel_limit_k2_to_zero", point, near, closed, gap, base))
+    for check, k, closed_form in (
+        ("kernel_limit_k1_to_zero", Multiplicity(eps, other), kernel_K_limit_k1zero),
+        ("kernel_limit_k2_to_zero", Multiplicity(other, eps), kernel_K_limit_k2zero),
+    ):
+        for x in config.LIMIT_X:
+            for fr in config.LIMIT_FRACS:
+                y = fr * x
+                near = kernel_K(k, x, y).value
+                closed = closed_form(other, x, y)
+                gap = abs(near - closed) / abs(closed)
+                rows.append(_row(check, _pt(x=x, y=y), near, closed, gap, base))
     return rows
 
 

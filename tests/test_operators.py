@@ -197,7 +197,8 @@ class TestIntertwine:
     @pytest.mark.parametrize("f_name", ["plane_wave:1.5", "monomial:2"])
     def test_gap_small(self, f_name):
         f = get_test_function(f_name)
-        for k1, k2, x in ((1.0, 1.0, 1.0), (0.3, 0.7, -0.5), (1.5, 0.3, 2.0)):
+        for k1, k2, x in ((1.0, 1.0, 1.0), (0.3, 0.7, -0.5), (1.5, 0.3, 2.0),
+                          (0.7, 0.3, 1e-4), (0.7, 0.3, -1e-4)):
             assert intertwine_gap(Multiplicity(k1, k2), f, x) <= 1e-4
 
     def test_linearity_scaling(self):

@@ -12,6 +12,7 @@ from trigdunkl import (
     integrate,
     tanh_sinh,
 )
+from trigdunkl.quadrature import _gauss_jacobi_pair, _tanh_sinh_full
 
 
 def beta_moment(alpha, beta):
@@ -127,6 +128,26 @@ class TestTanhSinh:
             tanh_sinh(level)
 
 
+class TestCompanionRules:
+    @pytest.mark.parametrize("level", [4, 6, 8])
+    @pytest.mark.parametrize("cut", [1e-280, 1e-60, 1e-12])
+    def test_tanh_sinh_cut_and_masses(self, level, cut):
+        nodes, w, gap_lo, gap_hi, wc = _tanh_sinh_full(level, cut)
+        assert np.all(np.minimum(gap_lo, gap_hi) >= cut)
+        assert len(nodes) == len(w) == len(wc)
+        # the dropped tails carry at most 2 * cut of the mass
+        assert w.sum() == pytest.approx(2.0, abs=1e-12 + 2.0 * cut)
+        assert wc.sum() == pytest.approx(2.0, abs=1e-12 + 2.0 * cut)
+
+    @pytest.mark.parametrize("n, alpha, beta", [(8, 0.0, 0.0), (24, -0.7, 0.5), (64, 2.0, -0.3)])
+    def test_gauss_jacobi_pair_masses(self, n, alpha, beta):
+        nodes, w, wc = _gauss_jacobi_pair(n, alpha, beta)
+        assert len(nodes) == 3 * n
+        assert np.count_nonzero(w) == 2 * n and np.count_nonzero(wc) == n
+        assert w.sum() == pytest.approx(beta_moment(alpha, beta), rel=1e-12)
+        assert wc.sum() == pytest.approx(beta_moment(alpha, beta), rel=1e-12)
+
+
 class TestIntegrate:
     def test_constant(self):
         res = integrate(gauss_legendre(4), lambda t: 1.0, (0.0, 3.0))
@@ -136,6 +157,11 @@ class TestIntegrate:
         res = integrate(gauss_legendre(32), math.sin, (0.0, math.pi))
         assert res.value == pytest.approx(2.0, abs=1e-10)
         assert res.est_error < 1e-10
+
+    def test_largest_rule_refines_to_twice_its_nodes(self):
+        res = integrate(gauss_legendre(512), math.exp, (0.0, 1.0))
+        assert res.method.endswith("->n=1024")
+        assert res.value == pytest.approx(math.e - 1.0, rel=1e-14)
 
     def test_complex_integrand(self):
         res = integrate(gauss_legendre(32), lambda t: complex(math.cos(t), math.sin(t)),
