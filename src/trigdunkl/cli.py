@@ -183,22 +183,17 @@ def _cmd_scan(args) -> int:
              else list(config.POSITIVITY_FRACS))
     k_grid = [(k1, k2) for k1 in k1s for k2 in k2s]
     report = positivity_scan(k_grid, xs, fracs)
+    point_keys = ("k1", "k2", "x", "y")
     if args.format == "json":
-        rows = [
-            {"k1": k1, "k2": k2, "x": x, "y": y, "value": v}
-            for k1, k2, x, y, v in report.cells
-        ]
+        rows = [dict(zip(point_keys + ("value",), cell)) for cell in report.cells]
         rows.append({
             "min_value": report.min_value,
-            "argmin": {
-                "k1": report.argmin[0], "k2": report.argmin[1],
-                "x": report.argmin[2], "y": report.argmin[3],
-            },
+            "argmin": dict(zip(point_keys, report.argmin)),
             "all_positive": report.all_positive,
         })
         text = _json_text(rows)
     else:
-        text = _csv_text(["k1", "k2", "x", "y", "value"], list(report.cells))
+        text = _csv_text(point_keys + ("value",), list(report.cells))
         summary = ["min_value", repr(float(report.min_value)), "argmin"]
         summary += [repr(float(v)) for v in report.argmin]
         text += ",".join(summary) + "\n"

@@ -15,32 +15,37 @@ With u = cosh(z/2) (u = cosh z for the cosine-setting pieces) each of these
 is one call of ``_cosh_gap_integral``, the Jacobi-weighted integral
 
     J(alpha, beta; q) = integral over u in (b, a) = (cosh Y, cosh X) of
-                        (2 (a^2 - u^2))^alpha (u - b)^beta q(u) du,
+                        (2 (a^2 - u^2))^alpha (u - b)^beta q(u - b) du,
 
-times its own constant (cosh 2X - cosh 2Z = 2 (a^2 - u^2)):
+times its own constant (cosh 2X - cosh 2Z = 2 (a^2 - u^2)).  q is a function of
+v = u - b: written in u, K's factor sigma is a difference of two numbers near 2
+that cancel at small |x| and near y = -x.
 
-    K              = (c/2) sign x / A(x)  J(k2-1, k1-1; e^x + 1 - 2 e^{-y/2} u)
+    K              = (c/2) sign x / A(x)  J(k2-1, k1-1; 2 e^{(x-y)/2} sinh((x+y)/2) - 2 e^{-y/2} v)
                      at X = |x|/2, Y = |y|/2
     cosine kernel  = 2c |sinh 2x| / A(2x) J(k2-1, k1-1; 1)
     Ktilde direct  = (c/k2)               J(k2,   k1-1; 1)
-    Ktilde byparts = (4c/k1)              J(k2-1, k1;   u)
-    dKtilde/dy     = -4c sinh y           J(k2-1, k1-1; u)
+    Ktilde byparts = (4c/k1)              J(k2-1, k1;   b + v)
+    dKtilde/dy     = -4c sinh y           J(k2-1, k1-1; b + v)
 
-On u = mid + rad t, rad = (a - b)/2, the endpoint powers become the weight
+On v = rad (1 + t), rad = (a - b)/2, the endpoint powers become the weight
 (1-t)^alpha (1+t)^beta, which the rule absorbs (Gauss-Jacobi for real k,
 tanh-sinh weights times the weight at exact endpoint distances for complex
 k).  The radius enters as log sinh((X+Y)/2) + log sinh((X-Y)/2), so tiny
 gaps stay representable.  Point evaluations also sum against the rule's
 coarser companion from ``quadrature`` (Gauss-Jacobi n beside 2n nodes, or the
-tanh-sinh level below); rule sizes come from ``NUMERICS`` alone.
+tanh-sinh level below); rule sizes come from ``NUMERICS`` alone.  A point
+result's error bar never falls below the rounding of its value, and a
+non-finite value raises ``EvaluationError`` instead of being returned.
 """
 
+import cmath
 import math
 
 import numpy as np
 
 from .config import NUMERICS
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .params import KernelPoint, Multiplicity
 from .quadrature import (EvalResult, _as_scalar, _gauss_jacobi_arrays, _gauss_jacobi_pair,
                          _tanh_sinh_full)
@@ -48,6 +53,7 @@ from .specfun import gamma_real, loggamma_right_half
 
 _SQRT_PI = math.sqrt(math.pi)
 _LOG2 = math.log(2.0)
+_ROUNDING = 8.0 * np.finfo(float).eps   # relative error-bar floor of a point result
 
 
 def _k12(k: Multiplicity):
@@ -108,14 +114,13 @@ def sigma(x, y, z):
     """Sign-corrected affine factor sign(x) {e^{x/2} 2cosh(x/2) - e^{-y/2} 2cosh(z/2)}.
 
     Strictly positive whenever |x| > z > |y|.  Scalar or array arguments.
+    Evaluated as the kernel does, from e^x - e^{-y} and cosh(z/2) - cosh(y/2).
     """
-    val = np.sign(x) * (
-        np.exp(np.asarray(x) / 2.0) * 2.0 * np.cosh(np.asarray(x) / 2.0)
-        - np.exp(-np.asarray(y) / 2.0) * 2.0 * np.cosh(np.asarray(z) / 2.0)
-    )
-    if np.ndim(x) == 0 and np.ndim(y) == 0 and np.ndim(z) == 0:
-        val = val.item()
-    return val
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    v = 2.0 * np.sinh((z + y) / 4.0) * np.sinh((z - y) / 4.0)     # cosh(z/2) - cosh(y/2)
+    val = 2.0 * np.sign(x) * (np.exp((x - y) / 2.0) * np.sinh((x + y) / 2.0)
+                              - np.exp(-y / 2.0) * v)
+    return val.item() if val.ndim == 0 else val
 
 
 def _rule_label(k: Multiplicity, refined=False) -> str:
@@ -128,49 +133,56 @@ def _rule_label(k: Multiplicity, refined=False) -> str:
 
 
 def _rule(k: Multiplicity, alpha, beta, refine: bool):
-    """Nodes on (-1, 1) and weights absorbing (1-t)^alpha (1+t)^beta.
+    """Node distances 1 + t from -1 and weights absorbing (1-t)^alpha (1+t)^beta.
 
     With ``refine`` the weights are the refined rule's, and a second vector
     over the same nodes is its coarser companion's; otherwise it is None.
     """
     if k.real_positive:
-        if refine:
-            return _gauss_jacobi_pair(NUMERICS.jacobi_nodes, alpha, beta)
-        return (*_gauss_jacobi_arrays(NUMERICS.jacobi_nodes, alpha, beta), None)
-    t, w, glo, ghi, wc = _tanh_sinh_full(NUMERICS.tanh_sinh_level)
+        n = NUMERICS.jacobi_nodes
+        t, w, wc = (_gauss_jacobi_pair(n, alpha, beta) if refine
+                    else (*_gauss_jacobi_arrays(n, alpha, beta), None))
+        return 1.0 + t, w, wc
+    _, w, glo, ghi, wc = _tanh_sinh_full(NUMERICS.tanh_sinh_level)
     power = np.exp(alpha * np.log(ghi) + beta * np.log(glo))
-    return t, w * power, (wc * power if refine else None)
+    return glo, w * power, (wc * power if refine else None)
 
 
 def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, *, refine=False):
     """J(alpha, beta; q) over (cosh(xa - gap), cosh xa), broadcasting.
 
     Returns (log_scale, fine, coarse) with J = exp(log_scale) * fine.
-    ``q`` maps u (with a trailing node axis) to the integrand's factor and
-    defaults to 1.  ``coarse`` is the companion rule's sum under ``refine``
-    and None otherwise.  ``gap`` = xa - (lower end) is passed separately so
-    callers that know it without cancellation keep it exact.
+    ``q`` maps the offset v = u - cosh(xa - gap) >= 0 (with a trailing node
+    axis) to the integrand's factor and defaults to 1.  ``coarse`` is the
+    companion rule's sum under ``refine`` and None otherwise.  ``gap`` = xa -
+    (lower end) is passed separately so callers that know it without
+    cancellation keep it exact.
     """
     ya = xa - gap
     a, b = np.cosh(xa), np.cosh(ya)
     f1, f2 = np.sinh((xa + ya) / 2.0), np.sinh(gap / 2.0)
     log_scale = alpha * _LOG2 + (alpha + beta + 1.0) * (np.log(f1) + np.log(f2))
-    t, w, wc = _rule(k, alpha, beta, refine)
-    u = (0.5 * (a + b))[..., None] + (f1 * f2)[..., None] * t
+    s, w, wc = _rule(k, alpha, beta, refine)
+    v = (f1 * f2)[..., None] * s     # u - b = rad (1 + t), no cancellation
     # exp(alpha log) rather than a complex power, which is much slower;
     # in-place products keep the (points, nodes) temporaries few
     if k.real_positive:
-        smooth = (a[..., None] + u) ** alpha
+        smooth = ((a + b)[..., None] + v) ** alpha
     else:
-        smooth = np.exp(alpha * np.log(a[..., None] + u))
+        smooth = np.exp(alpha * np.log((a + b)[..., None] + v))
     if q is not None:
-        smooth *= q(u)
+        smooth *= q(v)
     return log_scale, smooth @ w, (smooth @ wc if refine else None)
 
 
-def _point_result(k, scale, fine, coarse) -> EvalResult:
-    return EvalResult(_as_scalar(scale * fine), float(abs(scale * (fine - coarse))),
-                      _rule_label(k, refined=True))
+def _point_result(k, scale, fine, coarse, method=None) -> EvalResult:
+    """scale * fine, its error bar floored at rounding; raises if not finite."""
+    value = _as_scalar(scale * fine)
+    est = float(abs(scale * (fine - coarse))) + _ROUNDING * abs(value)
+    method = method or _rule_label(k, refined=True)
+    if not (cmath.isfinite(value) and math.isfinite(est)):
+        raise EvaluationError(f"{method} gave the non-finite value {value!r}")
+    return EvalResult(value, est, method)
 
 
 def _ktilde_point(k, x, y, alpha, beta, q, pref) -> EvalResult:
@@ -188,12 +200,13 @@ def _kernel_terms(k, x, y, gap, refine):
     xa = np.abs(x)
     if gap is None:
         gap = xa - np.abs(y)
-    e_fwd = (np.exp(x) + 1.0)[..., None]          # e^{x/2} * 2 cosh(x/2)
-    d_bwd = (2.0 * np.exp(-y / 2.0))[..., None]   # e^{-y/2} * 2, multiplies u
+    # sigma at u = cosh(y/2), e^x - e^{-y}, and the slope -2 e^{-y/2} in v
+    e_fwd = (2.0 * np.exp((x - y) / 2.0) * np.sinh((x + y) / 2.0))[..., None]
+    d_bwd = (2.0 * np.exp(-y / 2.0))[..., None]
     k1, k2 = _k12(k)
     log_j, fine, coarse = _cosh_gap_integral(
         k, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, k2 - 1.0, k1 - 1.0,
-        lambda u: e_fwd - d_bwd * u, refine=refine,
+        lambda v: e_fwd - d_bwd * v, refine=refine,
     )
     # one exponent: A(x) ~ |x|^{2(k1+k2)} near 0 and the radius power near
     # y = -/+ x stay inside double range only in combination
@@ -280,9 +293,8 @@ def _ktilde_defining(k, x, y):
     # inner endpoint w -> |y| carries the (w - |y|)^{k1+k2-1} singularity
     scale, fine, _ = _cosine_terms(k, ya + half * glo, half * glo, False, with_density=True)
     vals = scale * fine
-    total, coarse = (vals @ w) * half, (vals @ wc) * half
-    return EvalResult(_as_scalar(total), float(abs(total - coarse)),
-                      f"nested tanh-sinh(level={lv}) x {_rule_label(k)}")
+    return _point_result(k, half, vals @ w, vals @ wc,
+                         f"nested tanh-sinh(level={lv}) x {_rule_label(k)}")
 
 
 _KTILDE_FORMS = ("direct", "byparts", "defining")
@@ -303,14 +315,15 @@ def ktilde(k: Multiplicity, x: float, y: float, form: str = "direct") -> EvalRes
     k1, k2 = _k12(k)
     if form == "direct":
         return _ktilde_point(k, x, y, k2, k1 - 1.0, None, 1.0 / k2)
-    return _ktilde_point(k, x, y, k2 - 1.0, k1, lambda u: u, 4.0 / k1)
+    return _ktilde_point(k, x, y, k2 - 1.0, k1, lambda v: math.cosh(y) + v, 4.0 / k1)
 
 
 def dktilde_dy(k: Multiplicity, x: float, y: float) -> EvalResult:
     """Same-variable y-derivative of the antiderivative; odd in y, zero at y = 0."""
     KernelPoint(x, y)
     k1, k2 = _k12(k)
-    return _ktilde_point(k, x, y, k2 - 1.0, k1 - 1.0, lambda u: u, -4.0 * math.sinh(y))
+    return _ktilde_point(k, x, y, k2 - 1.0, k1 - 1.0, lambda v: math.cosh(y) + v,
+                         -4.0 * math.sinh(y))
 
 
 def kernel_K_mourou(k: Multiplicity, x: float, y: float) -> EvalResult:

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import config
 from .config import NUMERICS
-from .errors import ContractError, DomainError
-from .kernel import _kernel_values, _rule_label, kernel_K, weight_A
+from .errors import ContractError, DomainError, EvaluationError
+from .kernel import _kernel_terms, _kernel_values, _rule_label, weight_A
 from .params import Multiplicity
 from .quadrature import EvalResult, _as_scalar, _tanh_sinh_full
 
@@ -165,6 +165,7 @@ def _d_cothtanh(k: Multiplicity, x: float, deriv, fx, fmx):
 
 
 _BATCH = 64  # outer abscissae per kernel batch, keeps temporaries ~10 MB
+_SCAN_CHUNK = 4096  # scan cells per kernel call, keeps temporaries ~20 MB
 
 
 # Outer integrands behave like gap^{k1+k2-1} times smooth factors, so
@@ -303,7 +304,7 @@ def intertwine_gap(k: Multiplicity, f: TestFunction, x: float) -> float:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Grid of kernel values with the running minimum and its location."""
+    """Grid of kernel values with their minimum and its location."""
 
     k_grid: tuple
     x_grid: tuple
@@ -315,44 +316,47 @@ class ScanReport:
 
 
 def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
-    """Kernel values over a (k, x, y = fraction |x|) grid, tracking the minimum.
+    """Kernel values over a (k, x, y = fraction |x|) grid, with their minimum.
 
     Restricted to real positive parameter pairs, where strict positivity is
-    the expected outcome; fractions approaching -1 probe y near -x.
+    the expected outcome; fractions approaching -1 probe y near -x.  Each
+    k's cells are evaluated in chunks by the kernel's batched path with the
+    refined rule of ``kernel_K``, so a one-cell scan equals ``kernel_K``.  A
+    cell outside |y| < |x| (also by rounding) raises DomainError, a
+    non-finite value EvaluationError.
     """
     k_grid = tuple((float(k1), float(k2)) for k1, k2 in k_grid)
     x_grid = tuple(float(x) for x in x_grid)
     fracs = tuple(float(fr) for fr in y_fraction_grid)
-    for k1, k2 in k_grid:
-        if not (k1 > 0 and k2 > 0):
-            raise DomainError(f"scan needs real k1, k2 > 0, got ({k1}, {k2})")
-    for x in x_grid:
-        if x == 0 or not math.isfinite(x):
-            raise DomainError(f"scan x values must be finite and nonzero, got {x}")
-    for fr in fracs:
-        if not abs(fr) < 1.0:
-            raise DomainError(f"y fractions must satisfy |fraction| < 1, got {fr}")
-
-    cells = []
-    min_value = math.inf
-    argmin = None
-    for k1, k2 in k_grid:
-        k = Multiplicity(k1, k2)
-        for x in x_grid:
-            for fr in fracs:
-                y = fr * abs(x)
-                value = kernel_K(k, x, y).value
-                cells.append((k1, k2, x, y, value))
-                if value < min_value:
-                    min_value = value
-                    argmin = (k1, k2, x, y)
+    ks = [Multiplicity(k1, k2) for k1, k2 in k_grid]
+    xs = np.repeat(x_grid, len(fracs))
+    ys = np.outer(np.abs(x_grid), fracs).ravel()
+    # rejects x = 0 or non-finite, |fraction| >= 1 and y rounding onto |x|
+    outside = ~(np.abs(ys) < np.abs(xs))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise DomainError(f"scan cells need finite x and |y| < |x|, got x={xs[i]}, y={ys[i]}")
+    values = np.empty((len(ks), xs.size))
+    for row, k in zip(values, ks):
+        for i in range(0, xs.size, _SCAN_CHUNK):
+            chunk = slice(i, i + _SCAN_CHUNK)
+            scale, fine, _ = _kernel_terms(k, xs[chunk], ys[chunk], None, True)
+            row[chunk] = scale * fine
+    cells = tuple((k1, k2, x, y, v) for (k1, k2), row in zip(k_grid, values.tolist())
+                  for x, y, v in zip(xs.tolist(), ys.tolist(), row))
+    if not np.isfinite(values).all():
+        k1, k2, x, y, v = cells[int(np.argmin(np.isfinite(values)))]
+        raise EvaluationError(f"kernel value {v} is not finite at k=({k1}, {k2}), x={x}, y={y}")
+    argmin, min_value = None, math.inf      # an empty grid has no minimum
+    if cells:
+        low = cells[int(np.argmin(values))]
+        argmin, min_value = low[:4], low[4]
     return ScanReport(
         k_grid=k_grid,
         x_grid=x_grid,
         y_fractions=fracs,
-        cells=tuple(cells),
+        cells=cells,
         min_value=min_value,
         argmin=argmin,
         all_positive=min_value > 0.0,
     )
-

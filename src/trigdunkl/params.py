@@ -1,15 +1,9 @@
 """Parameter and evaluation-point types."""
 
-import math
+import cmath
 from dataclasses import dataclass
 
 from .errors import DomainError
-
-
-def _is_finite(v) -> bool:
-    if isinstance(v, complex):
-        return math.isfinite(v.real) and math.isfinite(v.imag)
-    return math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -27,7 +21,7 @@ class Multiplicity:
 
     def __post_init__(self):
         for name, v in (("k1", self.k1), ("k2", self.k2)):
-            if not isinstance(v, (int, float, complex)) or not _is_finite(v):
+            if not isinstance(v, (int, float, complex)) or not cmath.isfinite(v):
                 raise DomainError(f"{name} must be a finite number, got {v!r}")
         if complex(self.k1).real <= 0 or complex(self.k2).real <= 0:
             raise DomainError(
@@ -52,7 +46,7 @@ class KernelPoint:
     y: float
 
     def __post_init__(self):
-        if not (_is_finite(self.x) and _is_finite(self.y)):
+        if not (cmath.isfinite(self.x) and cmath.isfinite(self.y)):
             raise DomainError(f"non-finite kernel point ({self.x}, {self.y})")
         if self.x == 0:
             raise DomainError("require x != 0")

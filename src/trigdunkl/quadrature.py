@@ -188,9 +188,7 @@ def _gauss_jacobi_pair(n: int, alpha: float, beta: float):
 
 def _eval_integrand(f, xs):
     vals = np.asarray([f(float(x)) for x in xs])
-    bad = ~np.isfinite(vals) if not np.iscomplexobj(vals) else ~(
-        np.isfinite(vals.real) & np.isfinite(vals.imag)
-    )
+    bad = ~np.isfinite(vals)
     if np.any(bad):
         node = float(xs[np.argmax(bad)])
         raise EvaluationError(f"integrand is not finite at x={node!r}", node=node)

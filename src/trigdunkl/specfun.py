@@ -82,15 +82,16 @@ def _is_nonpositive_integer(v) -> bool:
     return v.imag == 0.0 and v.real <= 0.0 and v.real == int(v.real)
 
 
-def _series_2f1(a, b, c, z, max_terms, tol=1e-17):
+def _series_2f1(a, b, c, z):
     """Power series sum_n (a)_n (b)_n / ((c)_n n!) z^n for |z| < 1."""
+    max_terms = NUMERICS.series_max_terms
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     small_streak = 0
     for n in range(max_terms):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
         total += term
-        if abs(term) <= tol * max(abs(total), 1e-300):
+        if abs(term) <= 1e-17 * max(abs(total), 1e-300):
             small_streak += 1
             if small_streak >= 3:
                 return total
@@ -103,13 +104,13 @@ def _series_2f1(a, b, c, z, max_terms, tol=1e-17):
     )
 
 
-def hyp2f1(a, b, c, z, *, max_terms: int | None = None) -> complex:
+def hyp2f1(a, b, c, z) -> complex:
     """Gauss hypergeometric 2F1(a, b; c; z) for complex a, b, c and real z < 1.
 
     Uses the power series directly for |z| < 1/2 and the Pfaff transformation
     onto w = z/(z-1) in [0, 1) otherwise, which covers every z <= 0 with a
     single convergent series.  Raises NonConvergenceError (carrying the
-    partial sum) if the term budget runs out.
+    partial sum) if ``NUMERICS.series_max_terms`` terms do not converge.
     """
     if isinstance(z, complex):
         if z.imag != 0.0:
@@ -123,17 +124,15 @@ def hyp2f1(a, b, c, z, *, max_terms: int | None = None) -> complex:
             raise DomainError(f"hyp2f1 parameter {name} must be finite, got {v!r}")
     if _is_nonpositive_integer(c):
         raise DomainError(f"hyp2f1 lower parameter c={c} is a non-positive integer")
-    if max_terms is None:
-        max_terms = NUMERICS.series_max_terms
     if z == 0.0:
         return 1.0 + 0.0j
     if abs(z) < 0.5:
-        return _series_2f1(complex(a), complex(b), complex(c), z, max_terms)
+        return _series_2f1(complex(a), complex(b), complex(c), z)
     # Pfaff map: 1 - z > 0 here, so the prefactor power is principal and real
     # based.
     w = z / (z - 1.0)
     pre = cmath.exp(-complex(a) * math.log1p(-z))
-    return pre * _series_2f1(complex(a), complex(c) - complex(b), complex(c), w, max_terms)
+    return pre * _series_2f1(complex(a), complex(c) - complex(b), complex(c), w)
 
 
 def jacobi_phi(alpha: float, beta: float, lam, t: float) -> complex:

@@ -173,9 +173,5 @@ SUITES = {
 
 def run_suite(name: str, tol=None):
     if name == "all":
-        rows = []
-        for key in ("eigen", "duality", "intertwine", "kernel-consistency",
-                    "positivity", "limits"):
-            rows.extend(SUITES[key](tol))
-        return rows
+        return [row for suite in SUITES.values() for row in suite(tol)]
     return SUITES[name](tol)

@@ -52,6 +52,12 @@ class TestKernelCommand:
         assert rows[0] == ["k1", "k2", "x", "y", "method", "value", "est_error"]
         assert float(rows[1][5]) > 0
 
+    def test_non_finite_value_exit_3(self, capsys):
+        code, out, _ = run_cli(capsys, "kernel", "--k1", "0.5", "--k2", "0.5",
+                               "--x", "1e-200", "--y", "5e-201")
+        assert code == 3
+        assert out == ""
+
     def test_bad_multiplicity_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "kernel", "--k1", "-0.5", "--k2", "0.5",
                                "--x", "1", "--y", "0.3")

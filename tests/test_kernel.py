@@ -5,6 +5,7 @@ import pytest
 
 from trigdunkl import (
     DomainError,
+    EvaluationError,
     KernelPoint,
     Multiplicity,
     apply_V,
@@ -159,6 +160,51 @@ class TestKernelK:
         with pytest.raises(DomainError):
             kernel_K(Multiplicity(0.5, 0.5), 1.0, 1.5)
 
+    def test_non_finite_value_raises(self):
+        # A(x) ~ 1e-400 leaves double range; the value must not come back
+        with pytest.raises(EvaluationError):
+            kernel_K(Multiplicity(0.5, 0.5), 1e-200, 5e-201)
+
+
+def _kernel_reference(k1, k2, x, y):
+    """K(x, y) from its defining integral at 50 digits.
+
+    With u = cosh(z/2) = b + (a - b) s the endpoint powers become
+    s^{k1-1} (1-s)^{k2-1}, and a - b = 2 sinh((X+Y)/2) sinh((X-Y)/2) keeps
+    the interval length free of cancellation.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        k1, k2, x, y = (mp.mpf(v) for v in (k1, k2, x, y))
+        xh, yh = abs(x) / 2, abs(y) / 2
+        a, b = mp.cosh(xh), mp.cosh(yh)
+        d = 2 * mp.sinh((xh + yh) / 2) * mp.sinh((xh - yh) / 2)
+        c = (2 ** (3 * (k1 + k2)) * mp.gamma(k1 + k2 + 0.5)
+             / (mp.sqrt(mp.pi) * mp.gamma(k1) * mp.gamma(k2)))
+        weight = abs(2 * mp.sinh(x / 2)) ** (2 * k1) * abs(2 * mp.sinh(x)) ** (2 * k2)
+
+        def integrand(s):
+            u = b + d * s
+            sig = mp.exp(x) + 1 - 2 * mp.exp(-y / 2) * u
+            return sig * (a + u) ** (k2 - 1) * s ** (k1 - 1) * (1 - s) ** (k2 - 1)
+
+        integral = mp.quad(integrand, [0, 0.5, 1])
+        return float(mp.sign(x) * c / (2 * weight) * 2 ** (k2 - 1) * d ** (k1 + k2 - 1)
+                     * integral)
+
+
+class TestKernelReference:
+    # y -> -x and tiny |x|, where the affine factor sigma is a small
+    # difference of two numbers near 2
+    @pytest.mark.parametrize("k1, k2", [(0.5, 0.5), (1.5, 0.3)])
+    @pytest.mark.parametrize("x, fr", [(2.4, -0.9999), (0.3, -0.9999), (1e-4, -0.9),
+                                       (1e-6, 0.5)])
+    def test_matches_mpmath(self, k1, k2, x, fr):
+        y = fr * abs(x)
+        ref = _kernel_reference(k1, k2, x, y)
+        res = kernel_K(Multiplicity(k1, k2), x, y)
+        assert abs(res.value - ref) <= 1e-13 * abs(ref)
+
 
 class TestLimitKernels:
     def test_k1zero_hand_value(self):
@@ -221,6 +267,16 @@ class TestJacobiSettingPieces:
                 direct = ktilde(k, x, y, "direct").value
                 byparts = ktilde(k, x, y, "byparts").value
                 assert abs(direct - byparts) <= 1e-8 * abs(direct)
+
+    @pytest.mark.parametrize("k", [*K_GRID, (0.5 + 0.2j, 0.7), (0.9 + 0.25j, 0.7 - 0.1j)])
+    def test_ktilde_forms_within_error_bars(self, k):
+        # every point result carries at least the rounding of its value
+        k = Multiplicity(*k)
+        for x, y in ((2.4, 0.48), (0.9, 0.3), (1.8, -0.6), (2.4, 0.0), (1.3, -0.91)):
+            direct = ktilde(k, x, y, "direct")
+            defining = ktilde(k, x, y, "defining")
+            budget = direct.est_error + defining.est_error
+            assert abs(direct.value - defining.value) <= budget, (x, y)
 
     def test_ktilde_vanishes_at_collapse(self):
         assert ktilde(Multiplicity(0.7, 0.4), 1.0, 1.0 - 1e-12, "direct").value < 1e-6

@@ -5,6 +5,7 @@ import pytest
 from trigdunkl import (
     ContractError,
     DomainError,
+    EvaluationError,
     Multiplicity,
     TestFunction,
     apply_V,
@@ -21,6 +22,7 @@ from trigdunkl import (
     plane_wave,
     positivity_scan,
 )
+from trigdunkl import config, operators
 
 K_GRID = [(a, b) for a in (0.3, 0.7, 1.5) for b in (0.3, 0.7, 1.5)]
 
@@ -252,3 +254,36 @@ class TestPositivityScan:
             positivity_scan([(0.5, 0.5)], [0.0], [0.0])
         with pytest.raises(DomainError):
             positivity_scan([(0.5, 0.5)], [1.0], [1.0])
+        with pytest.raises(DomainError):  # 0.9 * 5e-324 rounds to 5e-324 = |x|
+            positivity_scan([(0.5, 0.5)], [5e-324], [0.9])
+
+    def test_non_finite_cell_raises(self):
+        with pytest.raises(EvaluationError):
+            positivity_scan([(0.5, 0.5)], [1e-200], [0.5])
+
+    def test_tiny_x_positive(self):
+        # near 0 the kernel grows like 0.75 / x at k = (0.5, 0.5)
+        report = positivity_scan([(0.5, 0.5)], [1e-20], [0.5])
+        assert report.all_positive
+        assert report.min_value == pytest.approx(7.5e19, rel=1e-6)
+
+    @staticmethod
+    def _assert_cells_match_kernel(report):
+        for k1, k2, x, y, value in report.cells:
+            direct = kernel_K(Multiplicity(k1, k2), x, y).value
+            assert abs(value - direct) <= 4 * np.finfo(float).eps * abs(direct), (k1, k2, x, y)
+
+    def test_config_grid_matches_kernel(self):
+        self._assert_cells_match_kernel(positivity_scan(
+            config.K_GRID, config.POSITIVITY_X, config.POSITIVITY_FRACS))
+
+    def test_random_grid_matches_kernel_across_chunks(self, monkeypatch):
+        # a small chunk puts chunk boundaries inside every k's grid
+        monkeypatch.setattr(operators, "_SCAN_CHUNK", 7)
+        rng = np.random.default_rng(20261018)
+        ks = rng.uniform(0.05, 3.0, size=(3, 2))
+        xs = rng.choice((-1.0, 1.0), 8) * rng.uniform(0.01, 3.0, 8)
+        fracs = rng.uniform(-0.9999, 0.9999, 9)
+        report = positivity_scan(ks, xs, fracs)
+        assert len(report.cells) == 3 * 8 * 9
+        self._assert_cells_match_kernel(report)

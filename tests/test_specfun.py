@@ -1,10 +1,12 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from trigdunkl import DomainError, Multiplicity, gamma_real, hyp2f1, jacobi_phi, opdam_G
+from trigdunkl import DomainError, Multiplicity, gamma_real, hyp2f1, jacobi_phi, opdam_G, specfun
+from trigdunkl.config import NUMERICS
 from trigdunkl.specfun import loggamma_right_half
 
 
@@ -66,12 +68,20 @@ class TestHyp2F1:
         a, b = 0.8 + 0.6j, 0.8 - 0.6j
         assert hyp2f1(a, b, 1.3, -2.1) == hyp2f1(b, a, 1.3, -2.1)
 
-    def test_term_cap_doubling_stable(self):
-        val = hyp2f1(0.95 + 2.5j, 0.95 - 2.5j, 1.8, -4.5, max_terms=20_000)
-        val2 = hyp2f1(0.95 + 2.5j, 0.95 - 2.5j, 1.8, -4.5, max_terms=40_000)
+    @staticmethod
+    def _with_doubled_cap(monkeypatch, *args):
+        """hyp2f1 at the configured term cap and at twice that cap."""
+        v1 = hyp2f1(*args)
+        doubled = replace(NUMERICS, series_max_terms=2 * NUMERICS.series_max_terms)
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "NUMERICS", doubled)
+            return v1, hyp2f1(*args)
+
+    def test_term_cap_doubling_stable(self, monkeypatch):
+        val, val2 = self._with_doubled_cap(monkeypatch, 0.95 + 2.5j, 0.95 - 2.5j, 1.8, -4.5)
         assert abs(val - val2) <= 1e-12 * abs(val)
 
-    def test_term_cap_doubling_on_acceptance_grid(self):
+    def test_term_cap_doubling_on_acceptance_grid(self, monkeypatch):
         # the exact parameter combinations the eigenfunction evaluator uses
         for k1 in (0.3, 0.7, 1.5):
             for k2 in (0.3, 0.7, 1.5):
@@ -80,8 +90,7 @@ class TestHyp2F1:
                     for x in (0.5, 2.0):
                         z = -math.sinh(x / 2) ** 2
                         args = (rho + 1j * lam, rho - 1j * lam, c, z)
-                        v1 = hyp2f1(*args, max_terms=20_000)
-                        v2 = hyp2f1(*args, max_terms=40_000)
+                        v1, v2 = self._with_doubled_cap(monkeypatch, *args)
                         assert abs(v1 - v2) <= 1e-12 * abs(v1)
 
     def test_euler_transformation(self):
