@@ -13,8 +13,9 @@ from dataclasses import dataclass
 class Numerics:
     """Quadrature and finite-difference knobs.
 
-    jacobi_nodes      Gauss-Jacobi nodes for kernel integrals (the error
-                      estimate compares them with twice as many).
+    jacobi_nodes      Gauss-Jacobi nodes for every real-k kernel value, at
+                      a point or in a batch (a point's error estimate
+                      compares them with half as many).
     tanh_sinh_level   double-exponential level (step 2**-level) for the
                       complex-parameter kernel path; ``integrate`` instead
                       refines its rule's own level by one.

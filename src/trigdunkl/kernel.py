@@ -32,10 +32,11 @@ On v = rad (1 + t), rad = (a - b)/2, the endpoint powers become the weight
 (1-t)^alpha (1+t)^beta, which the rule absorbs (Gauss-Jacobi for real k,
 tanh-sinh weights times the weight at exact endpoint distances for complex
 k).  The radius enters as log sinh((X+Y)/2) + log sinh((X-Y)/2), so tiny
-gaps stay representable.  Point evaluations also sum against the rule's
-coarser companion from ``quadrature`` (Gauss-Jacobi n beside 2n nodes, or the
-tanh-sinh level below); rule sizes come from ``NUMERICS`` alone.  A point
-result's error bar never falls below the rounding of its value, and a
+gaps stay representable.  Point and batched values are one sum over one rule;
+a point evaluation also sums against the rule's coarser companion from
+``quadrature`` (n/2 beside n Gauss-Jacobi nodes, or the tanh-sinh level
+below).  Rule sizes come from ``NUMERICS`` alone.  A point result's error bar
+never falls below the rounding of its value, exponent included, and a
 non-finite value raises ``EvaluationError`` instead of being returned.
 """
 
@@ -53,7 +54,7 @@ from .specfun import gamma_real, loggamma_right_half
 
 _SQRT_PI = math.sqrt(math.pi)
 _LOG2 = math.log(2.0)
-_ROUNDING = 8.0 * np.finfo(float).eps   # relative error-bar floor of a point result
+_EPS = np.finfo(float).eps
 
 
 def _k12(k: Multiplicity):
@@ -123,24 +124,25 @@ def sigma(x, y, z):
     return val.item() if val.ndim == 0 else val
 
 
-def _rule_label(k: Multiplicity, refined=False) -> str:
-    """Name of the rule ``_cosh_gap_integral`` uses."""
+def rule_label(k: Multiplicity, refined=False) -> str:
+    """Name of the rule ``_cosh_gap_integral`` uses, with its companion if ``refined``."""
     if not k.real_positive:
         lv = NUMERICS.tanh_sinh_level
         return f"tanh-sinh(level={lv - 1}->{lv})" if refined else f"tanh-sinh(level={lv})"
     n = NUMERICS.jacobi_nodes
-    return f"gauss-jacobi(n={n}->{2 * n})" if refined else f"gauss-jacobi(n={n})"
+    return f"gauss-jacobi(n={n // 2}->{n})" if refined else f"gauss-jacobi(n={n})"
 
 
 def _rule(k: Multiplicity, alpha, beta, refine: bool):
     """Node distances 1 + t from -1 and weights absorbing (1-t)^alpha (1+t)^beta.
 
-    With ``refine`` the weights are the refined rule's, and a second vector
-    over the same nodes is its coarser companion's; otherwise it is None.
+    With ``refine`` a second vector over the same nodes is the coarser
+    companion's (n/2 Gauss-Jacobi nodes, or the tanh-sinh level below);
+    otherwise it is None.
     """
     if k.real_positive:
         n = NUMERICS.jacobi_nodes
-        t, w, wc = (_gauss_jacobi_pair(n, alpha, beta) if refine
+        t, w, wc = (_gauss_jacobi_pair(n // 2, alpha, beta) if refine
                     else (*_gauss_jacobi_arrays(n, alpha, beta), None))
         return 1.0 + t, w, wc
     _, w, glo, ghi, wc = _tanh_sinh_full(NUMERICS.tanh_sinh_level)
@@ -148,20 +150,26 @@ def _rule(k: Multiplicity, alpha, beta, refine: bool):
     return glo, w * power, (wc * power if refine else None)
 
 
-def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, *, refine=False):
-    """J(alpha, beta; q) over (cosh(xa - gap), cosh xa), broadcasting.
+def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, log_pref=(), *, refine=False):
+    """exp(sum of log_pref) J(alpha, beta; q) over (cosh(xa - gap), cosh xa), broadcasting.
 
-    Returns (log_scale, fine, coarse) with J = exp(log_scale) * fine.
-    ``q`` maps the offset v = u - cosh(xa - gap) >= 0 (with a trailing node
-    axis) to the integrand's factor and defaults to 1.  ``coarse`` is the
-    companion rule's sum under ``refine`` and None otherwise.  ``gap`` = xa -
-    (lower end) is passed separately so callers that know it without
-    cancellation keep it exact.
+    Returns (scale, size, fine, coarse) with the product = scale * fine,
+    the logarithms of J's constant and of the caller's factors ``log_pref``
+    summed into one exponent; ``size`` is the summed magnitude of its parts,
+    as ``_point_result`` takes it.  ``q`` maps the offset v = u - cosh(xa -
+    gap) >= 0 (with a trailing node axis) to the integrand's factor and
+    defaults to 1.  ``coarse`` is the companion rule's sum under ``refine``
+    and None otherwise.  ``gap`` = xa - (lower end) is passed separately so
+    callers that know it without cancellation keep it exact.
     """
     ya = xa - gap
     a, b = np.cosh(xa), np.cosh(ya)
     f1, f2 = np.sinh((xa + ya) / 2.0), np.sinh(gap / 2.0)
-    log_scale = alpha * _LOG2 + (alpha + beta + 1.0) * (np.log(f1) + np.log(f2))
+    log_f = np.log(f1) + np.log(f2)
+    log_scale = sum(log_pref, alpha * _LOG2 + (alpha + beta + 1.0) * log_f)
+    # the power alpha + beta + 1 is only as exact as its parts
+    size = sum((np.abs(p) for p in log_pref),
+               abs(alpha * _LOG2) + (abs(alpha) + abs(beta) + 1.0) * np.abs(log_f))
     s, w, wc = _rule(k, alpha, beta, refine)
     v = (f1 * f2)[..., None] * s     # u - b = rad (1 + t), no cancellation
     # exp(alpha log) rather than a complex power, which is much slower;
@@ -172,14 +180,18 @@ def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, *, refine=
         smooth = np.exp(alpha * np.log((a + b)[..., None] + v))
     if q is not None:
         smooth *= q(v)
-    return log_scale, smooth @ w, (smooth @ wc if refine else None)
+    return np.exp(log_scale), size, smooth @ w, (smooth @ wc if refine else None)
 
 
-def _point_result(k, scale, fine, coarse, method=None) -> EvalResult:
-    """scale * fine, its error bar floored at rounding; raises if not finite."""
+def _point_result(k, scale, size, fine, coarse, method=None) -> EvalResult:
+    """scale * fine, with an error bar floored at its rounding; raises if not finite.
+
+    The floor is 8 eps for the sum plus 2 eps per unit of ``size``: each log
+    part of the exponent rounds where it is formed and where it is added.
+    """
     value = _as_scalar(scale * fine)
-    est = float(abs(scale * (fine - coarse))) + _ROUNDING * abs(value)
-    method = method or _rule_label(k, refined=True)
+    est = float(abs(scale * (fine - coarse)) + _EPS * (8.0 + 2.0 * size) * abs(value))
+    method = method or rule_label(k, refined=True)
     if not (cmath.isfinite(value) and math.isfinite(est)):
         raise EvaluationError(f"{method} gave the non-finite value {value!r}")
     return EvalResult(value, est, method)
@@ -187,31 +199,31 @@ def _point_result(k, scale, fine, coarse, method=None) -> EvalResult:
 
 def _ktilde_point(k, x, y, alpha, beta, q, pref) -> EvalResult:
     """pref * c * J(alpha, beta; q) over (cosh y, cosh x), with its error bar."""
-    log_j, fine, coarse = _cosh_gap_integral(
-        k, abs(x), abs(x) - abs(y), alpha, beta, q, refine=True,
+    scale, size, fine, coarse = _cosh_gap_integral(
+        k, abs(x), abs(x) - abs(y), alpha, beta, q, (_log_c(k),), refine=True,
     )
-    return _point_result(k, pref * np.exp(_log_c(k) + log_j), fine, coarse)
+    return _point_result(k, pref * scale, size, fine, coarse)
 
 
 def _kernel_terms(k, x, y, gap, refine):
-    """(scale, fine, coarse) of K: the kernel is scale * fine."""
+    """(scale, size, fine, coarse) of K: the kernel is scale * fine."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     xa = np.abs(x)
     if gap is None:
         gap = xa - np.abs(y)
-    # sigma at u = cosh(y/2), e^x - e^{-y}, and the slope -2 e^{-y/2} in v
-    e_fwd = (2.0 * np.exp((x - y) / 2.0) * np.sinh((x + y) / 2.0))[..., None]
-    d_bwd = (2.0 * np.exp(-y / 2.0))[..., None]
+    # sigma / |x| at u = cosh(y/2), (e^x - e^{-y}) / |x|, and its slope in v:
+    # |x| goes into the exponent, where the scale ~ |x|^{-2} would overflow
+    e_fwd = (2.0 * np.exp((x - y) / 2.0) * np.sinh((x + y) / 2.0) / xa)[..., None]
+    d_bwd = (2.0 * np.exp(-y / 2.0) / xa)[..., None]
     k1, k2 = _k12(k)
-    log_j, fine, coarse = _cosh_gap_integral(
-        k, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, k2 - 1.0, k1 - 1.0,
-        lambda v: e_fwd - d_bwd * v, refine=refine,
-    )
     # one exponent: A(x) ~ |x|^{2(k1+k2)} near 0 and the radius power near
     # y = -/+ x stay inside double range only in combination
-    scale = 0.5 * np.sign(x) * np.exp(_log_c(k) + log_j - _log_weight(k, x))
-    return scale, fine, coarse
+    scale, size, fine, coarse = _cosh_gap_integral(
+        k, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, k2 - 1.0, k1 - 1.0,
+        lambda v: e_fwd - d_bwd * v, (_log_c(k), -_log_weight(k, x), np.log(xa)), refine=refine,
+    )
+    return 0.5 * np.sign(x) * scale, size, fine, coarse
 
 
 def _kernel_values(k: Multiplicity, x, y, *, gap=None):
@@ -221,12 +233,12 @@ def _kernel_values(k: Multiplicity, x, y, *, gap=None):
     is what the endpoint power actually depends on, so integrators that know
     the gap exactly (double-exponential tails) must pass it.
     """
-    scale, fine, _ = _kernel_terms(k, x, y, gap, False)
+    scale, _, fine, _ = _kernel_terms(k, x, y, gap, False)
     return scale * fine
 
 
 def kernel_K(k: Multiplicity, x: float, y: float) -> EvalResult:
-    """Main kernel at a single admissible point, with a refinement error bar."""
+    """Main kernel at one admissible point: the ``_kernel_values`` sum, with its error bar."""
     KernelPoint(x, y)
     return _point_result(k, *_kernel_terms(k, x, y, None, True))
 
@@ -261,21 +273,21 @@ def kernel_K_limit_k2zero(k1: float, x: float, y: float) -> float:
 
 
 def _cosine_terms(k, x, gap, refine, *, with_density=False):
-    """(scale, fine, coarse) of the cosine-setting kernel at (x, |x| - gap).
+    """(scale, size, fine, coarse) of the cosine-setting kernel at (x, |x| - gap).
 
     ``with_density`` multiplies by the measure density A(2x), which cancels
     the kernel's normalizing division where either alone would overflow.
     """
     k1, k2 = _k12(k)
-    log_j, fine, coarse = _cosh_gap_integral(
-        k, np.abs(x), gap, k2 - 1.0, k1 - 1.0, refine=refine,
-    )
     # |sinh 2x| goes into the exponent too: at the nested route's inner
     # end it is tiny while the radius power alone overflows
-    log_pref = _log_c(k) + log_j + np.log(np.abs(np.sinh(2.0 * x)))
+    log_pref = (_log_c(k), np.log(np.abs(np.sinh(2.0 * x))))
     if not with_density:
-        log_pref = log_pref - _log_weight(k, 2.0 * x)
-    return 2.0 * np.exp(log_pref), fine, coarse
+        log_pref += (-_log_weight(k, 2.0 * x),)
+    scale, size, fine, coarse = _cosh_gap_integral(
+        k, np.abs(x), gap, k2 - 1.0, k1 - 1.0, None, log_pref, refine=refine,
+    )
+    return 2.0 * scale, size, fine, coarse
 
 
 def jacobi_kernel(k: Multiplicity, x: float, y: float) -> EvalResult:
@@ -291,10 +303,12 @@ def _ktilde_defining(k, x, y):
     t, w, glo, ghi, wc = _tanh_sinh_full(lv)
     half = 0.5 * (xa - ya)
     # inner endpoint w -> |y| carries the (w - |y|)^{k1+k2-1} singularity
-    scale, fine, _ = _cosine_terms(k, ya + half * glo, half * glo, False, with_density=True)
+    scale, size, fine, _ = _cosine_terms(k, ya + half * glo, half * glo, False, with_density=True)
     vals = scale * fine
-    return _point_result(k, half, vals @ w, vals @ wc,
-                         f"nested tanh-sinh(level={lv}) x {_rule_label(k)}")
+    # each inner value brings its own exponent's rounding into the sum
+    size = (np.abs(vals) * size) @ w / abs(vals @ w)
+    return _point_result(k, half, size, vals @ w, vals @ wc,
+                         f"nested tanh-sinh(level={lv}) x {rule_label(k)}")
 
 
 _KTILDE_FORMS = ("direct", "byparts", "defining")

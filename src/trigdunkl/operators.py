@@ -21,7 +21,7 @@ import numpy as np
 from . import config
 from .config import NUMERICS
 from .errors import ContractError, DomainError, EvaluationError
-from .kernel import _kernel_terms, _kernel_values, _rule_label, weight_A
+from .kernel import _kernel_values, rule_label, weight_A
 from .params import Multiplicity
 from .quadrature import EvalResult, _as_scalar, _tanh_sinh_full
 
@@ -195,7 +195,7 @@ def _outer_sums(k, points, active, fill, level, sides):
             fine = (integrand @ w) * half
             values[sl] += fine
             est[sl] += np.abs(fine - (integrand @ wc) * half)
-    return values, est, f"tanh-sinh(level={level}) x {_rule_label(k)}"
+    return values, est, f"tanh-sinh(level={level}) x {rule_label(k)}"
 
 
 def _v_batch(k, f, xs, level):
@@ -320,8 +320,8 @@ def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
 
     Restricted to real positive parameter pairs, where strict positivity is
     the expected outcome; fractions approaching -1 probe y near -x.  Each
-    k's cells are evaluated in chunks by the kernel's batched path with the
-    refined rule of ``kernel_K``, so a one-cell scan equals ``kernel_K``.  A
+    k's cells are evaluated in chunks by the kernel's batched path, the sum
+    ``kernel_K`` takes its value from, so a one-cell scan equals ``kernel_K``.  A
     cell outside |y| < |x| (also by rounding) raises DomainError, a
     non-finite value EvaluationError.
     """
@@ -340,8 +340,7 @@ def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
     for row, k in zip(values, ks):
         for i in range(0, xs.size, _SCAN_CHUNK):
             chunk = slice(i, i + _SCAN_CHUNK)
-            scale, fine, _ = _kernel_terms(k, xs[chunk], ys[chunk], None, True)
-            row[chunk] = scale * fine
+            row[chunk] = _kernel_values(k, xs[chunk], ys[chunk])
     cells = tuple((k1, k2, x, y, v) for (k1, k2), row in zip(k_grid, values.tolist())
                   for x, y, v in zip(xs.tolist(), ys.tolist(), row))
     if not np.isfinite(values).all():

@@ -13,21 +13,6 @@ from .config import NUMERICS
 from .errors import DomainError, NonConvergenceError
 from .params import Multiplicity
 
-# Lanczos approximation, g = 7, 9 terms: ~15 significant digits on the
-# positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 # Stirling series coefficients B_{2j} / (2j (2j-1)).
 _STIRLING = (
     1.0 / 12.0,
@@ -43,20 +28,12 @@ _LOG_SQRT_2PI = 0.9189385332046727418
 
 
 def gamma_real(x: float) -> float:
-    """Gamma(x) for real x > 0 via the Lanczos approximation."""
+    """Gamma(x) for real x > 0, from ``math.gamma``."""
     if isinstance(x, complex) or not math.isfinite(x):
         raise DomainError(f"gamma_real needs a finite real argument, got {x!r}")
     if x <= 0:
         raise DomainError(f"gamma_real is restricted to x > 0, got {x}")
-    if x < 0.5:
-        # recurrence instead of reflection keeps everything on the real axis
-        return gamma_real(x + 1.0) / x
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def loggamma_right_half(w) -> complex:

@@ -54,7 +54,7 @@ class TestKernelCommand:
 
     def test_non_finite_value_exit_3(self, capsys):
         code, out, _ = run_cli(capsys, "kernel", "--k1", "0.5", "--k2", "0.5",
-                               "--x", "1e-200", "--y", "5e-201")
+                               "--x", "1e-309", "--y", "5e-310")
         assert code == 3
         assert out == ""
 

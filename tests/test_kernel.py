@@ -23,6 +23,7 @@ from trigdunkl import (
     sigma,
     weight_A,
 )
+from trigdunkl.kernel import _kernel_values
 
 K_GRID = [(a, b) for a in (0.3, 0.7, 1.5) for b in (0.3, 0.7, 1.5)]
 X_GRID = (0.6, -0.6, 1.3, -1.3, 2.4, -2.4)
@@ -160,10 +161,21 @@ class TestKernelK:
         with pytest.raises(DomainError):
             kernel_K(Multiplicity(0.5, 0.5), 1.0, 1.5)
 
+    @pytest.mark.parametrize("imag", [0.0, 1.0], ids=["real", "complex"])
+    def test_point_value_is_batch_value(self, imag):
+        # one sum over one rule: the point call adds only the error bar
+        rng = np.random.default_rng(20261018)
+        for _ in range(100):
+            k = Multiplicity(rng.uniform(0.05, 3.0) + 1j * imag * rng.uniform(-1.0, 1.0),
+                             rng.uniform(0.05, 3.0))
+            x = rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 3.0)
+            y = rng.uniform(-0.9999, 0.9999) * abs(x)
+            assert kernel_K(k, x, y).value == _kernel_values(k, x, y), (k, x, y)
+
     def test_non_finite_value_raises(self):
-        # A(x) ~ 1e-400 leaves double range; the value must not come back
+        # the true value ~7.5e308 exceeds the largest double
         with pytest.raises(EvaluationError):
-            kernel_K(Multiplicity(0.5, 0.5), 1e-200, 5e-201)
+            kernel_K(Multiplicity(0.5, 0.5), 1e-309, 5e-310)
 
 
 def _kernel_reference(k1, k2, x, y):
@@ -193,6 +205,33 @@ def _kernel_reference(k1, k2, x, y):
                      * integral)
 
 
+def _kernel_closed_form(k1, k2, x, y):
+    """``_kernel_reference`` at 40 digits, with the integral in closed form.
+
+    With z = d / (a + b), Euler's integral gives
+    integral of s^{k1-1+j} (1-s)^{k2-1} (1 + z s)^{k2-1} ds
+    = B(k1+j, k2) 2F1(1-k2, k1+j; k1+k2+j; -z), j = 0, 1, and sigma is
+    s0 - s1 s with s0 = 2 e^{(x-y)/2} sinh((x+y)/2), s1 = 2 e^{-y/2} d.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        k1, k2, x, y = (mp.mpf(v) for v in (k1, k2, x, y))
+        xh, yh = abs(x) / 2, abs(y) / 2
+        a, b = mp.cosh(xh), mp.cosh(yh)
+        d = 2 * mp.sinh((xh + yh) / 2) * mp.sinh((xh - yh) / 2)
+        c = (2 ** (3 * (k1 + k2)) * mp.gamma(k1 + k2 + 0.5)
+             / (mp.sqrt(mp.pi) * mp.gamma(k1) * mp.gamma(k2)))
+        weight = abs(2 * mp.sinh(x / 2)) ** (2 * k1) * abs(2 * mp.sinh(x)) ** (2 * k2)
+        z = d / (a + b)
+        s0 = 2 * mp.exp((x - y) / 2) * mp.sinh((x + y) / 2)
+        s1 = 2 * mp.exp(-y / 2) * d
+        integral = (a + b) ** (k2 - 1) * (
+            s0 * mp.beta(k1, k2) * mp.hyp2f1(1 - k2, k1, k1 + k2, -z)
+            - s1 * mp.beta(k1 + 1, k2) * mp.hyp2f1(1 - k2, k1 + 1, k1 + k2 + 1, -z))
+        return float(mp.sign(x) * c / (2 * weight) * 2 ** (k2 - 1) * d ** (k1 + k2 - 1)
+                     * integral)
+
+
 class TestKernelReference:
     # y -> -x and tiny |x|, where the affine factor sigma is a small
     # difference of two numbers near 2
@@ -204,6 +243,19 @@ class TestKernelReference:
         ref = _kernel_reference(k1, k2, x, y)
         res = kernel_K(Multiplicity(k1, k2), x, y)
         assert abs(res.value - ref) <= 1e-13 * abs(ref)
+        assert abs(res.value - ref) <= res.est_error
+
+    def test_error_bars_cover_reference(self):
+        # scan-like points, where the exponent's rounding exceeds 8 eps
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(611)
+        for fr in (0.9999, -0.9999, 0.99, -0.99, None) * 48:
+            k1, k2 = rng.uniform(0.1, 3.0, 2)
+            x = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 3.0)
+            y = (rng.uniform(-0.95, 0.95) if fr is None else fr) * abs(x)
+            ref = _kernel_closed_form(k1, k2, x, y)
+            res = kernel_K(Multiplicity(k1, k2), x, y)
+            assert abs(res.value - ref) <= res.est_error, (k1, k2, x, y)
 
 
 class TestLimitKernels:

@@ -128,10 +128,13 @@ class TestApplyV:
             assert abs(res.value - target) <= 1e-6 * (1.0 + abs(target)), k
 
     def test_method_names_inner_rule(self):
-        for k, inner in ((Multiplicity(0.5, 0.7), "gauss-jacobi(n=64)"),
-                         (Multiplicity(0.5 + 0.2j, 0.7), "tanh-sinh(level=8)")):
+        for k, inner, point in ((Multiplicity(0.5, 0.7), "gauss-jacobi(n=64)",
+                                 "gauss-jacobi(n=32->64)"),
+                                (Multiplicity(0.5 + 0.2j, 0.7), "tanh-sinh(level=8)",
+                                 "tanh-sinh(level=7->8)")):
             assert apply_V(k, plane_wave(1.5), 1.0).method == f"tanh-sinh(level=6) x {inner}"
             assert apply_Vt(k, bump(2.0), 0.5).method == f"tanh-sinh(level=4) x {inner}"
+            assert kernel_K(k, 1.0, 0.3).method == point
 
     def test_constant_function_gives_lambda_zero(self):
         k = Multiplicity(0.7, 1.1)
@@ -259,7 +262,14 @@ class TestPositivityScan:
 
     def test_non_finite_cell_raises(self):
         with pytest.raises(EvaluationError):
-            positivity_scan([(0.5, 0.5)], [1e-200], [0.5])
+            positivity_scan([(0.5, 0.5)], [1e-309], [0.5])
+
+    @pytest.mark.parametrize("x", [1e-155, 1e-200, 1e-300])
+    def test_tiny_x_finite(self, x):
+        # sigma ~ |x| enters the exponent, where the scale ~ |x|^-2 would overflow
+        report = positivity_scan([(0.5, 0.5)], [x], [0.5])
+        assert report.min_value == kernel_K(Multiplicity(0.5, 0.5), x, 0.5 * x).value
+        assert x * report.min_value == pytest.approx(0.75, rel=1e-11)
 
     def test_tiny_x_positive(self):
         # near 0 the kernel grows like 0.75 / x at k = (0.5, 0.5)
