@@ -13,16 +13,14 @@ from dataclasses import dataclass
 class Numerics:
     """Quadrature and finite-difference knobs.
 
-    jacobi_nodes      Gauss-Jacobi nodes for every real-k kernel value, at
-                      a point or in a batch (a point's error estimate
-                      compares them with half as many).
-    tanh_sinh_level   double-exponential level (step 2**-level) for the
-                      complex-parameter kernel path; ``integrate`` instead
-                      refines its rule's own level by one.
-    operator_level    tanh-sinh level of the outer integrals of V and tV.
-    nested_level      level used when V or tV appears inside another
-                      integral (duality checking), where each abscissa costs
-                      a full inner evaluation.
+    jacobi_nodes      not read by the package: kernel values are closed-form
+                      series; the benchmark's trace counts node evaluations
+                      with it (and with ``tanh_sinh_level``, unread too).
+    tanh_sinh_level   see ``jacobi_nodes``.
+    operator_level    tanh-sinh level of the outer integral of V.
+    nested_level      level of tV's outer integral, of the nested ``ktilde``
+                      form, and of V or tV inside another integral (duality
+                      checking), where each abscissa costs an inner batch.
     fd_step_scale     relative step for finite-difference derivatives of
                       integral-operator outputs.
     series_max_terms  hypergeometric series term cap.

@@ -17,27 +17,34 @@ is one call of ``_cosh_gap_integral``, the Jacobi-weighted integral
     J(alpha, beta; q) = integral over u in (b, a) = (cosh Y, cosh X) of
                         (2 (a^2 - u^2))^alpha (u - b)^beta q(u - b) du,
 
-times its own constant (cosh 2X - cosh 2Z = 2 (a^2 - u^2)).  q is a function of
-v = u - b: written in u, K's factor sigma is a difference of two numbers near 2
-that cancel at small |x| and near y = -x.
+with q affine in v = u - b (cosh 2X - cosh 2Z = 2 (a^2 - u^2); written in
+u, K's factor sigma is a difference of two numbers near 2 that cancel at
+small |x| and near y = -x).  Euler's integral and Pfaff's transformation
+(DLMF 15.6.1, 15.8.1) give it in closed form, with d = a - b =
+2 sinh((X+Y)/2) sinh((X-Y)/2) and w = d / (2a) < 1/2:
 
-    K              = (c/2) sign x / A(x)  J(k2-1, k1-1; 2 e^{(x-y)/2} sinh((x+y)/2) - 2 e^{-y/2} v)
+    J' = J / (2^{3 alpha + beta + 1} B(beta+1, alpha+1))
+       = (d/2)^{alpha+beta+1} a^alpha [q(0) F(-alpha, alpha+1; alpha+beta+2; w)
+         + (q(d) - q(0)) (beta+1)/(alpha+beta+2) F(-alpha, alpha+1; alpha+beta+3; w)],
+
+two Gauss series summed to rounding, with no quadrature rule.  In each
+form's constant c 2^{3 alpha + beta + 1} B the Gamma(k1) Gamma(k2) of c
+cancel, leaving D = 2^{4k1+6k2-4} Gamma(s+1/2) / (sqrt(pi) Gamma(s)),
+s = k1 + k2, times a rational factor:
+
+    K              = D sign x / A(x)      J'(k2-1, k1-1; 2 e^{(x-y)/2} sinh((x+y)/2) - 2 e^{-y/2} v)
                      at X = |x|/2, Y = |y|/2
-    cosine kernel  = 2c |sinh 2x| / A(2x) J(k2-1, k1-1; 1)
-    Ktilde direct  = (c/k2)               J(k2,   k1-1; 1)
-    Ktilde byparts = (4c/k1)              J(k2-1, k1;   b + v)
-    dKtilde/dy     = -4c sinh y           J(k2-1, k1-1; b + v)
+    cosine kernel  = 4D |sinh 2x| / A(2x) J'(k2-1, k1-1; 1)
+    Ktilde direct  = 16D / s              J'(k2,   k1-1; 1)
+    Ktilde byparts = 16D / s              J'(k2-1, k1;   b + v)
+    dKtilde/dy     = -8D sinh y           J'(k2-1, k1-1; b + v)
 
-On v = rad (1 + t), rad = (a - b)/2, the endpoint powers become the weight
-(1-t)^alpha (1+t)^beta, which the rule absorbs (Gauss-Jacobi for real k,
-tanh-sinh weights times the weight at exact endpoint distances for complex
-k).  The radius enters as log sinh((X+Y)/2) + log sinh((X-Y)/2), so tiny
-gaps stay representable.  Point and batched values are one sum over one rule;
-a point evaluation also sums against the rule's coarser companion from
-``quadrature`` (n/2 beside n Gauss-Jacobi nodes, or the tanh-sinh level
-below).  Rule sizes come from ``NUMERICS`` alone.  A point result's error bar
-never falls below the rounding of its value, exponent included, and a
-non-finite value raises ``EvaluationError`` instead of being returned.
+All forms share log D, and the power of d/2 enters as log sinh((X+Y)/2) +
+log sinh((X-Y)/2), so tiny gaps stay representable.  Real and complex k
+differ only in how log D is formed.  Every value carries an error bar: the
+rounding of its exponent's log parts and of the series (the sum of its
+terms' magnitudes), plus the series' last term, which bounds the dropped
+tail.  A non-finite point value raises ``EvaluationError``.
 """
 
 import cmath
@@ -48,13 +55,17 @@ import numpy as np
 from .config import NUMERICS
 from .errors import DomainError, EvaluationError
 from .params import KernelPoint, Multiplicity
-from .quadrature import (EvalResult, _as_scalar, _gauss_jacobi_arrays, _gauss_jacobi_pair,
-                         _tanh_sinh_full)
-from .specfun import gamma_real, loggamma_right_half
+from .quadrature import EvalResult, _as_scalar, _tanh_sinh_full
+from .specfun import _loggamma_parts, gamma_real
+
+# inner method of every kernel value, as ``operators`` and point results name it
+METHOD = "euler-2f1"
 
 _SQRT_PI = math.sqrt(math.pi)
 _LOG2 = math.log(2.0)
 _EPS = np.finfo(float).eps
+_LOG_TAIL = math.log(1e-17)     # series terms below this share of the first are dropped
+_C_MINUS_1 = np.array([[1.0], [2.0]])   # c - 1 - alpha - beta of the two series
 
 
 def _k12(k: Multiplicity):
@@ -85,8 +96,8 @@ def weight_A(k: Multiplicity, x):
 def constant_c(k: Multiplicity) -> float:
     """Normalizing constant 2^{3k1+3k2} Gamma(k1+k2+1/2) / (sqrt(pi) Gamma(k1) Gamma(k2)).
 
-    Restricted to real positive parameters; the kernels use its logarithm,
-    which ``_log_c`` also gives for complex parameters.
+    Restricted to real positive parameters; the kernels use c B(k1, k2)
+    instead, in which Gamma(k1) Gamma(k2) cancel.
     """
     if not k.real_positive:
         raise DomainError(f"constant_c needs real k1, k2 > 0, got ({k.k1}, {k.k2})")
@@ -98,17 +109,23 @@ def constant_c(k: Multiplicity) -> float:
     )
 
 
-def _log_c(k: Multiplicity):
-    if k.real_positive:
-        return math.log(constant_c(k))
+def _log_constant(k: Multiplicity):
+    """(log D, the magnitude its rounding scales with); D as in the module docstring.
+
+    For complex k each log-Gamma is a difference of two parts about 25 in
+    size near Re s = 0, so their magnitudes enter the rounding, not the
+    result's.
+    """
     k1, k2 = _k12(k)
-    return (
-        3.0 * (k1 + k2) * _LOG2
-        + loggamma_right_half(k1 + k2 + 0.5)
-        - 0.5 * math.log(math.pi)
-        - loggamma_right_half(k1)
-        - loggamma_right_half(k2)
-    )
+    s = k1 + k2
+    if k.real_positive:
+        log_d = math.log(2.0 ** (4.0 * k1 + 6.0 * k2 - 4.0) * math.gamma(s + 0.5)
+                         / (_SQRT_PI * math.gamma(s)))
+        return log_d, abs(log_d)
+    parts = (*_loggamma_parts(s + 0.5), *_loggamma_parts(s))
+    log_pow2 = (4.0 * k1 + 6.0 * k2 - 4.0) * _LOG2
+    log_d = log_pow2 + (parts[0] - parts[1]) - (parts[2] - parts[3]) - math.log(_SQRT_PI)
+    return log_d, abs(log_pow2) + sum(abs(p) for p in parts) + math.log(_SQRT_PI)
 
 
 def sigma(x, y, z):
@@ -124,123 +141,96 @@ def sigma(x, y, z):
     return val.item() if val.ndim == 0 else val
 
 
-def rule_label(k: Multiplicity, refined=False) -> str:
-    """Name of the rule ``_cosh_gap_integral`` uses, with its companion if ``refined``."""
-    if not k.real_positive:
-        lv = NUMERICS.tanh_sinh_level
-        return f"tanh-sinh(level={lv - 1}->{lv})" if refined else f"tanh-sinh(level={lv})"
-    n = NUMERICS.jacobi_nodes
-    return f"gauss-jacobi(n={n // 2}->{n})" if refined else f"gauss-jacobi(n={n})"
+def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, log_pref=()):
+    """D exp(sum of log_pref) J'(alpha, beta; q) over (cosh(xa - gap), cosh xa), broadcasting.
 
-
-def _rule(k: Multiplicity, alpha, beta, refine: bool):
-    """Node distances 1 + t from -1 and weights absorbing (1-t)^alpha (1+t)^beta.
-
-    With ``refine`` a second vector over the same nodes is the coarser
-    companion's (n/2 Gauss-Jacobi nodes, or the tanh-sinh level below);
-    otherwise it is None.
+    Returns (values, error bars).  ``q(f1, f2)`` gives the integrand
+    factor's value at v = 0 and its rise over the gap d = 2 f1 f2, with f1 =
+    sinh((xa + ya)/2), f2 = sinh(gap/2) passed separately so that callers
+    can form the rise without overflow; it defaults to 1.  ``gap`` = xa -
+    (lower end) is passed separately so callers that know it without
+    cancellation keep it exact.
     """
-    if k.real_positive:
-        n = NUMERICS.jacobi_nodes
-        t, w, wc = (_gauss_jacobi_pair(n // 2, alpha, beta) if refine
-                    else (*_gauss_jacobi_arrays(n, alpha, beta), None))
-        return 1.0 + t, w, wc
-    _, w, glo, ghi, wc = _tanh_sinh_full(NUMERICS.tanh_sinh_level)
-    power = np.exp(alpha * np.log(ghi) + beta * np.log(glo))
-    return glo, w * power, (wc * power if refine else None)
-
-
-def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, log_pref=(), *, refine=False):
-    """exp(sum of log_pref) J(alpha, beta; q) over (cosh(xa - gap), cosh xa), broadcasting.
-
-    Returns (scale, size, fine, coarse) with the product = scale * fine,
-    the logarithms of J's constant and of the caller's factors ``log_pref``
-    summed into one exponent; ``size`` is the summed magnitude of its parts,
-    as ``_point_result`` takes it.  ``q`` maps the offset v = u - cosh(xa -
-    gap) >= 0 (with a trailing node axis) to the integrand's factor and
-    defaults to 1.  ``coarse`` is the companion rule's sum under ``refine``
-    and None otherwise.  ``gap`` = xa - (lower end) is passed separately so
-    callers that know it without cancellation keep it exact.
-    """
-    ya = xa - gap
-    a, b = np.cosh(xa), np.cosh(ya)
-    f1, f2 = np.sinh((xa + ya) / 2.0), np.sinh(gap / 2.0)
+    a = np.cosh(xa)
+    f1, f2 = np.sinh(xa - gap / 2.0), np.sinh(gap / 2.0)     # (xa + ya)/2, gap/2
     log_f = np.log(f1) + np.log(f2)
-    log_scale = sum(log_pref, alpha * _LOG2 + (alpha + beta + 1.0) * log_f)
-    # the power alpha + beta + 1 is only as exact as its parts
+    log_d, size_d = _log_constant(k)
+    log_scale = sum(log_pref, log_d + (alpha + beta + 1.0) * log_f)
+    # each log part rounds where it is formed and where it is added; the
+    # power alpha + beta + 1 is only as exact as its parts
     size = sum((np.abs(p) for p in log_pref),
-               abs(alpha * _LOG2) + (abs(alpha) + abs(beta) + 1.0) * np.abs(log_f))
-    s, w, wc = _rule(k, alpha, beta, refine)
-    v = (f1 * f2)[..., None] * s     # u - b = rad (1 + t), no cancellation
-    # exp(alpha log) rather than a complex power, which is much slower;
-    # in-place products keep the (points, nodes) temporaries few
-    if k.real_positive:
-        smooth = ((a + b)[..., None] + v) ** alpha
-    else:
-        smooth = np.exp(alpha * np.log((a + b)[..., None] + v))
-    if q is not None:
-        smooth *= q(v)
-    return np.exp(log_scale), size, smooth @ w, (smooth @ wc if refine else None)
+               size_d + (abs(alpha) + abs(beta) + 1.0) * np.abs(log_f))
+    q0, rise = (1.0, 0.0) if q is None else q(f1, f2)
+    w = f1 * f2 / a
+    w_max = float(w.max(initial=0.0))
+    n = 4 + (int(_LOG_TAIL / math.log(w_max)) if w_max > 0.0 else 0)
+    # F(-alpha, alpha+1; c; w) for c = alpha+beta+2 and c+1: both rows of
+    # coefficients 1..n-1 (the 0th is 1) and their magnitudes against one
+    # matrix of powers of w
+    i = np.arange(1.0, n)
+    coef = np.cumprod(((i - 1.0) - alpha) * (i + alpha)
+                      / (i * (i + (alpha + beta + _C_MINUS_1))), axis=1)
+    # magnitudes times 2 eps bound the series' rounding; the last term, which
+    # bounds the dropped tail, counts in full
+    mag = np.abs(coef)
+    mag[:, -1] *= 1.0 + 0.5 / _EPS
+    powers = w.reshape(-1) ** i[:, None]
+    sums = (1.0 + np.concatenate((coef, mag)) @ powers).reshape((4,) + w.shape)
+    slope = rise * ((beta + 1.0) / (alpha + beta + 2.0))
+    factor = np.exp(log_scale) * a ** alpha
+    values = factor * (q0 * sums[0] + slope * sums[1])
+    series = np.abs(q0) * sums[2].real + np.abs(slope) * sums[3].real
+    # small factors first: values near the largest double keep finite bars
+    bars = _EPS * (8.0 + 2.0 * size) * np.abs(values) + 2.0 * _EPS * series * np.abs(factor)
+    return values, bars
 
 
-def _point_result(k, scale, size, fine, coarse, method=None) -> EvalResult:
-    """scale * fine, with an error bar floored at its rounding; raises if not finite.
-
-    The floor is 8 eps for the sum plus 2 eps per unit of ``size``: each log
-    part of the exponent rounds where it is formed and where it is added.
-    """
-    value = _as_scalar(scale * fine)
-    est = float(abs(scale * (fine - coarse)) + _EPS * (8.0 + 2.0 * size) * abs(value))
-    method = method or rule_label(k, refined=True)
+def _point_result(value, bar, method=METHOD) -> EvalResult:
+    """A point value with its error bar; raises if either is not finite."""
+    value, est = _as_scalar(value), float(bar)
     if not (cmath.isfinite(value) and math.isfinite(est)):
         raise EvaluationError(f"{method} gave the non-finite value {value!r}")
     return EvalResult(value, est, method)
 
 
 def _ktilde_point(k, x, y, alpha, beta, q, pref) -> EvalResult:
-    """pref * c * J(alpha, beta; q) over (cosh y, cosh x), with its error bar."""
-    scale, size, fine, coarse = _cosh_gap_integral(
-        k, abs(x), abs(x) - abs(y), alpha, beta, q, (_log_c(k),), refine=True,
-    )
-    return _point_result(k, pref * scale, size, fine, coarse)
-
-
-def _kernel_terms(k, x, y, gap, refine):
-    """(scale, size, fine, coarse) of K: the kernel is scale * fine."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xa = np.abs(x)
-    if gap is None:
-        gap = xa - np.abs(y)
-    # sigma / |x| at u = cosh(y/2), (e^x - e^{-y}) / |x|, and its slope in v:
-    # |x| goes into the exponent, where the scale ~ |x|^{-2} would overflow
-    e_fwd = (2.0 * np.exp((x - y) / 2.0) * np.sinh((x + y) / 2.0) / xa)[..., None]
-    d_bwd = (2.0 * np.exp(-y / 2.0) / xa)[..., None]
-    k1, k2 = _k12(k)
-    # one exponent: A(x) ~ |x|^{2(k1+k2)} near 0 and the radius power near
-    # y = -/+ x stay inside double range only in combination
-    scale, size, fine, coarse = _cosh_gap_integral(
-        k, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, k2 - 1.0, k1 - 1.0,
-        lambda v: e_fwd - d_bwd * v, (_log_c(k), -_log_weight(k, x), np.log(xa)), refine=refine,
-    )
-    return 0.5 * np.sign(x) * scale, size, fine, coarse
+    """pref D J'(alpha, beta; q) over (cosh |y|, cosh x), with its error bar."""
+    value, bar = _cosh_gap_integral(k, abs(x), abs(x) - abs(y), alpha, beta, q)
+    return _point_result(pref * value, abs(pref) * bar)
 
 
 def _kernel_values(k: Multiplicity, x, y, *, gap=None):
-    """Kernel values, broadcasting over x and y.
+    """Kernel values and their error bars, broadcasting over x and y.
 
     ``gap`` optionally supplies |x| - |y| computed without cancellation; it
     is what the endpoint power actually depends on, so integrators that know
     the gap exactly (double-exponential tails) must pass it.
     """
-    scale, _, fine, _ = _kernel_terms(k, x, y, gap, False)
-    return scale * fine
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xa = np.abs(x)
+    if gap is None:
+        gap = xa - np.abs(y)
+    # sigma / |x| at u = cosh(y/2), and its rise over the gap d = 2 f1 f2,
+    # formed as (2 f1 / |x|) f2 so that nothing overflows at tiny |x|; |x|
+    # goes into the exponent, where the scale ~ |x|^{-2} would overflow
+    e_fwd = 2.0 * np.exp((x - y) / 2.0) * np.sinh((x + y) / 2.0) / xa
+    e_bwd = 2.0 * np.exp(-y / 2.0)
+    k1, k2 = _k12(k)
+    # one exponent: A(x) ~ |x|^{2(k1+k2)} near 0 and the radius power near
+    # y = -/+ x stay inside double range only in combination
+    values, bars = _cosh_gap_integral(
+        k, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, k2 - 1.0, k1 - 1.0,
+        lambda f1, f2: (e_fwd, -(2.0 * f1 / xa) * f2 * e_bwd),
+        (-_log_weight(k, x), np.log(xa)),
+    )
+    return np.sign(x) * values, bars
 
 
 def kernel_K(k: Multiplicity, x: float, y: float) -> EvalResult:
-    """Main kernel at one admissible point: the ``_kernel_values`` sum, with its error bar."""
+    """Main kernel at one admissible point: the ``_kernel_values`` value and error bar."""
     KernelPoint(x, y)
-    return _point_result(k, *_kernel_terms(k, x, y, None, True))
+    return _point_result(*_kernel_values(k, x, y))
 
 
 def _limit_kernel(k: float, x: float, y: float, name: str) -> float:
@@ -272,8 +262,8 @@ def kernel_K_limit_k2zero(k1: float, x: float, y: float) -> float:
     return 0.5 * _limit_kernel(k1, x / 2.0, y / 2.0, "k1")
 
 
-def _cosine_terms(k, x, gap, refine, *, with_density=False):
-    """(scale, size, fine, coarse) of the cosine-setting kernel at (x, |x| - gap).
+def _cosine_terms(k, x, gap, *, with_density=False):
+    """(values, error bars) of the cosine-setting kernel at (x, |x| - gap).
 
     ``with_density`` multiplies by the measure density A(2x), which cancels
     the kernel's normalizing division where either alone would overflow.
@@ -281,19 +271,17 @@ def _cosine_terms(k, x, gap, refine, *, with_density=False):
     k1, k2 = _k12(k)
     # |sinh 2x| goes into the exponent too: at the nested route's inner
     # end it is tiny while the radius power alone overflows
-    log_pref = (_log_c(k), np.log(np.abs(np.sinh(2.0 * x))))
+    log_pref = (np.log(np.abs(np.sinh(2.0 * x))),)
     if not with_density:
         log_pref += (-_log_weight(k, 2.0 * x),)
-    scale, size, fine, coarse = _cosh_gap_integral(
-        k, np.abs(x), gap, k2 - 1.0, k1 - 1.0, None, log_pref, refine=refine,
-    )
-    return 2.0 * scale, size, fine, coarse
+    values, bars = _cosh_gap_integral(k, np.abs(x), gap, k2 - 1.0, k1 - 1.0, None, log_pref)
+    return 4.0 * values, 4.0 * bars
 
 
 def jacobi_kernel(k: Multiplicity, x: float, y: float) -> EvalResult:
     """Kernel of the intertwining operator in the hyperbolic-cosine setting."""
     KernelPoint(x, y)
-    return _point_result(k, *_cosine_terms(k, x, abs(x) - abs(y), True))
+    return _point_result(*_cosine_terms(k, x, abs(x) - abs(y)))
 
 
 def _ktilde_defining(k, x, y):
@@ -303,12 +291,11 @@ def _ktilde_defining(k, x, y):
     t, w, glo, ghi, wc = _tanh_sinh_full(lv)
     half = 0.5 * (xa - ya)
     # inner endpoint w -> |y| carries the (w - |y|)^{k1+k2-1} singularity
-    scale, size, fine, _ = _cosine_terms(k, ya + half * glo, half * glo, False, with_density=True)
-    vals = scale * fine
-    # each inner value brings its own exponent's rounding into the sum
-    size = (np.abs(vals) * size) @ w / abs(vals @ w)
-    return _point_result(k, half, size, vals @ w, vals @ wc,
-                         f"nested tanh-sinh(level={lv}) x {rule_label(k)}")
+    vals, bars = _cosine_terms(k, ya + half * glo, half * glo, with_density=True)
+    value = half * (vals @ w)
+    # each inner value brings its own error bar into the sum
+    est = abs(value - half * (vals @ wc)) + half * (bars @ w) + 8.0 * _EPS * abs(value)
+    return _point_result(value, est, f"nested tanh-sinh(level={lv}) x {METHOD}")
 
 
 _KTILDE_FORMS = ("direct", "byparts", "defining")
@@ -328,16 +315,17 @@ def ktilde(k: Multiplicity, x: float, y: float, form: str = "direct") -> EvalRes
         return _ktilde_defining(k, x, y)
     k1, k2 = _k12(k)
     if form == "direct":
-        return _ktilde_point(k, x, y, k2, k1 - 1.0, None, 1.0 / k2)
-    return _ktilde_point(k, x, y, k2 - 1.0, k1, lambda v: math.cosh(y) + v, 4.0 / k1)
+        return _ktilde_point(k, x, y, k2, k1 - 1.0, None, 16.0 / (k1 + k2))
+    return _ktilde_point(k, x, y, k2 - 1.0, k1, lambda f1, f2: (math.cosh(y), 2.0 * f1 * f2),
+                         16.0 / (k1 + k2))
 
 
 def dktilde_dy(k: Multiplicity, x: float, y: float) -> EvalResult:
     """Same-variable y-derivative of the antiderivative; odd in y, zero at y = 0."""
     KernelPoint(x, y)
     k1, k2 = _k12(k)
-    return _ktilde_point(k, x, y, k2 - 1.0, k1 - 1.0, lambda v: math.cosh(y) + v,
-                         -4.0 * math.sinh(y))
+    return _ktilde_point(k, x, y, k2 - 1.0, k1 - 1.0, lambda f1, f2: (math.cosh(y), 2.0 * f1 * f2),
+                         -8.0 * math.sinh(y))
 
 
 def kernel_K_mourou(k: Multiplicity, x: float, y: float) -> EvalResult:

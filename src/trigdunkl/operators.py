@@ -21,7 +21,7 @@ import numpy as np
 from . import config
 from .config import NUMERICS
 from .errors import ContractError, DomainError, EvaluationError
-from .kernel import _kernel_values, rule_label, weight_A
+from .kernel import METHOD, _EPS, _kernel_values, weight_A
 from .params import Multiplicity
 from .quadrature import EvalResult, _as_scalar, _tanh_sinh_full
 
@@ -164,8 +164,8 @@ def _d_cothtanh(k: Multiplicity, x: float, deriv, fx, fmx):
     return deriv + coeff * (fx - fmx) - k.rho * fmx
 
 
-_BATCH = 64  # outer abscissae per kernel batch, keeps temporaries ~10 MB
-_SCAN_CHUNK = 4096  # scan cells per kernel call, keeps temporaries ~20 MB
+_BATCH = 64  # outer abscissae per kernel batch, temporaries ~20 MB at level 6 (~40 MB complex k)
+_SCAN_CHUNK = 4096  # scan cells per kernel call, keeps temporaries ~3 MB
 
 
 # Outer integrands behave like gap^{k1+k2-1} times smooth factors, so
@@ -179,9 +179,9 @@ def _outer_sums(k, points, active, fill, level, sides):
     """Outer tanh-sinh integrals at the ``active`` ones of ``points``, in batches.
 
     ``sides(batch, t, glo, ghi)`` yields, per half of the domain, the
-    integrand at the abscissae (one row per point) and the half-width.
-    Returns the values (``fill`` elsewhere), refinement estimates (against
-    the level below) and the method string naming outer and inner rule.
+    integrand at the abscissae (one row per point), its error bar and the
+    half-width.  Returns the values (``fill`` elsewhere), error estimates
+    (against the level below, plus the integrand's rounding) and the method.
     """
     t, w, glo, ghi, wc = _tanh_sinh_full(level, _OUTER_GAP)
     points = np.asarray(points, dtype=float)
@@ -191,11 +191,13 @@ def _outer_sums(k, points, active, fill, level, sides):
     idx = np.flatnonzero(active)
     for i in range(0, idx.size, _BATCH):
         sl = idx[i:i + _BATCH]
-        for integrand, half in sides(points[sl], t, glo, ghi):
+        for integrand, bar, half in sides(points[sl], t, glo, ghi):
             fine = (integrand @ w) * half
             values[sl] += fine
-            est[sl] += np.abs(fine - (integrand @ wc) * half)
-    return values, est, f"tanh-sinh(level={level}) x {rule_label(k)}"
+            # products with f and the measure, and the sum, round each term
+            rounding = (bar + 8.0 * _EPS * np.abs(integrand)) @ w * half
+            est[sl] += np.abs(fine - (integrand @ wc) * half) + rounding
+    return values, est, f"tanh-sinh(level={level}) x {METHOD}"
 
 
 def _v_batch(k, f, xs, level):
@@ -204,8 +206,9 @@ def _v_batch(k, f, xs, level):
         xa = np.abs(xb)[:, None]
         for y, gap in ((0.5 * xa * glo, 0.5 * xa * ghi),      # (0, |x|)
                        (-0.5 * xa * ghi, 0.5 * xa * glo)):    # (-|x|, 0)
-            kv = _kernel_values(k, xb[:, None], y, gap=gap)
-            yield kv * np.asarray(f.eval(y)), 0.5 * xa[:, 0]
+            kv, kb = _kernel_values(k, xb[:, None], y, gap=gap)
+            fy = np.asarray(f.eval(y))
+            yield kv * fy, kb * np.abs(fy), 0.5 * xa[:, 0]
 
     nonzero = np.asarray(xs) != 0.0
     fill = 0.0 if nonzero.all() else f.eval(0.0)
@@ -226,8 +229,9 @@ def _vt_batch(k, g, ys, level):
                         0.5 * span * glo),
                        (np.where(t >= 0.0, -ya - 0.5 * span * ghi, -a + 0.5 * span * glo),
                         0.5 * span * ghi)):
-            kv = _kernel_values(k, x, yb[:, None], gap=gap)
-            yield kv * np.asarray(g.eval(x)) * np.asarray(weight_A(k, x)), 0.5 * span[:, 0]
+            kv, kb = _kernel_values(k, x, yb[:, None], gap=gap)
+            ga = np.asarray(g.eval(x)) * np.asarray(weight_A(k, x))
+            yield kv * ga, kb * np.abs(ga), 0.5 * span[:, 0]
 
     return _outer_sums(k, ys, np.abs(ys) < a, 0.0, level, sides)
 
@@ -340,7 +344,7 @@ def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
     for row, k in zip(values, ks):
         for i in range(0, xs.size, _SCAN_CHUNK):
             chunk = slice(i, i + _SCAN_CHUNK)
-            row[chunk] = _kernel_values(k, xs[chunk], ys[chunk])
+            row[chunk] = _kernel_values(k, xs[chunk], ys[chunk])[0]
     cells = tuple((k1, k2, x, y, v) for (k1, k2), row in zip(k_grid, values.tolist())
                   for x, y, v in zip(xs.tolist(), ys.tolist(), row))
     if not np.isfinite(values).all():

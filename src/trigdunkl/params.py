@@ -12,8 +12,8 @@ class Multiplicity:
 
     ``rho`` is the derived constant k1/2 + k2 appearing in the differential-
     difference operator.  ``real_positive`` flags the real parameter range,
-    which selects the Gauss-Jacobi kernel path and enables the positivity
-    statements; complex parameters fall back to double-exponential rules.
+    where the kernel's constant comes from ``math.gamma`` and the positivity
+    statements hold; complex parameters take principal-branch powers.
     """
 
     k1: complex

@@ -1,6 +1,8 @@
 """Quadrature rules resolving algebraic endpoint singularities.
 
-Two families cover everything the kernel formulas need:
+Two families serve the outer integrals of the operators, the nested form of
+``ktilde`` and ``integrate``; kernel values are closed-form series and use
+no rule:
 
 * Gauss rules (Legendre and Jacobi) built by the Golub-Welsch method from
   the three-term recurrence of the weight ``(1-t)^alpha (1+t)^beta``.  The
@@ -12,8 +14,8 @@ Two families cover everything the kernel formulas need:
 Tanh-sinh abscissae crowd the endpoints double-exponentially, far below the
 resolution of ``1 - |t|`` in floating point.  ``_tanh_sinh_full`` keeps exact
 endpoint distances (``gap_lo = 1 + t``, ``gap_hi = 1 - t``) down to a cut:
-1e-280 in the kernel integrals, so integrable singularities like t^{p-1} with
-small p > 0 are still resolved, and 1e-12 for public rules, whose node floats
+1e-280 by default, so integrable singularities like t^{p-1} with small
+p > 0 are still resolved, and 1e-12 for public rules, whose node floats
 stay distinct and inside (-1, 1).  Each rule comes with its coarser companion
 (n beside 2n Gauss nodes; a tanh-sinh level's even-indexed nodes, which are
 the level below) as a second weight vector ``wc`` on the same nodes, so every

@@ -38,6 +38,12 @@ def gamma_real(x: float) -> float:
 
 def loggamma_right_half(w) -> complex:
     """Principal log-Gamma for Re w > 0: shifted Stirling series, no reflection."""
+    stirling, shift = _loggamma_parts(w)
+    return stirling - shift
+
+
+def _loggamma_parts(w):
+    """``loggamma_right_half(w)`` as (Stirling value at w + m, sum of log(w + j), j < m)."""
     w = complex(w)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)) or w.real <= 0:
         raise DomainError(f"loggamma_right_half needs Re w > 0, got {w!r}")
@@ -51,7 +57,7 @@ def loggamma_right_half(w) -> complex:
     for coeff in _STIRLING:
         res += coeff / p
         p *= w2
-    return res - shift
+    return res, shift
 
 
 def _is_nonpositive_integer(v) -> bool:

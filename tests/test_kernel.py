@@ -24,6 +24,7 @@ from trigdunkl import (
     weight_A,
 )
 from trigdunkl.kernel import _kernel_values
+from trigdunkl.quadrature import _gauss_jacobi_arrays, _tanh_sinh_full
 
 K_GRID = [(a, b) for a in (0.3, 0.7, 1.5) for b in (0.3, 0.7, 1.5)]
 X_GRID = (0.6, -0.6, 1.3, -1.3, 2.4, -2.4)
@@ -170,7 +171,23 @@ class TestKernelK:
                              rng.uniform(0.05, 3.0))
             x = rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 3.0)
             y = rng.uniform(-0.9999, 0.9999) * abs(x)
-            assert kernel_K(k, x, y).value == _kernel_values(k, x, y), (k, x, y)
+            res = kernel_K(k, x, y)
+            assert (res.value, res.est_error) == _kernel_values(k, x, y), (k, x, y)
+
+    @pytest.mark.parametrize("k", [Multiplicity(0.7, 0.4), Multiplicity(0.5 + 0.2j, 0.7)],
+                             ids=["real", "complex"])
+    def test_no_quadrature_rule(self, k):
+        # closed form: no rule is built or looked up (the nested "defining"
+        # form of ktilde keeps its outer rule)
+        before = (_gauss_jacobi_arrays.cache_info(), _tanh_sinh_full.cache_info())
+        kernel_K(k, 1.2, -0.5)
+        jacobi_kernel(k, 1.2, 0.5)
+        _kernel_values(k, np.array([0.7, -2.0]), np.array([0.3, 1.1]))
+        ktilde(k, 1.2, 0.5, "direct")
+        ktilde(k, 1.2, 0.5, "byparts")
+        dktilde_dy(k, 1.2, 0.5)
+        kernel_K_mourou(k, 1.2, -0.5)
+        assert (_gauss_jacobi_arrays.cache_info(), _tanh_sinh_full.cache_info()) == before
 
     def test_non_finite_value_raises(self):
         # the true value ~7.5e308 exceeds the largest double
@@ -212,10 +229,12 @@ def _kernel_closed_form(k1, k2, x, y):
     integral of s^{k1-1+j} (1-s)^{k2-1} (1 + z s)^{k2-1} ds
     = B(k1+j, k2) 2F1(1-k2, k1+j; k1+k2+j; -z), j = 0, 1, and sigma is
     s0 - s1 s with s0 = 2 e^{(x-y)/2} sinh((x+y)/2), s1 = 2 e^{-y/2} d.
+    Complex k1, k2 take principal powers; the result is complex then.
     """
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
-        k1, k2, x, y = (mp.mpf(v) for v in (k1, k2, x, y))
+        k1, k2 = mp.mpmathify(k1), mp.mpmathify(k2)
+        x, y = mp.mpf(x), mp.mpf(y)
         xh, yh = abs(x) / 2, abs(y) / 2
         a, b = mp.cosh(xh), mp.cosh(yh)
         d = 2 * mp.sinh((xh + yh) / 2) * mp.sinh((xh - yh) / 2)
@@ -228,8 +247,9 @@ def _kernel_closed_form(k1, k2, x, y):
         integral = (a + b) ** (k2 - 1) * (
             s0 * mp.beta(k1, k2) * mp.hyp2f1(1 - k2, k1, k1 + k2, -z)
             - s1 * mp.beta(k1 + 1, k2) * mp.hyp2f1(1 - k2, k1 + 1, k1 + k2 + 1, -z))
-        return float(mp.sign(x) * c / (2 * weight) * 2 ** (k2 - 1) * d ** (k1 + k2 - 1)
-                     * integral)
+        value = complex(mp.sign(x) * c / (2 * weight) * 2 ** (k2 - 1) * d ** (k1 + k2 - 1)
+                        * integral)
+        return value.real if value.imag == 0.0 else value
 
 
 class TestKernelReference:
@@ -256,6 +276,30 @@ class TestKernelReference:
             ref = _kernel_closed_form(k1, k2, x, y)
             res = kernel_K(Multiplicity(k1, k2), x, y)
             assert abs(res.value - ref) <= res.est_error, (k1, k2, x, y)
+
+    def test_error_bars_cover_reference_complex_k(self):
+        # the constant's log-Gamma parts cancel, so their size is in the bar
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(612)
+        for fr in (0.9999, -0.9999, 0.99, -0.99, None) * 24:
+            k1 = complex(rng.uniform(0.1, 3.0), rng.uniform(-1.0, 1.0))
+            k2 = rng.uniform(0.1, 3.0)
+            x = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 3.0)
+            y = (rng.uniform(-0.95, 0.95) if fr is None else fr) * abs(x)
+            ref = _kernel_closed_form(k1, k2, x, y)
+            res = kernel_K(Multiplicity(k1, k2), x, y)
+            assert abs(res.value - ref) <= res.est_error, (k1, k2, x, y)
+
+    @pytest.mark.parametrize("k1, k2", [(0.5, 20.5), (10.0, 10.0), (20.0, 0.5), (0.3, 10.3)])
+    def test_error_bars_cover_reference_large_k(self, k1, k2):
+        # for large k2 the series alternates and cancels; the bar counts it
+        pytest.importorskip("mpmath")
+        for x in (0.5, 1.5, 3.0, -2.2):
+            for fr in (0.0, 0.5, -0.9, 0.99, -0.9999):
+                y = fr * abs(x)
+                ref = _kernel_closed_form(k1, k2, x, y)
+                res = kernel_K(Multiplicity(k1, k2), x, y)
+                assert abs(res.value - ref) <= res.est_error, (x, y)
 
 
 class TestLimitKernels:

@@ -128,13 +128,31 @@ class TestApplyV:
             assert abs(res.value - target) <= 1e-6 * (1.0 + abs(target)), k
 
     def test_method_names_inner_rule(self):
-        for k, inner, point in ((Multiplicity(0.5, 0.7), "gauss-jacobi(n=64)",
-                                 "gauss-jacobi(n=32->64)"),
-                                (Multiplicity(0.5 + 0.2j, 0.7), "tanh-sinh(level=8)",
-                                 "tanh-sinh(level=7->8)")):
-            assert apply_V(k, plane_wave(1.5), 1.0).method == f"tanh-sinh(level=6) x {inner}"
-            assert apply_Vt(k, bump(2.0), 0.5).method == f"tanh-sinh(level=4) x {inner}"
-            assert kernel_K(k, 1.0, 0.3).method == point
+        # the kernel is a closed-form series for real and complex k alike
+        for k in (Multiplicity(0.5, 0.7), Multiplicity(0.5 + 0.2j, 0.7)):
+            assert apply_V(k, plane_wave(1.5), 1.0).method == "tanh-sinh(level=6) x euler-2f1"
+            assert apply_Vt(k, bump(2.0), 0.5).method == "tanh-sinh(level=4) x euler-2f1"
+            assert kernel_K(k, 1.0, 0.3).method == "euler-2f1"
+
+    def test_error_bars_cover_reference(self):
+        # the bar carries the outer rule's error, each kernel value's bar
+        # and the integrand's rounding
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(150)
+        for i in range(150):
+            k1, k2 = rng.uniform(0.1, 3.0, 2)
+            if i % 3 == 2:
+                k1 = complex(k1, rng.uniform(-1.0, 1.0))
+            lam = rng.uniform(0.0, 5.0)
+            x = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 3.0)
+            with mp.workdps(30):
+                mk1, mk2, mlam, mx = (mp.mpmathify(v) for v in (k1, k2, lam, x))
+                s, rho, z = mk1 + mk2, mk1 / 2 + mk2, -mp.sinh(mx / 2) ** 2
+                f1 = mp.hyp2f1(rho + 1j * mlam, rho - 1j * mlam, s + 0.5, z)
+                f2 = mp.hyp2f1(rho + 1 + 1j * mlam, rho + 1 - 1j * mlam, s + 1.5, z)
+                ref = complex(f1 + (rho + 1j * mlam) / (2 * s + 1) * mp.sinh(mx) * f2)
+            res = apply_V(Multiplicity(k1, k2), plane_wave(lam), x)
+            assert abs(res.value - ref) <= res.est_error, (k1, k2, lam, x)
 
     def test_constant_function_gives_lambda_zero(self):
         k = Multiplicity(0.7, 1.1)
@@ -264,7 +282,7 @@ class TestPositivityScan:
         with pytest.raises(EvaluationError):
             positivity_scan([(0.5, 0.5)], [1e-309], [0.5])
 
-    @pytest.mark.parametrize("x", [1e-155, 1e-200, 1e-300])
+    @pytest.mark.parametrize("x", [1e-155, 1e-200, 1e-300, 1e-308])
     def test_tiny_x_finite(self, x):
         # sigma ~ |x| enters the exponent, where the scale ~ |x|^-2 would overflow
         report = positivity_scan([(0.5, 0.5)], [x], [0.5])
