@@ -99,51 +99,32 @@ def _parse_range(text: str):
     return [lo + i * step for i in range(count)]
 
 
-def _cmd_kernel(args) -> int:
-    k = Multiplicity(args.k1, args.k2)
-    fn = kernel_K if args.method == "direct" else kernel_K_mourou
-    res = fn(k, args.x, args.y)
-    record = {
-        "k1": args.k1, "k2": args.k2, "x": args.x, "y": args.y,
-        "method": args.method, "value": res.value, "est_error": res.est_error,
-    }
+def _emit_point(args, **fields) -> int:
+    """Emit one evaluation's record: k1, k2, then ``fields`` in order."""
+    record = {"k1": args.k1, "k2": args.k2, **fields}
     _emit(_record_text(record, args.format), args.out)
     return EXIT_OK
+
+
+def _cmd_kernel(args) -> int:
+    fn = kernel_K if args.method == "direct" else kernel_K_mourou
+    res = fn(Multiplicity(args.k1, args.k2), args.x, args.y)
+    return _emit_point(args, x=args.x, y=args.y, method=args.method,
+                       value=res.value, est_error=res.est_error)
 
 
 def _cmd_opdam(args) -> int:
-    k = Multiplicity(args.k1, args.k2)
-    value = opdam_G(k, args.lam, args.x)
-    record = {
-        "k1": args.k1, "k2": args.k2, "lam": args.lam, "x": args.x,
-        "value": value,
-    }
-    _emit(_record_text(record, args.format), args.out)
-    return EXIT_OK
+    value = opdam_G(Multiplicity(args.k1, args.k2), args.lam, args.x)
+    return _emit_point(args, lam=args.lam, x=args.x, value=value)
 
 
-def _cmd_apply_v(args) -> int:
-    k = Multiplicity(args.k1, args.k2)
+def _cmd_apply(args) -> int:
+    # apply-v at --x and apply-vt at --y
     f = get_test_function(args.function)
-    res = apply_V(k, f, args.x)
-    record = {
-        "k1": args.k1, "k2": args.k2, "function": f.id, "x": args.x,
-        "value": res.value, "est_error": res.est_error,
-    }
-    _emit(_record_text(record, args.format), args.out)
-    return EXIT_OK
-
-
-def _cmd_apply_vt(args) -> int:
-    k = Multiplicity(args.k1, args.k2)
-    g = get_test_function(args.function)
-    res = apply_Vt(k, g, args.y)
-    record = {
-        "k1": args.k1, "k2": args.k2, "function": g.id, "y": args.y,
-        "value": res.value, "est_error": res.est_error,
-    }
-    _emit(_record_text(record, args.format), args.out)
-    return EXIT_OK
+    at = getattr(args, args.at)
+    res = args.op(Multiplicity(args.k1, args.k2), f, at)
+    return _emit_point(args, function=f.id, **{args.at: at},
+                       value=res.value, est_error=res.est_error)
 
 
 def _verify_rows_text(rows, fmt) -> str:
@@ -164,8 +145,7 @@ def _verify_rows_text(rows, fmt) -> str:
 
 def _cmd_verify(args) -> int:
     if args.tol is not None and not args.tol > 0:
-        print(f"error: tolerance override must be > 0, got {args.tol}", file=sys.stderr)
-        return EXIT_ARGS
+        raise DomainError(f"tolerance override must be > 0, got {args.tol}")
     rows = run_suite(args.suite, args.tol)
     _emit(_verify_rows_text(rows, args.format), args.out)
     failed = sum(1 for row in rows if not row["pass"])
@@ -201,10 +181,9 @@ def _cmd_scan(args) -> int:
     return EXIT_OK if report.all_positive else EXIT_FAIL
 
 
-def _add_common(parser, with_format=True):
+def _add_common(parser, default_format="json"):
     parser.add_argument("--out", default=None, help="write the report to this path")
-    if with_format:
-        parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--format", choices=("json", "csv"), default=default_format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="registry id, e.g. plane_wave:1.5, monomial:2, gaussian, bump:2")
     p.add_argument("--x", type=float, required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_apply_v)
+    p.set_defaults(func=_cmd_apply, op=apply_V, at="x")
 
     p = sub.add_parser("apply-vt", help="apply the dual operator (needs compact support)")
     p.add_argument("--k1", type=float, required=True)
@@ -246,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True, help="registry id with support, e.g. bump:2")
     p.add_argument("--y", type=float, required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_apply_vt)
+    p.set_defaults(func=_cmd_apply, op=apply_Vt, at="y")
 
     p = sub.add_parser("verify", help="run a verification suite over the built-in grids")
     p.add_argument("--suite", choices=("all",) + tuple(sorted(SUITES)), default="all")
@@ -262,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--yfrac-range", default=None,
                    help="lo:hi:count with |fraction| < 1; write "
                         "--yfrac-range=-0.99:0.99:9 for negative lo")
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--out", default=None)
+    _add_common(p, default_format="csv")
     p.set_defaults(func=_cmd_scan)
 
     return parser

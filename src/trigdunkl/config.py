@@ -1,4 +1,4 @@
-"""Central defaults: quadrature sizes, tolerances, and verification grids.
+"""Central defaults: numeric knobs, tolerances, and verification grids.
 
 Every tunable lives here and nowhere else.  The only per-run override is
 ``trigdunkl verify --tol``; no environment variables are consulted.  The
@@ -13,14 +13,12 @@ from dataclasses import dataclass
 class Numerics:
     """Quadrature and finite-difference knobs.
 
-    jacobi_nodes      not read by the package: kernel values are closed-form
-                      series; the benchmark's trace counts node evaluations
-                      with it (and with ``tanh_sinh_level``, unread too).
+    No rule size is set here: kernel values are closed-form series, and the
+    outer integrals pick their own level (``quadrature._outer_sums``).
+
+    jacobi_nodes      not read by the package; the benchmark's trace counts
+                      node evaluations with it (and ``tanh_sinh_level``).
     tanh_sinh_level   see ``jacobi_nodes``.
-    operator_level    tanh-sinh level of the outer integral of V.
-    nested_level      level of tV's outer integral, of the nested ``ktilde``
-                      form, and of V or tV inside another integral (duality
-                      checking), where each abscissa costs an inner batch.
     fd_step_scale     relative step for finite-difference derivatives of
                       integral-operator outputs.
     series_max_terms  hypergeometric series term cap.
@@ -28,8 +26,6 @@ class Numerics:
 
     jacobi_nodes: int = 64
     tanh_sinh_level: int = 8
-    operator_level: int = 6
-    nested_level: int = 4
     fd_step_scale: float = 1e-4
     series_max_terms: int = 20_000
 

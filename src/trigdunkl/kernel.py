@@ -52,10 +52,9 @@ import math
 
 import numpy as np
 
-from .config import NUMERICS
 from .errors import DomainError, EvaluationError
 from .params import KernelPoint, Multiplicity
-from .quadrature import EvalResult, _as_scalar, _tanh_sinh_full
+from .quadrature import _EPS, _TS_FULL_GAP, EvalResult, _as_scalar, _outer_sums
 from .specfun import _loggamma_parts, gamma_real
 
 # inner method of every kernel value, as ``operators`` and point results name it
@@ -63,7 +62,6 @@ METHOD = "euler-2f1"
 
 _SQRT_PI = math.sqrt(math.pi)
 _LOG2 = math.log(2.0)
-_EPS = np.finfo(float).eps
 _LOG_TAIL = math.log(1e-17)     # series terms below this share of the first are dropped
 _C_MINUS_1 = np.array([[1.0], [2.0]])   # c - 1 - alpha - beta of the two series
 
@@ -152,14 +150,18 @@ def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, log_pref=(
     cancellation keep it exact.
     """
     a = np.cosh(xa)
-    f1, f2 = np.sinh(xa - gap / 2.0), np.sinh(gap / 2.0)     # (xa + ya)/2, gap/2
+    half = gap / 2.0
+    f1, f2 = np.sinh(xa - half), np.sinh(half)     # (xa + ya)/2, gap/2
     log_f = np.log(f1) + np.log(f2)
     log_d, size_d = _log_constant(k)
     log_scale = sum(log_pref, log_d + (alpha + beta + 1.0) * log_f)
     # each log part rounds where it is formed and where it is added; the
-    # power alpha + beta + 1 is only as exact as its parts
+    # power alpha + beta + 1 is only as exact as its parts, and log f2 only
+    # as exact as gap/2, which keeps few bits when subnormal (0 if fully lost)
+    ulp = np.spacing(half)
+    size_f = np.abs(log_f) + ulp / np.maximum(half, ulp) / (2.0 * _EPS)
     size = sum((np.abs(p) for p in log_pref),
-               size_d + (abs(alpha) + abs(beta) + 1.0) * np.abs(log_f))
+               size_d + (abs(alpha) + abs(beta) + 1.0) * size_f)
     q0, rise = (1.0, 0.0) if q is None else q(f1, f2)
     w = f1 * f2 / a
     w_max = float(w.max(initial=0.0))
@@ -286,16 +288,18 @@ def jacobi_kernel(k: Multiplicity, x: float, y: float) -> EvalResult:
 
 def _ktilde_defining(k, x, y):
     # nested route: integrate the cosine-setting kernel against its measure
-    lv = NUMERICS.nested_level
-    xa, ya = abs(x), abs(y)
-    t, w, glo, ghi, wc = _tanh_sinh_full(lv)
-    half = 0.5 * (xa - ya)
-    # inner endpoint w -> |y| carries the (w - |y|)^{k1+k2-1} singularity
-    vals, bars = _cosine_terms(k, ya + half * glo, half * glo, with_density=True)
-    value = half * (vals @ w)
-    # each inner value brings its own error bar into the sum
-    est = abs(value - half * (vals @ wc)) + half * (bars @ w) + 8.0 * _EPS * abs(value)
-    return _point_result(value, est, f"nested tanh-sinh(level={lv}) x {METHOD}")
+    ya = abs(y)
+    half = 0.5 * (abs(x) - ya)
+
+    def integrand(_, t, glo, ghi):
+        # inner endpoint w -> |y| carries the (w - |y|)^{k1+k2-1} singularity,
+        # resolved down to gap 1e-280 (at small Re(k1+k2) a shallower cut
+        # would drop a visible share)
+        vals, bars = _cosine_terms(k, ya + half * glo, half * glo, with_density=True)
+        return vals[None, None], bars[None, None], half
+
+    values, est, rule = _outer_sums([x], [True], 0.0, integrand, _TS_FULL_GAP)
+    return _point_result(values[0], est[0], f"nested {rule} x {METHOD}")
 
 
 _KTILDE_FORMS = ("direct", "byparts", "defining")
@@ -339,13 +343,10 @@ def kernel_K_mourou(k: Multiplicity, x: float, y: float) -> EvalResult:
     """
     KernelPoint(x, y)
     xh, yh = x / 2.0, y / 2.0
-    kj = jacobi_kernel(k, xh, yh)
-    kt = ktilde(k, xh, yh, "direct")
-    dk = dktilde_dy(k, xh, yh)
-    sgn = math.copysign(1.0, x)
-    ainv = 1.0 / weight_A(k, x)
-    coef_t = sgn * (k.k1 / 4.0 + k.k2 / 2.0) * ainv
-    coef_d = -sgn * 0.25 * ainv
-    value = 0.25 * kj.value + coef_t * kt.value + coef_d * dk.value
-    est = 0.25 * kj.est_error + abs(coef_t) * kt.est_error + abs(coef_d) * dk.est_error
-    return EvalResult(_as_scalar(value), float(est), f"mourou[{kj.method}]")
+    sgn_ainv = math.copysign(1.0, x) / weight_A(k, x)
+    terms = ((0.25, jacobi_kernel(k, xh, yh)),
+             (sgn_ainv * (k.k1 / 4.0 + k.k2 / 2.0), ktilde(k, xh, yh, "direct")),
+             (-0.25 * sgn_ainv, dktilde_dy(k, xh, yh)))
+    value = sum(c * res.value for c, res in terms)
+    est = sum(abs(c) * res.est_error for c, res in terms)
+    return EvalResult(_as_scalar(value), float(est), f"mourou[{terms[0][1].method}]")

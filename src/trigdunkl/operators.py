@@ -21,9 +21,9 @@ import numpy as np
 from . import config
 from .config import NUMERICS
 from .errors import ContractError, DomainError, EvaluationError
-from .kernel import METHOD, _EPS, _kernel_values, weight_A
+from .kernel import METHOD, _kernel_values, _point_result, weight_A
 from .params import Multiplicity
-from .quadrature import EvalResult, _as_scalar, _tanh_sinh_full
+from .quadrature import EvalResult, _as_scalar, _outer_sums
 
 
 @dataclass(frozen=True)
@@ -86,26 +86,20 @@ def bump(a: float = config.BUMP_SUPPORT) -> TestFunction:
     if a <= 0:
         raise DomainError(f"bump support must be > 0, got {a}")
 
-    def _eval(y):
-        y = np.asarray(y, dtype=float)
-        s = y / a
-        inside = np.abs(s) < 1.0
-        out = np.zeros(s.shape, dtype=float)
-        si = s[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - si * si))
-        return out if out.ndim else out.item()
+    def inside(form):
+        # form(s, 1 - s^2) at s = y/a inside (-1, 1), zero outside
+        def fn(y):
+            s = np.asarray(y, dtype=float) / a
+            mask = np.abs(s) < 1.0
+            out = np.zeros(s.shape, dtype=float)
+            si = s[mask]
+            out[mask] = form(si, 1.0 - si * si)
+            return out if out.ndim else out.item()
+        return fn
 
-    def _deriv(y):
-        y = np.asarray(y, dtype=float)
-        s = y / a
-        inside = np.abs(s) < 1.0
-        out = np.zeros(s.shape, dtype=float)
-        si = s[inside]
-        q = 1.0 - si * si
-        out[inside] = np.exp(-1.0 / q) * (-2.0 * si / a) / (q * q)
-        return out if out.ndim else out.item()
-
-    return TestFunction(id=f"bump({a})", eval=_eval, deriv=_deriv, support=a)
+    return TestFunction(id=f"bump({a})", eval=inside(lambda s, q: np.exp(-1.0 / q)),
+                        deriv=inside(lambda s, q: np.exp(-1.0 / q) * (-2.0 * s / a) / (q * q)),
+                        support=a)
 
 
 _REGISTRY = {
@@ -164,76 +158,41 @@ def _d_cothtanh(k: Multiplicity, x: float, deriv, fx, fmx):
     return deriv + coeff * (fx - fmx) - k.rho * fmx
 
 
-_BATCH = 64  # outer abscissae per kernel batch, temporaries ~20 MB at level 6 (~40 MB complex k)
 _SCAN_CHUNK = 4096  # scan cells per kernel call, keeps temporaries ~3 MB
+_MIRROR = np.array([1.0, -1.0])[:, None, None]   # an outer piece and its mirror image
 
 
-# Outer integrands behave like gap^{k1+k2-1} times smooth factors, so
-# cutting the outer rule at endpoint gap 1e-60 discards O(1e-60^{Re(k1+k2)});
-# the cut keeps the nested gap products (outer abscissa times inner endpoint
-# distance) representable in double precision.
-_OUTER_GAP = 1e-60
-
-
-def _outer_sums(k, points, active, fill, level, sides):
-    """Outer tanh-sinh integrals at the ``active`` ones of ``points``, in batches.
-
-    ``sides(batch, t, glo, ghi)`` yields, per half of the domain, the
-    integrand at the abscissae (one row per point), its error bar and the
-    half-width.  Returns the values (``fill`` elsewhere), error estimates
-    (against the level below, plus the integrand's rounding) and the method.
-    """
-    t, w, glo, ghi, wc = _tanh_sinh_full(level, _OUTER_GAP)
-    points = np.asarray(points, dtype=float)
-    values = np.zeros(points.shape, dtype=complex)
-    values[~active] = fill
-    est = np.zeros(points.shape)
-    idx = np.flatnonzero(active)
-    for i in range(0, idx.size, _BATCH):
-        sl = idx[i:i + _BATCH]
-        for integrand, bar, half in sides(points[sl], t, glo, ghi):
-            fine = (integrand @ w) * half
-            values[sl] += fine
-            # products with f and the measure, and the sum, round each term
-            rounding = (bar + 8.0 * _EPS * np.abs(integrand)) @ w * half
-            est[sl] += np.abs(fine - (integrand @ wc) * half) + rounding
-    return values, est, f"tanh-sinh(level={level}) x {METHOD}"
-
-
-def _v_batch(k, f, xs, level):
-    """Vf at points xs (f(0) at 0), each half of (-|x|, |x|) from its end at 0."""
-    def sides(xb, t, glo, ghi):
+def _v_batch(k, f, xs):
+    """Vf at points xs (f(0) at 0) over (0, |x|) and its mirror; both share the kernel series."""
+    def integrand(xb, t, glo, ghi):
         xa = np.abs(xb)[:, None]
-        for y, gap in ((0.5 * xa * glo, 0.5 * xa * ghi),      # (0, |x|)
-                       (-0.5 * xa * ghi, 0.5 * xa * glo)):    # (-|x|, 0)
-            kv, kb = _kernel_values(k, xb[:, None], y, gap=gap)
-            fy = np.asarray(f.eval(y))
-            yield kv * fy, kb * np.abs(fy), 0.5 * xa[:, 0]
+        y = _MIRROR * (0.5 * xa * glo)
+        kv, kb = _kernel_values(k, xb[:, None], y, gap=0.5 * xa * ghi)
+        fy = np.asarray(f.eval(y))
+        return kv * fy, kb * np.abs(fy), 0.5 * xa[:, 0]
 
     nonzero = np.asarray(xs) != 0.0
     fill = 0.0 if nonzero.all() else f.eval(0.0)
-    return _outer_sums(k, xs, nonzero, fill, level, sides)
+    return _outer_sums(xs, nonzero, fill, integrand)
 
 
-def _vt_batch(k, g, ys, level):
-    """tVg at points ys, each sign of x from its singular end -/+ |y|.
+def _vt_batch(k, g, ys):
+    """tVg at points ys, over (|y|, a) from its singular end |y| and its mirror.
 
     Zero outside the support [-a, a] of g.
     """
     a = float(g.support)
 
-    def sides(yb, t, glo, ghi):
+    def integrand(yb, t, glo, ghi):
         ya = np.abs(yb)[:, None]
         span = a - ya
-        for x, gap in ((np.where(t <= 0.0, ya + 0.5 * span * glo, a - 0.5 * span * ghi),
-                        0.5 * span * glo),
-                       (np.where(t >= 0.0, -ya - 0.5 * span * ghi, -a + 0.5 * span * glo),
-                        0.5 * span * ghi)):
-            kv, kb = _kernel_values(k, x, yb[:, None], gap=gap)
-            ga = np.asarray(g.eval(x)) * np.asarray(weight_A(k, x))
-            yield kv * ga, kb * np.abs(ga), 0.5 * span[:, 0]
+        # abscissae as exact offsets from the nearer end
+        x = _MIRROR * np.where(t <= 0.0, ya + 0.5 * span * glo, a - 0.5 * span * ghi)
+        kv, kb = _kernel_values(k, x, yb[:, None], gap=0.5 * span * glo)
+        ga = np.asarray(g.eval(x)) * np.asarray(weight_A(k, x))
+        return kv * ga, kb * np.abs(ga), 0.5 * span[:, 0]
 
-    return _outer_sums(k, ys, np.abs(ys) < a, 0.0, level, sides)
+    return _outer_sums(ys, np.abs(ys) < a, 0.0, integrand)
 
 
 def apply_V(k: Multiplicity, f: TestFunction, x: float) -> EvalResult:
@@ -248,8 +207,8 @@ def apply_V(k: Multiplicity, f: TestFunction, x: float) -> EvalResult:
         raise DomainError(f"non-finite evaluation point {x!r}")
     if x == 0:
         return EvalResult(_as_scalar(f.eval(0.0)), 0.0, "point-evaluation")
-    values, est, method = _v_batch(k, f, [x], NUMERICS.operator_level)
-    return EvalResult(_as_scalar(values[0]), float(est[0]), method)
+    values, est, rule = _v_batch(k, f, [x])
+    return _point_result(values[0], est[0], f"{rule} x {METHOD}")
 
 
 def apply_Vt(k: Multiplicity, g: TestFunction, y: float) -> EvalResult:
@@ -264,8 +223,8 @@ def apply_Vt(k: Multiplicity, g: TestFunction, y: float) -> EvalResult:
         raise DomainError(f"non-finite evaluation point {y!r}")
     if abs(y) >= float(g.support):
         return EvalResult(0.0, 0.0, "empty-domain")
-    values, est, method = _vt_batch(k, g, [y], NUMERICS.nested_level)
-    return EvalResult(_as_scalar(values[0]), float(est[0]), method)
+    values, est, rule = _vt_batch(k, g, [y])
+    return _point_result(values[0], est[0], f"{rule} x {METHOD}")
 
 
 def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
@@ -277,14 +236,19 @@ def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
     if g.support is None:
         raise ContractError(f"{g.id} declares no compact support")
     a = float(g.support)
-    lv = NUMERICS.nested_level
-    t, w, glo, ghi, _ = _tanh_sinh_full(lv, _OUTER_GAP)
-    # both halves of (-a, a) at once, each mapped from its end at 0
-    xs = 0.5 * a * np.concatenate((glo, -ghi))
-    w = 0.5 * a * np.concatenate((w, w))
-    vf = _v_batch(k, f, xs, lv)[0]
-    lhs = (vf * np.asarray(g.eval(xs)) * np.asarray(weight_A(k, xs))) @ w
-    rhs = (np.asarray(f.eval(xs)) * _vt_batch(k, g, xs, lv)[0]) @ w
+
+    def pairing(outer, inner):
+        # integral of outer(x) inner(x) over (0, a) mapped from 0 and its mirror
+        def integrand(_, t, glo, ghi):
+            x = _MIRROR * (0.5 * a * glo)
+            u = np.asarray(outer(x))
+            v, v_est = inner(x.ravel())[:2]
+            return u * v.reshape(x.shape), np.abs(u) * v_est.reshape(x.shape), 0.5 * a
+        return _outer_sums([a], [True], 0.0, integrand)[0][0]
+
+    lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x),
+                  lambda x: _v_batch(k, f, x))
+    rhs = pairing(f.eval, lambda x: _vt_batch(k, g, x))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -299,7 +263,7 @@ def intertwine_gap(k: Multiplicity, f: TestFunction, x: float) -> float:
     if f.deriv is None:
         raise ContractError(f"{f.id} has no derivative")
     h = NUMERICS.fd_step_scale * max(1.0, abs(x))
-    v_fwd, v_bwd, v_x, v_mx = _v_batch(k, f, [x + h, x - h, x, -x], NUMERICS.operator_level)[0]
+    v_fwd, v_bwd, v_x, v_mx = _v_batch(k, f, [x + h, x - h, x, -x])[0]
     lhs = _d_cothtanh(k, x, (v_fwd - v_bwd) / (2.0 * h), v_x, v_mx)
     f_prime = TestFunction(id=f"{f.id}'", eval=f.deriv, support=f.support)
     rhs = apply_V(k, f_prime, x).value

@@ -20,6 +20,11 @@ stay distinct and inside (-1, 1).  Each rule comes with its coarser companion
 (n beside 2n Gauss nodes; a tanh-sinh level's even-indexed nodes, which are
 the level below) as a second weight vector ``wc`` on the same nodes, so every
 integral forms its value and error estimate as ``vals @ w`` and ``vals @ wc``.
+
+``_outer_sums``, the outer integral of V, tV, the duality pairing and the
+nested ``ktilde`` form, picks the tanh-sinh level per point: from level 4
+up, the first whose companion agrees to sqrt(eps) times the sum of
+|integrand| w (each level roughly squares the error of the one below).
 """
 
 import math
@@ -35,6 +40,15 @@ _MAX_GAUSS_N = 512
 _MAX_TS_LEVEL = 12
 _TS_FULL_GAP = 1e-280   # keep tail nodes while 1-|t| stays comfortably normal
 _TS_PUBLIC_GAP = 1e-12  # node floats are distinct and < 1 above this gap
+_EPS = np.finfo(float).eps
+# Outer integrands behave like gap^{k1+k2-1} times smooth factors, so
+# cutting the outer rule at endpoint gap 1e-60 discards O(1e-60^{Re(k1+k2)});
+# the cut keeps the nested gap products (outer abscissa times inner endpoint
+# distance) representable in double precision.
+_OUTER_GAP = 1e-60
+# points x nodes per outer batch (16 points at level 4): temporaries ~2 MB
+# (~4 MB for complex k) at any level
+_OUTER_NODES = 16 * 143
 
 
 @dataclass(frozen=True)
@@ -174,6 +188,44 @@ def tanh_sinh(level: int) -> QuadratureRule:
     nodes, weights, gap_lo, gap_hi, _ = _tanh_sinh_full(level, _TS_PUBLIC_GAP)
     return QuadratureRule(f"tanh-sinh(level={level})", nodes, weights, gap_lo, gap_hi,
                           level=level)
+
+
+def _outer_sums(points, active, fill, integrand, cut=_OUTER_GAP):
+    """Outer tanh-sinh integrals at the ``active`` ones of ``points``, each at its own level.
+
+    ``integrand(batch, t, glo, ghi)`` returns the integrand at the abscissae
+    of the rule cut at endpoint gap ``cut`` (pieces of the domain x points x
+    nodes), its error bar and the pieces' half-width per point.  The rules
+    are symmetric, so a piece's mirror image takes the same abscissae
+    negated.  Each level is computed whole, ``_OUTER_NODES`` points x nodes
+    a batch, until every point stops or ``_MAX_TS_LEVEL``.  Returns the
+    values (``fill`` elsewhere), error estimates (the difference from the
+    level below plus the integrand's rounding) and the highest rule used.
+    """
+    points = np.asarray(points, dtype=float)
+    values = np.full(points.shape, fill, dtype=complex)
+    est = np.zeros(points.shape)
+    todo = np.flatnonzero(active)
+    for level in range(4, _MAX_TS_LEVEL + 1):
+        t, w, glo, ghi, wc = _tanh_sinh_full(level, cut)
+        step = max(1, _OUTER_NODES // t.size)
+        done = np.zeros(todo.size, dtype=bool)
+        for i in range(0, todo.size, step):
+            sl = todo[i:i + step]
+            vals, bars, half = integrand(points[sl], t, glo, ghi)
+            fine = vals @ w
+            diff = np.abs(fine - vals @ wc).sum(0) * half
+            mags = (np.abs(vals) @ w).sum(0) * half
+            # a NaN difference stops at once: no level makes it finite
+            stop = ~(diff > math.sqrt(_EPS) * mags) | (level == _MAX_TS_LEVEL)
+            values[sl[stop]] = (fine.sum(0) * half)[stop]
+            # products with f and the measure, and the sum, round each term
+            est[sl[stop]] = (diff + (bars @ w).sum(0) * half + 8.0 * _EPS * mags)[stop]
+            done[i:i + step] = stop
+        todo = todo[~done]
+        if not todo.size:
+            break
+    return values, est, f"tanh-sinh(level={level})"
 
 
 def _gauss_jacobi_pair(n: int, alpha: float, beta: float):

@@ -90,10 +90,10 @@ def _series_2f1(a, b, c, z):
 def hyp2f1(a, b, c, z) -> complex:
     """Gauss hypergeometric 2F1(a, b; c; z) for complex a, b, c and real z < 1.
 
-    Uses the power series directly for |z| < 1/2 and the Pfaff transformation
-    onto w = z/(z-1) in [0, 1) otherwise, which covers every z <= 0 with a
-    single convergent series.  Raises NonConvergenceError (carrying the
-    partial sum) if ``NUMERICS.series_max_terms`` terms do not converge.
+    Uses the power series directly for -1/2 < z < 1 and the Pfaff
+    transformation onto w = z/(z-1) in [1/3, 1) for z <= -1/2, so every
+    z < 1 takes one convergent series.  Raises NonConvergenceError (carrying
+    the partial sum) if ``NUMERICS.series_max_terms`` terms do not converge.
     """
     if isinstance(z, complex):
         if z.imag != 0.0:
@@ -109,13 +109,21 @@ def hyp2f1(a, b, c, z) -> complex:
         raise DomainError(f"hyp2f1 lower parameter c={c} is a non-positive integer")
     if z == 0.0:
         return 1.0 + 0.0j
-    if abs(z) < 0.5:
+    if z > -0.5:
         return _series_2f1(complex(a), complex(b), complex(c), z)
-    # Pfaff map: 1 - z > 0 here, so the prefactor power is principal and real
+    # Pfaff map: 1 - z > 1 here, so the prefactor power is principal and real
     # based.
     w = z / (z - 1.0)
     pre = cmath.exp(-complex(a) * math.log1p(-z))
     return pre * _series_2f1(complex(a), complex(c) - complex(b), complex(c), w)
+
+
+def _minus_sinh_sq(t: float) -> float:
+    """-sinh(t)^2, the blocks' argument; DomainError where it overflows (|t| >~ 355)."""
+    try:
+        return -math.sinh(t) ** 2
+    except OverflowError:
+        raise DomainError(f"-sinh({t!r})^2 is not a finite double") from None
 
 
 def jacobi_phi(alpha: float, beta: float, lam, t: float) -> complex:
@@ -130,7 +138,7 @@ def jacobi_phi(alpha: float, beta: float, lam, t: float) -> complex:
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise DomainError(f"non-finite spectral parameter {lam!r}")
     r = complex(alpha) + complex(beta) + 1.0
-    zz = -math.sinh(t) ** 2
+    zz = _minus_sinh_sq(t)
     return hyp2f1((r + 1j * lam) / 2, (r - 1j * lam) / 2, complex(alpha) + 1.0, zz)
 
 
@@ -152,7 +160,7 @@ def opdam_G(k: Multiplicity, lam, x: float) -> complex:
     if _is_nonpositive_integer(s + 0.5) or _is_nonpositive_integer(s + 1.5):
         raise DomainError(f"k1 + k2 = {s} hits a hypergeometric pole")
     rho = k.rho
-    zz = -math.sinh(x / 2.0) ** 2
+    zz = _minus_sinh_sq(x / 2.0)
     f1 = hyp2f1(rho + 1j * lam, rho - 1j * lam, s + 0.5, zz)
     f2 = hyp2f1(rho + 1.0 + 1j * lam, rho + 1.0 - 1j * lam, s + 1.5, zz)
     return f1 + (rho + 1j * lam) / (2.0 * s + 1.0) * math.sinh(x) * f2

@@ -74,6 +74,14 @@ class TestOpdamCommand:
         assert set(record["value"]) == {"re", "im"}
         assert record["value"]["im"] != 0.0
 
+    def test_overflowing_argument_exit_2(self, capsys):
+        # -sinh^2(400) is not a finite double
+        code, out, err = run_cli(capsys, "opdam", "--k1", "0.5", "--k2", "0.5",
+                                 "--lam", "1", "--x", "800")
+        assert code == 2
+        assert out == ""
+        assert "finite double" in err
+
 
 class TestApplyCommands:
     def test_apply_v_matches_opdam(self, capsys):
@@ -83,6 +91,15 @@ class TestApplyCommands:
                               "--lam", "1.5", "--x", "1.0")
         v, g = json.loads(out_v)["value"], json.loads(out_g)["value"]
         assert abs(complex(v["re"], v["im"]) - complex(g["re"], g["im"])) < 1e-6
+
+    @pytest.mark.parametrize("argv", [
+        ("apply-v", "--function", "plane_wave:1", "--x", "800"),
+        ("apply-vt", "--function", "bump:800", "--y", "1"),
+    ], ids=["apply-v", "apply-vt"])
+    def test_non_finite_value_exit_3(self, capsys, argv):
+        code, out, _ = run_cli(capsys, argv[0], "--k1", "0.5", "--k2", "0.5", *argv[1:])
+        assert code == 3
+        assert out == ""
 
     def test_apply_vt_requires_support(self, capsys):
         code, _, err = run_cli(capsys, "apply-vt", "--k1", "0.5", "--k2", "0.5",

@@ -265,6 +265,17 @@ class TestKernelReference:
         assert abs(res.value - ref) <= 1e-13 * abs(ref)
         assert abs(res.value - ref) <= res.est_error
 
+    @pytest.mark.parametrize("k1, k2", [(0.5, 0.5), (1.5, 0.3)])
+    def test_subnormal_gap_within_error_bar(self, k1, k2):
+        # the gap |x| - |y| ~ 2e-312 is subnormal, so halving it rounds it
+        x = 2e-308
+        y = -0.9999 * x
+        pytest.importorskip("mpmath")
+        ref = _kernel_closed_form(k1, k2, x, y)
+        res = kernel_K(Multiplicity(k1, k2), x, y)
+        assert abs(res.value - ref) <= res.est_error
+        assert res.est_error <= 1e-10 * abs(ref)
+
     def test_error_bars_cover_reference(self):
         # scan-like points, where the exponent's rounding exceeds 8 eps
         pytest.importorskip("mpmath")

@@ -128,11 +128,34 @@ class TestApplyV:
             assert abs(res.value - target) <= 1e-6 * (1.0 + abs(target)), k
 
     def test_method_names_inner_rule(self):
-        # the kernel is a closed-form series for real and complex k alike
+        # the kernel is a closed-form series for real and complex k alike;
+        # the outer rule names the highest level its stop rule needed
         for k in (Multiplicity(0.5, 0.7), Multiplicity(0.5 + 0.2j, 0.7)):
-            assert apply_V(k, plane_wave(1.5), 1.0).method == "tanh-sinh(level=6) x euler-2f1"
+            assert apply_V(k, plane_wave(1.5), 1.0).method == "tanh-sinh(level=4) x euler-2f1"
             assert apply_Vt(k, bump(2.0), 0.5).method == "tanh-sinh(level=4) x euler-2f1"
             assert kernel_K(k, 1.0, 0.3).method == "euler-2f1"
+
+    @pytest.mark.parametrize("x", [3.0, -3.0])
+    def test_level_above_start_within_error(self, x):
+        # e^{20 i y} needs more than level 4 over (-3, 3); the level reached
+        # keeps |V - G| within the reported error
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            s, rho, lam, z = mp.mpf(1), mp.mpf(0.75), 20, -mp.sinh(mp.mpf(x) / 2) ** 2
+            f1 = mp.hyp2f1(rho + 1j * lam, rho - 1j * lam, s + 0.5, z)
+            f2 = mp.hyp2f1(rho + 1 + 1j * lam, rho + 1 - 1j * lam, s + 1.5, z)
+            ref = complex(f1 + (rho + 1j * lam) / (2 * s + 1) * mp.sinh(mp.mpf(x)) * f2)
+        res = apply_V(Multiplicity(0.5, 0.5), plane_wave(20.0), x)
+        assert res.method != "tanh-sinh(level=4) x euler-2f1"
+        assert abs(res.value - ref) <= res.est_error
+
+    @pytest.mark.parametrize("op, f, at", [(apply_V, plane_wave(1.0), 800.0),
+                                           (apply_Vt, bump(800.0), 1.0)],
+                             ids=["apply_V", "apply_Vt"])
+    def test_non_finite_value_raises(self, op, f, at):
+        # far out the kernel's weight overflows; no NaN is returned
+        with pytest.raises(EvaluationError):
+            op(Multiplicity(0.5, 0.5), f, at)
 
     def test_error_bars_cover_reference(self):
         # the bar carries the outer rule's error, each kernel value's bar

@@ -55,7 +55,7 @@ class TestHyp2F1:
 
     def test_log_identity(self):
         # 2F1(1,1;2;z) = -log(1-z)/z
-        for z in (-1.0, -0.25, 0.4, -7.0):
+        for z in (-1.0, -0.25, 0.4, -7.0, 0.5, 0.7, 0.9):
             assert hyp2f1(1, 1, 2, z) == pytest.approx(-math.log1p(-z) / z, rel=1e-12)
 
     def test_binomial_identity(self):
@@ -156,6 +156,14 @@ class TestOpdamG:
         assert abs(g_plus - g_minus) > 1e-3
         sinh_term = g_plus - g_minus  # twice the odd part
         assert sinh_term.real > 0  # odd part carries the sign of sinh(x)
+
+    @pytest.mark.parametrize("x", [800.0, -1500.0, math.inf, math.nan])
+    def test_overflowing_argument_rejected(self, x):
+        # -sinh^2(x/2) is not a finite double
+        with pytest.raises(DomainError):
+            opdam_G(Multiplicity(0.5, 0.5), 1.0, x)
+        with pytest.raises(DomainError):
+            jacobi_phi(0.5, 0.5, 1.0, x / 2.0)
 
     def test_complex_multiplicity_accepted(self):
         val = opdam_G(Multiplicity(0.5 + 0.1j, 0.8), 1.0, 0.7)
