@@ -1,8 +1,9 @@
 """Command-line front end: point evaluations, verification suites, scans.
 
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 numerical
-non-convergence.  Output is deterministic: fixed field order and shortest
-round-trip float formatting, JSON or CSV, to stdout or --out.
+failure (non-convergence, or a non-finite value).  Output is deterministic:
+fixed field order and shortest round-trip float formatting, JSON or CSV, to
+stdout or --out.
 """
 
 import argparse
@@ -186,46 +187,38 @@ def _add_common(parser, default_format="json"):
     parser.add_argument("--format", choices=("json", "csv"), default=default_format)
 
 
+_REQUIRED_FLOAT = {"type": float, "required": True}
+
+
+def _add_point_command(sub, name, text, options, **defaults):
+    """A point subcommand: --k1, --k2, ``options`` ({flag: keywords}), --out, --format."""
+    p = sub.add_parser(name, help=text)
+    for flag, keywords in {"--k1": _REQUIRED_FLOAT, "--k2": _REQUIRED_FLOAT, **options}.items():
+        p.add_argument(flag, **keywords)
+    _add_common(p)
+    p.set_defaults(**defaults)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trigdunkl",
         description="Evaluate and verify the trigonometric intertwining kernel machinery.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("kernel", help="evaluate the kernel at one point")
-    p.add_argument("--k1", type=float, required=True)
-    p.add_argument("--k2", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--method", choices=("direct", "mourou"), default="direct")
-    _add_common(p)
-    p.set_defaults(func=_cmd_kernel)
-
-    p = sub.add_parser("opdam", help="evaluate the deformed exponential eigenfunction")
-    p.add_argument("--k1", type=float, required=True)
-    p.add_argument("--k2", type=float, required=True)
-    p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_opdam)
-
-    p = sub.add_parser("apply-v", help="apply the intertwining operator")
-    p.add_argument("--k1", type=float, required=True)
-    p.add_argument("--k2", type=float, required=True)
-    p.add_argument("--function", required=True,
-                   help="registry id, e.g. plane_wave:1.5, monomial:2, gaussian, bump:2")
-    p.add_argument("--x", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_apply, op=apply_V, at="x")
-
-    p = sub.add_parser("apply-vt", help="apply the dual operator (needs compact support)")
-    p.add_argument("--k1", type=float, required=True)
-    p.add_argument("--k2", type=float, required=True)
-    p.add_argument("--function", required=True, help="registry id with support, e.g. bump:2")
-    p.add_argument("--y", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_apply, op=apply_Vt, at="y")
+    _add_point_command(sub, "kernel", "evaluate the kernel at one point",
+                       {"--x": _REQUIRED_FLOAT, "--y": _REQUIRED_FLOAT,
+                        "--method": {"choices": ("direct", "mourou"), "default": "direct"}},
+                       func=_cmd_kernel)
+    _add_point_command(sub, "opdam", "evaluate the deformed exponential eigenfunction",
+                       {"--lam": _REQUIRED_FLOAT, "--x": _REQUIRED_FLOAT}, func=_cmd_opdam)
+    _add_point_command(sub, "apply-v", "apply the intertwining operator",
+                       {"--function": {"required": True, "help": "registry id, e.g. "
+                                       "plane_wave:1.5, monomial:2, gaussian, bump:2"},
+                        "--x": _REQUIRED_FLOAT}, func=_cmd_apply, op=apply_V, at="x")
+    _add_point_command(sub, "apply-vt", "apply the dual operator (needs compact support)",
+                       {"--function": {"required": True,
+                                       "help": "registry id with support, e.g. bump:2"},
+                        "--y": _REQUIRED_FLOAT}, func=_cmd_apply, op=apply_Vt, at="y")
 
     p = sub.add_parser("verify", help="run a verification suite over the built-in grids")
     p.add_argument("--suite", choices=("all",) + tuple(sorted(SUITES)), default="all")

@@ -44,17 +44,18 @@ log sinh((X-Y)/2), so tiny gaps stay representable.  Real and complex k
 differ only in how log D is formed.  Every value carries an error bar: the
 rounding of its exponent's log parts and of the series (the sum of its
 terms' magnitudes), plus the series' last term, which bounds the dropped
-tail.  A non-finite point value raises ``EvaluationError``.
+tail.  ``kernel_K`` takes scalars or arrays; a non-finite value raises
+``EvaluationError``.
 """
 
-import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError
 from .params import KernelPoint, Multiplicity
-from .quadrature import _EPS, _TS_FULL_GAP, EvalResult, _as_scalar, _outer_sums
+from .quadrature import _EPS, _TS_FULL_GAP, EvalResult, _outer_sums, _point_result
 from .specfun import _loggamma_parts, gamma_real
 
 # inner method of every kernel value, as ``operators`` and point results name it
@@ -66,6 +67,7 @@ _LOG_TAIL = math.log(1e-17)     # series terms below this share of the first are
 _C_MINUS_1 = np.array([[1.0], [2.0]])   # c - 1 - alpha - beta of the two series
 
 
+@lru_cache(maxsize=256)
 def _k12(k: Multiplicity):
     """(k1, k2) as floats on the real path, as complex numbers otherwise."""
     if k.real_positive:
@@ -107,6 +109,7 @@ def constant_c(k: Multiplicity) -> float:
     )
 
 
+@lru_cache(maxsize=256)     # every kernel call needs both, this one 12 us for complex k
 def _log_constant(k: Multiplicity):
     """(log D, the magnitude its rounding scales with); D as in the module docstring.
 
@@ -187,18 +190,10 @@ def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, log_pref=(
     return values, bars
 
 
-def _point_result(value, bar, method=METHOD) -> EvalResult:
-    """A point value with its error bar; raises if either is not finite."""
-    value, est = _as_scalar(value), float(bar)
-    if not (cmath.isfinite(value) and math.isfinite(est)):
-        raise EvaluationError(f"{method} gave the non-finite value {value!r}")
-    return EvalResult(value, est, method)
-
-
 def _ktilde_point(k, x, y, alpha, beta, q, pref) -> EvalResult:
     """pref D J'(alpha, beta; q) over (cosh |y|, cosh x), with its error bar."""
     value, bar = _cosh_gap_integral(k, abs(x), abs(x) - abs(y), alpha, beta, q)
-    return _point_result(pref * value, abs(pref) * bar)
+    return _point_result(pref * value, abs(pref) * bar, METHOD)
 
 
 def _kernel_values(k: Multiplicity, x, y, *, gap=None):
@@ -208,8 +203,12 @@ def _kernel_values(k: Multiplicity, x, y, *, gap=None):
     is what the endpoint power actually depends on, so integrators that know
     the gap exactly (double-exponential tails) must pass it.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    # one point goes in numpy scalars whatever its shape, so that it rounds
+    # alike: numpy rounds complex products of scalars and of arrays differently
+    shape = max(x.shape, y.shape, key=len) if gap is None and x.size == y.size == 1 else ()
+    if shape:
+        x, y = x.reshape(()), y.reshape(())
     xa = np.abs(x)
     if gap is None:
         gap = xa - np.abs(y)
@@ -226,13 +225,15 @@ def _kernel_values(k: Multiplicity, x, y, *, gap=None):
         lambda f1, f2: (e_fwd, -(2.0 * f1 / xa) * f2 * e_bwd),
         (-_log_weight(k, x), np.log(xa)),
     )
-    return np.sign(x) * values, bars
+    values = np.sign(x) * values
+    return (values.reshape(shape), bars.reshape(shape)) if shape else (values, bars)
 
 
-def kernel_K(k: Multiplicity, x: float, y: float) -> EvalResult:
-    """Main kernel at one admissible point: the ``_kernel_values`` value and error bar."""
+@np.errstate(all="ignore")   # a non-finite value raises instead
+def kernel_K(k: Multiplicity, x, y) -> EvalResult:
+    """Main kernel with error bars at admissible x, y: scalars or broadcasting arrays."""
     KernelPoint(x, y)
-    return _point_result(*_kernel_values(k, x, y))
+    return _point_result(*_kernel_values(k, x, y), METHOD)
 
 
 def _limit_kernel(k: float, x: float, y: float, name: str) -> float:
@@ -283,7 +284,7 @@ def _cosine_terms(k, x, gap, *, with_density=False):
 def jacobi_kernel(k: Multiplicity, x: float, y: float) -> EvalResult:
     """Kernel of the intertwining operator in the hyperbolic-cosine setting."""
     KernelPoint(x, y)
-    return _point_result(*_cosine_terms(k, x, abs(x) - abs(y)))
+    return _point_result(*_cosine_terms(k, x, abs(x) - abs(y)), METHOD)
 
 
 def _ktilde_defining(k, x, y):
@@ -298,7 +299,8 @@ def _ktilde_defining(k, x, y):
         vals, bars = _cosine_terms(k, ya + half * glo, half * glo, with_density=True)
         return vals[None, None], bars[None, None], half
 
-    values, est, rule = _outer_sums([x], [True], 0.0, integrand, _TS_FULL_GAP)
+    k1, k2 = _k12(k)
+    values, est, rule = _outer_sums([x], [True], 0.0, integrand, (k1 + k2).real, _TS_FULL_GAP)
     return _point_result(values[0], est[0], f"nested {rule} x {METHOD}")
 
 
@@ -349,4 +351,4 @@ def kernel_K_mourou(k: Multiplicity, x: float, y: float) -> EvalResult:
              (-0.25 * sgn_ainv, dktilde_dy(k, xh, yh)))
     value = sum(c * res.value for c, res in terms)
     est = sum(abs(c) * res.est_error for c, res in terms)
-    return EvalResult(_as_scalar(value), float(est), f"mourou[{terms[0][1].method}]")
+    return _point_result(value, est, f"mourou[{terms[0][1].method}]")

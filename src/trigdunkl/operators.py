@@ -20,10 +20,10 @@ import numpy as np
 
 from . import config
 from .config import NUMERICS
-from .errors import ContractError, DomainError, EvaluationError
-from .kernel import METHOD, _kernel_values, _point_result, weight_A
+from .errors import ContractError, DomainError
+from .kernel import METHOD, _kernel_values, kernel_K, weight_A
 from .params import Multiplicity
-from .quadrature import EvalResult, _as_scalar, _outer_sums
+from .quadrature import EvalResult, _outer_sums, _point_result
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,17 @@ _SCAN_CHUNK = 4096  # scan cells per kernel call, keeps temporaries ~3 MB
 _MIRROR = np.array([1.0, -1.0])[:, None, None]   # an outer piece and its mirror image
 
 
-def _v_batch(k, f, xs):
-    """Vf at points xs (f(0) at 0) over (0, |x|) and its mirror; both share the kernel series."""
+@np.errstate(all="ignore")   # a non-finite value raises instead
+def apply_V(k: Multiplicity, f: TestFunction, x) -> EvalResult:
+    """Intertwining operator applied to a registered function at x, a scalar or an array.
+
+    Values and error bars have the shape of x: f(0) at x = 0, the defining
+    point evaluation; elsewhere the kernel integral over (-|x|, |x|), split
+    at 0 with a double-exponential rule per half so the algebraic vanishing
+    of the kernel at y = -/+ x is resolved.
+    """
+    x = np.asarray(x, dtype=float)
+
     def integrand(xb, t, glo, ghi):
         xa = np.abs(xb)[:, None]
         y = _MIRROR * (0.5 * xa * glo)
@@ -171,16 +180,24 @@ def _v_batch(k, f, xs):
         fy = np.asarray(f.eval(y))
         return kv * fy, kb * np.abs(fy), 0.5 * xa[:, 0]
 
-    nonzero = np.asarray(xs) != 0.0
+    nonzero = x != 0.0
     fill = 0.0 if nonzero.all() else f.eval(0.0)
-    return _outer_sums(xs, nonzero, fill, integrand)
+    values, est, rule = _outer_sums(x, nonzero, fill, integrand, complex(k.k1 + k.k2).real)
+    method = f"{rule} x {METHOD}" if nonzero.any() else "point-evaluation"
+    return _point_result(values, est, method)
 
 
-def _vt_batch(k, g, ys):
-    """tVg at points ys, over (|y|, a) from its singular end |y| and its mirror.
+@np.errstate(all="ignore")   # a non-finite value raises instead
+def apply_Vt(k: Multiplicity, g: TestFunction, y) -> EvalResult:
+    """Dual operator: kernel integral against g and the measure over |x| > |y|.
 
-    Zero outside the support [-a, a] of g.
+    Truncated to the declared support [-a, a] of g: zero where |y| >= a,
+    elsewhere integrated over (|y|, a) from its singular end |y|.  y is a
+    scalar or an array, and the result has its shape.
     """
+    if g.support is None:
+        raise ContractError(f"{g.id} declares no compact support; the dual needs one")
+    y = np.asarray(y, dtype=float)
     a = float(g.support)
 
     def integrand(yb, t, glo, ghi):
@@ -192,39 +209,9 @@ def _vt_batch(k, g, ys):
         ga = np.asarray(g.eval(x)) * np.asarray(weight_A(k, x))
         return kv * ga, kb * np.abs(ga), 0.5 * span[:, 0]
 
-    return _outer_sums(ys, np.abs(ys) < a, 0.0, integrand)
-
-
-def apply_V(k: Multiplicity, f: TestFunction, x: float) -> EvalResult:
-    """Intertwining operator applied to a registered function at x.
-
-    At x = 0 returns f(0), the defining point evaluation; elsewhere the
-    kernel integral over (-|x|, |x|), split at 0 with a double-exponential
-    rule per half so the algebraic vanishing of the kernel at y = -/+ x is
-    resolved.
-    """
-    if not math.isfinite(x):
-        raise DomainError(f"non-finite evaluation point {x!r}")
-    if x == 0:
-        return EvalResult(_as_scalar(f.eval(0.0)), 0.0, "point-evaluation")
-    values, est, rule = _v_batch(k, f, [x])
-    return _point_result(values[0], est[0], f"{rule} x {METHOD}")
-
-
-def apply_Vt(k: Multiplicity, g: TestFunction, y: float) -> EvalResult:
-    """Dual operator: kernel integral against g and the measure over |x| > |y|.
-
-    Truncated to the declared support [-a, a] of g; identically zero once
-    |y| >= a.
-    """
-    if g.support is None:
-        raise ContractError(f"{g.id} declares no compact support; the dual needs one")
-    if not math.isfinite(y):
-        raise DomainError(f"non-finite evaluation point {y!r}")
-    if abs(y) >= float(g.support):
-        return EvalResult(0.0, 0.0, "empty-domain")
-    values, est, rule = _vt_batch(k, g, [y])
-    return _point_result(values[0], est[0], f"{rule} x {METHOD}")
+    inside = np.abs(y) < a
+    values, est, rule = _outer_sums(y, inside, 0.0, integrand, complex(k.k1 + k.k2).real)
+    return _point_result(values, est, f"{rule} x {METHOD}" if inside.any() else "empty-domain")
 
 
 def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
@@ -237,18 +224,17 @@ def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
         raise ContractError(f"{g.id} declares no compact support")
     a = float(g.support)
 
-    def pairing(outer, inner):
-        # integral of outer(x) inner(x) over (0, a) mapped from 0 and its mirror
+    def pairing(outer, op, fn):
+        # integral of outer(x) op(k, fn, x) over (0, a) mapped from 0 and its mirror
         def integrand(_, t, glo, ghi):
             x = _MIRROR * (0.5 * a * glo)
             u = np.asarray(outer(x))
-            v, v_est = inner(x.ravel())[:2]
-            return u * v.reshape(x.shape), np.abs(u) * v_est.reshape(x.shape), 0.5 * a
+            v = op(k, fn, x)
+            return u * v.value, np.abs(u) * v.est_error, 0.5 * a
         return _outer_sums([a], [True], 0.0, integrand)[0][0]
 
-    lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x),
-                  lambda x: _v_batch(k, f, x))
-    rhs = pairing(f.eval, lambda x: _vt_batch(k, g, x))
+    lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x), apply_V, f)
+    rhs = pairing(f.eval, apply_Vt, g)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -263,7 +249,7 @@ def intertwine_gap(k: Multiplicity, f: TestFunction, x: float) -> float:
     if f.deriv is None:
         raise ContractError(f"{f.id} has no derivative")
     h = NUMERICS.fd_step_scale * max(1.0, abs(x))
-    v_fwd, v_bwd, v_x, v_mx = _v_batch(k, f, [x + h, x - h, x, -x])[0]
+    v_fwd, v_bwd, v_x, v_mx = apply_V(k, f, [x + h, x - h, x, -x]).value
     lhs = _d_cothtanh(k, x, (v_fwd - v_bwd) / (2.0 * h), v_x, v_mx)
     f_prime = TestFunction(id=f"{f.id}'", eval=f.deriv, support=f.support)
     rhs = apply_V(k, f_prime, x).value
@@ -288,32 +274,23 @@ def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
 
     Restricted to real positive parameter pairs, where strict positivity is
     the expected outcome; fractions approaching -1 probe y near -x.  Each
-    k's cells are evaluated in chunks by the kernel's batched path, the sum
-    ``kernel_K`` takes its value from, so a one-cell scan equals ``kernel_K``.  A
-    cell outside |y| < |x| (also by rounding) raises DomainError, a
-    non-finite value EvaluationError.
+    k's cells go to ``kernel_K`` in chunks of arrays, so a one-cell scan
+    equals the point call.  A cell outside |y| < |x| (also by rounding)
+    raises DomainError, a non-finite value EvaluationError.
     """
     k_grid = tuple((float(k1), float(k2)) for k1, k2 in k_grid)
     x_grid = tuple(float(x) for x in x_grid)
     fracs = tuple(float(fr) for fr in y_fraction_grid)
-    ks = [Multiplicity(k1, k2) for k1, k2 in k_grid]
     xs = np.repeat(x_grid, len(fracs))
     ys = np.outer(np.abs(x_grid), fracs).ravel()
-    # rejects x = 0 or non-finite, |fraction| >= 1 and y rounding onto |x|
-    outside = ~(np.abs(ys) < np.abs(xs))
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise DomainError(f"scan cells need finite x and |y| < |x|, got x={xs[i]}, y={ys[i]}")
-    values = np.empty((len(ks), xs.size))
-    for row, k in zip(values, ks):
+    values = np.empty((len(k_grid), xs.size))
+    for row, k in zip(values, [Multiplicity(k1, k2) for k1, k2 in k_grid]):
         for i in range(0, xs.size, _SCAN_CHUNK):
             chunk = slice(i, i + _SCAN_CHUNK)
-            row[chunk] = _kernel_values(k, xs[chunk], ys[chunk])[0]
+            row[chunk] = kernel_K(k, xs[chunk], ys[chunk]).value
+    xys = list(zip(xs.tolist(), ys.tolist()))
     cells = tuple((k1, k2, x, y, v) for (k1, k2), row in zip(k_grid, values.tolist())
-                  for x, y, v in zip(xs.tolist(), ys.tolist(), row))
-    if not np.isfinite(values).all():
-        k1, k2, x, y, v = cells[int(np.argmin(np.isfinite(values)))]
-        raise EvaluationError(f"kernel value {v} is not finite at k=({k1}, {k2}), x={x}, y={y}")
+                  for (x, y), v in zip(xys, row))
     argmin, min_value = None, math.inf      # an empty grid has no minimum
     if cells:
         low = cells[int(np.argmin(values))]

@@ -3,6 +3,8 @@
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -40,15 +42,20 @@ class Multiplicity:
 
 @dataclass(frozen=True)
 class KernelPoint:
-    """Kernel argument pair: x nonzero, |y| strictly inside (-|x|, |x|)."""
+    """Kernel argument pairs: x nonzero, |y| < |x|; scalars or broadcasting arrays."""
 
     x: float
     y: float
 
     def __post_init__(self):
-        if not (cmath.isfinite(self.x) and cmath.isfinite(self.y)):
-            raise DomainError(f"non-finite kernel point ({self.x}, {self.y})")
-        if self.x == 0:
-            raise DomainError("require x != 0")
-        if abs(self.y) >= abs(self.x):
-            raise DomainError(f"require |y| < |x|, got x={self.x}, y={self.y}")
+        ax = np.abs(self.x)     # |y| < |x| < inf leaves no NaN, y finite and x != 0
+        ok = (np.abs(self.y) < ax) & (ax < np.inf)
+        if np.count_nonzero(ok) == ok.size:
+            return
+        x, y = np.broadcast_arrays(self.x, self.y)
+        checks = ((~(np.isfinite(x) & np.isfinite(y)), "non-finite kernel point ({}, {})"),
+                  (x == 0, "require x != 0"),
+                  (np.abs(y) >= np.abs(x), "require |y| < |x|, got x={}, y={}"))
+        for bad, message in checks:
+            if bad.any():
+                raise DomainError(message.format(x[bad][0].item(), y[bad][0].item()))

@@ -41,10 +41,10 @@ _MAX_TS_LEVEL = 12
 _TS_FULL_GAP = 1e-280   # keep tail nodes while 1-|t| stays comfortably normal
 _TS_PUBLIC_GAP = 1e-12  # node floats are distinct and < 1 above this gap
 _EPS = np.finfo(float).eps
-# Outer integrands behave like gap^{k1+k2-1} times smooth factors, so
-# cutting the outer rule at endpoint gap 1e-60 discards O(1e-60^{Re(k1+k2)});
-# the cut keeps the nested gap products (outer abscissa times inner endpoint
-# distance) representable in double precision.
+# Outer integrands behave like gap^{k1+k2-1} times smooth factors, so the
+# error estimate counts the O(1e-60^{Re(k1+k2)}) that a cut at gap 1e-60
+# drops; the cut keeps the nested gap products (outer abscissa times inner
+# endpoint distance) representable in double precision.
 _OUTER_GAP = 1e-60
 # points x nodes per outer batch (16 points at level 4): temporaries ~2 MB
 # (~4 MB for complex k) at any level
@@ -58,6 +58,20 @@ class EvalResult:
     value: complex
     est_error: float
     method: str
+
+
+def _point_result(value, bar, method) -> EvalResult:
+    """Values with their error bars, scalars or arrays; raises if any is not finite.
+
+    Values are real when no imaginary part is nonzero, scalars Python numbers.
+    """
+    value, bar = np.asarray(value), np.asarray(bar, dtype=float)
+    if np.iscomplexobj(value) and not np.count_nonzero(value.imag):
+        value = value.real
+    finite = np.isfinite(value) & np.isfinite(bar)
+    if np.count_nonzero(finite) < finite.size:
+        raise EvaluationError(f"{method} gave the non-finite value {value[~finite][0].item()!r}")
+    return EvalResult(*(v if v.ndim else v.item() for v in (value, bar)), method)
 
 
 @dataclass(frozen=True)
@@ -190,7 +204,7 @@ def tanh_sinh(level: int) -> QuadratureRule:
                           level=level)
 
 
-def _outer_sums(points, active, fill, integrand, cut=_OUTER_GAP):
+def _outer_sums(points, active, fill, integrand, power=1.0, cut=_OUTER_GAP):
     """Outer tanh-sinh integrals at the ``active`` ones of ``points``, each at its own level.
 
     ``integrand(batch, t, glo, ghi)`` returns the integrand at the abscissae
@@ -199,10 +213,15 @@ def _outer_sums(points, active, fill, integrand, cut=_OUTER_GAP):
     are symmetric, so a piece's mirror image takes the same abscissae
     negated.  Each level is computed whole, ``_OUTER_NODES`` points x nodes
     a batch, until every point stops or ``_MAX_TS_LEVEL``.  Returns the
-    values (``fill`` elsewhere), error estimates (the difference from the
-    level below plus the integrand's rounding) and the highest rule used.
+    values (``fill`` elsewhere) and error estimates in the shape of the
+    (finite) ``points``, and the highest rule used.  An estimate is the
+    difference from the level below, the integrand's rounding and the part
+    beyond the cut: about gap |integrand| / power at the outermost nodes,
+    for an integrand that goes like gap^{power-1} at an end.
     """
     points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise DomainError(f"non-finite evaluation point {points[~np.isfinite(points)][0].item()!r}")
     values = np.full(points.shape, fill, dtype=complex)
     est = np.zeros(points.shape)
     todo = np.flatnonzero(active)
@@ -212,15 +231,17 @@ def _outer_sums(points, active, fill, integrand, cut=_OUTER_GAP):
         done = np.zeros(todo.size, dtype=bool)
         for i in range(0, todo.size, step):
             sl = todo[i:i + step]
-            vals, bars, half = integrand(points[sl], t, glo, ghi)
+            vals, bars, half = integrand(points.flat[sl], t, glo, ghi)
             fine = vals @ w
             diff = np.abs(fine - vals @ wc).sum(0) * half
             mags = (np.abs(vals) @ w).sum(0) * half
+            tail = (glo[0] * np.abs(vals[..., 0]) + ghi[-1] * np.abs(vals[..., -1])).sum(0)
             # a NaN difference stops at once: no level makes it finite
             stop = ~(diff > math.sqrt(_EPS) * mags) | (level == _MAX_TS_LEVEL)
-            values[sl[stop]] = (fine.sum(0) * half)[stop]
+            values.flat[sl[stop]] = (fine.sum(0) * half)[stop]
             # products with f and the measure, and the sum, round each term
-            est[sl[stop]] = (diff + (bars @ w).sum(0) * half + 8.0 * _EPS * mags)[stop]
+            est.flat[sl[stop]] = (diff + (bars @ w).sum(0) * half + 8.0 * _EPS * mags
+                                  + tail * half / power)[stop]
             done[i:i + step] = stop
         todo = todo[~done]
         if not todo.size:
@@ -277,9 +298,4 @@ def integrate(rule: QuadratureRule, f, interval) -> EvalResult:
         method = f"{rule.kind}->n={2 * n}"
     vals = _eval_integrand(f, xs)
     fine, coarse = (vals @ w) * half, (vals @ wc) * half
-    return EvalResult(_as_scalar(fine), abs(fine - coarse), method)
-
-
-def _as_scalar(v):
-    v = complex(v)
-    return v.real if v.imag == 0.0 else v
+    return _point_result(fine, abs(fine - coarse), method)

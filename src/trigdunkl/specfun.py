@@ -93,7 +93,9 @@ def hyp2f1(a, b, c, z) -> complex:
     Uses the power series directly for -1/2 < z < 1 and the Pfaff
     transformation onto w = z/(z-1) in [1/3, 1) for z <= -1/2, so every
     z < 1 takes one convergent series.  Raises NonConvergenceError (carrying
-    the partial sum) if ``NUMERICS.series_max_terms`` terms do not converge.
+    the partial sum) if ``NUMERICS.series_max_terms`` terms do not converge,
+    as from about z = 0.998 on (2F1(1, 1; 2; 0.999)); no caller in the
+    package passes z > 0.
     """
     if isinstance(z, complex):
         if z.imag != 0.0:

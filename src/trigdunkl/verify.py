@@ -50,9 +50,8 @@ def suite_eigen(tol=None):
     for k1, k2 in config.K_GRID:
         k = Multiplicity(k1, k2)
         for lam in config.EIGEN_LAMBDAS:
-            f = plane_wave(lam)
-            for x in config.EIGEN_X:
-                lhs = apply_V(k, f, x).value
+            values = apply_V(k, plane_wave(lam), config.EIGEN_X).value.tolist()
+            for x, lhs in zip(config.EIGEN_X, values):
                 rhs = opdam_G(k, lam, x)
                 gap = abs(lhs - rhs)
                 rows.append(_row(
@@ -107,13 +106,12 @@ def suite_limits(tol=None):
         ("kernel_limit_k1_to_zero", Multiplicity(eps, other), kernel_K_limit_k1zero),
         ("kernel_limit_k2_to_zero", Multiplicity(other, eps), kernel_K_limit_k2zero),
     ):
-        for x in config.LIMIT_X:
-            for fr in config.LIMIT_FRACS:
-                y = fr * x
-                near = kernel_K(k, x, y).value
-                closed = closed_form(other, x, y)
-                gap = abs(near - closed) / abs(closed)
-                rows.append(_row(check, _pt(x=x, y=y), near, closed, gap, base))
+        points = [(x, fr * x) for x in config.LIMIT_X for fr in config.LIMIT_FRACS]
+        values = kernel_K(k, *zip(*points)).value.tolist()
+        for (x, y), near in zip(points, values):
+            closed = closed_form(other, x, y)
+            gap = abs(near - closed) / abs(closed)
+            rows.append(_row(check, _pt(x=x, y=y), near, closed, gap, base))
     return rows
 
 

@@ -52,11 +52,14 @@ class TestKernelCommand:
         assert rows[0] == ["k1", "k2", "x", "y", "method", "value", "est_error"]
         assert float(rows[1][5]) > 0
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_value_exit_3(self, capsys):
-        code, out, _ = run_cli(capsys, "kernel", "--k1", "0.5", "--k2", "0.5",
-                               "--x", "1e-309", "--y", "5e-310")
+        # one line on stderr: no numpy warning ahead of the failure
+        code, out, err = run_cli(capsys, "kernel", "--k1", "0.5", "--k2", "0.5",
+                                 "--x", "1e-309", "--y", "5e-310")
         assert code == 3
         assert out == ""
+        assert err.startswith("numerical failure: ") and len(err.splitlines()) == 1
 
     def test_bad_multiplicity_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "kernel", "--k1", "-0.5", "--k2", "0.5",
@@ -96,10 +99,12 @@ class TestApplyCommands:
         ("apply-v", "--function", "plane_wave:1", "--x", "800"),
         ("apply-vt", "--function", "bump:800", "--y", "1"),
     ], ids=["apply-v", "apply-vt"])
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_value_exit_3(self, capsys, argv):
-        code, out, _ = run_cli(capsys, argv[0], "--k1", "0.5", "--k2", "0.5", *argv[1:])
+        code, out, err = run_cli(capsys, argv[0], "--k1", "0.5", "--k2", "0.5", *argv[1:])
         assert code == 3
         assert out == ""
+        assert err.startswith("numerical failure: ") and len(err.splitlines()) == 1
 
     def test_apply_vt_requires_support(self, capsys):
         code, _, err = run_cli(capsys, "apply-vt", "--k1", "0.5", "--k2", "0.5",

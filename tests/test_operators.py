@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,17 @@ from trigdunkl import (
 from trigdunkl import config, operators
 
 K_GRID = [(a, b) for a in (0.3, 0.7, 1.5) for b in (0.3, 0.7, 1.5)]
+
+
+def eigen_reference(k1, k2, lam, x):
+    """G_{i lam}(x) from two mpmath 2F1 at 30 digits; V(e^{i lam .}) equals it."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        mk1, mk2, mlam, mx = (mp.mpmathify(v) for v in (k1, k2, lam, x))
+        s, rho, z = mk1 + mk2, mk1 / 2 + mk2, -mp.sinh(mx / 2) ** 2
+        f1 = mp.hyp2f1(rho + 1j * mlam, rho - 1j * mlam, s + 0.5, z)
+        f2 = mp.hyp2f1(rho + 1 + 1j * mlam, rho + 1 - 1j * mlam, s + 1.5, z)
+        return complex(f1 + (rho + 1j * mlam) / (2 * s + 1) * mp.sinh(mx) * f2)
 
 
 def opdam_function(k, lam):
@@ -139,12 +152,7 @@ class TestApplyV:
     def test_level_above_start_within_error(self, x):
         # e^{20 i y} needs more than level 4 over (-3, 3); the level reached
         # keeps |V - G| within the reported error
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(30):
-            s, rho, lam, z = mp.mpf(1), mp.mpf(0.75), 20, -mp.sinh(mp.mpf(x) / 2) ** 2
-            f1 = mp.hyp2f1(rho + 1j * lam, rho - 1j * lam, s + 0.5, z)
-            f2 = mp.hyp2f1(rho + 1 + 1j * lam, rho + 1 - 1j * lam, s + 1.5, z)
-            ref = complex(f1 + (rho + 1j * lam) / (2 * s + 1) * mp.sinh(mp.mpf(x)) * f2)
+        ref = eigen_reference(0.5, 0.5, 20, x)
         res = apply_V(Multiplicity(0.5, 0.5), plane_wave(20.0), x)
         assert res.method != "tanh-sinh(level=4) x euler-2f1"
         assert abs(res.value - ref) <= res.est_error
@@ -160,7 +168,7 @@ class TestApplyV:
     def test_error_bars_cover_reference(self):
         # the bar carries the outer rule's error, each kernel value's bar
         # and the integrand's rounding
-        mp = pytest.importorskip("mpmath")
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(150)
         for i in range(150):
             k1, k2 = rng.uniform(0.1, 3.0, 2)
@@ -168,14 +176,17 @@ class TestApplyV:
                 k1 = complex(k1, rng.uniform(-1.0, 1.0))
             lam = rng.uniform(0.0, 5.0)
             x = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 3.0)
-            with mp.workdps(30):
-                mk1, mk2, mlam, mx = (mp.mpmathify(v) for v in (k1, k2, lam, x))
-                s, rho, z = mk1 + mk2, mk1 / 2 + mk2, -mp.sinh(mx / 2) ** 2
-                f1 = mp.hyp2f1(rho + 1j * mlam, rho - 1j * mlam, s + 0.5, z)
-                f2 = mp.hyp2f1(rho + 1 + 1j * mlam, rho + 1 - 1j * mlam, s + 1.5, z)
-                ref = complex(f1 + (rho + 1j * mlam) / (2 * s + 1) * mp.sinh(mx) * f2)
+            ref = eigen_reference(k1, k2, lam, x)
             res = apply_V(Multiplicity(k1, k2), plane_wave(lam), x)
             assert abs(res.value - ref) <= res.est_error, (k1, k2, lam, x)
+
+    @pytest.mark.parametrize("k1, k2", [(0.05, 0.05), (0.02, 0.03)])
+    def test_small_k_error_bar_counts_cut_tail(self, k1, k2):
+        # the outer rule stops at gap 1e-60, where at Re(k1 + k2) <= 0.1 the
+        # integrand ~ gap^{k1+k2-1} still leaves 1e-6 .. 1e-3 of the integral
+        ref = eigen_reference(k1, k2, 1.0, 1.0)
+        res = apply_V(Multiplicity(k1, k2), plane_wave(1.0), 1.0)
+        assert abs(res.value - ref) <= res.est_error
 
     def test_constant_function_gives_lambda_zero(self):
         k = Multiplicity(0.7, 1.1)
@@ -199,6 +210,93 @@ class TestApplyV:
         c_bound = 3.0 * gaps[0] / 0.1
         assert gaps[1] <= c_bound * 0.01
         assert gaps[2] <= c_bound * 0.001
+
+
+class TestArrayInputs:
+    """kernel_K, apply_V and apply_Vt take a scalar or an array of points."""
+
+    CALLS = {   # op(k, points) for scalar or array points; kernel_K at y = -0.4 x
+        "kernel_K": lambda k, x: kernel_K(k, x, np.multiply(-0.4, x)),
+        "apply_V": lambda k, x: apply_V(k, plane_wave(1.5), x),
+        "apply_Vt": lambda k, y: apply_Vt(k, bump(2.0), y),
+    }
+    POINTS = (1.3, -0.5, 2.4, 0.6)      # 2.4 lies outside the bump's support
+    KS = [Multiplicity(0.7, 0.4), Multiplicity(0.5 + 0.2j, 0.7)]
+    by_call = pytest.mark.parametrize("name", sorted(CALLS))
+    by_k = pytest.mark.parametrize("k", KS, ids=["real", "complex"])
+
+    @by_call
+    @by_k
+    def test_scalar_is_one_element_array(self, name, k):
+        for p in self.POINTS:
+            one, arr = self.CALLS[name](k, p), self.CALLS[name](k, [p])
+            assert arr.value.shape == arr.est_error.shape == (1,)
+            assert np.asarray(one.value).tobytes() == arr.value.tobytes(), p
+            assert np.asarray(one.est_error).tobytes() == arr.est_error.tobytes(), p
+            assert one.method == arr.method
+
+    @by_call
+    @by_k
+    def test_array_matches_scalars_within_bars(self, name, k):
+        arr = self.CALLS[name](k, self.POINTS)
+        for p, value, est in zip(self.POINTS, arr.value, arr.est_error):
+            one = self.CALLS[name](k, p)
+            assert abs(value - one.value) <= est + one.est_error, p
+
+    @by_call
+    def test_2d_input_keeps_shape(self, name):
+        k = self.KS[0]
+        flat = self.CALLS[name](k, self.POINTS)
+        res = self.CALLS[name](k, np.reshape(self.POINTS, (2, 2)))
+        assert res.value.shape == res.est_error.shape == (2, 2)
+        assert np.array_equal(res.value.ravel(), flat.value)
+        assert np.array_equal(res.est_error.ravel(), flat.est_error)
+
+    def test_apply_v_zeros_take_point_value(self):
+        k, f = Multiplicity(0.5, 0.5), gaussian()
+        res = apply_V(k, f, [0.0, 1.0, 0.0, -0.5])
+        assert list(res.value[[0, 2]]) == [1.0, 1.0]
+        assert list(res.est_error[[0, 2]]) == [0.0, 0.0]
+        assert res.method == "tanh-sinh(level=4) x euler-2f1"
+        assert apply_V(k, f, [0.0, -0.0]).method == "point-evaluation"
+        assert apply_V(k, f, 0.0).method == "point-evaluation"
+
+    def test_apply_vt_outside_support_is_zero(self):
+        k, g = Multiplicity(0.5, 0.5), bump(2.0)
+        res = apply_Vt(k, g, [0.5, 2.0, -3.7, 1.9])
+        assert list(res.value[[1, 2]]) == [0.0, 0.0]
+        assert list(res.est_error[[1, 2]]) == [0.0, 0.0]
+        assert res.value[0] > 0 and res.value[3] > 0
+        assert res.method == "tanh-sinh(level=4) x euler-2f1"
+        assert apply_Vt(k, g, [2.0, -3.7]).method == "empty-domain"
+        assert apply_Vt(k, g, 2.0).method == "empty-domain"
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda k: kernel_K(k, [1.0, 1.0], [0.5, 1.0]), r"x=1.0, y=1.0"),
+        (lambda k: kernel_K(k, [1.0, 0.0], [0.5, 0.0]), "x != 0"),
+        (lambda k: kernel_K(k, [[1.0, np.nan]], 0.5), "non-finite"),
+        (lambda k: apply_V(k, plane_wave(1.0), [1.0, np.inf]), "inf"),
+        (lambda k: apply_Vt(k, bump(2.0), [0.5, np.nan]), "nan"),
+    ], ids=["kernel-outside", "kernel-zero", "kernel-nan", "apply_V-inf", "apply_Vt-nan"])
+    def test_one_bad_element_raises(self, call, match):
+        with pytest.raises(DomainError, match=match):
+            call(Multiplicity(0.5, 0.5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: kernel_K(k, 1e-309, 5e-310),
+    lambda k: kernel_K(k, [1.0, 1e-309], [0.3, 5e-310]),
+    lambda k: apply_V(k, plane_wave(1.0), 800.0),
+    lambda k: apply_V(k, plane_wave(1.0), [1.0, 800.0]),
+    lambda k: apply_Vt(k, bump(800.0), 1.0),
+    lambda k: positivity_scan([(k.k1, k.k2)], [1e-309], [0.5]),
+], ids=["kernel_K", "kernel_K-array", "apply_V", "apply_V-array", "apply_Vt", "scan"])
+def test_non_finite_value_raises_without_warnings(call):
+    # the overflow behind a non-finite value is reported once, as the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError):
+            call(Multiplicity(0.5, 0.5))
 
 
 class TestApplyVt:
