@@ -44,8 +44,8 @@ log sinh((X-Y)/2), so tiny gaps stay representable.  Real and complex k
 differ only in how log D is formed.  Every value carries an error bar: the
 rounding of its exponent's log parts and of the series (the sum of its
 terms' magnitudes), plus the series' last term, which bounds the dropped
-tail.  ``kernel_K`` takes scalars or arrays; a non-finite value raises
-``EvaluationError``.
+tail.  ``kernel_K`` and the oracle forms take scalars or broadcasting
+arrays; a non-finite value raises ``EvaluationError``.
 """
 
 import math
@@ -190,10 +190,17 @@ def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, log_pref=(
     return values, bars
 
 
-def _ktilde_point(k, x, y, alpha, beta, q, pref) -> EvalResult:
-    """pref D J'(alpha, beta; q) over (cosh |y|, cosh x), with its error bar."""
-    value, bar = _cosh_gap_integral(k, abs(x), abs(x) - abs(y), alpha, beta, q)
-    return _point_result(pref * value, abs(pref) * bar, METHOD)
+def _points(x, y):
+    """Admissible kernel points as float arrays of one (broadcast) shape."""
+    KernelPoint(x, y)
+    return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+
+def _ktilde_point(k, x, y, alpha, beta, pref, log_pref=(), times_u=False):
+    """(values, bars) of pref D exp(sum log_pref) J'(alpha, beta; u if times_u else 1)."""
+    q = (lambda f1, f2: (np.cosh(y), 2.0 * f1 * f2)) if times_u else None
+    value, bar = _cosh_gap_integral(k, np.abs(x), np.abs(x) - np.abs(y), alpha, beta, q, log_pref)
+    return pref * value, abs(pref) * bar
 
 
 def _kernel_values(k: Multiplicity, x, y, *, gap=None):
@@ -281,60 +288,67 @@ def _cosine_terms(k, x, gap, *, with_density=False):
     return 4.0 * values, 4.0 * bars
 
 
-def jacobi_kernel(k: Multiplicity, x: float, y: float) -> EvalResult:
+@np.errstate(all="ignore")   # a non-finite value raises instead
+def jacobi_kernel(k: Multiplicity, x, y) -> EvalResult:
     """Kernel of the intertwining operator in the hyperbolic-cosine setting."""
-    KernelPoint(x, y)
-    return _point_result(*_cosine_terms(k, x, abs(x) - abs(y)), METHOD)
+    x, y = _points(x, y)
+    return _point_result(*_cosine_terms(k, x, np.abs(x) - np.abs(y)), METHOD)
 
 
 def _ktilde_defining(k, x, y):
-    # nested route: integrate the cosine-setting kernel against its measure
-    ya = abs(y)
-    half = 0.5 * (abs(x) - ya)
+    # nested route: integrate the cosine-setting kernel against its measure,
+    # summing over point indices, by which a batch finds its |y| and half-widths
+    ya = np.abs(y).ravel()
+    half = 0.5 * (np.abs(x).ravel() - ya)
 
-    def integrand(_, t, glo, ghi):
+    def integrand(batch, t, glo, ghi):
         # inner endpoint w -> |y| carries the (w - |y|)^{k1+k2-1} singularity,
         # resolved down to gap 1e-280 (at small Re(k1+k2) a shallower cut
         # would drop a visible share)
-        vals, bars = _cosine_terms(k, ya + half * glo, half * glo, with_density=True)
-        return vals[None, None], bars[None, None], half
+        i = batch.astype(int)
+        gaps = half[i, None] * glo
+        vals, bars = _cosine_terms(k, ya[i, None] + gaps, gaps, with_density=True)
+        return vals[None], bars[None], half[i]
 
     k1, k2 = _k12(k)
-    values, est, rule = _outer_sums([x], [True], 0.0, integrand, (k1 + k2).real, _TS_FULL_GAP)
-    return _point_result(values[0], est[0], f"nested {rule} x {METHOD}")
+    values, est, rule = _outer_sums(np.arange(x.size).reshape(x.shape), np.ones(x.size), 0.0,
+                                    integrand, (k1 + k2).real, _TS_FULL_GAP)
+    return _point_result(values, est, f"nested {rule} x {METHOD}")
 
 
 _KTILDE_FORMS = ("direct", "byparts", "defining")
 
 
-def ktilde(k: Multiplicity, x: float, y: float, form: str = "direct") -> EvalResult:
+@np.errstate(all="ignore")   # a non-finite value raises instead
+def ktilde(k: Multiplicity, x, y, form: str = "direct") -> EvalResult:
     """Antiderivative-in-|x| of the cosine-setting kernel against its measure.
 
     Three algebraically equal routes: ``direct`` carries the full power of
     the outer cosh difference, ``byparts`` trades it for a full power of the
     inner one, ``defining`` integrates the kernel itself (nested quadrature).
     """
-    KernelPoint(x, y)
+    x, y = _points(x, y)
     if form not in _KTILDE_FORMS:
         raise DomainError(f"form must be one of {_KTILDE_FORMS}, got {form!r}")
     if form == "defining":
         return _ktilde_defining(k, x, y)
     k1, k2 = _k12(k)
-    if form == "direct":
-        return _ktilde_point(k, x, y, k2, k1 - 1.0, None, 16.0 / (k1 + k2))
-    return _ktilde_point(k, x, y, k2 - 1.0, k1, lambda f1, f2: (math.cosh(y), 2.0 * f1 * f2),
-                         16.0 / (k1 + k2))
+    alpha, beta = (k2, k1 - 1.0) if form == "direct" else (k2 - 1.0, k1)
+    return _point_result(*_ktilde_point(k, x, y, alpha, beta, 16.0 / (k1 + k2),
+                                        times_u=form == "byparts"), METHOD)
 
 
-def dktilde_dy(k: Multiplicity, x: float, y: float) -> EvalResult:
+@np.errstate(all="ignore")   # a non-finite value raises instead
+def dktilde_dy(k: Multiplicity, x, y) -> EvalResult:
     """Same-variable y-derivative of the antiderivative; odd in y, zero at y = 0."""
-    KernelPoint(x, y)
+    x, y = _points(x, y)
     k1, k2 = _k12(k)
-    return _ktilde_point(k, x, y, k2 - 1.0, k1 - 1.0, lambda f1, f2: (math.cosh(y), 2.0 * f1 * f2),
-                         -8.0 * math.sinh(y))
+    return _point_result(*_ktilde_point(k, x, y, k2 - 1.0, k1 - 1.0, -8.0 * np.sinh(y),
+                                        times_u=True), METHOD)
 
 
-def kernel_K_mourou(k: Multiplicity, x: float, y: float) -> EvalResult:
+@np.errstate(all="ignore")   # a non-finite value raises instead
+def kernel_K_mourou(k: Multiplicity, x, y) -> EvalResult:
     """Main kernel assembled from the cosine-setting pieces at half arguments.
 
     The assembly takes the y-derivative of y -> Ktilde(x/2, y/2); the
@@ -343,12 +357,18 @@ def kernel_K_mourou(k: Multiplicity, x: float, y: float) -> EvalResult:
     that reproduces the direct kernel, and the equality is enforced on the
     verification grid.
     """
-    KernelPoint(x, y)
+    x, y = _points(x, y)
     xh, yh = x / 2.0, y / 2.0
-    sgn_ainv = math.copysign(1.0, x) / weight_A(k, x)
-    terms = ((0.25, jacobi_kernel(k, xh, yh)),
-             (sgn_ainv * (k.k1 / 4.0 + k.k2 / 2.0), ktilde(k, xh, yh, "direct")),
-             (-0.25 * sgn_ainv, dktilde_dy(k, xh, yh)))
-    value = sum(c * res.value for c, res in terms)
-    est = sum(abs(c) * res.est_error for c, res in terms)
-    return _point_result(value, est, f"mourou[{terms[0][1].method}]")
+    k1, k2 = _k12(k)
+    # 1/A(x) and |sinh(y/2)| enter the exponents, which stay in range at tiny |x|;
+    # sign(y) zeroes the derivative term at y = 0, where sinh(x/2) stands in
+    log_ainv = -_log_weight(k, x)
+    log_sinh = np.log(np.abs(np.sinh(np.where(y == 0.0, xh, yh))))
+    # 4 times: Jacobi kernel / 4, sign x (k1/4 + k2/2) Ktilde / A, -sign x dKtilde/dy / (4A)
+    values, bars = zip(
+        _cosine_terms(k, xh, np.abs(xh) - np.abs(yh)),
+        _ktilde_point(k, xh, yh, k2, k1 - 1.0, np.sign(x) * (16.0 * k1 + 32.0 * k2) / (k1 + k2),
+                      (log_ainv,)),
+        _ktilde_point(k, xh, yh, k2 - 1.0, k1 - 1.0, 8.0 * np.sign(x) * np.sign(y),
+                      (log_ainv, log_sinh), times_u=True))
+    return _point_result(0.25 * sum(values), 0.25 * sum(bars), f"mourou[{METHOD}]")

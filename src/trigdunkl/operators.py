@@ -260,9 +260,6 @@ def intertwine_gap(k: Multiplicity, f: TestFunction, x: float) -> float:
 class ScanReport:
     """Grid of kernel values with their minimum and its location."""
 
-    k_grid: tuple
-    x_grid: tuple
-    y_fractions: tuple
     cells: tuple            # (k1, k2, x, y, value) per cell, grid order
     min_value: float
     argmin: tuple           # (k1, k2, x, y)
@@ -296,9 +293,6 @@ def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
         low = cells[int(np.argmin(values))]
         argmin, min_value = low[:4], low[4]
     return ScanReport(
-        k_grid=k_grid,
-        x_grid=x_grid,
-        y_fractions=fracs,
         cells=cells,
         min_value=min_value,
         argmin=argmin,

@@ -61,39 +61,28 @@ def suite_eigen(tol=None):
     return rows
 
 
-def _kernel_grid_points():
+def suite_kernel_consistency(tol=None):
+    h = 1e-5
+    points = [(x, fr * abs(x)) for x in config.KERNEL_X for fr in config.KERNEL_Y_FRACS]
+    xs, ys = zip(*points)
+    rows = []
     for k1, k2 in config.K_GRID:
         k = Multiplicity(k1, k2)
-        for x in config.KERNEL_X:
-            for fr in config.KERNEL_Y_FRACS:
-                yield k, x, fr * abs(x)
-
-
-def suite_kernel_consistency(tol=None):
-    tol_kernel = config.TOL_KERNEL if tol is None else tol
-    tol_byparts = config.TOL_BYPARTS if tol is None else tol
-    tol_deriv = config.TOL_DERIV if tol is None else tol
-    rows = []
-    for k, x, y in _kernel_grid_points():
-        point = _pt(k1=k.k1, k2=k.k2, x=x, y=y)
-        direct = kernel_K(k, x, y).value
-        assembled = kernel_K_mourou(k, x, y).value
-        gap = abs(direct - assembled) / abs(direct)
-        rows.append(_row("kernel_direct_vs_assembled", point,
-                         direct, assembled, gap, tol_kernel))
-
-        td = ktilde(k, x, y, "direct").value
-        tb = ktilde(k, x, y, "byparts").value
-        gap = abs(td - tb) / abs(td)
-        rows.append(_row("ktilde_direct_vs_byparts", point, td, tb, gap, tol_byparts))
-
-        if y != 0.0:
-            h = 1e-5
-            dk = dktilde_dy(k, x, y).value
-            fd = (ktilde(k, x, y + h, "byparts").value
-                  - ktilde(k, x, y - h, "byparts").value) / (2.0 * h)
-            gap = abs(dk - fd) / abs(dk)
-            rows.append(_row("dktilde_vs_finite_difference", point, dk, fd, gap, tol_deriv))
+        # one call per form, plus the by-parts form at y +- h
+        columns = (res.value.tolist() for res in (
+            kernel_K(k, xs, ys), kernel_K_mourou(k, xs, ys),
+            ktilde(k, xs, ys, "direct"), ktilde(k, xs, ys, "byparts"), dktilde_dy(k, xs, ys),
+            ktilde(k, xs, [y + h for y in ys], "byparts"),
+            ktilde(k, xs, [y - h for y in ys], "byparts")))
+        for (x, y), direct, assembled, td, tb, dk, up, down in zip(points, *columns):
+            checks = [("kernel_direct_vs_assembled", direct, assembled, config.TOL_KERNEL),
+                      ("ktilde_direct_vs_byparts", td, tb, config.TOL_BYPARTS)]
+            if y != 0.0:
+                checks.append(("dktilde_vs_finite_difference", dk, (up - down) / (2.0 * h),
+                               config.TOL_DERIV))
+            for check, lhs, rhs, default in checks:     # gaps relative to lhs
+                rows.append(_row(check, _pt(k1=k1, k2=k2, x=x, y=y), lhs, rhs,
+                                 abs(lhs - rhs) / abs(lhs), default if tol is None else tol))
     return rows
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from trigdunkl import (
     sigma,
     weight_A,
 )
+from trigdunkl import kernel
 from trigdunkl.kernel import _kernel_values
 from trigdunkl.quadrature import _gauss_jacobi_arrays, _tanh_sinh_full
 
@@ -426,3 +428,49 @@ class TestMourouAssembly:
         for x in X_GRID:
             for fr in Y_FRACS:
                 assert kernel_K_mourou(k, x, fr * abs(x)).value > 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [Multiplicity(1.5, 0.7), Multiplicity(0.5, 0.5),
+                                   Multiplicity(0.5 + 0.3j, 0.7), Multiplicity(0.2 - 0.5j, 1.1)],
+                             ids=["real", "real-half", "complex", "complex-both"])
+    def test_tiny_x_matches_direct(self, k):
+        # 1/A(x) and sinh(y/2) stay inside the exponents, where A(x) ~
+        # |x|^{2(k1+k2)} no longer underflows
+        mag = 10.0 ** -np.arange(3.0, 301.0)
+        for x in (mag, -mag):
+            for fr in (0.5, 0.0, -0.9999):
+                y = fr * mag
+                direct, assembled = kernel_K(k, x, y), kernel_K_mourou(k, x, y)
+                gap = np.abs(direct.value - assembled.value)
+                assert np.all(gap <= direct.est_error + assembled.est_error), fr
+
+    @pytest.mark.filterwarnings("error")
+    def test_derivative_term_exactly_zero_at_y_zero(self, monkeypatch):
+        # the last _ktilde_point of the assembly is the y-derivative term
+        terms, ktilde_point = [], kernel._ktilde_point
+        monkeypatch.setattr(kernel, "_ktilde_point",
+                            lambda *a, **kw: terms.append(ktilde_point(*a, **kw)) or terms[-1])
+        for k in (Multiplicity(1.5, 0.7), Multiplicity(0.5 + 0.3j, 0.7)):
+            res = kernel_K_mourou(k, [1.4, -0.3, 1e-155, -1e-300], 0.0)
+            values, bars = terms[-1]
+            assert np.all(values == 0.0) and np.all(bars == 0.0)
+            assert np.all(np.isfinite(res.value)) and np.all(res.est_error > 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: kernel_K_mourou(k, 1e-309, 5e-310),
+    lambda k: kernel_K_mourou(k, -1e-309, [5e-310, 0.0]),
+    lambda k: kernel_K_mourou(k, 800.0, 1.0),
+    lambda k: jacobi_kernel(k, 800.0, 1.0),
+    lambda k: ktilde(k, 800.0, 1.0, "direct"),
+    lambda k: ktilde(k, 800.0, 1.0, "byparts"),
+    lambda k: ktilde(k, [1.0, 800.0], 0.5, "defining"),
+    lambda k: dktilde_dy(k, [1.0, 800.0], 0.5),
+], ids=["mourou-tiny", "mourou-tiny-array", "mourou-800", "jacobi_kernel-800", "ktilde-direct-800",
+        "ktilde-byparts-800", "ktilde-defining-800", "dktilde_dy-800"])
+def test_oracle_non_finite_value_raises_without_warnings(call):
+    # every kernel entry runs under np.errstate and reports the overflow once
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError):
+            call(Multiplicity(0.5, 0.5))

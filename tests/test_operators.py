@@ -14,17 +14,22 @@ from trigdunkl import (
     apply_Vt,
     bump,
     cherednik_D,
+    dktilde_dy,
     duality_gap,
     gaussian,
     get_test_function,
     intertwine_gap,
+    jacobi_kernel,
     kernel_K,
+    kernel_K_mourou,
+    ktilde,
     monomial,
     opdam_G,
     plane_wave,
     positivity_scan,
 )
 from trigdunkl import config, operators
+from trigdunkl.verify import run_suite
 
 K_GRID = [(a, b) for a in (0.3, 0.7, 1.5) for b in (0.3, 0.7, 1.5)]
 
@@ -212,17 +217,32 @@ class TestApplyV:
         assert gaps[2] <= c_bound * 0.001
 
 
+def _at_y(form, *args):
+    """form(k, x, -0.4 x, *args) as a function of (k, x)."""
+    return lambda k, x: form(k, x, np.multiply(-0.4, x), *args)
+
+
 class TestArrayInputs:
-    """kernel_K, apply_V and apply_Vt take a scalar or an array of points."""
+    """kernel_K, its oracle forms, apply_V and apply_Vt take a scalar or an array of points."""
 
     CALLS = {   # op(k, points) for scalar or array points; kernel_K at y = -0.4 x
-        "kernel_K": lambda k, x: kernel_K(k, x, np.multiply(-0.4, x)),
+        "kernel_K": _at_y(kernel_K),
         "apply_V": lambda k, x: apply_V(k, plane_wave(1.5), x),
         "apply_Vt": lambda k, y: apply_Vt(k, bump(2.0), y),
     }
+    ORACLES = {     # a one-element array rounds as arrays do, not as the scalar
+        "jacobi_kernel": _at_y(jacobi_kernel),
+        "ktilde-direct": _at_y(ktilde, "direct"),
+        "ktilde-byparts": _at_y(ktilde, "byparts"),
+        "ktilde-defining": _at_y(ktilde, "defining"),
+        "dktilde_dy": _at_y(dktilde_dy),
+        "kernel_K_mourou": _at_y(kernel_K_mourou),
+    }
+    ANY = {**CALLS, **ORACLES}
     POINTS = (1.3, -0.5, 2.4, 0.6)      # 2.4 lies outside the bump's support
     KS = [Multiplicity(0.7, 0.4), Multiplicity(0.5 + 0.2j, 0.7)]
     by_call = pytest.mark.parametrize("name", sorted(CALLS))
+    by_any = pytest.mark.parametrize("name", sorted(CALLS) + sorted(ORACLES))
     by_k = pytest.mark.parametrize("k", KS, ids=["real", "complex"])
 
     @by_call
@@ -235,19 +255,19 @@ class TestArrayInputs:
             assert np.asarray(one.est_error).tobytes() == arr.est_error.tobytes(), p
             assert one.method == arr.method
 
-    @by_call
+    @by_any
     @by_k
     def test_array_matches_scalars_within_bars(self, name, k):
-        arr = self.CALLS[name](k, self.POINTS)
+        arr = self.ANY[name](k, self.POINTS)
         for p, value, est in zip(self.POINTS, arr.value, arr.est_error):
-            one = self.CALLS[name](k, p)
+            one = self.ANY[name](k, p)
             assert abs(value - one.value) <= est + one.est_error, p
 
-    @by_call
+    @by_any
     def test_2d_input_keeps_shape(self, name):
         k = self.KS[0]
-        flat = self.CALLS[name](k, self.POINTS)
-        res = self.CALLS[name](k, np.reshape(self.POINTS, (2, 2)))
+        flat = self.ANY[name](k, self.POINTS)
+        res = self.ANY[name](k, np.reshape(self.POINTS, (2, 2)))
         assert res.value.shape == res.est_error.shape == (2, 2)
         assert np.array_equal(res.value.ravel(), flat.value)
         assert np.array_equal(res.est_error.ravel(), flat.est_error)
@@ -277,7 +297,15 @@ class TestArrayInputs:
         (lambda k: kernel_K(k, [[1.0, np.nan]], 0.5), "non-finite"),
         (lambda k: apply_V(k, plane_wave(1.0), [1.0, np.inf]), "inf"),
         (lambda k: apply_Vt(k, bump(2.0), [0.5, np.nan]), "nan"),
-    ], ids=["kernel-outside", "kernel-zero", "kernel-nan", "apply_V-inf", "apply_Vt-nan"])
+        (lambda k: jacobi_kernel(k, [1.0, 1.0], [0.5, -1.0]), r"x=1.0, y=-1.0"),
+        (lambda k: ktilde(k, [[1.0], [0.0]], 0.0, "direct"), "x != 0"),
+        (lambda k: ktilde(k, [1.0, 2.0], [0.5, np.inf], "byparts"), "non-finite"),
+        (lambda k: ktilde(k, [1.0, -2.0], [0.5, 2.5], "defining"), r"x=-2.0, y=2.5"),
+        (lambda k: dktilde_dy(k, [1.0, np.nan], 0.5), "non-finite"),
+        (lambda k: kernel_K_mourou(k, [1.0, 0.0], [0.5, 0.0]), "x != 0"),
+    ], ids=["kernel-outside", "kernel-zero", "kernel-nan", "apply_V-inf", "apply_Vt-nan",
+            "jacobi_kernel-outside", "ktilde-direct-zero", "ktilde-byparts-inf",
+            "ktilde-defining-outside", "dktilde_dy-nan", "kernel_K_mourou-zero"])
     def test_one_bad_element_raises(self, call, match):
         with pytest.raises(DomainError, match=match):
             call(Multiplicity(0.5, 0.5))
@@ -360,6 +388,19 @@ class TestIntertwine:
 
 
 class TestPositivityScan:
+    def test_verify_suite_rows(self):
+        # one row per cell of the built-in grid, then the minimum
+        rows = run_suite("positivity")
+        cells, min_row = rows[:-1], rows[-1]
+        assert len(cells) == 9 * 6 * 9
+        assert {r["check"] for r in cells} == {"kernel_positive"}
+        assert min_row["check"] == "scan_min_positive"
+        assert all(r["pass"] for r in rows)
+        report = positivity_scan(config.K_GRID, config.POSITIVITY_X, config.POSITIVITY_FRACS)
+        k1, k2, x, y = report.argmin
+        assert min_row["point"] == f"k1={k1!r} k2={k2!r} x={x!r} y={y!r}"
+        assert min_row["lhs"] == report.min_value == min(r["lhs"] for r in cells)
+
     def test_single_cell_matches_kernel(self):
         report = positivity_scan([(0.5, 0.5)], [1.0], [0.3])
         assert len(report.cells) == 1

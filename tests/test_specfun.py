@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trigdunkl import DomainError, Multiplicity, gamma_real, hyp2f1, jacobi_phi, opdam_G, specfun
+from trigdunkl import (DomainError, Multiplicity, NonConvergenceError, gamma_real, hyp2f1,
+                       jacobi_phi, opdam_G, specfun)
 from trigdunkl.config import NUMERICS
 from trigdunkl.specfun import loggamma_right_half
 
@@ -105,6 +106,15 @@ class TestHyp2F1:
     def test_pole_rejected(self, bad_c):
         with pytest.raises(DomainError):
             hyp2f1(1.0, 1.0, bad_c, -0.3)
+
+    def test_non_convergence_near_one(self):
+        # 2F1(1, 1; 2; z) = -log(1 - z) / z; at z = 0.999 the terms fall too
+        # slowly for the term cap, and the partial sum stays below the value
+        with pytest.raises(NonConvergenceError) as info:
+            hyp2f1(1, 1, 2, 0.999)
+        partial, est = info.value.partial, info.value.est_error
+        assert 0.0 < partial.real < -math.log1p(-0.999) / 0.999 and partial.imag == 0.0
+        assert 0.0 < est < math.inf
 
     def test_z_domain(self):
         with pytest.raises(DomainError):
