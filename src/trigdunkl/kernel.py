@@ -296,23 +296,14 @@ def jacobi_kernel(k: Multiplicity, x, y) -> EvalResult:
 
 
 def _ktilde_defining(k, x, y):
-    # nested route: integrate the cosine-setting kernel against its measure,
-    # summing over point indices, by which a batch finds its |y| and half-widths
-    ya = np.abs(y).ravel()
-    half = 0.5 * (np.abs(x).ravel() - ya)
-
-    def integrand(batch, t, glo, ghi):
-        # inner endpoint w -> |y| carries the (w - |y|)^{k1+k2-1} singularity,
-        # resolved down to gap 1e-280 (at small Re(k1+k2) a shallower cut
-        # would drop a visible share)
-        i = batch.astype(int)
-        gaps = half[i, None] * glo
-        vals, bars = _cosine_terms(k, ya[i, None] + gaps, gaps, with_density=True)
-        return vals[None], bars[None], half[i]
-
-    k1, k2 = _k12(k)
-    values, est, rule = _outer_sums(np.arange(x.size).reshape(x.shape), np.ones(x.size), 0.0,
-                                    integrand, (k1 + k2).real, _TS_FULL_GAP)
+    # nested route: integrate the cosine-setting kernel against its measure
+    # over (|y|, |x|); the inner endpoint w -> |y| carries the
+    # (w - |y|)^{k1+k2-1} singularity, resolved down to gap 1e-280 (at small
+    # Re(k1+k2) a shallower cut would drop a visible share)
+    values, est, rule = _outer_sums(
+        np.abs(y), np.abs(x),
+        lambda i, s, d_lo, d_hi: _cosine_terms(k, s, d_lo, with_density=True),
+        complex(k.k1 + k.k2).real, _TS_FULL_GAP)
     return _point_result(values, est, f"nested {rule} x {METHOD}")
 
 

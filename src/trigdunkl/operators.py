@@ -12,6 +12,7 @@ arbitrary user callables, which keeps every operator evaluation
 reproducible.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -21,8 +22,8 @@ import numpy as np
 from . import config
 from .config import NUMERICS
 from .errors import ContractError, DomainError
-from .kernel import METHOD, _kernel_values, kernel_K, weight_A
-from .params import Multiplicity
+from .kernel import METHOD, _kernel_values, weight_A
+from .params import KernelPoint, Multiplicity
 from .quadrature import EvalResult, _outer_sums, _point_result
 
 
@@ -43,8 +44,14 @@ class TestFunction:
     support: Optional[float] = None
 
 
+def _check_finite(name, v):
+    if not cmath.isfinite(v):
+        raise DomainError(f"{name} must be finite, got {v!r}")
+
+
 def plane_wave(lam) -> TestFunction:
     lam = complex(lam)
+    _check_finite("plane_wave frequency", lam)
     if lam.imag == 0.0:
         lam = lam.real
     return TestFunction(
@@ -69,6 +76,7 @@ def monomial(p: int) -> TestFunction:
 
 
 def gaussian(width: float = 1.0) -> TestFunction:
+    _check_finite("gaussian width", width)
     if width <= 0:
         raise DomainError(f"gaussian width must be > 0, got {width}")
     w2 = float(width) ** 2
@@ -83,6 +91,7 @@ def gaussian(width: float = 1.0) -> TestFunction:
 def bump(a: float = config.BUMP_SUPPORT) -> TestFunction:
     """Smooth bump exp(-1 / (1 - (y/a)^2)) on (-a, a), zero outside."""
     a = float(a)
+    _check_finite("bump support", a)
     if a <= 0:
         raise DomainError(f"bump support must be > 0, got {a}")
 
@@ -120,7 +129,10 @@ def get_test_function(spec: str) -> TestFunction:
         if requires_param:
             raise DomainError(f"{name} needs a parameter, e.g. {name}:1.5")
         return factory()
-    value = int(param) if name == "monomial" else float(param)
+    try:
+        value = int(param) if name == "monomial" else float(param)
+    except ValueError:
+        raise DomainError(f"bad parameter {param!r} for {name}") from None
     return factory(value)
 
 
@@ -139,6 +151,7 @@ def cherednik_D(k: Multiplicity, f: TestFunction, x: float, form: str = "cothtan
         raise DomainError(f"form must be one of {_D_FORMS}, got {form!r}")
     if f.deriv is None:
         raise ContractError(f"{f.id} has no derivative; the operator needs one")
+    _check_finite("evaluation point", x)
     k1, k2 = k.k1, k.k2
     rho = k.rho
     if form == "regularized":
@@ -173,17 +186,17 @@ def apply_V(k: Multiplicity, f: TestFunction, x) -> EvalResult:
     """
     x = np.asarray(x, dtype=float)
 
-    def integrand(xb, t, glo, ghi):
-        xa = np.abs(xb)[:, None]
-        y = _MIRROR * (0.5 * xa * glo)
-        kv, kb = _kernel_values(k, xb[:, None], y, gap=0.5 * xa * ghi)
+    def integrand(i, s, d_lo, d_hi):
+        y = _MIRROR * s
+        kv, kb = _kernel_values(k, x.flat[i][:, None], y, gap=d_hi)
         fy = np.asarray(f.eval(y))
-        return kv * fy, kb * np.abs(fy), 0.5 * xa[:, 0]
+        return kv * fy, kb * np.abs(fy)
 
-    nonzero = x != 0.0
-    fill = 0.0 if nonzero.all() else f.eval(0.0)
-    values, est, rule = _outer_sums(x, nonzero, fill, integrand, complex(k.k1 + k.k2).real)
-    method = f"{rule} x {METHOD}" if nonzero.any() else "point-evaluation"
+    values, est, rule = _outer_sums(0.0, np.abs(x), integrand, complex(k.k1 + k.k2).real)
+    zero = x == 0.0
+    if zero.any():
+        values[zero] = f.eval(0.0)
+    method = "point-evaluation" if zero.all() else f"{rule} x {METHOD}"
     return _point_result(values, est, method)
 
 
@@ -200,18 +213,15 @@ def apply_Vt(k: Multiplicity, g: TestFunction, y) -> EvalResult:
     y = np.asarray(y, dtype=float)
     a = float(g.support)
 
-    def integrand(yb, t, glo, ghi):
-        ya = np.abs(yb)[:, None]
-        span = a - ya
-        # abscissae as exact offsets from the nearer end
-        x = _MIRROR * np.where(t <= 0.0, ya + 0.5 * span * glo, a - 0.5 * span * ghi)
-        kv, kb = _kernel_values(k, x, yb[:, None], gap=0.5 * span * glo)
+    def integrand(i, s, d_lo, d_hi):
+        x = _MIRROR * s
+        kv, kb = _kernel_values(k, x, y.flat[i][:, None], gap=d_lo)
         ga = np.asarray(g.eval(x)) * np.asarray(weight_A(k, x))
-        return kv * ga, kb * np.abs(ga), 0.5 * span[:, 0]
+        return kv * ga, kb * np.abs(ga)
 
-    inside = np.abs(y) < a
-    values, est, rule = _outer_sums(y, inside, 0.0, integrand, complex(k.k1 + k.k2).real)
-    return _point_result(values, est, f"{rule} x {METHOD}" if inside.any() else "empty-domain")
+    ya = np.abs(y)
+    values, est, rule = _outer_sums(ya, np.maximum(ya, a), integrand, complex(k.k1 + k.k2).real)
+    return _point_result(values, est, f"{rule} x {METHOD}" if (ya < a).any() else "empty-domain")
 
 
 def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
@@ -225,13 +235,13 @@ def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
     a = float(g.support)
 
     def pairing(outer, op, fn):
-        # integral of outer(x) op(k, fn, x) over (0, a) mapped from 0 and its mirror
-        def integrand(_, t, glo, ghi):
-            x = _MIRROR * (0.5 * a * glo)
+        # integral of outer(x) op(k, fn, x) over (0, a) and its mirror image
+        def integrand(i, s, d_lo, d_hi):
+            x = _MIRROR * s
             u = np.asarray(outer(x))
             v = op(k, fn, x)
-            return u * v.value, np.abs(u) * v.est_error, 0.5 * a
-        return _outer_sums([a], [True], 0.0, integrand)[0][0]
+            return u * v.value, np.abs(u) * v.est_error
+        return complex(_outer_sums(0.0, a, integrand)[0])
 
     lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x), apply_V, f)
     rhs = pairing(f.eval, apply_Vt, g)
@@ -270,21 +280,26 @@ def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
     """Kernel values over a (k, x, y = fraction |x|) grid, with their minimum.
 
     Restricted to real positive parameter pairs, where strict positivity is
-    the expected outcome; fractions approaching -1 probe y near -x.  Each
-    k's cells go to ``kernel_K`` in chunks of arrays, so a one-cell scan
-    equals the point call.  A cell outside |y| < |x| (also by rounding)
-    raises DomainError, a non-finite value EvaluationError.
+    the expected outcome; fractions approaching -1 probe y near -x.  The
+    cells are checked once; each k's cells go to the kernel in chunks of
+    arrays, as ``kernel_K`` takes them, so a one-cell scan equals the point
+    call.  A cell outside |y| < |x| (also by rounding) raises DomainError, a
+    non-finite value EvaluationError.
     """
     k_grid = tuple((float(k1), float(k2)) for k1, k2 in k_grid)
     x_grid = tuple(float(x) for x in x_grid)
     fracs = tuple(float(fr) for fr in y_fraction_grid)
     xs = np.repeat(x_grid, len(fracs))
     ys = np.outer(np.abs(x_grid), fracs).ravel()
-    values = np.empty((len(k_grid), xs.size))
-    for row, k in zip(values, [Multiplicity(k1, k2) for k1, k2 in k_grid]):
-        for i in range(0, xs.size, _SCAN_CHUNK):
-            chunk = slice(i, i + _SCAN_CHUNK)
-            row[chunk] = kernel_K(k, xs[chunk], ys[chunk]).value
+    ks = [Multiplicity(k1, k2) for k1, k2 in k_grid]
+    KernelPoint(xs, ys)
+    values, bars = np.empty((2, len(ks), xs.size))
+    with np.errstate(all="ignore"):     # a non-finite value raises instead
+        for k, row, bar in zip(ks, values, bars):
+            for i in range(0, xs.size, _SCAN_CHUNK):
+                chunk = slice(i, i + _SCAN_CHUNK)
+                row[chunk], bar[chunk] = _kernel_values(k, xs[chunk], ys[chunk])
+    _point_result(values, bars, METHOD)     # one finite check, with kernel_K's message
     xys = list(zip(xs.tolist(), ys.tolist()))
     cells = tuple((k1, k2, x, y, v) for (k1, k2), row in zip(k_grid, values.tolist())
                   for (x, y), v in zip(xys, row))

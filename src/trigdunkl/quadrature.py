@@ -22,7 +22,7 @@ the level below) as a second weight vector ``wc`` on the same nodes, so every
 integral forms its value and error estimate as ``vals @ w`` and ``vals @ wc``.
 
 ``_outer_sums``, the outer integral of V, tV, the duality pairing and the
-nested ``ktilde`` form, picks the tanh-sinh level per point: from level 4
+nested ``ktilde`` form, picks the tanh-sinh level per interval: from level 4
 up, the first whose companion agrees to sqrt(eps) times the sum of
 |integrand| w (each level roughly squares the error of the one below).
 """
@@ -63,14 +63,20 @@ class EvalResult:
 def _point_result(value, bar, method) -> EvalResult:
     """Values with their error bars, scalars or arrays; raises if any is not finite.
 
-    Values are real when no imaginary part is nonzero, scalars Python numbers.
+    The message names the first non-finite value, else the first non-finite
+    bar.  Values are real when no imaginary part is nonzero, scalars Python
+    numbers.
     """
     value, bar = np.asarray(value), np.asarray(bar, dtype=float)
     if np.iscomplexobj(value) and not np.count_nonzero(value.imag):
         value = value.real
     finite = np.isfinite(value) & np.isfinite(bar)
     if np.count_nonzero(finite) < finite.size:
-        raise EvaluationError(f"{method} gave the non-finite value {value[~finite][0].item()!r}")
+        if np.isfinite(value).all():
+            raise EvaluationError(f"{method} gave the value {value[~finite][0].item()!r} with "
+                                  f"the non-finite error bar {bar[~finite][0].item()!r}")
+        raise EvaluationError(f"{method} gave the non-finite value "
+                              f"{value[~np.isfinite(value)][0].item()!r}")
     return EvalResult(*(v if v.ndim else v.item() for v in (value, bar)), method)
 
 
@@ -204,45 +210,55 @@ def tanh_sinh(level: int) -> QuadratureRule:
                           level=level)
 
 
-def _outer_sums(points, active, fill, integrand, power=1.0, cut=_OUTER_GAP):
-    """Outer tanh-sinh integrals at the ``active`` ones of ``points``, each at its own level.
+def _on_interval(lo, hi, t, glo, ghi):
+    """Tanh-sinh nodes on (lo, hi) as exact offsets from the nearer end, and both end distances."""
+    half = 0.5 * (hi - lo)
+    d_lo, d_hi = half * glo, half * ghi
+    return np.where(t <= 0.0, lo + d_lo, hi - d_hi), d_lo, d_hi
 
-    ``integrand(batch, t, glo, ghi)`` returns the integrand at the abscissae
-    of the rule cut at endpoint gap ``cut`` (pieces of the domain x points x
-    nodes), its error bar and the pieces' half-width per point.  The rules
-    are symmetric, so a piece's mirror image takes the same abscissae
-    negated.  Each level is computed whole, ``_OUTER_NODES`` points x nodes
-    a batch, until every point stops or ``_MAX_TS_LEVEL``.  Returns the
-    values (``fill`` elsewhere) and error estimates in the shape of the
-    (finite) ``points``, and the highest rule used.  An estimate is the
-    difference from the level below, the integrand's rounding and the part
-    beyond the cut: about gap |integrand| / power at the outermost nodes,
-    for an integrand that goes like gap^{power-1} at an end.
+
+def _outer_sums(lo, hi, integrand, power=1.0, cut=_OUTER_GAP):
+    """Outer tanh-sinh integrals over the broadcast intervals (lo, hi), each at its own level.
+
+    ``integrand(i, s, d_lo, d_hi)`` gets a batch's flat interval indices and
+    the abscissae of the rule cut at endpoint gap ``cut`` with their end
+    distances (points x nodes), and returns the integrand there, summed over
+    any leading axis (pieces of the domain, e.g. s and -s), and its error
+    bar.  An empty interval gives 0 without the integrand.  Each level is
+    computed whole, ``_OUTER_NODES`` points x nodes a batch, until every
+    interval stops or ``_MAX_TS_LEVEL``.  Returns the values and error
+    estimates in the broadcast shape, and the highest rule used.  An estimate
+    is the difference from the level below, the integrand's rounding and the
+    part beyond the cut: about gap |integrand| / power at the outermost
+    nodes, for an integrand like gap^{power-1} at an end.
     """
-    points = np.asarray(points, dtype=float)
-    if not np.isfinite(points).all():
-        raise DomainError(f"non-finite evaluation point {points[~np.isfinite(points)][0].item()!r}")
-    values = np.full(points.shape, fill, dtype=complex)
-    est = np.zeros(points.shape)
-    todo = np.flatnonzero(active)
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    ends = np.concatenate((lo.ravel(), hi.ravel()))
+    if not np.isfinite(ends).all():
+        raise DomainError(f"non-finite evaluation point {ends[~np.isfinite(ends)][0].item()!r}")
+    values = np.zeros(lo.shape, dtype=complex)
+    est = np.zeros(lo.shape)
+    todo = np.flatnonzero(lo < hi)
     for level in range(4, _MAX_TS_LEVEL + 1):
         t, w, glo, ghi, wc = _tanh_sinh_full(level, cut)
         step = max(1, _OUTER_NODES // t.size)
         done = np.zeros(todo.size, dtype=bool)
-        for i in range(0, todo.size, step):
-            sl = todo[i:i + step]
-            vals, bars, half = integrand(points.flat[sl], t, glo, ghi)
+        for j in range(0, todo.size, step):
+            i = todo[j:j + step]
+            half = 0.5 * (hi.flat[i] - lo.flat[i])
+            s, d_lo, d_hi = _on_interval(lo.flat[i][:, None], hi.flat[i][:, None], t, glo, ghi)
+            vals, bars = (np.reshape(v, (-1,) + s.shape) for v in integrand(i, s, d_lo, d_hi))
             fine = vals @ w
             diff = np.abs(fine - vals @ wc).sum(0) * half
             mags = (np.abs(vals) @ w).sum(0) * half
             tail = (glo[0] * np.abs(vals[..., 0]) + ghi[-1] * np.abs(vals[..., -1])).sum(0)
             # a NaN difference stops at once: no level makes it finite
             stop = ~(diff > math.sqrt(_EPS) * mags) | (level == _MAX_TS_LEVEL)
-            values.flat[sl[stop]] = (fine.sum(0) * half)[stop]
+            values.flat[i[stop]] = (fine.sum(0) * half)[stop]
             # products with f and the measure, and the sum, round each term
-            est.flat[sl[stop]] = (diff + (bars @ w).sum(0) * half + 8.0 * _EPS * mags
-                                  + tail * half / power)[stop]
-            done[i:i + step] = stop
+            est.flat[i[stop]] = (diff + (bars @ w).sum(0) * half + 8.0 * _EPS * mags
+                                 + tail * half / power)[stop]
+            done[j:j + step] = stop
         todo = todo[~done]
         if not todo.size:
             break
@@ -287,8 +303,7 @@ def integrate(rule: QuadratureRule, f, interval) -> EvalResult:
     if rule.level is not None:
         refined = min(rule.level + 1, _MAX_TS_LEVEL)
         t, w, gap_lo, gap_hi, wc = _tanh_sinh_full(refined)
-        # abscissae as exact offsets from the nearer endpoint
-        xs = np.where(t <= 0.0, lo + half * gap_lo, hi - half * gap_hi)
+        xs = _on_interval(lo, hi, t, gap_lo, gap_hi)[0]
         method = f"{rule.kind}->level={refined}"
     else:
         # Gauss rule: the refined companion has the same weight exponents

@@ -106,6 +106,21 @@ class TestApplyCommands:
         assert out == ""
         assert err.startswith("numerical failure: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("apply-v", "--function", "bump:nan", "--x", "0.5"),
+        ("apply-vt", "--function", "bump:nan", "--y", "0.5"),
+        ("apply-v", "--function", "plane_wave:nan", "--x", "0.5"),
+        ("apply-v", "--function", "plane_wave:inf", "--x", "0.5"),
+        ("apply-v", "--function", "gaussian:inf", "--x", "0.5"),
+        ("apply-v", "--function", "bump:abc", "--x", "0.5"),
+    ], ids=["apply-v-bump-nan", "apply-vt-bump-nan", "plane_wave-nan", "plane_wave-inf",
+            "gaussian-inf", "bump-unparseable"])
+    def test_bad_function_parameter_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv[0], "--k1", "0.5", "--k2", "0.5", *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_apply_vt_requires_support(self, capsys):
         code, _, err = run_cli(capsys, "apply-vt", "--k1", "0.5", "--k2", "0.5",
                                "--function", "gaussian", "--y", "0.5")

@@ -86,6 +86,24 @@ class TestRegistry:
         with pytest.raises(DomainError):
             get_test_function("plane_wave")
 
+    @pytest.mark.parametrize("spec", ["bump:nan", "bump:inf", "gaussian:nan", "gaussian:inf",
+                                      "plane_wave:nan", "plane_wave:inf", "plane_wave:-inf"])
+    def test_non_finite_parameter_rejected(self, spec):
+        with pytest.raises(DomainError, match="must be finite"):
+            get_test_function(spec)
+
+    @pytest.mark.parametrize("factory, param", [
+        (bump, float("nan")), (gaussian, float("inf")), (plane_wave, complex(1.0, float("nan"))),
+    ])
+    def test_non_finite_factory_argument_rejected(self, factory, param):
+        with pytest.raises(DomainError, match="must be finite"):
+            factory(param)
+
+    @pytest.mark.parametrize("spec", ["bump:abc", "monomial:1.5", "monomial:nan"])
+    def test_unparseable_parameter_rejected(self, spec):
+        with pytest.raises(DomainError, match="bad parameter"):
+            get_test_function(spec)
+
 
 class TestCherednikD:
     def test_constant_function(self):
@@ -136,6 +154,14 @@ class TestCherednikD:
         f = TestFunction("no-deriv", eval=lambda t: t)
         with pytest.raises(ContractError):
             cherednik_D(Multiplicity(0.5, 0.5), f, 1.0)
+
+    @pytest.mark.parametrize("form", ["regularized", "cothtanh"])
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_point_raises(self, form, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be finite"):
+                cherednik_D(Multiplicity(0.5, 0.5), plane_wave(1.0), x, form)
 
 
 class TestApplyV:
@@ -325,6 +351,16 @@ def test_non_finite_value_raises_without_warnings(call):
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError):
             call(Multiplicity(0.5, 0.5))
+
+
+def test_non_finite_error_bar_named():
+    # the nested form's inner gap underflows at tiny |x|: its value is finite
+    # there, its error bar not
+    with pytest.raises(EvaluationError) as err:
+        ktilde(Multiplicity(1.5, 0.7), 1e-80, 3e-81, "defining")
+    message = str(err.value)
+    assert "non-finite error bar nan" in message
+    assert "non-finite value" not in message
 
 
 class TestApplyVt:

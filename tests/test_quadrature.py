@@ -12,7 +12,7 @@ from trigdunkl import (
     integrate,
     tanh_sinh,
 )
-from trigdunkl.quadrature import _gauss_jacobi_pair, _tanh_sinh_full
+from trigdunkl.quadrature import _gauss_jacobi_pair, _outer_sums, _tanh_sinh_full
 
 
 def beta_moment(alpha, beta):
@@ -180,3 +180,54 @@ class TestIntegrate:
                       (0.0, 1.0))
         assert err.value.node is not None
         assert err.value.node > 0.5
+
+
+class TestOuterSums:
+    @staticmethod
+    def _recording(calls):
+        def integrand(i, s, d_lo, d_hi):
+            calls.append(i.copy())
+            return np.ones(s.shape), np.zeros(s.shape)
+        return integrand
+
+    def test_empty_and_reversed_intervals_skip_integrand(self):
+        calls = []
+        values, est, _ = _outer_sums([1.0, 2.0, 0.5], [1.0, 1.0, 2.0], self._recording(calls))
+        assert values[:2].tolist() == [0.0, 0.0] and est[:2].tolist() == [0.0, 0.0]
+        assert values[2] == pytest.approx(1.5, rel=1e-14)
+        assert calls and all(i.tolist() == [2] for i in calls)
+
+    def test_all_empty_never_calls_integrand(self):
+        calls = []
+        values, est, _ = _outer_sums(np.zeros((2, 3)), [[0.0], [-1.0]], self._recording(calls))
+        assert calls == []
+        assert values.shape == est.shape == (2, 3)
+        assert not values.any() and not est.any()
+
+    @pytest.mark.parametrize("lo, hi, bad", [
+        ([0.0, np.nan], 1.0, "nan"),
+        (0.0, [1.0, np.inf], "inf"),
+        (-np.inf, 0.0, "-inf"),
+    ])
+    def test_non_finite_end_raises(self, lo, hi, bad):
+        calls = []
+        with pytest.raises(DomainError, match=f"non-finite evaluation point {bad}"):
+            _outer_sums(lo, hi, self._recording(calls))
+        assert calls == []
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.001), (-2.0, 0.5)])
+    def test_endpoint_distances_resolve_beta_integral(self, lo, hi):
+        # integral of d_lo^{p-1} d_hi^{p-1} over (lo, hi) = (hi - lo)^{2p-1} B(p, p);
+        # both ends are singular, and near them only the distances resolve
+        # the nodes: the abscissae round onto the ends
+        p = 0.3
+
+        def integrand(i, s, d_lo, d_hi):
+            assert np.all((lo <= s) & (s <= hi) & (d_lo > 0.0) & (d_hi > 0.0))
+            return d_lo ** (p - 1.0) * d_hi ** (p - 1.0), np.zeros(s.shape)
+
+        values, est, _ = _outer_sums(lo, hi, integrand, p)
+        exact = (hi - lo) ** (2.0 * p - 1.0) * math.gamma(p) ** 2 / math.gamma(2.0 * p)
+        assert values.shape == est.shape == ()
+        assert abs(values.item() - exact) <= est.item()
+        assert est.item() < 1e-12 * exact
