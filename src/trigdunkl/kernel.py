@@ -30,7 +30,10 @@ small |x| and near y = -x).  Euler's integral and Pfaff's transformation
 two Gauss series summed to rounding, with no quadrature rule.  In each
 form's constant c 2^{3 alpha + beta + 1} B the Gamma(k1) Gamma(k2) of c
 cancel, leaving D = 2^{4k1+6k2-4} Gamma(s+1/2) / (sqrt(pi) Gamma(s)),
-s = k1 + k2, times a rational factor:
+s = k1 + k2, times a factor.  Each row is one ``_cosh_gap_integral`` call,
+which returns the row's final values and error bars: the factor's leading
+sign or number (sign x, 4, 16/s, -8 sinh y) is its ``pref``, and the rest
+enters the exponent:
 
     K              = D sign x / A(x)      J'(k2-1, k1-1; 2 e^{(x-y)/2} sinh((x+y)/2) - 2 e^{-y/2} v)
                      at X = |x|/2, Y = |y|/2
@@ -44,7 +47,8 @@ log sinh((X-Y)/2), so tiny gaps stay representable.  Real and complex k
 differ only in how log D is formed.  Every value carries an error bar: the
 rounding of its exponent's log parts and of the series (the sum of its
 terms' magnitudes), plus the series' last term, which bounds the dropped
-tail.  ``kernel_K`` and the oracle forms take scalars or broadcasting
+tail.  ``kernel_K_mourou`` is three such calls at half arguments, whose sum
+it quarters.  ``kernel_K`` and the oracle forms take scalars or broadcasting
 arrays; a non-finite value raises ``EvaluationError``.
 """
 
@@ -142,15 +146,16 @@ def sigma(x, y, z):
     return val.item() if val.ndim == 0 else val
 
 
-def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, log_pref=()):
-    """D exp(sum of log_pref) J'(alpha, beta; q) over (cosh(xa - gap), cosh xa), broadcasting.
+def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, pref, q=None, log_pref=()):
+    """pref D exp(sum of log_pref) J'(alpha, beta; q) over (cosh(xa - gap), cosh xa), broadcasting.
 
-    Returns (values, error bars).  ``q(f1, f2)`` gives the integrand
-    factor's value at v = 0 and its rise over the gap d = 2 f1 f2, with f1 =
-    sinh((xa + ya)/2), f2 = sinh(gap/2) passed separately so that callers
-    can form the rise without overflow; it defaults to 1.  ``gap`` = xa -
-    (lower end) is passed separately so callers that know it without
-    cancellation keep it exact.
+    Returns (values, error bars) of a form in the module docstring's table,
+    ``pref`` being its factor; no caller rescales them.  ``q(f1, f2)`` gives
+    the integrand factor's value at v = 0 and its rise over the gap d =
+    2 f1 f2, with f1 = sinh((xa + ya)/2), f2 = sinh(gap/2) passed separately
+    so that callers can form the rise without overflow; it defaults to 1.
+    ``gap`` = xa - (lower end) is passed separately so callers that know it
+    without cancellation keep it exact.
     """
     a = np.cosh(xa)
     half = gap / 2.0
@@ -187,20 +192,18 @@ def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, q=None, log_pref=(
     series = np.abs(q0) * sums[2].real + np.abs(slope) * sums[3].real
     # small factors first: values near the largest double keep finite bars
     bars = _EPS * (8.0 + 2.0 * size) * np.abs(values) + 2.0 * _EPS * series * np.abs(factor)
-    return values, bars
+    return pref * values, abs(pref) * bars
+
+
+def _times_u(y):
+    """q for the factor u = cosh y: its value at the lower end and its rise over the gap."""
+    return lambda f1, f2: (np.cosh(y), 2.0 * f1 * f2)
 
 
 def _points(x, y):
     """Admissible kernel points as float arrays of one (broadcast) shape."""
     KernelPoint(x, y)
     return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-
-def _ktilde_point(k, x, y, alpha, beta, pref, log_pref=(), times_u=False):
-    """(values, bars) of pref D exp(sum log_pref) J'(alpha, beta; u if times_u else 1)."""
-    q = (lambda f1, f2: (np.cosh(y), 2.0 * f1 * f2)) if times_u else None
-    value, bar = _cosh_gap_integral(k, np.abs(x), np.abs(x) - np.abs(y), alpha, beta, q, log_pref)
-    return pref * value, abs(pref) * bar
 
 
 def _kernel_values(k: Multiplicity, x, y, *, gap=None):
@@ -228,11 +231,10 @@ def _kernel_values(k: Multiplicity, x, y, *, gap=None):
     # one exponent: A(x) ~ |x|^{2(k1+k2)} near 0 and the radius power near
     # y = -/+ x stay inside double range only in combination
     values, bars = _cosh_gap_integral(
-        k, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, k2 - 1.0, k1 - 1.0,
+        k, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, k2 - 1.0, k1 - 1.0, np.sign(x),
         lambda f1, f2: (e_fwd, -(2.0 * f1 / xa) * f2 * e_bwd),
         (-_log_weight(k, x), np.log(xa)),
     )
-    values = np.sign(x) * values
     return (values.reshape(shape), bars.reshape(shape)) if shape else (values, bars)
 
 
@@ -272,27 +274,25 @@ def kernel_K_limit_k2zero(k1: float, x: float, y: float) -> float:
     return 0.5 * _limit_kernel(k1, x / 2.0, y / 2.0, "k1")
 
 
-def _cosine_terms(k, x, gap, *, with_density=False):
-    """(values, error bars) of the cosine-setting kernel at (x, |x| - gap).
+def _cosine_terms(k, x, gap, log_pref=()):
+    """(values, error bars) of the cosine-setting kernel at (x, |x| - gap) times exp(sum log_pref).
 
-    ``with_density`` multiplies by the measure density A(2x), which cancels
-    the kernel's normalizing division where either alone would overflow.
+    Its division by A(2x) is the exponent term -log A(2x), which a caller
+    passes in ``log_pref``; one that multiplies by the density leaves it out.
     """
     k1, k2 = _k12(k)
     # |sinh 2x| goes into the exponent too: at the nested route's inner
     # end it is tiny while the radius power alone overflows
-    log_pref = (np.log(np.abs(np.sinh(2.0 * x))),)
-    if not with_density:
-        log_pref += (-_log_weight(k, 2.0 * x),)
-    values, bars = _cosh_gap_integral(k, np.abs(x), gap, k2 - 1.0, k1 - 1.0, None, log_pref)
-    return 4.0 * values, 4.0 * bars
+    return _cosh_gap_integral(k, np.abs(x), gap, k2 - 1.0, k1 - 1.0, 4.0, None,
+                              (np.log(np.abs(np.sinh(2.0 * x))), *log_pref))
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
 def jacobi_kernel(k: Multiplicity, x, y) -> EvalResult:
     """Kernel of the intertwining operator in the hyperbolic-cosine setting."""
     x, y = _points(x, y)
-    return _point_result(*_cosine_terms(k, x, np.abs(x) - np.abs(y)), METHOD)
+    return _point_result(*_cosine_terms(k, x, np.abs(x) - np.abs(y), (-_log_weight(k, 2.0 * x),)),
+                         METHOD)
 
 
 def _ktilde_defining(k, x, y):
@@ -302,7 +302,7 @@ def _ktilde_defining(k, x, y):
     # Re(k1+k2) a shallower cut would drop a visible share)
     values, est, rule = _outer_sums(
         np.abs(y), np.abs(x),
-        lambda i, s, d_lo, d_hi: _cosine_terms(k, s, d_lo, with_density=True),
+        lambda i, s, d_lo, d_hi: _cosine_terms(k, s, d_lo),
         complex(k.k1 + k.k2).real, _TS_FULL_GAP)
     return _point_result(values, est, f"nested {rule} x {METHOD}")
 
@@ -324,9 +324,9 @@ def ktilde(k: Multiplicity, x, y, form: str = "direct") -> EvalResult:
     if form == "defining":
         return _ktilde_defining(k, x, y)
     k1, k2 = _k12(k)
-    alpha, beta = (k2, k1 - 1.0) if form == "direct" else (k2 - 1.0, k1)
-    return _point_result(*_ktilde_point(k, x, y, alpha, beta, 16.0 / (k1 + k2),
-                                        times_u=form == "byparts"), METHOD)
+    alpha, beta, q = (k2, k1 - 1.0, None) if form == "direct" else (k2 - 1.0, k1, _times_u(y))
+    return _point_result(*_cosh_gap_integral(k, np.abs(x), np.abs(x) - np.abs(y), alpha, beta,
+                                             16.0 / (k1 + k2), q), METHOD)
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
@@ -334,8 +334,8 @@ def dktilde_dy(k: Multiplicity, x, y) -> EvalResult:
     """Same-variable y-derivative of the antiderivative; odd in y, zero at y = 0."""
     x, y = _points(x, y)
     k1, k2 = _k12(k)
-    return _point_result(*_ktilde_point(k, x, y, k2 - 1.0, k1 - 1.0, -8.0 * np.sinh(y),
-                                        times_u=True), METHOD)
+    return _point_result(*_cosh_gap_integral(k, np.abs(x), np.abs(x) - np.abs(y), k2 - 1.0,
+                                             k1 - 1.0, -8.0 * np.sinh(y), _times_u(y)), METHOD)
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
@@ -350,6 +350,7 @@ def kernel_K_mourou(k: Multiplicity, x, y) -> EvalResult:
     """
     x, y = _points(x, y)
     xh, yh = x / 2.0, y / 2.0
+    xa, gap = np.abs(xh), np.abs(xh) - np.abs(yh)
     k1, k2 = _k12(k)
     # 1/A(x) and |sinh(y/2)| enter the exponents, which stay in range at tiny |x|;
     # sign(y) zeroes the derivative term at y = 0, where sinh(x/2) stands in
@@ -357,9 +358,9 @@ def kernel_K_mourou(k: Multiplicity, x, y) -> EvalResult:
     log_sinh = np.log(np.abs(np.sinh(np.where(y == 0.0, xh, yh))))
     # 4 times: Jacobi kernel / 4, sign x (k1/4 + k2/2) Ktilde / A, -sign x dKtilde/dy / (4A)
     values, bars = zip(
-        _cosine_terms(k, xh, np.abs(xh) - np.abs(yh)),
-        _ktilde_point(k, xh, yh, k2, k1 - 1.0, np.sign(x) * (16.0 * k1 + 32.0 * k2) / (k1 + k2),
-                      (log_ainv,)),
-        _ktilde_point(k, xh, yh, k2 - 1.0, k1 - 1.0, 8.0 * np.sign(x) * np.sign(y),
-                      (log_ainv, log_sinh), times_u=True))
+        _cosine_terms(k, xh, gap, (log_ainv,)),
+        _cosh_gap_integral(k, xa, gap, k2, k1 - 1.0,
+                           np.sign(x) * (16.0 * k1 + 32.0 * k2) / (k1 + k2), None, (log_ainv,)),
+        _cosh_gap_integral(k, xa, gap, k2 - 1.0, k1 - 1.0, 8.0 * np.sign(x) * np.sign(y),
+                           _times_u(yh), (log_ainv, log_sinh)))
     return _point_result(0.25 * sum(values), 0.25 * sum(bars), f"mourou[{METHOD}]")

@@ -137,6 +137,7 @@ def get_test_function(spec: str) -> TestFunction:
 
 
 _D_FORMS = ("regularized", "cothtanh")
+_TINY = 2.0 ** -1022     # the smallest normal double
 
 
 def cherednik_D(k: Multiplicity, f: TestFunction, x: float, form: str = "cothtanh"):
@@ -157,8 +158,12 @@ def cherednik_D(k: Multiplicity, f: TestFunction, x: float, form: str = "cothtan
     if form == "regularized":
         if x == 0:
             raise DomainError("regularized form has a pole at x = 0; use cothtanh")
-        coeff = k1 / (1.0 - math.exp(-x)) + 2.0 * k2 / (1.0 - math.exp(-2.0 * x))
-        return f.deriv(x) + coeff * (f.eval(x) - f.eval(-x)) - rho * f.eval(x)
+        # difference quotients before k: 1 - e^{-x} is 0 or subnormal at tiny
+        # |x|, and e^{-x} overflows below x = -709, where the quotients vanish
+        odd = f.eval(x) - f.eval(-x)
+        with np.errstate(over="ignore"):
+            q1, q2 = (_by_real(odd, -np.expm1(-t)) for t in (x, 2.0 * x))
+        return f.deriv(x) + k1 * q1 + 2.0 * k2 * q2 - rho * f.eval(x)
     if x == 0:
         return (1.0 + 2.0 * (k1 + k2)) * f.deriv(0.0) - rho * f.eval(0.0)
     return _d_cothtanh(k, x, f.deriv(x), f.eval(x), f.eval(-x))
@@ -167,8 +172,17 @@ def cherednik_D(k: Multiplicity, f: TestFunction, x: float, form: str = "cothtan
 def _d_cothtanh(k: Multiplicity, x: float, deriv, fx, fmx):
     """D f(x), x != 0, in the coth/tanh form from f'(x), f(x) and f(-x)."""
     th = math.tanh(x / 2.0)
-    coeff = (k.k1 + k.k2) / (2.0 * th) + k.k2 * th / 2.0
-    return deriv + coeff * (fx - fmx) - k.rho * fmx
+    odd = fx - fmx
+    # the difference quotient before k, as coth(x/2) overflows at subnormal
+    # x; there tanh(x/2) is x/2, which rounds, so it takes 2/x instead
+    quotient = 2.0 * _by_real(odd, x) if abs(x) < _TINY else _by_real(odd, th)
+    return deriv + (k.k1 + k.k2) / 2.0 * quotient + k.k2 * th / 2.0 * odd - k.rho * fmx
+
+
+def _by_real(num, den):
+    """num / den for real den, part by part: numpy divides a complex num by
+    multiplying with 1/den, which overflows for |den| < 5.6e-309."""
+    return complex(num.real / den, num.imag / den) if np.iscomplexobj(num) else num / den
 
 
 _SCAN_CHUNK = 4096  # scan cells per kernel call, keeps temporaries ~3 MB
@@ -286,7 +300,11 @@ def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
     call.  A cell outside |y| < |x| (also by rounding) raises DomainError, a
     non-finite value EvaluationError.
     """
-    k_grid = tuple((float(k1), float(k2)) for k1, k2 in k_grid)
+    k_grid = tuple(k_grid)
+    for k1, k2 in k_grid:
+        if complex(k1).imag or complex(k2).imag:
+            raise DomainError(f"positivity_scan needs real parameters, got k = ({k1}, {k2})")
+    k_grid = tuple((complex(k1).real, complex(k2).real) for k1, k2 in k_grid)
     x_grid = tuple(float(x) for x in x_grid)
     fracs = tuple(float(fr) for fr in y_fraction_grid)
     xs = np.repeat(x_grid, len(fracs))

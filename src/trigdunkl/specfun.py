@@ -65,14 +65,14 @@ def _is_nonpositive_integer(v) -> bool:
     return v.imag == 0.0 and v.real <= 0.0 and v.real == int(v.real)
 
 
-def _series_2f1(a, b, c, z):
-    """Power series sum_n (a)_n (b)_n / ((c)_n n!) z^n for |z| < 1."""
+def _series_2f1(a, b, c, w, z):
+    """Power series sum_n (a)_n (b)_n / ((c)_n n!) w^n for |w| < 1; errors name hyp2f1's z."""
     max_terms = NUMERICS.series_max_terms
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     small_streak = 0
     for n in range(max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * w
         total += term
         if abs(term) <= 1e-17 * max(abs(total), 1e-300):
             small_streak += 1
@@ -80,8 +80,9 @@ def _series_2f1(a, b, c, z):
                 return total
         else:
             small_streak = 0
+    at = f"z={z}" if w == z else f"z={z}, Pfaff-mapped to w={w}"
     raise NonConvergenceError(
-        f"2F1 series did not converge within {max_terms} terms (z={z})",
+        f"2F1 series did not converge within {max_terms} terms ({at})",
         partial=total,
         est_error=abs(term),
     )
@@ -112,12 +113,12 @@ def hyp2f1(a, b, c, z) -> complex:
     if z == 0.0:
         return 1.0 + 0.0j
     if z > -0.5:
-        return _series_2f1(complex(a), complex(b), complex(c), z)
+        return _series_2f1(complex(a), complex(b), complex(c), z, z)
     # Pfaff map: 1 - z > 1 here, so the prefactor power is principal and real
     # based.
     w = z / (z - 1.0)
     pre = cmath.exp(-complex(a) * math.log1p(-z))
-    return pre * _series_2f1(complex(a), complex(c) - complex(b), complex(c), w)
+    return pre * _series_2f1(complex(a), complex(c) - complex(b), complex(c), w, z)
 
 
 def _minus_sinh_sq(t: float) -> float:

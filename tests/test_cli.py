@@ -85,6 +85,14 @@ class TestOpdamCommand:
         assert out == ""
         assert "finite double" in err
 
+    def test_non_convergence_names_argument(self, capsys):
+        # the blocks' argument -sinh(5)^2, not the Pfaff-mapped one
+        code, out, err = run_cli(capsys, "opdam", "--k1", "0.5", "--k2", "0.5",
+                                 "--lam", "1", "--x", "10")
+        assert code == 3
+        assert out == ""
+        assert "(z=-5506.116" in err and "w=0.99981" in err
+
 
 class TestApplyCommands:
     def test_apply_v_matches_opdam(self, capsys):

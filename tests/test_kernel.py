@@ -315,6 +315,63 @@ class TestKernelReference:
                 assert abs(res.value - ref) <= res.est_error, (x, y)
 
 
+def _jacobi_kernel_reference(k1, k2, x, y):
+    """jacobi_kernel from its defining integral at 30 digits:
+
+    2 c |sinh 2x| / A(2x) times the integral over z in (|y|, |x|) of
+    (cosh 2x - cosh 2z)^{k2-1} (cosh z - cosh y)^{k1-1} sinh z dz.
+
+    With u = cosh z = b + (a - b) s the integrand is (2 (a^2 - u^2))^{k2-1}
+    (u - b)^{k1-1}, and a - b = 2 sinh((X+Y)/2) sinh((X-Y)/2) as in
+    ``_kernel_reference``.  s = t^{1/Re k1} near 0 and 1 - s = t^{1/Re k2}
+    near 1 take out the endpoint powers, which plain tanh-sinh resolves only
+    to about 1e-11 at 30 digits.  Complex k1, k2 take principal powers.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        k1, k2 = mp.mpmathify(k1), mp.mpmathify(k2)
+        x, y = mp.mpf(x), mp.mpf(y)
+        xa, ya = abs(x), abs(y)
+        a, b = mp.cosh(xa), mp.cosh(ya)
+        d = 2 * mp.sinh((xa + ya) / 2) * mp.sinh((xa - ya) / 2)
+        c = (2 ** (3 * (k1 + k2)) * mp.gamma(k1 + k2 + 0.5)
+             / (mp.sqrt(mp.pi) * mp.gamma(k1) * mp.gamma(k2)))
+        weight = abs(2 * mp.sinh(x)) ** (2 * k1) * abs(2 * mp.sinh(2 * x)) ** (2 * k2)
+
+        r1, r2 = mp.re(k1), mp.re(k2)
+
+        def near_0(t):
+            s = t ** (1 / r1)
+            return (2 * (1 - s) * (a + b + d * s)) ** (k2 - 1) * t ** (k1 / r1 - 1) / r1
+
+        def near_1(t):
+            s = 1 - t ** (1 / r2)
+            return (2 * (a + b + d * s)) ** (k2 - 1) * s ** (k1 - 1) * t ** (k2 / r2 - 1) / r2
+
+        half = mp.mpf(0.5)
+        integral = d ** (k1 + k2 - 1) * (mp.quad(near_0, [0, half ** r1])
+                                         + mp.quad(near_1, [0, half ** r2]))
+        value = complex(2 * c * abs(mp.sinh(2 * x)) / weight * integral)
+        return value.real if value.imag == 0.0 else value
+
+
+class TestJacobiKernelReference:
+    @pytest.mark.parametrize("k1, k2", [(0.5, 0.5), (1.5, 0.3), (0.3, 2.2),
+                                        (0.5 + 0.3j, 0.7), (0.2 - 0.5j, 1.1 + 0.2j)])
+    def test_within_error_bar(self, k1, k2):
+        # independent of the package: the integral by mpmath quadrature,
+        # the constant and the density in mpmath
+        pytest.importorskip("mpmath")
+        k = Multiplicity(k1, k2)
+        for x in (0.3, -1.1, 2.4):
+            for fr in (0.0, 0.5, -0.9, 0.9999, -0.9999):
+                y = fr * abs(x)
+                ref = _jacobi_kernel_reference(k1, k2, x, y)
+                res = jacobi_kernel(k, x, y)
+                assert abs(res.value - ref) <= res.est_error, (x, y)
+                assert abs(res.value - ref) <= 1e-12 * abs(ref), (x, y)
+
+
 class TestLimitKernels:
     def test_k1zero_hand_value(self):
         val = kernel_K_limit_k1zero(0.5, 1.0, 0.0)
@@ -446,10 +503,10 @@ class TestMourouAssembly:
 
     @pytest.mark.filterwarnings("error")
     def test_derivative_term_exactly_zero_at_y_zero(self, monkeypatch):
-        # the last _ktilde_point of the assembly is the y-derivative term
-        terms, ktilde_point = [], kernel._ktilde_point
-        monkeypatch.setattr(kernel, "_ktilde_point",
-                            lambda *a, **kw: terms.append(ktilde_point(*a, **kw)) or terms[-1])
+        # the last _cosh_gap_integral of the assembly is the y-derivative term
+        terms, cosh_gap_integral = [], kernel._cosh_gap_integral
+        monkeypatch.setattr(kernel, "_cosh_gap_integral",
+                            lambda *a, **kw: terms.append(cosh_gap_integral(*a, **kw)) or terms[-1])
         for k in (Multiplicity(1.5, 0.7), Multiplicity(0.5 + 0.3j, 0.7)):
             res = kernel_K_mourou(k, [1.4, -0.3, 1e-155, -1e-300], 0.0)
             values, bars = terms[-1]

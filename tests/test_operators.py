@@ -155,6 +155,23 @@ class TestCherednikD:
         with pytest.raises(ContractError):
             cherednik_D(Multiplicity(0.5, 0.5), f, 1.0)
 
+    # 1.5e-323 and 5e-324 are subnormals with an odd last bit, where x/2 rounds
+    @pytest.mark.parametrize("x", [1e-320, -1e-320, 1e-300, -1e-300, 800.0, -800.0,
+                                   1.5e-323, -5e-324])
+    def test_forms_agree_at_extreme_points(self, x):
+        # 1 - e^{-x} and tanh(x/2) are 0 or subnormal at tiny |x|, and e^{-x}
+        # overflows at x = -800; the difference quotients stay finite
+        for k in (Multiplicity(0.5, 0.5), Multiplicity(1.5, 0.7)):
+            f = plane_wave(1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                a = cherednik_D(k, f, x, "regularized")
+                b = cherednik_D(k, f, x, "cothtanh")
+            assert np.isfinite(a) and np.isfinite(b)
+            assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
+            if abs(x) < 1.0:    # the removable limit at 0, to rounding
+                assert b == pytest.approx(cherednik_D(k, f, 0.0), rel=1e-15, abs=1e-15)
+
     @pytest.mark.parametrize("form", ["regularized", "cothtanh"])
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_point_raises(self, form, x):
@@ -475,6 +492,11 @@ class TestPositivityScan:
             positivity_scan([(0.5, 0.5)], [1.0], [1.0])
         with pytest.raises(DomainError):  # 0.9 * 5e-324 rounds to 5e-324 = |x|
             positivity_scan([(0.5, 0.5)], [5e-324], [0.9])
+
+    @pytest.mark.parametrize("pair", [(0.5 + 0.1j, 0.5), (0.5, np.complex128(0.7 - 0.2j))])
+    def test_complex_parameters_rejected(self, pair):
+        with pytest.raises(DomainError, match=r"real parameters, got k = \(.*j\)"):
+            positivity_scan([(0.5, 0.5), pair], [1.0], [0.5])
 
     def test_non_finite_cell_raises(self):
         with pytest.raises(EvaluationError):

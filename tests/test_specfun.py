@@ -116,6 +116,15 @@ class TestHyp2F1:
         assert 0.0 < partial.real < -math.log1p(-0.999) / 0.999 and partial.imag == 0.0
         assert 0.0 < est < math.inf
 
+    def test_non_convergence_names_callers_argument(self):
+        # z = -5000 goes through the Pfaff map onto w = 5000/5001, where the
+        # series does not converge; the message gives z and then w
+        with pytest.raises(NonConvergenceError, match=r"\(z=-5000\.0, Pfaff-mapped to "
+                                                      r"w=0\.9998000399920016\)"):
+            hyp2f1(1, 1, 2, -5000.0)
+        with pytest.raises(NonConvergenceError, match=r"\(z=0\.999\)$"):
+            hyp2f1(1, 1, 2, 0.999)
+
     def test_z_domain(self):
         with pytest.raises(DomainError):
             hyp2f1(1.0, 1.0, 2.0, 1.0)
