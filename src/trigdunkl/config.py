@@ -37,10 +37,10 @@ NUMERICS = Numerics()
 TOL_EIGEN = 1e-6          # |V(e^{i lam .})(x) - G(x)|  <=  tol * (1 + |G|)
 TOL_KERNEL = 1e-7         # relative gap, direct kernel vs assembled kernel
 TOL_BYPARTS = 1e-8        # relative gap between the two K-tilde integrals
-TOL_DERIV = 1e-5          # relative gap, dK-tilde/dy vs finite difference
-TOL_LIMITS = 1e-3         # relative gap, kernel at k ~ 0 vs closed form
+TOL_DERIV = 1e-8          # relative gap, dK-tilde/dy vs Richardson difference
+TOL_LIMITS = 1e-6         # relative gap, kernel extrapolated to k = 0 vs closed form
 TOL_DUALITY = 1e-6        # normalized duality gap
-TOL_INTERTWINE = 1e-4     # |D(Vf) - V(f')|, finite-difference limited
+TOL_INTERTWINE = 1e-10    # |D(Vf) - V(f')|, Richardson-difference limited
 
 # Multiplicity grid shared by all suites.
 K_VALUES = (0.3, 0.7, 1.5)
@@ -59,8 +59,8 @@ KERNEL_Y_FRACS = (0.0, 0.2, -0.2, 0.7, -0.7, 0.95, -0.95)
 POSITIVITY_X = (-2.4, -1.3, -0.6, 0.6, 1.3, 2.4)
 POSITIVITY_FRACS = (0.0, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99, 0.9999, -0.9999)
 
-# Vanishing-multiplicity consistency: kernel at k = LIMIT_EPS against the
-# closed forms, 9 points per side.
+# Vanishing-multiplicity consistency: kernel at k = LIMIT_EPS and 2 LIMIT_EPS,
+# extrapolated to 0, against the closed forms, 9 points per side.
 LIMIT_EPS = 1e-4
 LIMIT_K_OTHER = 0.75
 LIMIT_X = (0.8, 1.5, 2.2)

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import DomainError
 from .params import KernelPoint, Multiplicity
-from .quadrature import _EPS, _TS_FULL_GAP, EvalResult, _outer_sums, _point_result
+from .quadrature import _EPS, EvalResult, _outer_sums, _point_result
 from .specfun import _loggamma_parts, gamma_real
 
 # inner method of every kernel value, as ``operators`` and point results name it
@@ -298,12 +298,11 @@ def jacobi_kernel(k: Multiplicity, x, y) -> EvalResult:
 def _ktilde_defining(k, x, y):
     # nested route: integrate the cosine-setting kernel against its measure
     # over (|y|, |x|); the inner endpoint w -> |y| carries the
-    # (w - |y|)^{k1+k2-1} singularity, resolved down to gap 1e-280 (at small
-    # Re(k1+k2) a shallower cut would drop a visible share)
+    # (w - |y|)^{k1+k2-1} singularity
     values, est, rule = _outer_sums(
         np.abs(y), np.abs(x),
         lambda i, s, d_lo, d_hi: _cosine_terms(k, s, d_lo),
-        complex(k.k1 + k.k2).real, _TS_FULL_GAP)
+        complex(k.k1 + k.k2).real)
     return _point_result(values, est, f"nested {rule} x {METHOD}")
 
 

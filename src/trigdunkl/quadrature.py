@@ -21,10 +21,10 @@ stay distinct and inside (-1, 1).  Each rule comes with its coarser companion
 the level below) as a second weight vector ``wc`` on the same nodes, so every
 integral forms its value and error estimate as ``vals @ w`` and ``vals @ wc``.
 
-``_outer_sums``, the outer integral of V, tV, the duality pairing and the
-nested ``ktilde`` form, picks the tanh-sinh level per interval: from level 4
-up, the first whose companion agrees to sqrt(eps) times the sum of
-|integrand| w (each level roughly squares the error of the one below).
+``_outer_sums`` (V, tV, the duality pairing, the nested ``ktilde`` form) cuts
+the rule where the endpoint power leaves about eps and picks the level per
+interval: from level 4 up, the first whose companion agrees to sqrt(eps)
+times the sum of |integrand| w (each level about squares the error).
 """
 
 import math
@@ -41,14 +41,7 @@ _MAX_TS_LEVEL = 12
 _TS_FULL_GAP = 1e-280   # keep tail nodes while 1-|t| stays comfortably normal
 _TS_PUBLIC_GAP = 1e-12  # node floats are distinct and < 1 above this gap
 _EPS = np.finfo(float).eps
-# Outer integrands behave like gap^{k1+k2-1} times smooth factors, so the
-# error estimate counts the O(1e-60^{Re(k1+k2)}) that a cut at gap 1e-60
-# drops; the cut keeps the nested gap products (outer abscissa times inner
-# endpoint distance) representable in double precision.
-_OUTER_GAP = 1e-60
-# points x nodes per outer batch (16 points at level 4): temporaries ~2 MB
-# (~4 MB for complex k) at any level
-_OUTER_NODES = 16 * 143
+_OUTER_NODES = 2288     # points x nodes per outer batch: temporaries ~2 MB (~4 MB complex)
 
 
 @dataclass(frozen=True)
@@ -217,20 +210,22 @@ def _on_interval(lo, hi, t, glo, ghi):
     return np.where(t <= 0.0, lo + d_lo, hi - d_hi), d_lo, d_hi
 
 
-def _outer_sums(lo, hi, integrand, power=1.0, cut=_OUTER_GAP):
+def _outer_sums(lo, hi, integrand, power=1.0):
     """Outer tanh-sinh integrals over the broadcast intervals (lo, hi), each at its own level.
 
     ``integrand(i, s, d_lo, d_hi)`` gets a batch's flat interval indices and
-    the abscissae of the rule cut at endpoint gap ``cut`` with their end
-    distances (points x nodes), and returns the integrand there, summed over
-    any leading axis (pieces of the domain, e.g. s and -s), and its error
-    bar.  An empty interval gives 0 without the integrand.  Each level is
-    computed whole, ``_OUTER_NODES`` points x nodes a batch, until every
-    interval stops or ``_MAX_TS_LEVEL``.  Returns the values and error
-    estimates in the broadcast shape, and the highest rule used.  An estimate
-    is the difference from the level below, the integrand's rounding and the
-    part beyond the cut: about gap |integrand| / power at the outermost
-    nodes, for an integrand like gap^{power-1} at an end.
+    the abscissae with their end distances (points x nodes), and returns the
+    integrand there, summed over any leading axis (pieces of the domain, e.g.
+    s and -s), and its error bar.  An empty interval gives 0 without the
+    integrand.  Each level is computed whole, ``_OUTER_NODES`` points x nodes
+    a batch, until every interval stops or ``_MAX_TS_LEVEL``.  Returns the
+    values and error estimates in the broadcast shape, and the highest rule
+    used.  For an integrand like gap^{power-1} at an end the rule is cut at
+    gap eps^{max(1, 1/power)}, dropping about eps relative, but not below
+    1e-280 / (least half-width) while that is below eps, so no end distance
+    underflows for intervals wider than about 1e-305.  An estimate is the
+    difference from the level below, the integrand's rounding and the part
+    beyond the cut, about gap |integrand| / power at the outermost nodes.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     ends = np.concatenate((lo.ravel(), hi.ravel()))
@@ -239,8 +234,12 @@ def _outer_sums(lo, hi, integrand, power=1.0, cut=_OUTER_GAP):
     values = np.zeros(lo.shape, dtype=complex)
     est = np.zeros(lo.shape)
     todo = np.flatnonzero(lo < hi)
+    half_min = 0.5 * np.min(hi.flat[todo] - lo.flat[todo], initial=np.inf)
+    cut = max(_EPS ** max(1.0, 1.0 / power), min(_EPS, _TS_FULL_GAP / half_min))
     for level in range(4, _MAX_TS_LEVEL + 1):
-        t, w, glo, ghi, wc = _tanh_sinh_full(level, cut)
+        rule = _tanh_sinh_full(level)
+        keep = np.minimum(rule[2], rule[3]) >= cut
+        t, w, glo, ghi, wc = (a[keep] for a in rule)
         step = max(1, _OUTER_NODES // t.size)
         done = np.zeros(todo.size, dtype=bool)
         for j in range(0, todo.size, step):
@@ -293,7 +292,18 @@ def integrate(rule: QuadratureRule, f, interval) -> EvalResult:
     Gauss rules, level + 1 for tanh-sinh) and the refined value is returned.
     Jacobi rules integrate f against the rule's endpoint weight transplanted
     onto the interval, i.e. f is only the smooth factor of the integrand.
+    The refinement needs the rule's generator: a rule that ``gauss_legendre``,
+    ``gauss_jacobi`` or ``tanh_sinh`` did not build raises DomainError.
     """
+    try:
+        twin = (tanh_sinh(rule.level) if rule.level is not None
+                else gauss_jacobi(len(rule.nodes), rule.alpha, rule.beta))
+    except DomainError:
+        twin = None
+    if twin is None or not (np.array_equal(twin.nodes, rule.nodes)
+                            and np.array_equal(twin.weights, rule.weights)):
+        raise DomainError(f"integrate needs a rule from gauss_legendre, gauss_jacobi or "
+                          f"tanh_sinh, got the hand-built {rule.kind!r}")
     lo, hi = interval
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"integration interval must be finite, got {interval!r}")

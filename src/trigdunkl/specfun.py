@@ -118,7 +118,10 @@ def hyp2f1(a, b, c, z) -> complex:
     # based.
     w = z / (z - 1.0)
     pre = cmath.exp(-complex(a) * math.log1p(-z))
-    return pre * _series_2f1(complex(a), complex(c) - complex(b), complex(c), w, z)
+    try:
+        return pre * _series_2f1(complex(a), complex(c) - complex(b), complex(c), w, z)
+    except NonConvergenceError as err:   # a partial value of the caller's function
+        raise NonConvergenceError(str(err), pre * err.partial, abs(pre) * err.est_error) from None
 
 
 def _minus_sinh_sq(t: float) -> float:

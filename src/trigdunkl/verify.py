@@ -16,13 +16,14 @@ from .kernel import (
     ktilde,
 )
 from .operators import (
+    _richardson_derivative,
+    apply_V,
     bump,
     duality_gap,
     intertwine_gap,
     monomial,
     plane_wave,
     positivity_scan,
-    apply_V,
 )
 from .params import Multiplicity
 from .specfun import opdam_G
@@ -68,18 +69,17 @@ def suite_kernel_consistency(tol=None):
     rows = []
     for k1, k2 in config.K_GRID:
         k = Multiplicity(k1, k2)
-        # one call per form, plus the by-parts form at y +- h
+        # one call per form, plus the by-parts form at y +- h, y +- 2h
         columns = (res.value.tolist() for res in (
             kernel_K(k, xs, ys), kernel_K_mourou(k, xs, ys),
             ktilde(k, xs, ys, "direct"), ktilde(k, xs, ys, "byparts"), dktilde_dy(k, xs, ys),
-            ktilde(k, xs, [y + h for y in ys], "byparts"),
-            ktilde(k, xs, [y - h for y in ys], "byparts")))
-        for (x, y), direct, assembled, td, tb, dk, up, down in zip(points, *columns):
+            *(ktilde(k, xs, [y + step for y in ys], "byparts") for step in (h, -h, 2 * h, -2 * h))))
+        for (x, y), direct, assembled, td, tb, dk, *shifted in zip(points, *columns):
             checks = [("kernel_direct_vs_assembled", direct, assembled, config.TOL_KERNEL),
                       ("ktilde_direct_vs_byparts", td, tb, config.TOL_BYPARTS)]
             if y != 0.0:
-                checks.append(("dktilde_vs_finite_difference", dk, (up - down) / (2.0 * h),
-                               config.TOL_DERIV))
+                checks.append(("dktilde_vs_finite_difference", dk,
+                               _richardson_derivative(*shifted, h), config.TOL_DERIV))
             for check, lhs, rhs, default in checks:     # gaps relative to lhs
                 rows.append(_row(check, _pt(k1=k1, k2=k2, x=x, y=y), lhs, rhs,
                                  abs(lhs - rhs) / abs(lhs), default if tol is None else tol))
@@ -92,12 +92,14 @@ def suite_limits(tol=None):
     other = config.LIMIT_K_OTHER
     rows = []
     for check, k, closed_form in (
-        ("kernel_limit_k1_to_zero", Multiplicity(eps, other), kernel_K_limit_k1zero),
-        ("kernel_limit_k2_to_zero", Multiplicity(other, eps), kernel_K_limit_k2zero),
+        ("kernel_limit_k1_to_zero", lambda e: Multiplicity(e, other), kernel_K_limit_k1zero),
+        ("kernel_limit_k2_to_zero", lambda e: Multiplicity(other, e), kernel_K_limit_k2zero),
     ):
         points = [(x, fr * x) for x in config.LIMIT_X for fr in config.LIMIT_FRACS]
-        values = kernel_K(k, *zip(*points)).value.tolist()
-        for (x, y), near in zip(points, values):
+        xs, ys = zip(*points)
+        # Richardson at eps and 2 eps: the kernel is first order in the multiplicity
+        values = 2.0 * kernel_K(k(eps), xs, ys).value - kernel_K(k(2.0 * eps), xs, ys).value
+        for (x, y), near in zip(points, values.tolist()):
             closed = closed_form(other, x, y)
             gap = abs(near - closed) / abs(closed)
             rows.append(_row(check, _pt(x=x, y=y), near, closed, gap, base))

@@ -436,9 +436,11 @@ class TestJacobiSettingPieces:
 
     @pytest.mark.parametrize("k", [*K_GRID, (0.5 + 0.2j, 0.7), (0.9 + 0.25j, 0.7 - 0.1j)])
     def test_ktilde_forms_within_error_bars(self, k):
-        # every point result carries at least the rounding of its value
+        # every point result carries at least the rounding of its value; at
+        # tiny |x| the nested route's end distances stay representable
         k = Multiplicity(*k)
-        for x, y in ((2.4, 0.48), (0.9, 0.3), (1.8, -0.6), (2.4, 0.0), (1.3, -0.91)):
+        for x, y in ((2.4, 0.48), (0.9, 0.3), (1.8, -0.6), (2.4, 0.0), (1.3, -0.91),
+                     (1e-60, 3e-61), (-1e-70, -2e-71)):
             direct = ktilde(k, x, y, "direct")
             defining = ktilde(k, x, y, "defining")
             budget = direct.est_error + defining.est_error

@@ -29,6 +29,7 @@ from trigdunkl import (
     positivity_scan,
 )
 from trigdunkl import config, operators
+from trigdunkl.quadrature import _point_result
 from trigdunkl.verify import run_suite
 
 K_GRID = [(a, b) for a in (0.3, 0.7, 1.5) for b in (0.3, 0.7, 1.5)]
@@ -230,10 +231,19 @@ class TestApplyV:
 
     @pytest.mark.parametrize("k1, k2", [(0.05, 0.05), (0.02, 0.03)])
     def test_small_k_error_bar_counts_cut_tail(self, k1, k2):
-        # the outer rule stops at gap 1e-60, where at Re(k1 + k2) <= 0.1 the
-        # integrand ~ gap^{k1+k2-1} still leaves 1e-6 .. 1e-3 of the integral
+        # the integrand ~ gap^{k1+k2-1} leaves gap^{k1+k2} beyond an end cut,
+        # 1e-6 .. 1e-3 of the integral for a cut at gap 1e-60 at
+        # Re(k1 + k2) <= 0.1: the cut must follow the power
         ref = eigen_reference(k1, k2, 1.0, 1.0)
         res = apply_V(Multiplicity(k1, k2), plane_wave(1.0), 1.0)
+        assert abs(res.value - ref) <= min(res.est_error, 1e-12)
+
+    @pytest.mark.parametrize("k1, k2", [(0.5, 0.5), (1.5, 0.7)])
+    @pytest.mark.parametrize("x", [1e-270, -1e-300])
+    def test_tiny_x_within_error_bar(self, k1, k2, x):
+        # the outer end distances 0.5 |x| gap stay representable
+        ref = eigen_reference(k1, k2, 1.0, x)
+        res = apply_V(Multiplicity(k1, k2), plane_wave(1.0), x)
         assert abs(res.value - ref) <= res.est_error
 
     def test_constant_function_gives_lambda_zero(self):
@@ -371,10 +381,9 @@ def test_non_finite_value_raises_without_warnings(call):
 
 
 def test_non_finite_error_bar_named():
-    # the nested form's inner gap underflows at tiny |x|: its value is finite
-    # there, its error bar not
+    # a finite value with a non-finite error bar is named as such
     with pytest.raises(EvaluationError) as err:
-        ktilde(Multiplicity(1.5, 0.7), 1e-80, 3e-81, "defining")
+        _point_result(np.array([1.0, 2.0]), np.array([0.0, np.nan]), "nested tanh-sinh")
     message = str(err.value)
     assert "non-finite error bar nan" in message
     assert "non-finite value" not in message

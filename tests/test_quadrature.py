@@ -6,6 +6,7 @@ import pytest
 from trigdunkl import (
     DomainError,
     EvaluationError,
+    QuadratureRule,
     gamma_real,
     gauss_jacobi,
     gauss_legendre,
@@ -174,6 +175,25 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(gauss_legendre(4), lambda t: 1.0, (2.0, 1.0))
 
+    @pytest.mark.parametrize("rule", [
+        QuadratureRule("mine", np.array([-0.5, 0.0, 0.5]), np.array([0.6, 0.8, 0.6])),
+        QuadratureRule("mine", gauss_legendre(3).nodes, np.array([0.6, 0.8, 0.6])),
+        QuadratureRule("mine", tanh_sinh(2).nodes, tanh_sinh(2).weights, level=3),
+        QuadratureRule("mine", tanh_sinh(2).nodes, tanh_sinh(2).weights, level=99),
+        QuadratureRule("mine", np.linspace(-0.9, 0.9, 600), np.ones(600)),
+    ], ids=["own-nodes", "own-weights", "wrong-level", "bad-level", "too-many-nodes"])
+    def test_hand_built_rule_rejected(self, rule):
+        # the refinement would come from a generator's rule, not from this one
+        with pytest.raises(DomainError, match="hand-built 'mine'"):
+            integrate(rule, lambda t: t ** 4, (-1.0, 1.0))
+
+    @pytest.mark.parametrize("rule, mass", [
+        (gauss_legendre(3), 2.0), (gauss_jacobi(5, 0.5, -0.3), beta_moment(0.5, -0.3)),
+        (tanh_sinh(3), 2.0),
+    ], ids=["legendre", "jacobi", "tanh-sinh"])
+    def test_generated_rules_accepted(self, rule, mass):
+        assert integrate(rule, lambda t: 1.0, (-1.0, 1.0)).value == pytest.approx(mass, rel=1e-10)
+
     def test_nonfinite_integrand_identified(self):
         with pytest.raises(EvaluationError) as err:
             integrate(gauss_legendre(8), lambda t: math.inf if t > 0.5 else 1.0,
@@ -215,12 +235,17 @@ class TestOuterSums:
             _outer_sums(lo, hi, self._recording(calls))
         assert calls == []
 
-    @pytest.mark.parametrize("lo, hi", [(1.0, 1.001), (-2.0, 0.5)])
-    def test_endpoint_distances_resolve_beta_integral(self, lo, hi):
+    @pytest.mark.parametrize("lo, hi, p", [
+        pytest.param(1.0, 1.001, 0.3, id="1.0-1.001"),
+        pytest.param(-2.0, 0.5, 0.3, id="-2.0-0.5"),
+        pytest.param(1.0, 1.001, 0.05, id="1.0-1.001-p0.05"),
+        pytest.param(-2.0, 0.5, 0.05, id="-2.0-0.5-p0.05"),
+    ])
+    def test_endpoint_distances_resolve_beta_integral(self, lo, hi, p):
         # integral of d_lo^{p-1} d_hi^{p-1} over (lo, hi) = (hi - lo)^{2p-1} B(p, p);
         # both ends are singular, and near them only the distances resolve
-        # the nodes: the abscissae round onto the ends
-        p = 0.3
+        # the nodes: the abscissae round onto the ends.  At p = 0.05 the
+        # part beyond gap 1e-60 would be about 1e-3 of the integral
 
         def integrand(i, s, d_lo, d_hi):
             assert np.all((lo <= s) & (s <= hi) & (d_lo > 0.0) & (d_hi > 0.0))

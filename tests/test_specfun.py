@@ -116,6 +116,14 @@ class TestHyp2F1:
         assert 0.0 < partial.real < -math.log1p(-0.999) / 0.999 and partial.imag == 0.0
         assert 0.0 < est < math.inf
 
+    def test_non_convergence_partial_on_pfaff_branch(self):
+        # the partial value and its bar carry the Pfaff prefactor (1 - z)^{-a}
+        with pytest.raises(NonConvergenceError) as info:
+            hyp2f1(1, 1, 2, -5000.0)
+        value = math.log(5001.0) / 5000.0
+        assert abs(info.value.partial - value) <= 1e-3 * value
+        assert 0.0 < info.value.est_error < 1e-6 * value
+
     def test_non_convergence_names_callers_argument(self):
         # z = -5000 goes through the Pfaff map onto w = 5000/5001, where the
         # series does not converge; the message gives z and then w
