@@ -44,11 +44,15 @@ enters the exponent:
 
 All forms share log D, and the power of d/2 enters as log sinh((X+Y)/2) +
 log sinh((X-Y)/2), so tiny gaps stay representable.  Real and complex k
-differ only in how log D is formed.  Every value carries an error bar: the
+differ only in how log D is formed.  The series' coefficient rows depend
+only on (alpha, beta) and are built once per pair, at the 59 terms that
+w < 1/2 can need; a call slices them.  The powers w^j are products of lower
+powers, j - 1 roundings each.  Every value carries an error bar: the
 rounding of its exponent's log parts and of the series (the sum of its
-terms' magnitudes), plus the series' last term, which bounds the dropped
-tail.  ``kernel_K_mourou`` is three such calls at half arguments, whose sum
-it quarters.  ``kernel_K`` and the oracle forms take scalars or broadcasting
+terms' magnitudes, each scaled by 1 + (j - 1)/2 for its power's
+roundings), plus the series' last term, which bounds the dropped tail.
+``kernel_K_mourou`` is three such calls at half arguments, whose sum it
+quarters.  ``kernel_K`` and the oracle forms take scalars or broadcasting
 arrays; a non-finite value raises ``EvaluationError``.
 """
 
@@ -146,6 +150,40 @@ def sigma(x, y, z):
     return val.item() if val.ndim == 0 else val
 
 
+# w < 1/2, so no series needs more terms than at w = 1/2
+_MAX_TERMS = 4 + int(_LOG_TAIL / -_LOG2)
+# a term's bar is 2 eps times its magnitude; w^j, a product of j factors,
+# took j - 1 roundings of eps/2 each, which the factor 1 + (j - 1)/2 covers
+_ROUNDINGS = 1.0 + 0.5 * np.arange(_MAX_TERMS - 1.0)
+
+
+def _powers(w, m):
+    """Rows w^1 .. w^m of the flattened w, each row a product of two lower ones."""
+    powers = np.empty((m, w.size))
+    powers[0] = w.reshape(-1)
+    f = 1
+    while f < m:
+        t = min(f, m - f)
+        np.multiply(powers[:t], powers[f - 1], out=powers[f:f + t])
+        f += t
+    return powers
+
+
+@lru_cache(maxsize=256)
+def _series_rows(alpha, beta):
+    """Coefficients 1 .. _MAX_TERMS - 1 of F(-alpha, alpha+1; c; w), c = alpha+beta+2 and c+1
+    (the 0th is 1), then their magnitudes times ``_ROUNDINGS``: a read-only (4, m) array.
+
+    ``cumprod`` runs in order, so its first n - 1 columns are the rows of length n - 1.
+    """
+    i = np.arange(1.0, _MAX_TERMS)
+    coef = np.cumprod(((i - 1.0) - alpha) * (i + alpha)
+                      / (i * (i + (alpha + beta + _C_MINUS_1))), axis=1)
+    rows = np.concatenate((coef, np.abs(coef) * _ROUNDINGS))
+    rows.setflags(write=False)
+    return rows
+
+
 def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, pref, q=None, log_pref=()):
     """pref D exp(sum of log_pref) J'(alpha, beta; q) over (cosh(xa - gap), cosh xa), broadcasting.
 
@@ -155,7 +193,9 @@ def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, pref, q=None, log_
     2 f1 f2, with f1 = sinh((xa + ya)/2), f2 = sinh(gap/2) passed separately
     so that callers can form the rise without overflow; it defaults to 1.
     ``gap`` = xa - (lower end) is passed separately so callers that know it
-    without cancellation keep it exact.
+    without cancellation keep it exact.  The value at v = 0 and ``pref`` may
+    broadcast over leading axes that xa and gap lack, which then share one
+    series.
     """
     a = np.cosh(xa)
     half = gap / 2.0
@@ -174,18 +214,12 @@ def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, pref, q=None, log_
     w = f1 * f2 / a
     w_max = float(w.max(initial=0.0))
     n = 4 + (int(_LOG_TAIL / math.log(w_max)) if w_max > 0.0 else 0)
-    # F(-alpha, alpha+1; c; w) for c = alpha+beta+2 and c+1: both rows of
-    # coefficients 1..n-1 (the 0th is 1) and their magnitudes against one
-    # matrix of powers of w
-    i = np.arange(1.0, n)
-    coef = np.cumprod(((i - 1.0) - alpha) * (i + alpha)
-                      / (i * (i + (alpha + beta + _C_MINUS_1))), axis=1)
-    # magnitudes times 2 eps bound the series' rounding; the last term, which
-    # bounds the dropped tail, counts in full
-    mag = np.abs(coef)
-    mag[:, -1] *= 1.0 + 0.5 / _EPS
-    powers = w.reshape(-1) ** i[:, None]
-    sums = (1.0 + np.concatenate((coef, mag)) @ powers).reshape((4,) + w.shape)
+    # both series' coefficients 1..n-1 and their magnitudes against one
+    # matrix of powers of w; magnitudes times 2 eps bound the series'
+    # rounding, and the last term, which bounds the dropped tail, counts in full
+    rows = _series_rows(alpha, beta)[:, :n - 1].copy()
+    rows[2:, -1] *= 1.0 + 0.5 / _EPS
+    sums = (1.0 + rows @ _powers(w, n - 1)).reshape((4,) + w.shape)
     slope = rise * ((beta + 1.0) / (alpha + beta + 2.0))
     factor = np.exp(log_scale) * a ** alpha
     values = factor * (q0 * sums[0] + slope * sums[1])
@@ -206,12 +240,14 @@ def _points(x, y):
     return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
-def _kernel_values(k: Multiplicity, x, y, *, gap=None):
+def _kernel_values(k: Multiplicity, x, y, *, gap=None, mirror=False):
     """Kernel values and their error bars, broadcasting over x and y.
 
     ``gap`` optionally supplies |x| - |y| computed without cancellation; it
     is what the endpoint power actually depends on, so integrators that know
-    the gap exactly (double-exponential tails) must pass it.
+    the gap exactly (double-exponential tails) must pass it.  With
+    ``mirror`` x >= 0 stands for the pair x, -x along a new leading axis:
+    the series and the even factors depend on |x| only and are formed once.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     # one point goes in numpy scalars whatever its shape, so that it rounds
@@ -222,6 +258,8 @@ def _kernel_values(k: Multiplicity, x, y, *, gap=None):
     xa = np.abs(x)
     if gap is None:
         gap = xa - np.abs(y)
+    if mirror:
+        x = np.stack((x, -x))
     # sigma / |x| at u = cosh(y/2), and its rise over the gap d = 2 f1 f2,
     # formed as (2 f1 / |x|) f2 so that nothing overflows at tiny |x|; |x|
     # goes into the exponent, where the scale ~ |x|^{-2} would overflow
@@ -233,7 +271,7 @@ def _kernel_values(k: Multiplicity, x, y, *, gap=None):
     values, bars = _cosh_gap_integral(
         k, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, k2 - 1.0, k1 - 1.0, np.sign(x),
         lambda f1, f2: (e_fwd, -(2.0 * f1 / xa) * f2 * e_bwd),
-        (-_log_weight(k, x), np.log(xa)),
+        (-_log_weight(k, xa), np.log(xa)),
     )
     return (values.reshape(shape), bars.reshape(shape)) if shape else (values, bars)
 

@@ -169,20 +169,25 @@ def cherednik_D(k: Multiplicity, f: TestFunction, x: float, form: str = "cothtan
     return _d_cothtanh(k, x, f.deriv(x), f.eval(x), f.eval(-x))
 
 
-def _d_cothtanh(k: Multiplicity, x: float, deriv, fx, fmx):
-    """D f(x), x != 0, in the coth/tanh form from f'(x), f(x) and f(-x)."""
-    th = math.tanh(x / 2.0)
+def _d_cothtanh(k: Multiplicity, x, deriv, fx, fmx):
+    """D f(x), x != 0, in the coth/tanh form from f'(x), f(x) and f(-x); scalars or arrays."""
+    th = np.tanh(np.divide(x, 2.0))
     odd = fx - fmx
     # the difference quotient before k, as coth(x/2) overflows at subnormal
     # x; there tanh(x/2) is x/2, which rounds, so it takes 2/x instead
-    quotient = 2.0 * _by_real(odd, x) if abs(x) < _TINY else _by_real(odd, th)
+    tiny = np.abs(x) < _TINY
+    quotient = np.where(tiny, 2.0, 1.0) * _by_real(odd, np.where(tiny, x, th))
     return deriv + (k.k1 + k.k2) / 2.0 * quotient + k.k2 * th / 2.0 * odd - k.rho * fmx
 
 
 def _by_real(num, den):
     """num / den for real den, part by part: numpy divides a complex num by
     multiplying with 1/den, which overflows for |den| < 5.6e-309."""
-    return complex(num.real / den, num.imag / den) if np.iscomplexobj(num) else num / den
+    if not np.iscomplexobj(num):
+        return num / den
+    out = np.empty(np.broadcast(num, den).shape, dtype=complex)
+    out.real, out.imag = np.real(num) / den, np.imag(num) / den
+    return out if out.ndim else out.item()
 
 
 _SCAN_CHUNK = 4096  # scan cells per kernel call, keeps temporaries ~3 MB
@@ -228,9 +233,9 @@ def apply_Vt(k: Multiplicity, g: TestFunction, y) -> EvalResult:
     a = float(g.support)
 
     def integrand(i, s, d_lo, d_hi):
-        x = _MIRROR * s
-        kv, kb = _kernel_values(k, x, y.flat[i][:, None], gap=d_lo)
-        ga = np.asarray(g.eval(x)) * np.asarray(weight_A(k, x))
+        # the kernel's series and the density are even in x: formed on s once
+        kv, kb = _kernel_values(k, s, y.flat[i][:, None], gap=d_lo, mirror=True)
+        ga = np.asarray(g.eval(_MIRROR * s)) * weight_A(k, s)
         return kv * ga, kb * np.abs(ga)
 
     ya = np.abs(y)
@@ -271,22 +276,27 @@ def _richardson_derivative(up, down, up2, down2, h):
     return (8.0 * (up - down) - (up2 - down2)) / (12.0 * h)
 
 
-def intertwine_gap(k: Multiplicity, f: TestFunction, x: float) -> float:
-    """Defect |D(Vf)(x) - V(f')(x)| of the intertwining identity.
+def intertwine_gap(k: Multiplicity, f: TestFunction, x):
+    """Defect |D(Vf)(x) - V(f')(x)| of the intertwining identity at x, a scalar or an array.
 
     D acts on Vf through ``_richardson_derivative`` with step
-    1e-4 max(1, |x|), so the result is finite-difference limited.
+    1e-4 max(1, |x|), so the result is finite-difference limited.  Each side
+    is one ``apply_V`` call over all points; the gaps have the shape of x.
     """
-    if x == 0:
+    shape = np.shape(x)
+    # flat arrays throughout: numpy rounds complex scalars and arrays differently
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if (x == 0.0).any():
         raise DomainError("intertwining defect is evaluated away from x = 0")
     if f.deriv is None:
         raise ContractError(f"{f.id} has no derivative")
-    h = NUMERICS.fd_step_scale * max(1.0, abs(x))
-    *shifted, v_x, v_mx = apply_V(k, f, [x + h, x - h, x + 2 * h, x - 2 * h, x, -x]).value
+    h = NUMERICS.fd_step_scale * np.maximum(1.0, np.abs(x))
+    *shifted, v_x, v_mx = apply_V(k, f, np.stack((x + h, x - h, x + 2 * h, x - 2 * h,
+                                                  x, -x))).value
     lhs = _d_cothtanh(k, x, _richardson_derivative(*shifted, h), v_x, v_mx)
     f_prime = TestFunction(id=f"{f.id}'", eval=f.deriv, support=f.support)
-    rhs = apply_V(k, f_prime, x).value
-    return abs(lhs - rhs)
+    gap = np.abs(lhs - apply_V(k, f_prime, x).value).reshape(shape)
+    return gap if shape else gap.item()
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,10 @@ class QuadratureRule:
 
     Gauss rules carry the exponents of their weight (1-t)^alpha (1+t)^beta
     (0, 0 for Legendre); tanh-sinh rules their ``level`` and the distances
-    1 + t, 1 - t computed without cancellation (None for Gauss rules).
+    1 + t, 1 - t computed without cancellation (None for Gauss rules).  The
+    arrays may be given as any real sequences and are stored as float
+    arrays; one that is not 1-d, is empty, has another length than the
+    nodes or holds a non-finite number raises DomainError.
     """
 
     kind: str
@@ -92,6 +95,20 @@ class QuadratureRule:
     level: int | None = None
 
     def __post_init__(self):
+        for name in ("nodes", "weights", "gap_lo", "gap_hi"):
+            given = getattr(self, name)
+            if given is None and name.startswith("gap"):
+                continue
+            try:
+                arr = np.asarray(given)
+                real = arr.dtype.kind in "biuf"
+            except ValueError:      # ragged nesting
+                real = False
+            if not (real and arr.ndim == 1 and 0 < arr.size == np.size(self.nodes)
+                    and np.isfinite(arr).all()):
+                raise DomainError(f"{self.kind}: {name} must be a 1-d array of finite real "
+                                  f"numbers, one per node, got {given!r}")
+            object.__setattr__(self, name, arr.astype(float, copy=False))
         if np.any(np.diff(self.nodes) <= 0):
             raise DomainError(f"{self.kind}: nodes not strictly increasing")
         if np.any(self.weights <= 0):

@@ -72,7 +72,8 @@ def _series_2f1(a, b, c, w, z):
     term = 1.0 + 0.0j
     small_streak = 0
     for n in range(max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * w
+        ratio = (a + n) * (b + n) / ((c + n) * (n + 1)) * w
+        term *= ratio
         total += term
         if abs(term) <= 1e-17 * max(abs(total), 1e-300):
             small_streak += 1
@@ -81,10 +82,13 @@ def _series_2f1(a, b, c, w, z):
         else:
             small_streak = 0
     at = f"z={z}" if w == z else f"z={z}, Pfaff-mapped to w={w}"
+    # the term ratios tend to w, so with r the larger of |w| and the last
+    # ratio the dropped tail is at most |term| r / (1 - r)
+    r = max(abs(ratio), abs(w))
     raise NonConvergenceError(
         f"2F1 series did not converge within {max_terms} terms ({at})",
         partial=total,
-        est_error=abs(term),
+        est_error=abs(term) * r / (1.0 - r) if r < 1.0 else math.inf,
     )
 
 

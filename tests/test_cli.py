@@ -160,6 +160,14 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "--suite", "limits", "--tol", "-1")
         assert code == 2
 
+    def test_all_suites_deterministic(self, capsys, tmp_path):
+        # cached coefficient rows and rule caches leave the output alone
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            assert main(["verify", "--suite", "all", "--format", "json", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_csv_rows(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "limits",
                                "--format", "csv")

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from trigdunkl import (
     weight_A,
 )
 from trigdunkl import kernel
-from trigdunkl.kernel import _kernel_values
+from trigdunkl.kernel import _MAX_TERMS, _kernel_values, _powers, _series_rows
 from trigdunkl.quadrature import _gauss_jacobi_arrays, _tanh_sinh_full
 
 K_GRID = [(a, b) for a in (0.3, 0.7, 1.5) for b in (0.3, 0.7, 1.5)]
@@ -235,23 +236,29 @@ def _kernel_closed_form(k1, k2, x, y):
     """
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
-        k1, k2 = mp.mpmathify(k1), mp.mpmathify(k2)
-        x, y = mp.mpf(x), mp.mpf(y)
-        xh, yh = abs(x) / 2, abs(y) / 2
-        a, b = mp.cosh(xh), mp.cosh(yh)
-        d = 2 * mp.sinh((xh + yh) / 2) * mp.sinh((xh - yh) / 2)
-        c = (2 ** (3 * (k1 + k2)) * mp.gamma(k1 + k2 + 0.5)
-             / (mp.sqrt(mp.pi) * mp.gamma(k1) * mp.gamma(k2)))
-        weight = abs(2 * mp.sinh(x / 2)) ** (2 * k1) * abs(2 * mp.sinh(x)) ** (2 * k2)
-        z = d / (a + b)
-        s0 = 2 * mp.exp((x - y) / 2) * mp.sinh((x + y) / 2)
-        s1 = 2 * mp.exp(-y / 2) * d
-        integral = (a + b) ** (k2 - 1) * (
-            s0 * mp.beta(k1, k2) * mp.hyp2f1(1 - k2, k1, k1 + k2, -z)
-            - s1 * mp.beta(k1 + 1, k2) * mp.hyp2f1(1 - k2, k1 + 1, k1 + k2 + 1, -z))
-        value = complex(mp.sign(x) * c / (2 * weight) * 2 ** (k2 - 1) * d ** (k1 + k2 - 1)
-                        * integral)
+        value = complex(_kernel_mp(mp, k1, k2, mp.mpf(x), mp.mpf(y)))
         return value.real if value.imag == 0.0 else value
+
+
+def _kernel_mp(mp, k1, k2, x, y, gap=None):
+    """``_kernel_closed_form`` as an mpmath number at the working precision.
+
+    ``gap`` is |x| - |y| if given, so that points next to |x| = |y| keep it.
+    """
+    k1, k2 = mp.mpmathify(k1), mp.mpmathify(k2)
+    xh, yh = abs(x) / 2, abs(y) / 2
+    a, b = mp.cosh(xh), mp.cosh(yh)
+    d = 2 * mp.sinh((xh + yh) / 2) * mp.sinh((xh - yh) / 2 if gap is None else gap / 4)
+    c = (2 ** (3 * (k1 + k2)) * mp.gamma(k1 + k2 + 0.5)
+         / (mp.sqrt(mp.pi) * mp.gamma(k1) * mp.gamma(k2)))
+    weight = abs(2 * mp.sinh(x / 2)) ** (2 * k1) * abs(2 * mp.sinh(x)) ** (2 * k2)
+    z = d / (a + b)
+    s0 = 2 * mp.exp((x - y) / 2) * mp.sinh((x + y) / 2)
+    s1 = 2 * mp.exp(-y / 2) * d
+    integral = (a + b) ** (k2 - 1) * (
+        s0 * mp.beta(k1, k2) * mp.hyp2f1(1 - k2, k1, k1 + k2, -z)
+        - s1 * mp.beta(k1 + 1, k2) * mp.hyp2f1(1 - k2, k1 + 1, k1 + k2 + 1, -z))
+    return mp.sign(x) * c / (2 * weight) * 2 ** (k2 - 1) * d ** (k1 + k2 - 1) * integral
 
 
 class TestKernelReference:
@@ -370,6 +377,97 @@ class TestJacobiKernelReference:
                 res = jacobi_kernel(k, x, y)
                 assert abs(res.value - ref) <= res.est_error, (x, y)
                 assert abs(res.value - ref) <= 1e-12 * abs(ref), (x, y)
+
+
+def _apply_vt_reference(k1, k2, a, y):
+    """tV of bump(a) at y from its defining integral at 25 digits.
+
+    The integral of K(s', y) g(s') A(s') over |y| < |s'| < a, s' = s and -s,
+    with the kernel from ``_kernel_mp``.  s = |y| + (a - |y|) u^{1/p},
+    p = Re(k1 + k2), takes out the endpoint power of K at s = |y|, and the
+    gap s - |y| goes to the kernel as it is, free of cancellation.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(25):
+        k1, k2, y, a = mp.mpmathify(k1), mp.mpmathify(k2), mp.mpf(y), mp.mpf(a)
+        span, p = a - abs(y), mp.re(k1 + k2)
+
+        def bump_at(x):
+            q = 1 - (x / a) ** 2
+            return mp.exp(-1 / q) if q > 0 else mp.mpf(0)
+
+        def integrand(u):
+            gap = span * u ** (1 / p)
+            s = abs(y) + gap
+            density = abs(2 * mp.sinh(s / 2)) ** (2 * k1) * abs(2 * mp.sinh(s)) ** (2 * k2)
+            pieces = sum(_kernel_mp(mp, k1, k2, sign * s, y, gap) * bump_at(sign * s)
+                         for sign in (1, -1))
+            return pieces * density * span / p * u ** (1 / p - 1)
+
+        value = complex(mp.quad(integrand, [0, 1]))
+        return value.real if value.imag == 0.0 else value
+
+
+class TestApplyVtReference:
+    @pytest.mark.parametrize("k1, k2", [(0.5, 0.5), (1.5, 0.3), (0.3, 2.2),
+                                        (0.5 + 0.3j, 0.7), (0.2 - 0.5j, 1.1 + 0.2j)])
+    def test_within_error_bar(self, k1, k2):
+        # independent of the package's outer rule and kernel series
+        pytest.importorskip("mpmath")
+        k, g = Multiplicity(k1, k2), bump(2.0)
+        for y in (0.7, -1.3):
+            ref = _apply_vt_reference(k1, k2, g.support, y)
+            res = apply_Vt(k, g, y)
+            assert abs(res.value - ref) <= res.est_error, y
+            assert abs(res.value - ref) <= 1e-13 * abs(ref), y
+
+
+class TestSeriesPieces:
+    @pytest.mark.parametrize("alpha, beta", [(-0.7, -0.5), (1.5, -0.3), (-0.5 + 0.3j, 0.1 - 0.2j)])
+    def test_cached_rows_are_fresh_cumprod(self, alpha, beta):
+        # a slice of the longest rows is the short rows, bit for bit
+        rows = _series_rows(alpha, beta)
+        for n in (4, 17, 33, _MAX_TERMS):
+            i = np.arange(1.0, n)
+            coef = np.cumprod(((i - 1.0) - alpha) * (i + alpha)
+                              / (i * (i + (alpha + beta + np.array([[1.0], [2.0]])))), axis=1)
+            assert rows[:2, :n - 1].tobytes() == np.ascontiguousarray(coef).tobytes(), n
+
+    def test_longest_series_fits_the_rows(self):
+        # w < 1/2 everywhere, so no call needs more than _MAX_TERMS terms
+        w = np.nextafter(0.5, 0.0)
+        assert 4 + int(math.log(1e-17) / math.log(w)) <= _MAX_TERMS
+
+    def test_power_rows_within_their_roundings(self):
+        # w^j is a product of j factors: j - 1 roundings of eps/2 at most
+        rng = np.random.default_rng(615)
+        w = np.concatenate((rng.uniform(1e-3, 0.5, 20), [0.5, np.nextafter(0.5, 0.0), 0.1]))
+        powers = _powers(w, _MAX_TERMS - 1)
+        eps = Fraction(np.finfo(float).eps)
+        for wi, row in zip(w, powers.T):
+            for j, p in enumerate(row.tolist(), start=1):
+                exact = Fraction(float(wi)) ** j
+                assert abs(Fraction(p) - exact) <= (j - 1) * eps / 2 * exact, (wi, j)
+
+    def test_cached_rows_read_only(self):
+        rows = _series_rows(-0.5, -0.5)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            rows[:, :3] *= 2.0
+        assert _series_rows(-0.5, -0.5) is rows
+
+    @pytest.mark.parametrize("k", [Multiplicity(0.7, 0.4), Multiplicity(0.5 + 0.2j, 0.7)],
+                             ids=["real", "complex"])
+    def test_mirror_shares_the_series(self, k):
+        # x >= 0 with mirror=True is the pair (x, -x): one series, both values
+        s = np.array([[0.4, 1.1, 1.9], [0.8, 1.2, 1.6]])
+        y = np.array([[0.3], [-0.7]])
+        both = _kernel_values(k, np.stack((s, -s)), y, gap=s - np.abs(y))
+        mirrored = _kernel_values(k, s, y, gap=s - np.abs(y), mirror=True)
+        for got, want in zip(mirrored, both):
+            assert got.shape == (2, 2, 3)
+            assert np.allclose(got, want, rtol=4e-16, atol=0.0)
 
 
 class TestLimitKernels:

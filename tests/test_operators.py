@@ -447,6 +447,31 @@ class TestIntertwine:
     def test_origin_rejected(self):
         with pytest.raises(DomainError):
             intertwine_gap(Multiplicity(0.5, 0.5), monomial(2), 0.0)
+        with pytest.raises(DomainError):
+            intertwine_gap(Multiplicity(0.5, 0.5), monomial(2), [1.0, 0.0])
+
+    KS = [Multiplicity(0.7, 0.4), Multiplicity(0.5 + 0.2j, 0.7)]
+
+    @pytest.mark.parametrize("k", KS, ids=["real", "complex"])
+    @pytest.mark.parametrize("f_name", ["plane_wave:1.5", "monomial:2"])
+    def test_scalar_is_one_element_array(self, k, f_name):
+        f = get_test_function(f_name)
+        for x in (-2.0, 0.5, 1.3, 1e-4):
+            one, arr = intertwine_gap(k, f, x), intertwine_gap(k, f, [x])
+            assert isinstance(one, float) and arr.shape == (1,)
+            assert np.float64(one).tobytes() == arr.tobytes(), x
+
+    @pytest.mark.parametrize("k1, k2", [(0.3, 0.3), (1.5, 0.3), (0.5 + 0.2j, 0.7)])
+    def test_array_matches_scalars(self, k1, k2):
+        # the kernel's series length follows the batch, and the difference
+        # quotient magnifies that rounding by about 1/h; it stays far inside
+        # the verify tolerance
+        k = Multiplicity(k1, k2)
+        for f in (plane_wave(1.5), monomial(2)):
+            arr = intertwine_gap(k, f, np.reshape(config.EIGEN_X, (2, 3)))
+            assert arr.shape == (2, 3)
+            for x, gap in zip(config.EIGEN_X, arr.ravel()):
+                assert abs(gap - intertwine_gap(k, f, x)) <= 0.05 * config.TOL_INTERTWINE, x
 
 
 class TestPositivityScan:

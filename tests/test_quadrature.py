@@ -187,6 +187,31 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="hand-built 'mine'"):
             integrate(rule, lambda t: t ** 4, (-1.0, 1.0))
 
+    def test_hand_built_rule_takes_lists(self):
+        rule = QuadratureRule("mine", [-.5, 0, .5], [.6, .8, .6])
+        assert rule.nodes.dtype == rule.weights.dtype == np.float64
+        assert list(rule.nodes) == [-0.5, 0.0, 0.5] and list(rule.weights) == [0.6, 0.8, 0.6]
+        with pytest.raises(DomainError, match="hand-built 'mine'"):
+            integrate(rule, lambda t: t ** 4, (-1.0, 1.0))
+
+    @pytest.mark.parametrize("args", [
+        ([-.5, 0, .5], [.6, .8]),
+        ([[-.5, 0, .5]], [.6, .8, .6]),
+        ([], []),
+        ([[-.5, 0], [.5]], [.6, .8, .6]),
+        ([-.5, 0, "a"], [.6, .8, .6]),
+        ([-.5, 0, .5j], [.6, .8, .6]),
+        ([-.5, 0, math.nan], [.6, .8, .6]),
+        ([-.5, 0, .5], [.6, math.inf, .6]),
+        ([-.5, 0, .5], [.6, .8, .6], [0.5, 1.0]),
+        (None, [.6, .8, .6]),
+    ], ids=["short-weights", "2d-nodes", "empty", "ragged", "text", "complex", "nan-node",
+            "inf-weight", "short-gap", "none"])
+    def test_bad_hand_built_rule_raises_domain_error(self, args):
+        # a DomainError, which the CLI maps to exit code 2
+        with pytest.raises(DomainError, match="mine"):
+            QuadratureRule("mine", *args)
+
     @pytest.mark.parametrize("rule, mass", [
         (gauss_legendre(3), 2.0), (gauss_jacobi(5, 0.5, -0.3), beta_moment(0.5, -0.3)),
         (tanh_sinh(3), 2.0),

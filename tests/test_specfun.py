@@ -122,7 +122,17 @@ class TestHyp2F1:
             hyp2f1(1, 1, 2, -5000.0)
         value = math.log(5001.0) / 5000.0
         assert abs(info.value.partial - value) <= 1e-3 * value
-        assert 0.0 < info.value.est_error < 1e-6 * value
+        assert 0.0 < info.value.est_error < 1e-3 * value
+
+    @pytest.mark.parametrize("z", [-5000.0, 0.999, 0.9995])
+    def test_non_convergence_bar_bounds_the_tail(self, z):
+        # 2F1(1, 1; 2; z) = -log(1 - z) / z; the terms fall like w^n / n,
+        # so the dropped tail is far larger than the last term
+        with pytest.raises(NonConvergenceError) as info:
+            hyp2f1(1, 1, 2, z)
+        value = -math.log1p(-z) / z
+        err = abs(info.value.partial - value)
+        assert err <= info.value.est_error <= 10.0 * err
 
     def test_non_convergence_names_callers_argument(self):
         # z = -5000 goes through the Pfaff map onto w = 5000/5001, where the
