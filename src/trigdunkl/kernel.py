@@ -51,9 +51,15 @@ powers, j - 1 roundings each.  Every value carries an error bar: the
 rounding of its exponent's log parts and of the series (the sum of its
 terms' magnitudes, each scaled by 1 + (j - 1)/2 for its power's
 roundings), plus the series' last term, which bounds the dropped tail.
-``kernel_K_mourou`` is three such calls at half arguments, whose sum it
-quarters.  ``kernel_K`` and the oracle forms take scalars or broadcasting
-arrays; a non-finite value raises ``EvaluationError``.
+Only log D, alpha, beta and the weights 2 k1, 2 k2 of A(x)'s logs depend
+on k, so a call can take a leading axis of multiplicities: the cell
+geometry and the powers of w are formed once, and all the series come
+from one product of the stacked coefficient rows with the shared powers
+(``_kernel_grid``, which ``positivity_scan`` calls; one k is the K = 1
+case, with numbers in place of the axis).  ``kernel_K_mourou`` is three
+such calls at half arguments, whose sum it quarters.  ``kernel_K`` and the
+oracle forms take scalars or broadcasting arrays; a non-finite value
+raises ``EvaluationError``.
 """
 
 import math
@@ -83,9 +89,8 @@ def _k12(k: Multiplicity):
     return complex(k.k1), complex(k.k2)
 
 
-def _log_weight(k: Multiplicity, x):
-    """log A(x), principal branch for complex parameters; -inf at x = 0."""
-    k1, k2 = _k12(k)
+def _log_weight(k1, k2, x):
+    """log A(x) at k = (k1, k2), principal branch for complex parameters; -inf at x = 0."""
     xa = np.abs(x)
     return 2.0 * k1 * np.log(2.0 * np.sinh(xa / 2.0)) + 2.0 * k2 * np.log(2.0 * np.sinh(xa))
 
@@ -97,7 +102,7 @@ def weight_A(k: Multiplicity, x):
     """
     xarr = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(xarr == 0.0, 0.0, np.exp(_log_weight(k, xarr)))
+        out = np.where(xarr == 0.0, 0.0, np.exp(_log_weight(*_k12(k), xarr)))
     return out.item() if np.ndim(x) == 0 else out
 
 
@@ -184,24 +189,28 @@ def _series_rows(alpha, beta):
     return rows
 
 
-def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, pref, q=None, log_pref=()):
+def _cosh_gap_integral(log_d, xa, gap, alpha, beta, pref, q=None, log_pref=()):
     """pref D exp(sum of log_pref) J'(alpha, beta; q) over (cosh(xa - gap), cosh xa), broadcasting.
 
     Returns (values, error bars) of a form in the module docstring's table,
-    ``pref`` being its factor; no caller rescales them.  ``q(f1, f2)`` gives
+    ``pref`` being its factor; no caller rescales them.  ``log_d`` is
+    ``_log_constant``'s pair (log D, its rounding size).  ``q(f1, f2)`` gives
     the integrand factor's value at v = 0 and its rise over the gap d =
     2 f1 f2, with f1 = sinh((xa + ya)/2), f2 = sinh(gap/2) passed separately
     so that callers can form the rise without overflow; it defaults to 1.
     ``gap`` = xa - (lower end) is passed separately so callers that know it
     without cancellation keep it exact.  The value at v = 0 and ``pref`` may
     broadcast over leading axes that xa and gap lack, which then share one
-    series.
+    series.  So may the multiplicity: alpha, beta and both parts of
+    ``log_d`` are numbers for one k, or arrays of shape (K, 1, ..., 1), one
+    entry per k in front of every other axis; the cell geometry and the
+    powers of w are then formed once for all K.
     """
     a = np.cosh(xa)
     half = gap / 2.0
     f1, f2 = np.sinh(xa - half), np.sinh(half)     # (xa + ya)/2, gap/2
     log_f = np.log(f1) + np.log(f2)
-    log_d, size_d = _log_constant(k)
+    log_d, size_d = log_d
     log_scale = sum(log_pref, log_d + (alpha + beta + 1.0) * log_f)
     # each log part rounds where it is formed and where it is added; the
     # power alpha + beta + 1 is only as exact as its parts, and log f2 only
@@ -214,12 +223,19 @@ def _cosh_gap_integral(k: Multiplicity, xa, gap, alpha, beta, pref, q=None, log_
     w = f1 * f2 / a
     w_max = float(w.max(initial=0.0))
     n = 4 + (int(_LOG_TAIL / math.log(w_max)) if w_max > 0.0 else 0)
-    # both series' coefficients 1..n-1 and their magnitudes against one
-    # matrix of powers of w; magnitudes times 2 eps bound the series'
-    # rounding, and the last term, which bounds the dropped tail, counts in full
-    rows = _series_rows(alpha, beta)[:, :n - 1].copy()
-    rows[2:, -1] *= 1.0 + 0.5 / _EPS
-    sums = (1.0 + rows @ _powers(w, n - 1)).reshape((4,) + w.shape)
+    # both series' coefficients 1..n-1 and their magnitudes, each row kind
+    # for every k, against one matrix of powers of w; magnitudes times 2 eps
+    # bound the series' rounding, and the last term, which bounds the
+    # dropped tail, counts in full
+    k_shape = getattr(alpha, "shape", ())
+    lead = k_shape[:len(k_shape) - w.ndim]      # the k axis, with the axes w lacks
+    if k_shape:
+        rows = np.stack([_series_rows(*ab)[:, :n - 1] for ab in zip(alpha.flat, beta.flat)],
+                        axis=1).reshape(-1, n - 1)
+    else:
+        rows = _series_rows(alpha, beta)[:, :n - 1].copy()
+    rows[len(rows) // 2:, -1] *= 1.0 + 0.5 / _EPS
+    sums = (1.0 + rows @ _powers(w, n - 1)).reshape((4,) + lead + w.shape)
     slope = rise * ((beta + 1.0) / (alpha + beta + 2.0))
     factor = np.exp(log_scale) * a ** alpha
     values = factor * (q0 * sums[0] + slope * sums[1])
@@ -240,14 +256,29 @@ def _points(x, y):
     return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
-def _kernel_values(k: Multiplicity, x, y, *, gap=None, mirror=False):
-    """Kernel values and their error bars, broadcasting over x and y.
+def _k_axis(ks, *cells):
+    """k1, k2 and ``_log_constant``'s pair for the multiplicities ks, as
+    ``_cosh_gap_integral`` takes them: numbers for one k, else arrays with a
+    leading axis over ks in front of the axes of every array in ``cells``."""
+    if len(ks) == 1:
+        return (*_k12(ks[0]), _log_constant(ks[0]))
+    shape = (-1,) + (1,) * max(map(np.ndim, cells))
+    k1, k2, log_d, size_d = (np.reshape(col, shape)
+                             for col in zip(*((*_k12(k), *_log_constant(k)) for k in ks)))
+    return k1, k2, (log_d, size_d)
+
+
+def _kernel_grid(ks, x, y, *, gap=None, mirror=False):
+    """Kernel values and their error bars for each multiplicity in the tuple
+    ks along a leading axis (none for one k), broadcasting over x and y.
 
     ``gap`` optionally supplies |x| - |y| computed without cancellation; it
     is what the endpoint power actually depends on, so integrators that know
     the gap exactly (double-exponential tails) must pass it.  With
     ``mirror`` x >= 0 stands for the pair x, -x along a new leading axis:
     the series and the even factors depend on |x| only and are formed once.
+    Likewise everything but the exponents and the series coefficients is
+    formed once for all ks.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     # one point goes in numpy scalars whatever its shape, so that it rounds
@@ -265,15 +296,22 @@ def _kernel_values(k: Multiplicity, x, y, *, gap=None, mirror=False):
     # goes into the exponent, where the scale ~ |x|^{-2} would overflow
     e_fwd = 2.0 * np.exp((x - y) / 2.0) * np.sinh((x + y) / 2.0) / xa
     e_bwd = 2.0 * np.exp(-y / 2.0)
-    k1, k2 = _k12(k)
+    k1, k2, log_d = _k_axis(ks, x, y, gap)
     # one exponent: A(x) ~ |x|^{2(k1+k2)} near 0 and the radius power near
     # y = -/+ x stay inside double range only in combination
     values, bars = _cosh_gap_integral(
-        k, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, k2 - 1.0, k1 - 1.0, np.sign(x),
+        log_d, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, k2 - 1.0, k1 - 1.0, np.sign(x),
         lambda f1, f2: (e_fwd, -(2.0 * f1 / xa) * f2 * e_bwd),
-        (-_log_weight(k, xa), np.log(xa)),
+        (-_log_weight(k1, k2, xa), np.log(xa)),
     )
-    return (values.reshape(shape), bars.reshape(shape)) if shape else (values, bars)
+    if shape:
+        return values.reshape(values.shape + shape), bars.reshape(bars.shape + shape)
+    return values, bars
+
+
+def _kernel_values(k: Multiplicity, x, y, *, gap=None, mirror=False):
+    """``_kernel_grid`` at the one multiplicity k: values and bars of the shape of x and y."""
+    return _kernel_grid((k,), x, y, gap=gap, mirror=mirror)
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
@@ -321,7 +359,7 @@ def _cosine_terms(k, x, gap, log_pref=()):
     k1, k2 = _k12(k)
     # |sinh 2x| goes into the exponent too: at the nested route's inner
     # end it is tiny while the radius power alone overflows
-    return _cosh_gap_integral(k, np.abs(x), gap, k2 - 1.0, k1 - 1.0, 4.0, None,
+    return _cosh_gap_integral(_log_constant(k), np.abs(x), gap, k2 - 1.0, k1 - 1.0, 4.0, None,
                               (np.log(np.abs(np.sinh(2.0 * x))), *log_pref))
 
 
@@ -329,8 +367,8 @@ def _cosine_terms(k, x, gap, log_pref=()):
 def jacobi_kernel(k: Multiplicity, x, y) -> EvalResult:
     """Kernel of the intertwining operator in the hyperbolic-cosine setting."""
     x, y = _points(x, y)
-    return _point_result(*_cosine_terms(k, x, np.abs(x) - np.abs(y), (-_log_weight(k, 2.0 * x),)),
-                         METHOD)
+    log_ainv = -_log_weight(*_k12(k), 2.0 * x)
+    return _point_result(*_cosine_terms(k, x, np.abs(x) - np.abs(y), (log_ainv,)), METHOD)
 
 
 def _ktilde_defining(k, x, y):
@@ -362,8 +400,8 @@ def ktilde(k: Multiplicity, x, y, form: str = "direct") -> EvalResult:
         return _ktilde_defining(k, x, y)
     k1, k2 = _k12(k)
     alpha, beta, q = (k2, k1 - 1.0, None) if form == "direct" else (k2 - 1.0, k1, _times_u(y))
-    return _point_result(*_cosh_gap_integral(k, np.abs(x), np.abs(x) - np.abs(y), alpha, beta,
-                                             16.0 / (k1 + k2), q), METHOD)
+    return _point_result(*_cosh_gap_integral(_log_constant(k), np.abs(x), np.abs(x) - np.abs(y),
+                                             alpha, beta, 16.0 / (k1 + k2), q), METHOD)
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
@@ -371,8 +409,9 @@ def dktilde_dy(k: Multiplicity, x, y) -> EvalResult:
     """Same-variable y-derivative of the antiderivative; odd in y, zero at y = 0."""
     x, y = _points(x, y)
     k1, k2 = _k12(k)
-    return _point_result(*_cosh_gap_integral(k, np.abs(x), np.abs(x) - np.abs(y), k2 - 1.0,
-                                             k1 - 1.0, -8.0 * np.sinh(y), _times_u(y)), METHOD)
+    return _point_result(*_cosh_gap_integral(_log_constant(k), np.abs(x), np.abs(x) - np.abs(y),
+                                             k2 - 1.0, k1 - 1.0, -8.0 * np.sinh(y), _times_u(y)),
+                         METHOD)
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
@@ -391,13 +430,13 @@ def kernel_K_mourou(k: Multiplicity, x, y) -> EvalResult:
     k1, k2 = _k12(k)
     # 1/A(x) and |sinh(y/2)| enter the exponents, which stay in range at tiny |x|;
     # sign(y) zeroes the derivative term at y = 0, where sinh(x/2) stands in
-    log_ainv = -_log_weight(k, x)
+    log_d, log_ainv = _log_constant(k), -_log_weight(k1, k2, x)
     log_sinh = np.log(np.abs(np.sinh(np.where(y == 0.0, xh, yh))))
     # 4 times: Jacobi kernel / 4, sign x (k1/4 + k2/2) Ktilde / A, -sign x dKtilde/dy / (4A)
     values, bars = zip(
         _cosine_terms(k, xh, gap, (log_ainv,)),
-        _cosh_gap_integral(k, xa, gap, k2, k1 - 1.0,
+        _cosh_gap_integral(log_d, xa, gap, k2, k1 - 1.0,
                            np.sign(x) * (16.0 * k1 + 32.0 * k2) / (k1 + k2), None, (log_ainv,)),
-        _cosh_gap_integral(k, xa, gap, k2 - 1.0, k1 - 1.0, 8.0 * np.sign(x) * np.sign(y),
+        _cosh_gap_integral(log_d, xa, gap, k2 - 1.0, k1 - 1.0, 8.0 * np.sign(x) * np.sign(y),
                            _times_u(yh), (log_ainv, log_sinh)))
     return _point_result(0.25 * sum(values), 0.25 * sum(bars), f"mourou[{METHOD}]")

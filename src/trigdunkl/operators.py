@@ -22,7 +22,7 @@ import numpy as np
 from . import config
 from .config import NUMERICS
 from .errors import ContractError, DomainError
-from .kernel import METHOD, _kernel_values, weight_A
+from .kernel import METHOD, _kernel_grid, _kernel_values, weight_A
 from .params import KernelPoint, Multiplicity
 from .quadrature import EvalResult, _outer_sums, _point_result
 
@@ -190,7 +190,7 @@ def _by_real(num, den):
     return out if out.ndim else out.item()
 
 
-_SCAN_CHUNK = 4096  # scan cells per kernel call, keeps temporaries ~3 MB
+_SCAN_CHUNK = 4096  # scan cells times ks per kernel call, keeps temporaries ~3 MB
 _MIRROR = np.array([1.0, -1.0])[:, None, None]   # an outer piece and its mirror image
 
 
@@ -306,17 +306,20 @@ class ScanReport:
     cells: tuple            # (k1, k2, x, y, value) per cell, grid order
     min_value: float
     argmin: tuple           # (k1, k2, x, y)
-    all_positive: bool
+    all_positive: bool      # every value exceeds its error bar; False for no cells
 
 
 def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
     """Kernel values over a (k, x, y = fraction |x|) grid, with their minimum.
 
     Restricted to real positive parameter pairs, where strict positivity is
-    the expected outcome; fractions approaching -1 probe y near -x.  The
-    cells are checked once; each k's cells go to the kernel in chunks of
-    arrays, as ``kernel_K`` takes them, so a one-cell scan equals the point
-    call.  A cell outside |y| < |x| (also by rounding) raises DomainError, a
+    the expected outcome; fractions approaching -1 probe y near -x.  A cell
+    counts as positive only when its value exceeds its error bar.  The
+    cells are checked once and go to the kernel in chunks of arrays, each
+    chunk with a group of ks that shares its geometry, at most
+    ``_SCAN_CHUNK`` cells times ks per call; a group of one k is the
+    ``kernel_K`` array call, so a one-cell scan equals the point call.  A
+    cell outside |y| < |x| (also by rounding) raises DomainError, a
     non-finite value EvaluationError.
     """
     k_grid = tuple(k_grid)
@@ -328,14 +331,17 @@ def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
     fracs = tuple(float(fr) for fr in y_fraction_grid)
     xs = np.repeat(x_grid, len(fracs))
     ys = np.outer(np.abs(x_grid), fracs).ravel()
-    ks = [Multiplicity(k1, k2) for k1, k2 in k_grid]
+    ks = tuple(Multiplicity(k1, k2) for k1, k2 in k_grid)
     KernelPoint(xs, ys)
     values, bars = np.empty((2, len(ks), xs.size))
     with np.errstate(all="ignore"):     # a non-finite value raises instead
-        for k, row, bar in zip(ks, values, bars):
-            for i in range(0, xs.size, _SCAN_CHUNK):
-                chunk = slice(i, i + _SCAN_CHUNK)
-                row[chunk], bar[chunk] = _kernel_values(k, xs[chunk], ys[chunk])
+        for i in range(0, xs.size, _SCAN_CHUNK):
+            chunk = slice(i, i + _SCAN_CHUNK)
+            group = max(1, _SCAN_CHUNK // xs[chunk].size)
+            for j in range(0, len(ks), group):
+                part = slice(j, j + group)
+                values[part, chunk], bars[part, chunk] = _kernel_grid(
+                    ks[part], xs[chunk], ys[chunk])
     _point_result(values, bars, METHOD)     # one finite check, with kernel_K's message
     xys = list(zip(xs.tolist(), ys.tolist()))
     cells = tuple((k1, k2, x, y, v) for (k1, k2), row in zip(k_grid, values.tolist())
@@ -348,5 +354,5 @@ def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
         cells=cells,
         min_value=min_value,
         argmin=argmin,
-        all_positive=min_value > 0.0,
+        all_positive=bool(cells) and bool((values > bars).all()),
     )

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
+from trigdunkl import operators
 from trigdunkl.cli import main
 
 
@@ -207,6 +209,27 @@ class TestScanCommand:
                                "--yfrac-range=-0.9999:-0.9999:1", "--format", "json")
         assert code == 0
         assert json.loads(out)[-1]["all_positive"] is True
+
+    def test_multi_k_json_byte_identical(self, capsys, tmp_path):
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            code, _, _ = run_cli(capsys, "scan", "--k1-range", "0.2:2:4", "--k2-range", "0.2:2:3",
+                                 "--yfrac-range=-0.999:0.999:7", "--format", "json",
+                                 "--out", str(out))
+            assert code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(json.loads(outs[0].read_text())) == 4 * 3 * 6 * 7 + 1
+
+    def test_value_within_its_error_bar_exit_1(self, capsys, monkeypatch):
+        # positive values inside their error bars certify nothing
+        monkeypatch.setattr(operators, "_kernel_grid", lambda ks, x, y: (
+            np.full((len(ks), x.size), 1e-300), np.full((len(ks), x.size), 1e-290)))
+        code, out, _ = run_cli(capsys, "scan", "--k1-range", "0.5:0.5:1",
+                               "--k2-range", "0.5:0.7:2", "--x-range", "1:2:2",
+                               "--yfrac-range=-0.5:0.5:3", "--format", "json")
+        assert code == 1
+        summary = json.loads(out)[-1]
+        assert summary["min_value"] == 1e-300 and summary["all_positive"] is False
 
     def test_bad_range_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--x-range", "2:1:3")

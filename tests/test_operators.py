@@ -1,4 +1,4 @@
-
+import math
 import warnings
 
 import numpy as np
@@ -569,3 +569,60 @@ class TestPositivityScan:
         report = positivity_scan(ks, xs, fracs)
         assert len(report.cells) == 3 * 8 * 9
         self._assert_cells_match_kernel(report)
+
+    @pytest.mark.parametrize("chunk", [7, 25])
+    @pytest.mark.parametrize("n_pairs", [1, 5])
+    def test_k_groups_match_per_k_calls(self, monkeypatch, chunk, n_pairs):
+        # 10 cells per k: at chunk 7 the cells split 7 + 3 and the 3-cell
+        # chunk takes ks two at a time; at 25 every call takes two ks
+        monkeypatch.setattr(operators, "_SCAN_CHUNK", chunk)
+        calls, grid = [], operators._kernel_grid
+
+        def recording(ks, x, y):
+            calls.append((ks, x, y, *grid(ks, x, y)))
+            return calls[-1][3:]
+
+        monkeypatch.setattr(operators, "_kernel_grid", recording)
+        rng = np.random.default_rng(20261019)
+        pairs = [tuple(p) for p in rng.uniform(0.05, 3.0, size=(4, 2))]
+        pairs = (pairs + pairs[1:2])[:n_pairs]      # the fifth repeats the second
+        xs = rng.choice((-1.0, 1.0), 2) * rng.uniform(0.01, 3.0, 2)
+        fracs = rng.uniform(-0.9999, 0.9999, 5)
+        report = positivity_scan(pairs, xs, fracs)
+        assert len(report.cells) == n_pairs * 10
+        assert max(len(ks) for ks, *_ in calls) == min(2, n_pairs)
+        scan_bars = {}
+        for ks, x, y, _, bars in calls:
+            for k, row in zip(ks, np.reshape(bars, (len(ks), -1))):
+                scan_bars.update(((k.k1, k.k2, xc, yc), b)
+                                 for xc, yc, b in zip(x.tolist(), y.tolist(), row.tolist()))
+        for i, (k1, k2) in enumerate(pairs):
+            cells = report.cells[10 * i:10 * (i + 1)]
+            direct = kernel_K(Multiplicity(k1, k2), [c[2] for c in cells],
+                              [c[3] for c in cells]).value
+            for (_, _, x, y, value), want in zip(cells, direct.tolist()):
+                gap = abs(value - want)
+                assert gap <= 4 * np.finfo(float).eps * abs(want), (k1, k2, x, y)
+                assert gap <= scan_bars[(k1, k2, x, y)], (k1, k2, x, y)
+
+    @pytest.mark.parametrize("grid", [([], [1.0], [0.5]), ([(0.5, 0.5)], [], [0.5]),
+                                      ([(0.5, 0.5)], [1.0], [])], ids=["k", "x", "fraction"])
+    def test_empty_grid(self, grid):
+        # no cell is no evidence of positivity
+        report = positivity_scan(*grid)
+        assert report.cells == ()
+        assert report.min_value == math.inf
+        assert report.argmin is None
+        assert report.all_positive is False
+
+    def test_positive_only_beyond_error_bar(self, monkeypatch):
+        # a value inside its own error bar of 0 does not certify positivity;
+        # the per-cell rows still judge the value's sign alone
+        monkeypatch.setattr(operators, "_kernel_grid", lambda ks, x, y: (
+            np.full((len(ks), x.size), 1e-300), np.full((len(ks), x.size), 1e-290)))
+        report = positivity_scan([(0.5, 0.5), (0.7, 0.3)], [1.0, 2.0], [0.5, -0.5])
+        assert report.min_value == 1e-300
+        assert report.all_positive is False
+        *cells, min_row = run_suite("positivity")
+        assert all(r["pass"] for r in cells)
+        assert min_row["check"] == "scan_min_positive" and not min_row["pass"]
