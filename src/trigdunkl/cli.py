@@ -18,7 +18,7 @@ from .errors import ContractError, DomainError, EvaluationError, NonConvergenceE
 from .kernel import kernel_K, kernel_K_mourou
 from .operators import apply_V, apply_Vt, get_test_function, positivity_scan
 from .params import Multiplicity
-from .specfun import opdam_G
+from .specfun import _opdam_G
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -115,8 +115,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_opdam(args) -> int:
-    value = opdam_G(Multiplicity(args.k1, args.k2), args.lam, args.x)
-    return _emit_point(args, lam=args.lam, x=args.x, value=value)
+    value, bar = _opdam_G(Multiplicity(args.k1, args.k2), args.lam, args.x)
+    return _emit_point(args, lam=args.lam, x=args.x, value=value, est_error=bar)
 
 
 def _cmd_apply(args) -> int:

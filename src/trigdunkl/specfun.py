@@ -8,6 +8,7 @@ substitution Z = -sinh^2(x/2) ever produces.
 
 import cmath
 import math
+import sys
 
 from .config import NUMERICS
 from .errors import DomainError, NonConvergenceError
@@ -25,6 +26,7 @@ _STIRLING = (
 )
 
 _LOG_SQRT_2PI = 0.9189385332046727418
+_EPS = sys.float_info.epsilon
 
 
 def gamma_real(x: float) -> float:
@@ -129,11 +131,14 @@ def hyp2f1(a, b, c, z) -> complex:
 
 
 def _minus_sinh_sq(t: float) -> float:
-    """-sinh(t)^2, the blocks' argument; DomainError where it overflows (|t| >~ 355)."""
+    """-sinh(t)^2, the blocks' argument; DomainError where it is not finite (|t| >~ 355)."""
     try:
-        return -math.sinh(t) ** 2
+        z = -math.sinh(t) ** 2
     except OverflowError:
-        raise DomainError(f"-sinh({t!r})^2 is not a finite double") from None
+        z = math.inf
+    if not math.isfinite(z):
+        raise DomainError(f"-sinh({t!r})^2 is not a finite double")
+    return z
 
 
 def jacobi_phi(alpha: float, beta: float, lam, t: float) -> complex:
@@ -150,23 +155,145 @@ def jacobi_phi(alpha: float, beta: float, lam, t: float) -> complex:
     return hyp2f1((r + 1j * lam) / 2, (r - 1j * lam) / 2, complex(alpha) + 1.0, zz)
 
 
+# Rounding per step of ``_block_sums``, first order in u = eps/2, for real
+# lam and Re k > 0.  Forming the ratio and the term: 14.5 u.  That is 1 u
+# for each shifted parameter (a + m, c + m, and b + m or b + n), 5 u for the
+# quotient by c + m (CPython's scaled division, measured at most 2.8 u), and
+# three products and w / m: in the direct form a complex product in g
+# (sqrt(5) u), w / m and g q (1 u each); in the Pfaff form (b + n) w / m
+# (2 u) and g q (sqrt(5) u); then the product into the term (sqrt(5) u).
+# The inputs: a, b (or c - b) and c are each off by a few roundings, and
+# with positive real parts |p + n| >= |p|, so each adds at most 3 u per
+# factor (9 u); w, from -sinh^2(x/2) and Pfaff-mapped or not, is off by at
+# most 5.5 u, and w^n carries that n times.  That is 29 u per step, so term
+# n is off by at most 15 eps n |t_n|; each partial sum rounds by at most u
+# of its magnitude.
+_STEP_ROUNDING = 15.0
+# The blocks' weight, a / (2 k1 + 2 k2 + 1) sinh(x) or a / c tanh(x/2), is
+# off by at most 12 u (2 u each for a and the divisor, 5 u for the quotient,
+# 3 u for sinh or tanh and the product); with its product by the second sum
+# and the addition that is at most 16 u of |s1| + |weight s2|.
+_COMBINE_ROUNDING = 8.0
+
+
+def _block_sums(a, b, c, w, pfaff):
+    """The two Gauss series of ``opdam_G`` from one loop over their terms.
+
+    Direct (``pfaff`` false): F(a, b; c; w) and F(a + 1, b + 1; c + 1; w),
+    whose term ratios at step n are g_n w/(n+1) and g_{n+1} w/(n+1) with
+    g_n = (a + n)(b + n)/(c + n).  Pfaff: F(a, b; c; w) and F(a + 1, b;
+    c + 1; w), with ratios g_n (b + n) w/(n+1) and g_{n+1} (b + n) w/(n+1)
+    and g_n = (a + n)/(c + n).  Each step forms one new quotient g_{n+1}
+    and divides by nothing but c + n + 1 and n + 1.  The loop stops once
+    both terms have stayed below 1e-17 of their sums for three steps, or at
+    ``NUMERICS.series_max_terms`` steps.
+
+    Returns (s1, s2, e1, e2, converged): e_i bounds the rounding of s_i
+    (``_STEP_ROUNDING`` per step for each term, u per partial sum and
+    ``_COMBINE_ROUNDING`` eps of the summed term magnitudes for the caller's
+    combination) plus the dropped tail |t| r/(1 - r), with r the larger of
+    |w| and the last term ratio (inf if r >= 1).
+    """
+    g = a / c if pfaff else a * b / c
+    s1 = s2 = t1 = t2 = 1.0 + 0.0j
+    # summed |t_i|, and the sum of those running sums, sum_i (N + 1 - i) |t_i|
+    m1 = m2 = c1 = c2 = 1.0
+    streak = 0
+    for n in range(NUMERICS.series_max_terms):
+        m = n + 1
+        if pfaff:
+            gn = (a + m) / (c + m)
+            q = (b + n) * w / m
+        else:
+            gn = (a + m) * (b + m) / (c + m)
+            q = w / m
+        r1 = g * q
+        r2 = gn * q
+        t1 *= r1
+        t2 *= r2
+        s1 += t1
+        s2 += t2
+        a1 = abs(t1)
+        a2 = abs(t2)
+        m1 += a1
+        m2 += a2
+        c1 += m1
+        c2 += m2
+        if a1 <= 1e-17 * abs(s1) and a2 <= 1e-17 * abs(s2):
+            streak += 1
+            if streak >= 3:
+                break
+        else:
+            streak = 0
+        g = gn
+    bars = []
+    for mags, cum, last, ratio in ((m1, c1, a1, r1), (m2, c2, a2, r2)):
+        r = max(abs(w), abs(ratio))
+        tail = last * r / (1.0 - r) if r < 1.0 else math.inf
+        # sum_i i |t_i| = (N + 1) mags - cum for terms t_0 .. t_N
+        weighted = (m + 1) * mags - cum
+        bars.append(_EPS * (_STEP_ROUNDING * weighted + 0.5 * cum + _COMBINE_ROUNDING * mags)
+                    + tail)
+    return s1, s2, bars[0], bars[1], streak >= 3
+
+
 def opdam_G(k: Multiplicity, lam, x: float) -> complex:
     """Eigenfunction G_{i lam} deforming the exponential e^{i lam x}.
 
     Built from the two hypergeometric blocks
-        F1 = 2F1(rho + i lam, rho - i lam; k1 + k2 + 1/2; -sinh^2(x/2))
-        F2 = 2F1(rho + 1 + i lam, rho + 1 - i lam; k1 + k2 + 3/2; -sinh^2(x/2))
-    with rho = k1/2 + k2, as
-        G = F1 + (rho + i lam) / (2 k1 + 2 k2 + 1) * sinh(x) * F2.
+        F1 = 2F1(a, b; c; z),  F2 = 2F1(a + 1, b + 1; c + 1; z)
+    with rho = k1/2 + k2, a = rho + i lam, b = rho - i lam, c = k1 + k2 + 1/2
+    and z = -sinh^2(x/2), as
+        G = F1 + a / (2 k1 + 2 k2 + 1) * sinh(x) * F2.
     Normalized so G(0) = 1 for every admissible parameter pair.
+
+    Both blocks come from one series loop (``_block_sums``): for z > -1/2
+    the series of F1 and F2 in z; below, Pfaff's transformation (DLMF
+    15.8.1) onto w = z/(z - 1), G = (1 - z)^{-a} (H + (a/c) tanh(x/2) P)
+    with H = 2F1(a, c - b; c; w) and P = 2F1(a + 1, c - b; c + 1; w).  The
+    two term sequences share their Pochhammer quotient: the second block's
+    ratio at step n is the first block's quotient at step n + 1, so each
+    step forms one quotient.  F2 is not taken from the derivative identity
+    F2 = c/(ab) dF1/dz (DLMF 15.5.1), which divides by b = rho - i lam,
+    and b vanishes at lam = -i rho; the loop divides by nothing that can
+    vanish for Re k > 0.  Raises NonConvergenceError carrying G's partial
+    value and its bar where the series do not converge (from about |x| = 8,
+    where w is near 1); ``_opdam_G`` also returns the bar.
+    """
+    return _opdam_G(k, lam, x)[0]
+
+
+def _opdam_G(k: Multiplicity, lam, x: float):
+    """(G_{i lam}(x), est_error) as in ``opdam_G``.
+
+    The bar is ``_block_sums``' bars combined with G's weights, times
+    |(1 - z)^{-a}| on the Pfaff branch, plus the prefactor's rounding times
+    |G|: the exponent a log(1 - z) is off by at most u (5 |a| + 4 |a|
+    log(1 - z)), through the rounding of z (5 u), of a (2 u), of the log
+    and of the product; the exponential and the final product add 4 u.
     """
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise DomainError(f"non-finite spectral parameter {lam!r}")
-    k1, k2 = complex(k.k1), complex(k.k2)
-    s = k1 + k2
-    rho = k.rho
+    s = complex(k.k1) + complex(k.k2)
+    a, b, c = k.rho + 1j * lam, k.rho - 1j * lam, s + 0.5
     zz = _minus_sinh_sq(x / 2.0)
-    f1 = hyp2f1(rho + 1j * lam, rho - 1j * lam, s + 0.5, zz)
-    f2 = hyp2f1(rho + 1.0 + 1j * lam, rho + 1.0 - 1j * lam, s + 1.5, zz)
-    return f1 + (rho + 1j * lam) / (2.0 * s + 1.0) * math.sinh(x) * f2
+    pfaff = zz <= -0.5
+    if pfaff:
+        w, b = zz / (zz - 1.0), c - b
+        weight = a / c * math.tanh(x / 2.0)
+        log_1mz = math.log1p(-zz)
+        pre = cmath.exp(-a * log_1mz)
+        pre_rounding = _EPS * (abs(a) * (2.5 + 2.0 * log_1mz) + 2.0)
+    else:
+        w, pre, pre_rounding = zz, 1.0, 0.0
+        weight = a / (2.0 * s + 1.0) * math.sinh(x)
+    f1, f2, e1, e2, converged = _block_sums(a, b, c, w, pfaff)
+    value = pre * (f1 + weight * f2)
+    bar = abs(pre) * (e1 + abs(weight) * e2) + pre_rounding * abs(value)
+    if not converged:
+        at = f"z={zz}, Pfaff-mapped to w={w}" if pfaff else f"z={zz}"
+        raise NonConvergenceError(
+            f"opdam_G's 2F1 series did not converge within "
+            f"{NUMERICS.series_max_terms} terms ({at})", partial=value, est_error=bar)
+    return value, bar

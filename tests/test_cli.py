@@ -78,6 +78,18 @@ class TestOpdamCommand:
         record = json.loads(out)
         assert set(record["value"]) == {"re", "im"}
         assert record["value"]["im"] != 0.0
+        assert 0.0 < record["est_error"] < 1e-12
+
+    def test_error_bar_covers_apply_v(self, capsys):
+        # at lam = 20, x = 3 the series cancel: G's value is far off, and its
+        # bar says so; V agrees with G within the two bars
+        point = ("--k1", "0.3", "--k2", "0.3", "--x", "3")
+        _, out_g, _ = run_cli(capsys, "opdam", *point, "--lam", "20")
+        _, out_v, _ = run_cli(capsys, "apply-v", *point, "--function", "plane_wave:20")
+        g, v = json.loads(out_g), json.loads(out_v)
+        gap = abs(complex(g["value"]["re"], g["value"]["im"])
+                  - complex(v["value"]["re"], v["value"]["im"]))
+        assert gap <= g["est_error"] + v["est_error"]
 
     def test_overflowing_argument_exit_2(self, capsys):
         # -sinh^2(400) is not a finite double

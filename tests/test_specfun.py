@@ -1,14 +1,16 @@
 import cmath
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from trigdunkl import (DomainError, Multiplicity, NonConvergenceError, gamma_real, hyp2f1,
-                       jacobi_phi, opdam_G, specfun)
+from test_operators import eigen_reference
+from trigdunkl import (DomainError, Multiplicity, NonConvergenceError, config, gamma_real,
+                       hyp2f1, jacobi_phi, opdam_G, specfun)
 from trigdunkl.config import NUMERICS
-from trigdunkl.specfun import loggamma_right_half
+from trigdunkl.specfun import _block_sums, _opdam_G, loggamma_right_half
 
 
 class TestGammaReal:
@@ -205,3 +207,88 @@ class TestOpdamG:
     def test_complex_multiplicity_accepted(self):
         val = opdam_G(Multiplicity(0.5 + 0.1j, 0.8), 1.0, 0.7)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
+
+    @pytest.mark.parametrize("k1, k2", [*config.K_GRID, (0.5 + 0.4j, 0.8 - 0.3j)])
+    def test_block_sums_match_hyp2f1(self, k1, k2):
+        # one loop gives both blocks as two hyp2f1 series would, on both
+        # branches: to 1e-13 at lam <= 1, else to 1e-13 or the loop's own
+        # bar, since from lam = 2.5 at large |x| the series cancel (the
+        # known large-lam defect) and both sums keep only that many digits
+        k = Multiplicity(k1, k2)
+        rho, c = k.rho, k1 + k2 + 0.5
+        for lam in (0.0, 1.0, 2.5, 5.0, 8.0):
+            a, b = rho + 1j * lam, rho - 1j * lam
+            for x in (0.3, 1.0, 2.0, 3.0):
+                z = -math.sinh(x / 2.0) ** 2
+                if z > -0.5:
+                    s1, s2, e1, e2, converged = _block_sums(a, b, c, z, False)
+                    h1, h2 = hyp2f1(a, b, c, z), hyp2f1(a + 1, b + 1, c + 1, z)
+                else:
+                    w = z / (z - 1.0)
+                    s1, s2, e1, e2, converged = _block_sums(a, c - b, c, w, True)
+                    h1, h2 = hyp2f1(a, c - b, c, w), hyp2f1(a + 1, c - b, c + 1, w)
+                assert converged
+                assert abs(s1 - h1) <= 1e-13 * abs(h1) + e1, (lam, x)
+                assert abs(s2 - h2) <= 1e-13 * abs(h2) + e2, (lam, x)
+                if lam <= 1.0:
+                    assert abs(s1 - h1) <= 1e-13 * abs(h1) and abs(s2 - h2) <= 1e-13 * abs(h2)
+
+    @pytest.mark.parametrize("k1, k2", [(0.3, 0.7), (1.5, 0.3), (0.5 + 0.4j, 0.8 - 0.3j),
+                                        (0.005, 0.005)])
+    def test_vanishing_second_parameter(self, k1, k2):
+        # lam = -i rho makes b = rho - i lam = 0, where a derivative identity
+        # for the second block would divide by zero
+        k = Multiplicity(k1, k2)
+        lam = -1j * k.rho
+        for x in (-3.0, -1.0, -0.2, 0.5, 1.2, 3.0):
+            ref = eigen_reference(k1, k2, lam, x)
+            val = opdam_G(k, lam, x)
+            assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref)), x
+
+    @pytest.mark.parametrize("k1, k2", [(0.005, 0.005), (0.01, 0.002)])
+    def test_tiny_multiplicity(self, k1, k2):
+        k = Multiplicity(k1, k2)
+        for lam in (0.0, 1.0, 2.0):
+            for x in (-3.0, -2.2, -1.3, -0.7, -0.1, 0.1, 0.7, 1.3, 2.2, 3.0):
+                ref = eigen_reference(k1, k2, lam, x)
+                assert abs(opdam_G(k, lam, x) - ref) <= 1e-14, (lam, x)
+
+    @pytest.mark.parametrize("x", [1e-300, -1e-300])
+    def test_tiny_argument_gives_one(self, x):
+        for k, lam in ((Multiplicity(0.3, 1.5), 2.5), (Multiplicity(0.5 + 0.2j, 1.5), 20.0)):
+            assert abs(opdam_G(k, lam, x) - 1.0) <= sys.float_info.epsilon
+
+    def test_term_cap_doubling_on_acceptance_grid(self, monkeypatch):
+        doubled = replace(NUMERICS, series_max_terms=2 * NUMERICS.series_max_terms)
+        for k1, k2 in config.K_GRID:
+            k = Multiplicity(k1, k2)
+            for lam in config.EIGEN_LAMBDAS:
+                for x in (-2.0, -0.5, 0.5, 2.0):
+                    v1 = opdam_G(k, lam, x)
+                    with monkeypatch.context() as m:
+                        m.setattr(specfun, "NUMERICS", doubled)
+                        v2 = opdam_G(k, lam, x)
+                    assert abs(v1 - v2) <= 1e-12 * abs(v1)
+
+    def test_error_bar_covers_reference(self):
+        # real, complex and tiny k, lam up to 20: no point is ever dropped
+        rng = np.random.default_rng(17)
+        for i in range(240):
+            if i % 3 == 0:
+                ks = rng.uniform(0.1, 3.0, 2)
+            elif i % 3 == 1:
+                ks = rng.uniform(0.1, 3.0, 2) + 1j * rng.uniform(-1.0, 1.0, 2)
+            else:
+                ks = rng.uniform(0.001, 0.02, 2)
+            (k1, k2), lam, x = ks.tolist(), rng.uniform(0.0, 20.0), rng.uniform(-3.0, 3.0)
+            ref = eigen_reference(k1, k2, lam, x)
+            val, bar = _opdam_G(Multiplicity(k1, k2), lam, x)
+            assert abs(val - ref) <= bar, (k1, k2, lam, x)
+
+    def test_non_convergence_carries_partial_value_of_G(self):
+        # at x = 10 the Pfaff-mapped argument is 0.99982 and the series stop
+        # at the term cap; the partial value is G's, with a bar covering it
+        with pytest.raises(NonConvergenceError, match=r"z=-5506\.116.*w=0\.99981") as info:
+            opdam_G(Multiplicity(0.5, 0.5), 1.0, 10.0)
+        ref = eigen_reference(0.5, 0.5, 1.0, 10.0)
+        assert abs(info.value.partial - ref) <= info.value.est_error < abs(ref)
