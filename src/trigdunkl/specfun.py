@@ -3,7 +3,9 @@
 All evaluators are pure functions of their arguments and safe to call
 concurrently.  The hypergeometric evaluator accepts complex upper and lower
 parameters but only a real argument Z < 1, which is all the hyperbolic
-substitution Z = -sinh^2(x/2) ever produces.
+substitution Z = -sinh^2(x/2) ever produces.  ``hyp2f1``, ``jacobi_phi``
+and ``opdam_G`` take one series path (``_gauss_2f1``): one loop over the
+terms, one Pfaff map, one error bar and one NonConvergenceError.
 """
 
 import cmath
@@ -67,42 +69,17 @@ def _is_nonpositive_integer(v) -> bool:
     return v.imag == 0.0 and v.real <= 0.0 and v.real == int(v.real)
 
 
-def _series_2f1(a, b, c, w, z):
-    """Power series sum_n (a)_n (b)_n / ((c)_n n!) w^n for |w| < 1; errors name hyp2f1's z."""
-    max_terms = NUMERICS.series_max_terms
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    small_streak = 0
-    for n in range(max_terms):
-        ratio = (a + n) * (b + n) / ((c + n) * (n + 1)) * w
-        term *= ratio
-        total += term
-        if abs(term) <= 1e-17 * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 3:
-                return total
-        else:
-            small_streak = 0
-    at = f"z={z}" if w == z else f"z={z}, Pfaff-mapped to w={w}"
-    # the term ratios tend to w, so with r the larger of |w| and the last
-    # ratio the dropped tail is at most |term| r / (1 - r)
-    r = max(abs(ratio), abs(w))
-    raise NonConvergenceError(
-        f"2F1 series did not converge within {max_terms} terms ({at})",
-        partial=total,
-        est_error=abs(term) * r / (1.0 - r) if r < 1.0 else math.inf,
-    )
-
-
 def hyp2f1(a, b, c, z) -> complex:
     """Gauss hypergeometric 2F1(a, b; c; z) for complex a, b, c and real z < 1.
 
-    Uses the power series directly for -1/2 < z < 1 and the Pfaff
-    transformation onto w = z/(z-1) in [1/3, 1) for z <= -1/2, so every
-    z < 1 takes one convergent series.  Raises NonConvergenceError (carrying
-    the partial sum) if ``NUMERICS.series_max_terms`` terms do not converge,
-    as from about z = 0.998 on (2F1(1, 1; 2; 0.999)); no caller in the
-    package passes z > 0.
+    One series (``_gauss_2f1``): in z for -1/2 < z < 1, and after Pfaff's
+    transformation in w = z/(z-1) in [1/3, 1) for z <= -1/2.  a and b go
+    there sorted by (real, imag) part, so the Pfaff branch's exponent -a,
+    and with it the value, does not depend on their order.  Raises
+    NonConvergenceError (carrying the partial value and a bar for its
+    rounding and the dropped tail) if ``NUMERICS.series_max_terms`` terms do
+    not converge, as from about z = 0.998 on (2F1(1, 1; 2; 0.999)); no
+    caller in the package passes z > 0.
     """
     if isinstance(z, complex):
         if z.imag != 0.0:
@@ -118,16 +95,8 @@ def hyp2f1(a, b, c, z) -> complex:
         raise DomainError(f"hyp2f1 lower parameter c={c} is a non-positive integer")
     if z == 0.0:
         return 1.0 + 0.0j
-    if z > -0.5:
-        return _series_2f1(complex(a), complex(b), complex(c), z, z)
-    # Pfaff map: 1 - z > 1 here, so the prefactor power is principal and real
-    # based.
-    w = z / (z - 1.0)
-    pre = cmath.exp(-complex(a) * math.log1p(-z))
-    try:
-        return pre * _series_2f1(complex(a), complex(c) - complex(b), complex(c), w, z)
-    except NonConvergenceError as err:   # a partial value of the caller's function
-        raise NonConvergenceError(str(err), pre * err.partial, abs(pre) * err.est_error) from None
+    a, b = sorted((complex(a), complex(b)), key=lambda v: (v.real, v.imag))
+    return _gauss_2f1(a, b, complex(c), z)[0]
 
 
 def _minus_sinh_sq(t: float) -> float:
@@ -145,7 +114,8 @@ def jacobi_phi(alpha: float, beta: float, lam, t: float) -> complex:
     """Even hypergeometric eigenfunction of the hyperbolic Jacobi operator.
 
     phi_lam^{alpha,beta}(t) = 2F1((r + i lam)/2, (r - i lam)/2; alpha + 1;
-    -sinh^2 t) with r = alpha + beta + 1.  Invariant under lam -> -lam.
+    -sinh^2 t) with r = alpha + beta + 1.  Invariant under lam -> -lam,
+    exactly: that swaps the upper parameters, which ``hyp2f1`` sorts.
     """
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
@@ -155,13 +125,14 @@ def jacobi_phi(alpha: float, beta: float, lam, t: float) -> complex:
     return hyp2f1((r + 1j * lam) / 2, (r - 1j * lam) / 2, complex(alpha) + 1.0, zz)
 
 
-# Rounding per step of ``_block_sums``, first order in u = eps/2, for real
-# lam and Re k > 0.  Forming the ratio and the term: 14.5 u.  That is 1 u
-# for each shifted parameter (a + m, c + m, and b + m or b + n), 5 u for the
-# quotient by c + m (CPython's scaled division, measured at most 2.8 u), and
-# three products and w / m: in the direct form a complex product in g
-# (sqrt(5) u), w / m and g q (1 u each); in the Pfaff form (b + n) w / m
-# (2 u) and g q (sqrt(5) u); then the product into the term (sqrt(5) u).
+# Rounding per step of ``_block_sums``, first order in u = eps/2, for
+# parameters with positive real parts (in G: real lam, Re k > 0).  Forming
+# the ratio and the term: 14.5 u.  That is 1 u for each shifted parameter
+# (a + m, c + m, and b + m or b + n), 5 u for the quotient by c + m
+# (CPython's scaled division, measured at most 2.8 u), and three products
+# and w / m: in the direct form a complex product in g (sqrt(5) u), w / m
+# and g q (1 u each); in the Pfaff form (b + n) w / m (2 u) and g q
+# (sqrt(5) u); then the product into the term (sqrt(5) u).
 # The inputs: a, b (or c - b) and c are each off by a few roundings, and
 # with positive real parts |p + n| >= |p|, so each adds at most 3 u per
 # factor (9 u); w, from -sinh^2(x/2) and Pfaff-mapped or not, is off by at
@@ -177,7 +148,7 @@ _COMBINE_ROUNDING = 8.0
 
 
 def _block_sums(a, b, c, w, pfaff):
-    """The two Gauss series of ``opdam_G`` from one loop over their terms.
+    """The two Gauss series of ``_gauss_2f1`` from one loop over their terms.
 
     Direct (``pfaff`` false): F(a, b; c; w) and F(a + 1, b + 1; c + 1; w),
     whose term ratios at step n are g_n w/(n+1) and g_{n+1} w/(n+1) with
@@ -237,6 +208,49 @@ def _block_sums(a, b, c, w, pfaff):
     return s1, s2, bars[0], bars[1], streak >= 3
 
 
+def _gauss_2f1(a, b, c, z, weight=None):
+    """2F1(a, b; c; z), or two blocks of it, for real z < 1 as (value, est_error).
+
+    The one series path of ``hyp2f1``, ``jacobi_phi`` and ``opdam_G``.  For
+    -1/2 < z < 1 the series in z; for z <= -1/2 Pfaff's transformation (DLMF
+    15.8.1) onto w = z/(z - 1) in [1/3, 1), 2F1(a, b; c; z) = (1 - z)^{-a}
+    2F1(a, c - b; c; w), so every z < 1 takes one convergent series.
+    ``_block_sums`` gives that block and the second one, 2F1(a + 1, b + 1;
+    c + 1; z) or 2F1(a + 1, c - b; c + 1; w).  ``weight``, a function of the
+    branch (true for Pfaff), gives the second block's weight there; the value
+    is pre (F1 + weight F2), with pre = 1 or (1 - z)^{-a}.  Without
+    ``weight`` the second block is not used.
+
+    The bar is ``_block_sums``' bars combined with those weights, times
+    |pre|, plus the prefactor's rounding times |value|: the exponent
+    a log(1 - z) is off by at most u (5 |a| + 4 |a| log(1 - z)), through the
+    rounding of z (5 u), of a (2 u), of the log and of the product; the
+    exponential and the final product add 4 u.  Raises NonConvergenceError,
+    naming z and the Pfaff-mapped w and carrying the partial value and its
+    bar, where ``NUMERICS.series_max_terms`` steps do not converge.
+    """
+    pfaff = z <= -0.5
+    if pfaff:   # 1 - z > 1, so the prefactor power is principal and real based
+        w, b = z / (z - 1.0), c - b
+        log_1mz = math.log1p(-z)
+        pre = cmath.exp(-a * log_1mz)
+        pre_rounding = _EPS * (abs(a) * (2.5 + 2.0 * log_1mz) + 2.0)
+    else:
+        w, pre, pre_rounding = z, 1.0, 0.0
+    f1, f2, e1, e2, converged = _block_sums(a, b, c, w, pfaff)
+    if weight is not None:
+        wt = weight(pfaff)
+        f1, e1 = f1 + wt * f2, e1 + abs(wt) * e2
+    value = pre * f1
+    bar = abs(pre) * e1 + pre_rounding * abs(value)
+    if not converged:
+        at = f"z={z}, Pfaff-mapped to w={w}" if pfaff else f"z={z}"
+        raise NonConvergenceError(
+            f"2F1 series did not converge within {NUMERICS.series_max_terms} terms ({at})",
+            partial=value, est_error=bar)
+    return value, bar
+
+
 def opdam_G(k: Multiplicity, lam, x: float) -> complex:
     """Eigenfunction G_{i lam} deforming the exponential e^{i lam x}.
 
@@ -247,53 +261,32 @@ def opdam_G(k: Multiplicity, lam, x: float) -> complex:
         G = F1 + a / (2 k1 + 2 k2 + 1) * sinh(x) * F2.
     Normalized so G(0) = 1 for every admissible parameter pair.
 
-    Both blocks come from one series loop (``_block_sums``): for z > -1/2
-    the series of F1 and F2 in z; below, Pfaff's transformation (DLMF
-    15.8.1) onto w = z/(z - 1), G = (1 - z)^{-a} (H + (a/c) tanh(x/2) P)
-    with H = 2F1(a, c - b; c; w) and P = 2F1(a + 1, c - b; c + 1; w).  The
-    two term sequences share their Pochhammer quotient: the second block's
-    ratio at step n is the first block's quotient at step n + 1, so each
-    step forms one quotient.  F2 is not taken from the derivative identity
-    F2 = c/(ab) dF1/dz (DLMF 15.5.1), which divides by b = rho - i lam,
-    and b vanishes at lam = -i rho; the loop divides by nothing that can
-    vanish for Re k > 0.  Raises NonConvergenceError carrying G's partial
-    value and its bar where the series do not converge (from about |x| = 8,
-    where w is near 1); ``_opdam_G`` also returns the bar.
+    Both blocks come from ``hyp2f1``'s series path (``_gauss_2f1``), in one
+    loop; for z <= -1/2 Pfaff's transformation onto w = z/(z - 1) gives
+    G = (1 - z)^{-a} (H + (a/c) tanh(x/2) P) with H = 2F1(a, c - b; c; w)
+    and P = 2F1(a + 1, c - b; c + 1; w).  F2 is not taken from the
+    derivative identity F2 = c/(ab) dF1/dz (DLMF 15.5.1), which divides by
+    b = rho - i lam, and b vanishes at lam = -i rho; the loop divides by
+    nothing that can vanish for Re k > 0.  Raises NonConvergenceError
+    carrying G's partial value and its bar where the series do not converge
+    (from about |x| = 8, where w is near 1); ``_opdam_G`` also returns the
+    bar.
     """
     return _opdam_G(k, lam, x)[0]
 
 
 def _opdam_G(k: Multiplicity, lam, x: float):
-    """(G_{i lam}(x), est_error) as in ``opdam_G``.
-
-    The bar is ``_block_sums``' bars combined with G's weights, times
-    |(1 - z)^{-a}| on the Pfaff branch, plus the prefactor's rounding times
-    |G|: the exponent a log(1 - z) is off by at most u (5 |a| + 4 |a|
-    log(1 - z)), through the rounding of z (5 u), of a (2 u), of the log
-    and of the product; the exponential and the final product add 4 u.
-    """
+    """(G_{i lam}(x), est_error) as in ``opdam_G``."""
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise DomainError(f"non-finite spectral parameter {lam!r}")
     s = complex(k.k1) + complex(k.k2)
     a, b, c = k.rho + 1j * lam, k.rho - 1j * lam, s + 0.5
-    zz = _minus_sinh_sq(x / 2.0)
-    pfaff = zz <= -0.5
-    if pfaff:
-        w, b = zz / (zz - 1.0), c - b
-        weight = a / c * math.tanh(x / 2.0)
-        log_1mz = math.log1p(-zz)
-        pre = cmath.exp(-a * log_1mz)
-        pre_rounding = _EPS * (abs(a) * (2.5 + 2.0 * log_1mz) + 2.0)
-    else:
-        w, pre, pre_rounding = zz, 1.0, 0.0
-        weight = a / (2.0 * s + 1.0) * math.sinh(x)
-    f1, f2, e1, e2, converged = _block_sums(a, b, c, w, pfaff)
-    value = pre * (f1 + weight * f2)
-    bar = abs(pre) * (e1 + abs(weight) * e2) + pre_rounding * abs(value)
-    if not converged:
-        at = f"z={zz}, Pfaff-mapped to w={w}" if pfaff else f"z={zz}"
-        raise NonConvergenceError(
-            f"opdam_G's 2F1 series did not converge within "
-            f"{NUMERICS.series_max_terms} terms ({at})", partial=value, est_error=bar)
-    return value, bar
+
+    def weight(pfaff):
+        # a / c tanh(x/2) equals a / (2s + 1) sinh(x) / (1 - z) but rounds
+        # differently; and sinh(x) is formed only where z > -1/2, since it
+        # overflows from |x| = 711 on
+        return a / c * math.tanh(x / 2.0) if pfaff else a / (2.0 * s + 1.0) * math.sinh(x)
+
+    return _gauss_2f1(a, b, c, _minus_sinh_sq(x / 2.0), weight)

@@ -10,7 +10,15 @@ from test_operators import eigen_reference
 from trigdunkl import (DomainError, Multiplicity, NonConvergenceError, config, gamma_real,
                        hyp2f1, jacobi_phi, opdam_G, specfun)
 from trigdunkl.config import NUMERICS
-from trigdunkl.specfun import _block_sums, _opdam_G, loggamma_right_half
+from trigdunkl.specfun import _block_sums, _gauss_2f1, _opdam_G, loggamma_right_half
+
+
+def _hyp2f1_with_bar(a, b, c, z):
+    """(value, bar) of the series path that ``hyp2f1`` takes, a and b in its order."""
+    a, b = sorted((complex(a), complex(b)), key=lambda v: (v.real, v.imag))
+    val, bar = _gauss_2f1(a, b, complex(c), z)
+    assert val == hyp2f1(a, b, c, z)
+    return val, bar
 
 
 class TestGammaReal:
@@ -68,8 +76,11 @@ class TestHyp2F1:
         assert hyp2f1(a, 2.0, 2.0, -2.0) == pytest.approx(cmath.exp(-a * math.log(3.0)))
 
     def test_parameter_swap_exact(self):
+        # on both branches: the Pfaff branch's exponent -a is taken from a
+        # and b in one order, whichever order they are passed in
         a, b = 0.8 + 0.6j, 0.8 - 0.6j
-        assert hyp2f1(a, b, 1.3, -2.1) == hyp2f1(b, a, 1.3, -2.1)
+        for z in (-0.3, 0.5, -0.5, -0.7, -2.1, -3.3, -9.0, -19.9):
+            assert hyp2f1(a, b, 1.3, z) == hyp2f1(b, a, 1.3, z), z
 
     @staticmethod
     def _with_doubled_cap(monkeypatch, *args):
@@ -151,6 +162,18 @@ class TestHyp2F1:
         with pytest.raises(DomainError):
             hyp2f1(1.0, 1.0, 2.0, 0.3 + 0.2j)
 
+    def test_error_bar_covers_reference(self):
+        # complex a, b, real c, both branches: no point is ever dropped
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(18)
+        with mp.workdps(30):
+            for i in range(600):
+                a, b = (rng.uniform(-2.0, 3.0, 2) + 1j * rng.uniform(-5.0, 5.0, 2)).tolist()
+                c = rng.uniform(0.2, 4.0)
+                z = rng.uniform(-20.0, -0.5) if i % 2 else rng.uniform(-0.5, 0.9)
+                val, bar = _hyp2f1_with_bar(a, b, c, z)
+                assert abs(val - complex(mp.hyp2f1(a, b, c, z))) <= bar, (a, b, c, z)
+
 
 class TestJacobiPhi:
     def test_value_at_zero(self):
@@ -163,10 +186,32 @@ class TestJacobiPhi:
                 math.cos(lam * t), abs=1e-12)
 
     def test_spectral_sign_symmetry(self):
-        for lam in (0.8, 2.4):
-            plus = jacobi_phi(1.2, 0.3, lam, 0.9)
-            minus = jacobi_phi(1.2, 0.3, -lam, 0.9)
-            assert abs(plus - minus) <= 1e-15 * (1.0 + abs(plus))
+        # exact: lam -> -lam swaps hyp2f1's a and b, which it sorts
+        rng = np.random.default_rng(155)
+        points = [(1.2, 0.3, 0.8, 0.9), (1.2, 0.3, 2.4, 0.9)]
+        points += [(*rng.uniform(-0.9, 3.0, 2), rng.uniform(0.0, 10.0), rng.uniform(0.0, 3.0))
+                   for _ in range(400)]
+        for alpha, beta, lam, t in points:
+            assert jacobi_phi(alpha, beta, lam, t) == jacobi_phi(alpha, beta, -lam, t)
+
+    def test_error_bar_covers_reference(self):
+        # lam <= 30, t <= 3, against phi at the exact parameters; the first
+        # point is off by about 3e-4 (the series cancel), within its bar
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(30)
+        points = [(0.2, -0.3, 30.0, 1.5)]
+        points += [(*rng.uniform(-0.5, 2.0, 2), rng.uniform(0.0, 30.0), rng.uniform(0.0, 3.0))
+                   for _ in range(299)]
+        with mp.workdps(30):
+            for alpha, beta, lam, t in points:
+                r = alpha + beta + 1.0
+                a, b = (r + 1j * lam) / 2, (r - 1j * lam) / 2
+                val, bar = _hyp2f1_with_bar(a, b, alpha + 1.0, -math.sinh(t) ** 2)
+                assert val == jacobi_phi(alpha, beta, lam, t)
+                r, lam = mp.mpf(alpha) + beta + 1, mp.mpf(lam)
+                ref = complex(mp.hyp2f1((r + 1j * lam) / 2, (r - 1j * lam) / 2, alpha + 1,
+                                        -mp.sinh(t) ** 2))
+                assert abs(val - ref) <= bar, (alpha, beta, lam, t)
 
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
