@@ -63,6 +63,7 @@ raises ``EvaluationError``.
 """
 
 import math
+from contextlib import suppress
 from functools import lru_cache
 
 import numpy as np
@@ -81,14 +82,6 @@ _LOG_TAIL = math.log(1e-17)     # series terms below this share of the first are
 _C_MINUS_1 = np.array([[1.0], [2.0]])   # c - 1 - alpha - beta of the two series
 
 
-@lru_cache(maxsize=256)
-def _k12(k: Multiplicity):
-    """(k1, k2) as floats on the real path, as complex numbers otherwise."""
-    if k.real_positive:
-        return complex(k.k1).real, complex(k.k2).real
-    return complex(k.k1), complex(k.k2)
-
-
 def _log_weight(k1, k2, x):
     """log A(x) at k = (k1, k2), principal branch for complex parameters; -inf at x = 0."""
     xa = np.abs(x)
@@ -102,7 +95,7 @@ def weight_A(k: Multiplicity, x):
     """
     xarr = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(xarr == 0.0, 0.0, np.exp(_log_weight(*_k12(k), xarr)))
+        out = np.where(xarr == 0.0, 0.0, np.exp(_log_weight(k.k1, k.k2, xarr)))
     return out.item() if np.ndim(x) == 0 else out
 
 
@@ -114,7 +107,7 @@ def constant_c(k: Multiplicity) -> float:
     """
     if not k.real_positive:
         raise DomainError(f"constant_c needs real k1, k2 > 0, got ({k.k1}, {k.k2})")
-    k1, k2 = _k12(k)
+    k1, k2 = k.k1, k.k2
     return (
         2.0 ** (3.0 * (k1 + k2))
         * gamma_real(k1 + k2 + 0.5)
@@ -126,20 +119,23 @@ def constant_c(k: Multiplicity) -> float:
 def _log_constant(k: Multiplicity):
     """(log D, the magnitude its rounding scales with); D as in the module docstring.
 
-    For complex k each log-Gamma is a difference of two parts about 25 in
-    size near Re s = 0, so their magnitudes enter the rounding, not the
-    result's.
+    Real k takes log D from ``math.gamma`` where that is finite; elsewhere each
+    log-Gamma is a difference of two parts, about 25 in size near Re s = 0,
+    so their magnitudes enter the rounding, not the result's.
     """
-    k1, k2 = _k12(k)
+    k1, k2 = k.k1, k.k2
     s = k1 + k2
     if k.real_positive:
-        log_d = math.log(2.0 ** (4.0 * k1 + 6.0 * k2 - 4.0) * math.gamma(s + 0.5)
-                         / (_SQRT_PI * math.gamma(s)))
-        return log_d, abs(log_d)
+        with suppress(OverflowError):   # D or a Gamma overflows at large k
+            log_d = math.log(2.0 ** (4.0 * k1 + 6.0 * k2 - 4.0) * math.gamma(s + 0.5)
+                             / (_SQRT_PI * math.gamma(s)))
+            if log_d < math.inf:
+                return log_d, abs(log_d)
     parts = (*_loggamma_parts(s + 0.5), *_loggamma_parts(s))
     log_pow2 = (4.0 * k1 + 6.0 * k2 - 4.0) * _LOG2
     log_d = log_pow2 + (parts[0] - parts[1]) - (parts[2] - parts[3]) - math.log(_SQRT_PI)
-    return log_d, abs(log_pow2) + sum(abs(p) for p in parts) + math.log(_SQRT_PI)
+    return (log_d.real if k.real_positive else log_d,
+            abs(log_pow2) + sum(abs(p) for p in parts) + math.log(_SQRT_PI))
 
 
 def sigma(x, y, z):
@@ -261,10 +257,10 @@ def _k_axis(ks, *cells):
     ``_cosh_gap_integral`` takes them: numbers for one k, else arrays with a
     leading axis over ks in front of the axes of every array in ``cells``."""
     if len(ks) == 1:
-        return (*_k12(ks[0]), _log_constant(ks[0]))
+        return ks[0].k1, ks[0].k2, _log_constant(ks[0])
     shape = (-1,) + (1,) * max(map(np.ndim, cells))
     k1, k2, log_d, size_d = (np.reshape(col, shape)
-                             for col in zip(*((*_k12(k), *_log_constant(k)) for k in ks)))
+                             for col in zip(*((k.k1, k.k2, *_log_constant(k)) for k in ks)))
     return k1, k2, (log_d, size_d)
 
 
@@ -356,10 +352,9 @@ def _cosine_terms(k, x, gap, log_pref=()):
     Its division by A(2x) is the exponent term -log A(2x), which a caller
     passes in ``log_pref``; one that multiplies by the density leaves it out.
     """
-    k1, k2 = _k12(k)
     # |sinh 2x| goes into the exponent too: at the nested route's inner
     # end it is tiny while the radius power alone overflows
-    return _cosh_gap_integral(_log_constant(k), np.abs(x), gap, k2 - 1.0, k1 - 1.0, 4.0, None,
+    return _cosh_gap_integral(_log_constant(k), np.abs(x), gap, k.k2 - 1.0, k.k1 - 1.0, 4.0, None,
                               (np.log(np.abs(np.sinh(2.0 * x))), *log_pref))
 
 
@@ -367,7 +362,7 @@ def _cosine_terms(k, x, gap, log_pref=()):
 def jacobi_kernel(k: Multiplicity, x, y) -> EvalResult:
     """Kernel of the intertwining operator in the hyperbolic-cosine setting."""
     x, y = _points(x, y)
-    log_ainv = -_log_weight(*_k12(k), 2.0 * x)
+    log_ainv = -_log_weight(k.k1, k.k2, 2.0 * x)
     return _point_result(*_cosine_terms(k, x, np.abs(x) - np.abs(y), (log_ainv,)), METHOD)
 
 
@@ -378,7 +373,7 @@ def _ktilde_defining(k, x, y):
     values, est, rule = _outer_sums(
         np.abs(y), np.abs(x),
         lambda i, s, d_lo, d_hi: _cosine_terms(k, s, d_lo),
-        complex(k.k1 + k.k2).real)
+        (k.k1 + k.k2).real)
     return _point_result(values, est, f"nested {rule} x {METHOD}")
 
 
@@ -398,7 +393,7 @@ def ktilde(k: Multiplicity, x, y, form: str = "direct") -> EvalResult:
         raise DomainError(f"form must be one of {_KTILDE_FORMS}, got {form!r}")
     if form == "defining":
         return _ktilde_defining(k, x, y)
-    k1, k2 = _k12(k)
+    k1, k2 = k.k1, k.k2
     alpha, beta, q = (k2, k1 - 1.0, None) if form == "direct" else (k2 - 1.0, k1, _times_u(y))
     return _point_result(*_cosh_gap_integral(_log_constant(k), np.abs(x), np.abs(x) - np.abs(y),
                                              alpha, beta, 16.0 / (k1 + k2), q), METHOD)
@@ -408,10 +403,9 @@ def ktilde(k: Multiplicity, x, y, form: str = "direct") -> EvalResult:
 def dktilde_dy(k: Multiplicity, x, y) -> EvalResult:
     """Same-variable y-derivative of the antiderivative; odd in y, zero at y = 0."""
     x, y = _points(x, y)
-    k1, k2 = _k12(k)
     return _point_result(*_cosh_gap_integral(_log_constant(k), np.abs(x), np.abs(x) - np.abs(y),
-                                             k2 - 1.0, k1 - 1.0, -8.0 * np.sinh(y), _times_u(y)),
-                         METHOD)
+                                             k.k2 - 1.0, k.k1 - 1.0, -8.0 * np.sinh(y),
+                                             _times_u(y)), METHOD)
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
@@ -427,7 +421,7 @@ def kernel_K_mourou(k: Multiplicity, x, y) -> EvalResult:
     x, y = _points(x, y)
     xh, yh = x / 2.0, y / 2.0
     xa, gap = np.abs(xh), np.abs(xh) - np.abs(yh)
-    k1, k2 = _k12(k)
+    k1, k2 = k.k1, k.k2
     # 1/A(x) and |sinh(y/2)| enter the exponents, which stay in range at tiny |x|;
     # sign(y) zeroes the derivative term at y = 0, where sinh(x/2) stands in
     log_d, log_ainv = _log_constant(k), -_log_weight(k1, k2, x)

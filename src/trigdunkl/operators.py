@@ -211,7 +211,7 @@ def apply_V(k: Multiplicity, f: TestFunction, x) -> EvalResult:
         fy = np.asarray(f.eval(y))
         return kv * fy, kb * np.abs(fy)
 
-    values, est, rule = _outer_sums(0.0, np.abs(x), integrand, complex(k.k1 + k.k2).real)
+    values, est, rule = _outer_sums(0.0, np.abs(x), integrand, (k.k1 + k.k2).real)
     zero = x == 0.0
     if zero.any():
         values[zero] = f.eval(0.0)
@@ -239,7 +239,7 @@ def apply_Vt(k: Multiplicity, g: TestFunction, y) -> EvalResult:
         return kv * ga, kb * np.abs(ga)
 
     ya = np.abs(y)
-    values, est, rule = _outer_sums(ya, np.maximum(ya, a), integrand, complex(k.k1 + k.k2).real)
+    values, est, rule = _outer_sums(ya, np.maximum(ya, a), integrand, (k.k1 + k.k2).real)
     return _point_result(values, est, f"{rule} x {METHOD}" if (ya < a).any() else "empty-domain")
 
 
@@ -322,16 +322,14 @@ def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
     cell outside |y| < |x| (also by rounding) raises DomainError, a
     non-finite value EvaluationError.
     """
-    k_grid = tuple(k_grid)
-    for k1, k2 in k_grid:
-        if complex(k1).imag or complex(k2).imag:
-            raise DomainError(f"positivity_scan needs real parameters, got k = ({k1}, {k2})")
-    k_grid = tuple((complex(k1).real, complex(k2).real) for k1, k2 in k_grid)
+    ks = tuple(Multiplicity(k1, k2) for k1, k2 in k_grid)
+    for k in ks:
+        if not k.real_positive:
+            raise DomainError(f"positivity_scan needs real parameters, got k = ({k.k1}, {k.k2})")
     x_grid = tuple(float(x) for x in x_grid)
     fracs = tuple(float(fr) for fr in y_fraction_grid)
     xs = np.repeat(x_grid, len(fracs))
     ys = np.outer(np.abs(x_grid), fracs).ravel()
-    ks = tuple(Multiplicity(k1, k2) for k1, k2 in k_grid)
     KernelPoint(xs, ys)
     values, bars = np.empty((2, len(ks), xs.size))
     with np.errstate(all="ignore"):     # a non-finite value raises instead
@@ -344,7 +342,7 @@ def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
                     ks[part], xs[chunk], ys[chunk])
     _point_result(values, bars, METHOD)     # one finite check, with kernel_K's message
     xys = list(zip(xs.tolist(), ys.tolist()))
-    cells = tuple((k1, k2, x, y, v) for (k1, k2), row in zip(k_grid, values.tolist())
+    cells = tuple((k.k1, k.k2, x, y, v) for k, row in zip(ks, values.tolist())
                   for (x, y), v in zip(xys, row))
     argmin, min_value = None, math.inf      # an empty grid has no minimum
     if cells:

@@ -13,9 +13,9 @@ class Multiplicity:
     """Deformation parameter pair (k1, k2) with Re k1 > 0 and Re k2 > 0.
 
     ``rho`` is the derived constant k1/2 + k2 appearing in the differential-
-    difference operator.  ``real_positive`` flags the real parameter range,
-    where the kernel's constant comes from ``math.gamma`` and the positivity
-    statements hold; complex parameters take principal-branch powers.
+    difference operator.  k1 and k2 are stored as floats when real, else as
+    complex numbers, which take principal-branch powers; ``real_positive``
+    reads those types and flags where the positivity statements hold.
     """
 
     k1: complex
@@ -25,7 +25,9 @@ class Multiplicity:
         for name, v in (("k1", self.k1), ("k2", self.k2)):
             if not isinstance(v, (int, float, complex)) or not cmath.isfinite(v):
                 raise DomainError(f"{name} must be a finite number, got {v!r}")
-        if complex(self.k1).real <= 0 or complex(self.k2).real <= 0:
+            c = complex(v)
+            object.__setattr__(self, name, c.real if c.imag == 0.0 else c)
+        if self.k1.real <= 0 or self.k2.real <= 0:
             raise DomainError(
                 f"require Re k1 > 0 and Re k2 > 0, got k1={self.k1}, k2={self.k2}"
             )
@@ -36,8 +38,7 @@ class Multiplicity:
 
     @property
     def real_positive(self) -> bool:
-        c1, c2 = complex(self.k1), complex(self.k2)
-        return c1.imag == 0.0 and c2.imag == 0.0 and c1.real > 0 and c2.real > 0
+        return isinstance(self.k1, float) and isinstance(self.k2, float)
 
 
 @dataclass(frozen=True)

@@ -240,9 +240,11 @@ def _outer_sums(lo, hi, integrand, power=1.0):
     used.  For an integrand like gap^{power-1} at an end the rule is cut at
     gap eps^{max(1, 1/power)}, dropping about eps relative, but not below
     1e-280 / (least half-width) while that is below eps, so no end distance
-    underflows for intervals wider than about 1e-305.  An estimate is the
-    difference from the level below, the integrand's rounding and the part
-    beyond the cut, about gap |integrand| / power at the outermost nodes.
+    underflows for intervals wider than about 1e-305.  An estimate is
+    min(d, 10 d^2 / m), d the difference from the level below and m the
+    integral of |integrand| (a level squares the relative error), plus the
+    integrand's rounding and the part beyond the cut, about gap |integrand|
+    / power at the outermost nodes.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     ends = np.concatenate((lo.ravel(), hi.ravel()))
@@ -271,8 +273,11 @@ def _outer_sums(lo, hi, integrand, power=1.0):
             # a NaN difference stops at once: no level makes it finite
             stop = ~(diff > math.sqrt(_EPS) * mags) | (level == _MAX_TS_LEVEL)
             values.flat[i[stop]] = (fine.sum(0) * half)[stop]
+            # m >= d, so m = 0 (pieces outside a support) only with d = 0;
+            # the floor keeps 0/0 out
+            level_err = diff * np.minimum(1.0, 10.0 * diff / np.maximum(mags, math.ulp(0.0)))
             # products with f and the measure, and the sum, round each term
-            est.flat[i[stop]] = (diff + (bars @ w).sum(0) * half + 8.0 * _EPS * mags
+            est.flat[i[stop]] = (level_err + (bars @ w).sum(0) * half + 8.0 * _EPS * mags
                                  + tail * half / power)[stop]
             done[j:j + step] = stop
         todo = todo[~done]

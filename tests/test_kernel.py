@@ -43,6 +43,16 @@ class TestMultiplicity:
     def test_complex_flagged(self):
         assert not Multiplicity(0.5 + 0.2j, 1.0).real_positive
 
+    def test_stored_types(self):
+        # float when the imaginary part is 0, complex otherwise, whatever came in
+        k = Multiplicity(1, 2)
+        assert type(k.k1) is float and k.k1 == 1.0 and type(k.k2) is float
+        k = Multiplicity(0.5 + 0j, 1)
+        assert k.real_positive and type(k.k1) is float and k.k1 == 0.5
+        k = Multiplicity(0.5 + 0.2j, 1)
+        assert type(k.k1) is complex and type(k.k2) is float and not k.real_positive
+        assert type(Multiplicity(np.complex128(0.5 - 0.2j), 1.0).k1) is complex
+
     @pytest.mark.parametrize("k1, k2", [(0.0, 1.0), (-0.5, 1.0), (1.0, -2.0),
                                         (math.nan, 1.0), (-0.1 + 1j, 0.5)])
     def test_nonpositive_real_part_rejected(self, k1, k2):
@@ -310,9 +320,13 @@ class TestKernelReference:
             res = kernel_K(Multiplicity(k1, k2), x, y)
             assert abs(res.value - ref) <= res.est_error, (k1, k2, x, y)
 
-    @pytest.mark.parametrize("k1, k2", [(0.5, 20.5), (10.0, 10.0), (20.0, 0.5), (0.3, 10.3)])
+    @pytest.mark.parametrize("k1, k2", [(0.5, 20.5), (10.0, 10.0), (20.0, 0.5), (0.3, 10.3),
+                                        (0.5, 100.0), (200.0, 0.5)])
     def test_error_bars_cover_reference_large_k(self, k1, k2):
-        # for large k2 the series alternates and cancels; the bar counts it
+        # for large k2 the series alternates and cancels; the bar counts it.
+        # From k2 ~ 92 at k1 = 0.5 (k1 ~ 109 at k2 = 0.5) the constant D
+        # overflows, and from k1 + k2 ~ 171 so does Gamma: log D comes from
+        # log-Gamma parts
         pytest.importorskip("mpmath")
         for x in (0.5, 1.5, 3.0, -2.2):
             for fr in (0.0, 0.5, -0.9, 0.99, -0.9999):
@@ -420,6 +434,8 @@ class TestApplyVtReference:
             res = apply_Vt(k, g, y)
             assert abs(res.value - ref) <= res.est_error, y
             assert abs(res.value - ref) <= 1e-13 * abs(ref), y
+            # the bar tracks the level returned, not the one below it
+            assert res.est_error <= 1e-12 * abs(ref), y
 
 
 class TestSeriesPieces:

@@ -216,15 +216,17 @@ class TestApplyV:
 
     def test_error_bars_cover_reference(self):
         # the bar carries the outer rule's error, each kernel value's bar
-        # and the integrand's rounding
+        # and the integrand's rounding; the last 90 points take tiny k, where
+        # the integrand ~ gap^{k1+k2-1} converges slowest, and |x| down to 1e-6
         pytest.importorskip("mpmath")
         rng = np.random.default_rng(150)
-        for i in range(150):
-            k1, k2 = rng.uniform(0.1, 3.0, 2)
+        for i in range(240):
+            k1, k2 = rng.uniform(*((0.1, 3.0) if i < 150 else (0.01, 0.1)), 2)
             if i % 3 == 2:
                 k1 = complex(k1, rng.uniform(-1.0, 1.0))
             lam = rng.uniform(0.0, 5.0)
-            x = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 3.0)
+            x = rng.choice((-1.0, 1.0)) * (rng.uniform(0.3, 3.0) if i < 150
+                                           else 10.0 ** rng.uniform(-6.0, 0.5))
             ref = eigen_reference(k1, k2, lam, x)
             res = apply_V(Multiplicity(k1, k2), plane_wave(lam), x)
             assert abs(res.value - ref) <= res.est_error, (k1, k2, lam, x)

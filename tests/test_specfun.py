@@ -255,23 +255,23 @@ class TestOpdamG:
 
     @pytest.mark.parametrize("k1, k2", [*config.K_GRID, (0.5 + 0.4j, 0.8 - 0.3j)])
     def test_block_sums_match_hyp2f1(self, k1, k2):
-        # one loop gives both blocks as two hyp2f1 series would, on both
+        # one loop gives both blocks as two 30-digit 2F1 would, on both
         # branches: to 1e-13 at lam <= 1, else to 1e-13 or the loop's own
         # bar, since from lam = 2.5 at large |x| the series cancel (the
-        # known large-lam defect) and both sums keep only that many digits
+        # known large-lam defect) and the sums keep only that many digits
+        mp = pytest.importorskip("mpmath")
         k = Multiplicity(k1, k2)
         rho, c = k.rho, k1 + k2 + 0.5
         for lam in (0.0, 1.0, 2.5, 5.0, 8.0):
             a, b = rho + 1j * lam, rho - 1j * lam
             for x in (0.3, 1.0, 2.0, 3.0):
                 z = -math.sinh(x / 2.0) ** 2
-                if z > -0.5:
-                    s1, s2, e1, e2, converged = _block_sums(a, b, c, z, False)
-                    h1, h2 = hyp2f1(a, b, c, z), hyp2f1(a + 1, b + 1, c + 1, z)
-                else:
-                    w = z / (z - 1.0)
-                    s1, s2, e1, e2, converged = _block_sums(a, c - b, c, w, True)
-                    h1, h2 = hyp2f1(a, c - b, c, w), hyp2f1(a + 1, c - b, c + 1, w)
+                pfaff = z <= -0.5
+                bb, w = (c - b, z / (z - 1.0)) if pfaff else (b, z)
+                s1, s2, e1, e2, converged = _block_sums(a, bb, c, w, pfaff)
+                with mp.workdps(30):
+                    h1 = complex(mp.hyp2f1(a, bb, c, w))
+                    h2 = complex(mp.hyp2f1(a + 1, bb if pfaff else bb + 1, c + 1, w))
                 assert converged
                 assert abs(s1 - h1) <= 1e-13 * abs(h1) + e1, (lam, x)
                 assert abs(s2 - h2) <= 1e-13 * abs(h2) + e2, (lam, x)
