@@ -33,7 +33,9 @@ cancel, leaving D = 2^{4k1+6k2-4} Gamma(s+1/2) / (sqrt(pi) Gamma(s)),
 s = k1 + k2, times a factor.  Each row is one ``_cosh_gap_integral`` call,
 which returns the row's final values and error bars: the factor's leading
 sign or number (sign x, 4, 16/s, -8 sinh y) is its ``pref``, and the rest
-enters the exponent:
+enters the exponent.  A form is named by its integer exponent shift
+(da, db), alpha = k2 + da and beta = k1 + db: (-1, -1) for K, the cosine
+kernel and dKtilde/dy, (0, -1) for Ktilde direct, (-1, 0) for by parts:
 
     K              = D sign x / A(x)      J'(k2-1, k1-1; 2 e^{(x-y)/2} sinh((x+y)/2) - 2 e^{-y/2} v)
                      at X = |x|/2, Y = |y|/2
@@ -44,13 +46,19 @@ enters the exponent:
 
 All forms share log D, and the power of d/2 enters as log sinh((X+Y)/2) +
 log sinh((X-Y)/2), so tiny gaps stay representable.  Real and complex k
-differ only in how log D is formed.  The series' coefficient rows depend
-only on (alpha, beta) and are built once per pair, at the 59 terms that
+differ only in how log D is formed.  The series parameters come from k
+exactly: each factor of a coefficient and the slope's (beta + 1)/c is an
+integer plus k1, k2 or s, so no k2 - 1 formed first drops k2's low bits at
+small k (only the power alpha + beta + 1 and a^alpha, whose rounding is
+absolute in the exponent, take alpha).  The coefficient rows depend only
+on (k1, k2, shift) and are built once per triple, at the 59 terms that
 w < 1/2 can need; a call slices them.  The powers w^j are products of lower
 powers, j - 1 roundings each.  Every value carries an error bar: the
 rounding of its exponent's log parts and of the series (the sum of its
 terms' magnitudes, each scaled by 1 + (j - 1)/2 for its power's
-roundings), plus the series' last term, which bounds the dropped tail.
+roundings), plus the series' last term, which bounds the dropped tail, and
+exp's absolute rounding where the exponent underflows before a^alpha
+multiplies it.
 Only log D, alpha, beta and the weights 2 k1, 2 k2 of A(x)'s logs depend
 on k, so a call can take a leading axis of multiplicities: the cell
 geometry and the powers of w are formed once, and all the series come
@@ -79,6 +87,7 @@ METHOD = "euler-2f1"
 _SQRT_PI = math.sqrt(math.pi)
 _LOG2 = math.log(2.0)
 _LOG_TAIL = math.log(1e-17)     # series terms below this share of the first are dropped
+_LOG_TINY = -1022.0 * _LOG2     # exp below this is subnormal
 _C_MINUS_1 = np.array([[1.0], [2.0]])   # c - 1 - alpha - beta of the two series
 
 
@@ -171,42 +180,48 @@ def _powers(w, m):
 
 
 @lru_cache(maxsize=256)
-def _series_rows(alpha, beta):
-    """Coefficients 1 .. _MAX_TERMS - 1 of F(-alpha, alpha+1; c; w), c = alpha+beta+2 and c+1
+def _series_rows(k1, k2, shift):
+    """Coefficients 1 .. _MAX_TERMS - 1 of F(-alpha, alpha+1; c; w) and of the series at c + 1
     (the 0th is 1), then their magnitudes times ``_ROUNDINGS``: a read-only (4, m) array.
 
-    ``cumprod`` runs in order, so its first n - 1 columns are the rows of length n - 1.
+    alpha = k2 + da and c = k1 + k2 + da + db + 2 for shift = (da, db), so each
+    factor is an integer plus k2 or k1 + k2.  ``cumprod`` runs in order, so its
+    first n - 1 columns are the rows of length n - 1.
     """
+    da, db = shift
     i = np.arange(1.0, _MAX_TERMS)
-    coef = np.cumprod(((i - 1.0) - alpha) * (i + alpha)
-                      / (i * (i + (alpha + beta + _C_MINUS_1))), axis=1)
+    coef = np.cumprod(((i - 1.0 - da) - k2) * ((i + da) + k2)
+                      / (i * ((i + (da + db) + _C_MINUS_1) + (k1 + k2))), axis=1)
     rows = np.concatenate((coef, np.abs(coef) * _ROUNDINGS))
     rows.setflags(write=False)
     return rows
 
 
-def _cosh_gap_integral(log_d, xa, gap, alpha, beta, pref, q=None, log_pref=()):
+def _cosh_gap_integral(kd, xa, gap, shift, pref, q=None, log_pref=()):
     """pref D exp(sum of log_pref) J'(alpha, beta; q) over (cosh(xa - gap), cosh xa), broadcasting.
 
     Returns (values, error bars) of a form in the module docstring's table,
-    ``pref`` being its factor; no caller rescales them.  ``log_d`` is
-    ``_log_constant``'s pair (log D, its rounding size).  ``q(f1, f2)`` gives
-    the integrand factor's value at v = 0 and its rise over the gap d =
-    2 f1 f2, with f1 = sinh((xa + ya)/2), f2 = sinh(gap/2) passed separately
-    so that callers can form the rise without overflow; it defaults to 1.
-    ``gap`` = xa - (lower end) is passed separately so callers that know it
-    without cancellation keep it exact.  The value at v = 0 and ``pref`` may
-    broadcast over leading axes that xa and gap lack, which then share one
-    series.  So may the multiplicity: alpha, beta and both parts of
-    ``log_d`` are numbers for one k, or arrays of shape (K, 1, ..., 1), one
+    ``pref`` being its factor; no caller rescales them.  ``kd`` is
+    ``_k_axis``'s triple (k1, k2, (log D, its rounding size)), and the form's
+    integer exponent shift (da, db) gives alpha = k2 + da, beta = k1 + db.
+    ``q(f1, f2)`` gives the integrand factor's value at v = 0 and its rise
+    over the gap d = 2 f1 f2, with f1 = sinh((xa + ya)/2), f2 = sinh(gap/2)
+    passed separately so that callers can form the rise without overflow; it
+    defaults to 1.  ``gap`` = xa - (lower end) is passed separately so
+    callers that know it without cancellation keep it exact.  The value at
+    v = 0 and ``pref`` may broadcast over leading axes that xa and gap lack,
+    which then share one series.  So may the multiplicity: the parts of
+    ``kd`` are numbers for one k, or arrays of shape (K, 1, ..., 1), one
     entry per k in front of every other axis; the cell geometry and the
     powers of w are then formed once for all K.
     """
+    k1, k2, (log_d, size_d) = kd
+    da, db = map(float, shift)      # numpy adds a float to an array faster than an int
+    alpha, beta = k2 + da, k1 + db
     a = np.cosh(xa)
     half = gap / 2.0
     f1, f2 = np.sinh(xa - half), np.sinh(half)     # (xa + ya)/2, gap/2
     log_f = np.log(f1) + np.log(f2)
-    log_d, size_d = log_d
     log_scale = sum(log_pref, log_d + (alpha + beta + 1.0) * log_f)
     # each log part rounds where it is formed and where it is added; the
     # power alpha + beta + 1 is only as exact as its parts, and log f2 only
@@ -223,21 +238,27 @@ def _cosh_gap_integral(log_d, xa, gap, alpha, beta, pref, q=None, log_pref=()):
     # for every k, against one matrix of powers of w; magnitudes times 2 eps
     # bound the series' rounding, and the last term, which bounds the
     # dropped tail, counts in full
-    k_shape = getattr(alpha, "shape", ())
+    k_shape = getattr(k2, "shape", ())
     lead = k_shape[:len(k_shape) - w.ndim]      # the k axis, with the axes w lacks
     if k_shape:
-        rows = np.stack([_series_rows(*ab)[:, :n - 1] for ab in zip(alpha.flat, beta.flat)],
+        rows = np.stack([_series_rows(*k12, shift)[:, :n - 1] for k12 in zip(k1.flat, k2.flat)],
                         axis=1).reshape(-1, n - 1)
     else:
-        rows = _series_rows(alpha, beta)[:, :n - 1].copy()
+        rows = _series_rows(k1, k2, shift)[:, :n - 1].copy()
     rows[len(rows) // 2:, -1] *= 1.0 + 0.5 / _EPS
     sums = (1.0 + rows @ _powers(w, n - 1)).reshape((4,) + lead + w.shape)
-    slope = rise * ((beta + 1.0) / (alpha + beta + 2.0))
-    factor = np.exp(log_scale) * a ** alpha
+    # (beta + 1) / c, an integer plus k1 over an integer plus s, like the rows
+    slope = rise * ((k1 + (db + 1.0)) / ((k1 + k2) + (da + db + 2.0)))
+    power = a ** alpha
+    factor = np.exp(log_scale) * power
     values = factor * (q0 * sums[0] + slope * sums[1])
     series = np.abs(q0) * sums[2].real + np.abs(slope) * sums[3].real
     # small factors first: values near the largest double keep finite bars
     bars = _EPS * (8.0 + 2.0 * size) * np.abs(values) + 2.0 * _EPS * series * np.abs(factor)
+    if np.count_nonzero(log_scale.real < _LOG_TINY):
+        # exp underflowed before the power multiplied it: its absolute rounding
+        # ulp(0) counts too (only then, as subnormal arithmetic is slow)
+        bars = bars + math.ulp(0.0) * series * np.abs(power)
     return pref * values, abs(pref) * bars
 
 
@@ -292,11 +313,12 @@ def _kernel_grid(ks, x, y, *, gap=None, mirror=False):
     # goes into the exponent, where the scale ~ |x|^{-2} would overflow
     e_fwd = 2.0 * np.exp((x - y) / 2.0) * np.sinh((x + y) / 2.0) / xa
     e_bwd = 2.0 * np.exp(-y / 2.0)
-    k1, k2, log_d = _k_axis(ks, x, y, gap)
+    kd = _k_axis(ks, x, y, gap)
+    k1, k2, _ = kd
     # one exponent: A(x) ~ |x|^{2(k1+k2)} near 0 and the radius power near
     # y = -/+ x stay inside double range only in combination
     values, bars = _cosh_gap_integral(
-        log_d, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, k2 - 1.0, k1 - 1.0, np.sign(x),
+        kd, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, (-1, -1), np.sign(x),
         lambda f1, f2: (e_fwd, -(2.0 * f1 / xa) * f2 * e_bwd),
         (-_log_weight(k1, k2, xa), np.log(xa)),
     )
@@ -346,15 +368,16 @@ def kernel_K_limit_k2zero(k1: float, x: float, y: float) -> float:
     return 0.5 * _limit_kernel(k1, x / 2.0, y / 2.0, "k1")
 
 
-def _cosine_terms(k, x, gap, log_pref=()):
-    """(values, error bars) of the cosine-setting kernel at (x, |x| - gap) times exp(sum log_pref).
+def _cosine_terms(kd, x, gap, log_pref=()):
+    """(values, error bars) of the cosine-setting kernel at (x, |x| - gap) times exp(sum log_pref),
+    at the multiplicity ``kd`` as ``_k_axis`` gives it.
 
     Its division by A(2x) is the exponent term -log A(2x), which a caller
     passes in ``log_pref``; one that multiplies by the density leaves it out.
     """
     # |sinh 2x| goes into the exponent too: at the nested route's inner
     # end it is tiny while the radius power alone overflows
-    return _cosh_gap_integral(_log_constant(k), np.abs(x), gap, k.k2 - 1.0, k.k1 - 1.0, 4.0, None,
+    return _cosh_gap_integral(kd, np.abs(x), gap, (-1, -1), 4.0, None,
                               (np.log(np.abs(np.sinh(2.0 * x))), *log_pref))
 
 
@@ -363,16 +386,18 @@ def jacobi_kernel(k: Multiplicity, x, y) -> EvalResult:
     """Kernel of the intertwining operator in the hyperbolic-cosine setting."""
     x, y = _points(x, y)
     log_ainv = -_log_weight(k.k1, k.k2, 2.0 * x)
-    return _point_result(*_cosine_terms(k, x, np.abs(x) - np.abs(y), (log_ainv,)), METHOD)
+    return _point_result(*_cosine_terms(_k_axis((k,)), x, np.abs(x) - np.abs(y), (log_ainv,)),
+                         METHOD)
 
 
 def _ktilde_defining(k, x, y):
     # nested route: integrate the cosine-setting kernel against its measure
     # over (|y|, |x|); the inner endpoint w -> |y| carries the
     # (w - |y|)^{k1+k2-1} singularity
+    kd = _k_axis((k,))
     values, est, rule = _outer_sums(
         np.abs(y), np.abs(x),
-        lambda i, s, d_lo, d_hi: _cosine_terms(k, s, d_lo),
+        lambda i, s, d_lo, d_hi: _cosine_terms(kd, s, d_lo),
         (k.k1 + k.k2).real)
     return _point_result(values, est, f"nested {rule} x {METHOD}")
 
@@ -393,19 +418,17 @@ def ktilde(k: Multiplicity, x, y, form: str = "direct") -> EvalResult:
         raise DomainError(f"form must be one of {_KTILDE_FORMS}, got {form!r}")
     if form == "defining":
         return _ktilde_defining(k, x, y)
-    k1, k2 = k.k1, k.k2
-    alpha, beta, q = (k2, k1 - 1.0, None) if form == "direct" else (k2 - 1.0, k1, _times_u(y))
-    return _point_result(*_cosh_gap_integral(_log_constant(k), np.abs(x), np.abs(x) - np.abs(y),
-                                             alpha, beta, 16.0 / (k1 + k2), q), METHOD)
+    shift, q = ((0, -1), None) if form == "direct" else ((-1, 0), _times_u(y))
+    return _point_result(*_cosh_gap_integral(_k_axis((k,)), np.abs(x), np.abs(x) - np.abs(y),
+                                             shift, 16.0 / (k.k1 + k.k2), q), METHOD)
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
 def dktilde_dy(k: Multiplicity, x, y) -> EvalResult:
     """Same-variable y-derivative of the antiderivative; odd in y, zero at y = 0."""
     x, y = _points(x, y)
-    return _point_result(*_cosh_gap_integral(_log_constant(k), np.abs(x), np.abs(x) - np.abs(y),
-                                             k.k2 - 1.0, k.k1 - 1.0, -8.0 * np.sinh(y),
-                                             _times_u(y)), METHOD)
+    return _point_result(*_cosh_gap_integral(_k_axis((k,)), np.abs(x), np.abs(x) - np.abs(y),
+                                             (-1, -1), -8.0 * np.sinh(y), _times_u(y)), METHOD)
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
@@ -421,16 +444,17 @@ def kernel_K_mourou(k: Multiplicity, x, y) -> EvalResult:
     x, y = _points(x, y)
     xh, yh = x / 2.0, y / 2.0
     xa, gap = np.abs(xh), np.abs(xh) - np.abs(yh)
-    k1, k2 = k.k1, k.k2
+    kd = _k_axis((k,))
+    k1, k2, _ = kd
     # 1/A(x) and |sinh(y/2)| enter the exponents, which stay in range at tiny |x|;
     # sign(y) zeroes the derivative term at y = 0, where sinh(x/2) stands in
-    log_d, log_ainv = _log_constant(k), -_log_weight(k1, k2, x)
+    log_ainv = -_log_weight(k1, k2, x)
     log_sinh = np.log(np.abs(np.sinh(np.where(y == 0.0, xh, yh))))
     # 4 times: Jacobi kernel / 4, sign x (k1/4 + k2/2) Ktilde / A, -sign x dKtilde/dy / (4A)
     values, bars = zip(
-        _cosine_terms(k, xh, gap, (log_ainv,)),
-        _cosh_gap_integral(log_d, xa, gap, k2, k1 - 1.0,
+        _cosine_terms(kd, xh, gap, (log_ainv,)),
+        _cosh_gap_integral(kd, xa, gap, (0, -1),
                            np.sign(x) * (16.0 * k1 + 32.0 * k2) / (k1 + k2), None, (log_ainv,)),
-        _cosh_gap_integral(log_d, xa, gap, k2 - 1.0, k1 - 1.0, 8.0 * np.sign(x) * np.sign(y),
+        _cosh_gap_integral(kd, xa, gap, (-1, -1), 8.0 * np.sign(x) * np.sign(y),
                            _times_u(yh), (log_ainv, log_sinh)))
     return _point_result(0.25 * sum(values), 0.25 * sum(bars), f"mourou[{METHOD}]")

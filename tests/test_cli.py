@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ class TestKernelCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("numerical failure: ") and len(err.splitlines()) == 1
+
+    def test_k_sum_below_eps(self, capsys):
+        # the series parameters come from k itself, so k1 + k2 < eps is no 0/0
+        code, out, _ = run_cli(capsys, "kernel", "--k1", "1e-17", "--k2", "1e-17",
+                               "--x", "1", "--y", ".3")
+        assert code == 0
+        assert math.isfinite(json.loads(out)["value"])
+
+    def test_underflowing_exponent_has_error_bar(self, capsys):
+        # the value rounds to 0 where the true one is ~1.5e-257; the bar says so
+        code, out, _ = run_cli(capsys, "kernel", "--k1", ".5", "--k2", "200",
+                               "--x", "3", "--y", "-2.7", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["est_error"] > 0
 
     def test_bad_multiplicity_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "kernel", "--k1", "-0.5", "--k2", "0.5",

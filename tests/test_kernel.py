@@ -32,6 +32,9 @@ from trigdunkl.quadrature import _gauss_jacobi_arrays, _tanh_sinh_full
 K_GRID = [(a, b) for a in (0.3, 0.7, 1.5) for b in (0.3, 0.7, 1.5)]
 X_GRID = (0.6, -0.6, 1.3, -1.3, 2.4, -2.4)
 Y_FRACS = (0.0, 0.2, -0.2, 0.7, -0.7, 0.95, -0.95)
+# both components small and unequal, down to k1 + k2 below eps
+SMALL_K = [(3e-5, 2e-5), (1e-6, 3e-7), (1e-8, 3e-9), (1e-12, 7e-13), (1e-15, 5e-16),
+           (1e-16, 5e-17), (1e-17, 1e-17)]
 
 
 class TestMultiplicity:
@@ -207,6 +210,18 @@ class TestKernelK:
         with pytest.raises(EvaluationError):
             kernel_K(Multiplicity(0.5, 0.5), 1e-309, 5e-310)
 
+    @pytest.mark.parametrize("k1, k2", SMALL_K)
+    def test_small_k_routes_agree_within_error_bars(self, k1, k2):
+        # independent of mpmath: the direct and assembled kernels, and the
+        # two closed Ktilde forms, each agree within the sum of their bars
+        k = Multiplicity(k1, k2)
+        x = np.repeat([0.5, 1.5, 3.0, -2.2], 5)
+        y = np.tile([0.0, 0.5, -0.9, 0.99, -0.9999], 4) * np.abs(x)
+        for one, other in ((kernel_K(k, x, y), kernel_K_mourou(k, x, y)),
+                           (ktilde(k, x, y, "direct"), ktilde(k, x, y, "byparts"))):
+            gap = np.abs(one.value - other.value)
+            assert np.all(gap <= one.est_error + other.est_error)
+
 
 def _kernel_reference(k1, k2, x, y):
     """K(x, y) from its defining integral at 50 digits.
@@ -335,6 +350,29 @@ class TestKernelReference:
                 res = kernel_K(Multiplicity(k1, k2), x, y)
                 assert abs(res.value - ref) <= res.est_error, (x, y)
 
+    @pytest.mark.parametrize("k1, k2", SMALL_K)
+    def test_error_bars_cover_reference_small_k(self, k1, k2):
+        # every series parameter comes from k itself, so none loses k's low bits
+        pytest.importorskip("mpmath")
+        for x in (0.5, 1.5, 3.0, -2.2):
+            for fr in (0.0, 0.5, -0.9, 0.99, -0.9999):
+                y = fr * abs(x)
+                ref = _kernel_closed_form(k1, k2, x, y)
+                res = kernel_K(Multiplicity(k1, k2), x, y)
+                assert abs(res.value - ref) <= res.est_error, (x, y)
+
+    @pytest.mark.parametrize("k2", [200.0, 200.0 + 1e-300j], ids=["real", "complex"])
+    def test_underflowing_exponent_within_error_bar(self, k2):
+        # the exponent's exp underflows before a^alpha ~ 1e74 multiplies it,
+        # so the value rounds to 0; the bar covers the true value ~1.5e-257
+        mp = pytest.importorskip("mpmath")
+        x, y = 3.0, -2.7
+        with mp.workdps(60):
+            ref = complex(_kernel_mp(mp, 0.5, k2, mp.mpf(x), mp.mpf(y)))
+        res = kernel_K(Multiplicity(0.5, k2), x, y)
+        assert abs(ref) > 1e-258
+        assert abs(res.value - ref) <= res.est_error
+
 
 def _jacobi_kernel_reference(k1, k2, x, y):
     """jacobi_kernel from its defining integral at 30 digits:
@@ -439,15 +477,30 @@ class TestApplyVtReference:
 
 
 class TestSeriesPieces:
-    @pytest.mark.parametrize("alpha, beta", [(-0.7, -0.5), (1.5, -0.3), (-0.5 + 0.3j, 0.1 - 0.2j)])
-    def test_cached_rows_are_fresh_cumprod(self, alpha, beta):
+    # the ids name the rows' (alpha, beta) = (k2 + da, k1 + db)
+    @pytest.mark.parametrize("k1, k2, shift", [(0.5, 0.3, (-1, -1)), (0.7, 1.5, (0, -1)),
+                                               (0.1 - 0.2j, 0.5 + 0.3j, (-1, 0))],
+                             ids=["-0.7--0.5", "1.5--0.3", "(-0.5+0.3j)-(0.1-0.2j)"])
+    def test_cached_rows_are_fresh_cumprod(self, k1, k2, shift):
         # a slice of the longest rows is the short rows, bit for bit
-        rows = _series_rows(alpha, beta)
+        rows = _series_rows(k1, k2, shift)
+        da, db = shift
         for n in (4, 17, 33, _MAX_TERMS):
             i = np.arange(1.0, n)
-            coef = np.cumprod(((i - 1.0) - alpha) * (i + alpha)
-                              / (i * (i + (alpha + beta + np.array([[1.0], [2.0]])))), axis=1)
+            denom = (i + (da + db) + np.array([[1.0], [2.0]])) + (k1 + k2)
+            coef = np.cumprod(((i - 1.0 - da) - k2) * ((i + da) + k2) / (i * denom), axis=1)
             assert rows[:2, :n - 1].tobytes() == np.ascontiguousarray(coef).tobytes(), n
+
+    def test_rows_exact_at_small_k(self):
+        # the first coefficient (1 - k2) k2 / (s + j) keeps k2's low bits,
+        # which alpha = k2 - 1 formed first would lose
+        k1, k2 = 1e-15, 5e-16
+        rows = _series_rows(k1, k2, (-1, -1))
+        fk2, s = Fraction(k2), Fraction(k1) + Fraction(k2)
+        eps = Fraction(np.finfo(float).eps)
+        for j in (0, 1):
+            exact = (1 - fk2) * fk2 / (s + j)
+            assert abs(Fraction(rows[j, 0]) - exact) <= 2 * eps * exact, j
 
     def test_longest_series_fits_the_rows(self):
         # w < 1/2 everywhere, so no call needs more than _MAX_TERMS terms
@@ -466,12 +519,13 @@ class TestSeriesPieces:
                 assert abs(Fraction(p) - exact) <= (j - 1) * eps / 2 * exact, (wi, j)
 
     def test_cached_rows_read_only(self):
-        rows = _series_rows(-0.5, -0.5)
+        rows = _series_rows(0.5, 0.5, (-1, -1))
         with pytest.raises(ValueError):
             rows[0, 0] = 2.0
         with pytest.raises(ValueError):
             rows[:, :3] *= 2.0
-        assert _series_rows(-0.5, -0.5) is rows
+        assert _series_rows(0.5, 0.5, (-1, -1)) is rows
+        assert _series_rows(0.5, 0.5, (0, -1)) is not rows
 
     @pytest.mark.parametrize("k", [Multiplicity(0.7, 0.4), Multiplicity(0.5 + 0.2j, 0.7)],
                              ids=["real", "complex"])
