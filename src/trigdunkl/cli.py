@@ -3,13 +3,16 @@
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 numerical
 failure (non-convergence, or a non-finite value).  Output is deterministic:
 fixed field order and shortest round-trip float formatting, JSON or CSV, to
-stdout or --out.
+stdout or --out.  Each report is a list of records (a point command's is one
+record); CSV columns follow the record's keys, a complex value as a ``_re``,
+``_im`` pair, and ``verify`` CSV always has ``lhs`` and ``rhs`` as such pairs.
 """
 
 import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,19 +31,39 @@ EXIT_NUMERIC = 3
 
 
 def _jsonable(v):
+    if isinstance(v, dict):
+        return {key: _jsonable(x) for key, x in v.items()}
+    if isinstance(v, list):
+        return [_jsonable(x) for x in v]
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
-    if isinstance(v, bool) or isinstance(v, (str, int)):
+    if isinstance(v, (bool, str, int)):
         return v
     return float(v)
 
 
-def _csv_cell(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _csv_fields(record):
+    """(column, cell) pairs of a record: a complex value gives ``_re``, ``_im`` columns."""
+    for key, v in record.items():
+        if isinstance(v, complex):
+            yield f"{key}_re", repr(float(v.real))
+            yield f"{key}_im", repr(float(v.imag))
+        elif isinstance(v, bool):
+            yield key, "true" if v else "false"
+        else:
+            yield key, repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def _text(records, fmt) -> str:
+    """One record (a dict) or a list of them as JSON, or as CSV under the first one's columns."""
+    if fmt == "json":
+        return json.dumps(_jsonable(records), indent=2) + "\n"
+    rows = [dict(_csv_fields(r)) for r in ([records] if isinstance(records, dict) else records)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)
+    return buf.getvalue()
 
 
 def _emit(text: str, out):
@@ -48,38 +71,6 @@ def _emit(text: str, out):
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
-    return buf.getvalue()
-
-
-def _split_complex(v):
-    v = complex(v)
-    return v.real, v.imag
-
-
-def _record_text(record, fmt) -> str:
-    if fmt == "json":
-        return _json_text({key: _jsonable(v) for key, v in record.items()})
-    header, row = [], []
-    for key, v in record.items():
-        if isinstance(v, complex):
-            header.extend([f"{key}_re", f"{key}_im"])
-            row.extend(_split_complex(v))
-        else:
-            header.append(key)
-            row.append(v)
-    return _csv_text(header, [row])
 
 
 def _parse_range(text: str):
@@ -103,7 +94,7 @@ def _parse_range(text: str):
 def _emit_point(args, **fields) -> int:
     """Emit one evaluation's record: k1, k2, then ``fields`` in order."""
     record = {"k1": args.k1, "k2": args.k2, **fields}
-    _emit(_record_text(record, args.format), args.out)
+    _emit(_text(record, args.format), args.out)
     return EXIT_OK
 
 
@@ -128,27 +119,13 @@ def _cmd_apply(args) -> int:
                        value=res.value, est_error=res.est_error)
 
 
-def _verify_rows_text(rows, fmt) -> str:
-    if fmt == "json":
-        return _json_text([
-            {key: _jsonable(v) for key, v in row.items()} for row in rows
-        ])
-    header = ["check", "point", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
-              "gap", "tol", "pass"]
-    table = []
-    for row in rows:
-        lre, lim = _split_complex(row["lhs"])
-        rre, rim = _split_complex(row["rhs"])
-        table.append([row["check"], row["point"], lre, lim, rre, rim,
-                      row["gap"], row["tol"], row["pass"]])
-    return _csv_text(header, table)
-
-
 def _cmd_verify(args) -> int:
-    if args.tol is not None and not args.tol > 0:
-        raise DomainError(f"tolerance override must be > 0, got {args.tol}")
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        raise DomainError(f"tolerance override must be finite and > 0, got {args.tol}")
     rows = run_suite(args.suite, args.tol)
-    _emit(_verify_rows_text(rows, args.format), args.out)
+    if args.format == "csv":    # lhs, rhs as column pairs on every row, also the real ones
+        rows = [{**row, "lhs": complex(row["lhs"]), "rhs": complex(row["rhs"])} for row in rows]
+    _emit(_text(rows, args.format), args.out)
     failed = sum(1 for row in rows if not row["pass"])
     if failed:
         print(f"verify: {failed} of {len(rows)} checks failed", file=sys.stderr)
@@ -165,19 +142,14 @@ def _cmd_scan(args) -> int:
     k_grid = [(k1, k2) for k1 in k1s for k2 in k2s]
     report = positivity_scan(k_grid, xs, fracs)
     point_keys = ("k1", "k2", "x", "y")
+    rows = [dict(zip(point_keys + ("value",), cell)) for cell in report.cells]
     if args.format == "json":
-        rows = [dict(zip(point_keys + ("value",), cell)) for cell in report.cells]
-        rows.append({
-            "min_value": report.min_value,
-            "argmin": dict(zip(point_keys, report.argmin)),
-            "all_positive": report.all_positive,
-        })
-        text = _json_text(rows)
+        text = _text(rows + [{"min_value": report.min_value,
+                              "argmin": dict(zip(point_keys, report.argmin)),
+                              "all_positive": report.all_positive}], "json")
     else:
-        text = _csv_text(point_keys + ("value",), list(report.cells))
-        summary = ["min_value", repr(float(report.min_value)), "argmin"]
-        summary += [repr(float(v)) for v in report.argmin]
-        text += ",".join(summary) + "\n"
+        low = [repr(float(v)) for v in (report.min_value, *report.argmin)]
+        text = _text(rows, "csv") + ",".join(["min_value", low[0], "argmin", *low[1:]]) + "\n"
     _emit(text, args.out)
     return EXIT_OK if report.all_positive else EXIT_FAIL
 

@@ -13,13 +13,14 @@ no rule:
 
 Tanh-sinh abscissae crowd the endpoints double-exponentially, far below the
 resolution of ``1 - |t|`` in floating point.  ``_tanh_sinh_full`` keeps exact
-endpoint distances (``gap_lo = 1 + t``, ``gap_hi = 1 - t``) down to a cut:
-1e-280 by default, so integrable singularities like t^{p-1} with small
-p > 0 are still resolved, and 1e-12 for public rules, whose node floats
-stay distinct and inside (-1, 1).  Each rule comes with its coarser companion
-(n beside 2n Gauss nodes; a tanh-sinh level's even-indexed nodes, which are
-the level below) as a second weight vector ``wc`` on the same nodes, so every
-integral forms its value and error estimate as ``vals @ w`` and ``vals @ wc``.
+endpoint distances (``gap_lo = 1 + t``, ``gap_hi = 1 - t``) down to 1e-280,
+so integrable singularities like t^{p-1} with small p > 0 are still
+resolved; ``_cut`` trims a level to a larger gap, 1e-12 for public rules,
+whose node floats stay distinct and inside (-1, 1).  Each rule comes with
+its coarser companion (n beside 2n Gauss nodes; a tanh-sinh level's
+even-indexed nodes, which are the level below) as a second weight vector
+``wc`` on the same nodes, so every integral forms its value and error
+estimate as ``vals @ w`` and ``vals @ wc``.
 
 ``_outer_sums`` (V, tV, the duality pairing, the nested ``ktilde`` form) cuts
 the rule where the endpoint power leaves about eps and picks the level per
@@ -181,11 +182,11 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
 
 
 @lru_cache(maxsize=32)
-def _tanh_sinh_full(level: int, cut: float = _TS_FULL_GAP):
+def _tanh_sinh_full(level: int):
     """Double-exponential node set at step h = 2**-level.
 
     Returns (nodes, weights, gap_lo, gap_hi, companion) for the nodes whose
-    endpoint gap min(1 + t, 1 - t) is at least ``cut``; ``companion`` is
+    endpoint gap min(1 + t, 1 - t) is at least 1e-280; ``companion`` is
     the next coarser level's weights on the same nodes (twice the weight on
     even-indexed nodes, zero elsewhere).  Near the ends callers must use
     the gap arrays, not 1 -/+ node.
@@ -204,18 +205,24 @@ def _tanh_sinh_full(level: int, cut: float = _TS_FULL_GAP):
     sech = 2.0 * np.exp(-np.abs(sigma)) / (1.0 + e)
     weights = h * 0.5 * math.pi * np.cosh(u) * sech * sech
     companion = np.where(j % 2 == 0, 2.0 * weights, 0.0)
-    keep = gap_small >= cut
+    keep = gap_small >= _TS_FULL_GAP
     out = tuple(a[keep] for a in (nodes, weights, gap_lo, gap_hi, companion))
     for a in out:
         a.setflags(write=False)
     return out
 
 
+def _cut(rule, cut):
+    """The arrays of a ``_tanh_sinh_full`` rule at the nodes whose endpoint gap is at least ``cut``."""
+    keep = np.minimum(rule[2], rule[3]) >= cut
+    return tuple(a[keep] for a in rule)
+
+
 def tanh_sinh(level: int) -> QuadratureRule:
     """Double-exponential rule on (-1, 1); each level halves the step size."""
     if not isinstance(level, int) or isinstance(level, bool) or not 1 <= level <= _MAX_TS_LEVEL:
         raise DomainError(f"level must be an integer in 1..{_MAX_TS_LEVEL}, got {level!r}")
-    nodes, weights, gap_lo, gap_hi, _ = _tanh_sinh_full(level, _TS_PUBLIC_GAP)
+    nodes, weights, gap_lo, gap_hi, _ = _cut(_tanh_sinh_full(level), _TS_PUBLIC_GAP)
     return QuadratureRule(f"tanh-sinh(level={level})", nodes, weights, gap_lo, gap_hi,
                           level=level)
 
@@ -256,9 +263,7 @@ def _outer_sums(lo, hi, integrand, power=1.0):
     half_min = 0.5 * np.min(hi.flat[todo] - lo.flat[todo], initial=np.inf)
     cut = max(_EPS ** max(1.0, 1.0 / power), min(_EPS, _TS_FULL_GAP / half_min))
     for level in range(4, _MAX_TS_LEVEL + 1):
-        rule = _tanh_sinh_full(level)
-        keep = np.minimum(rule[2], rule[3]) >= cut
-        t, w, glo, ghi, wc = (a[keep] for a in rule)
+        t, w, glo, ghi, wc = _cut(_tanh_sinh_full(level), cut)
         step = max(1, _OUTER_NODES // t.size)
         done = np.zeros(todo.size, dtype=bool)
         for j in range(0, todo.size, step):

@@ -185,9 +185,13 @@ class TestVerifyCommand:
         assert code == 1
         assert "failed" in err
 
-    def test_bad_tolerance_exit_2(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--suite", "limits", "--tol", "-1")
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance_exit_2(self, capsys, tol):
+        # an infinite tolerance would pass every row
+        code, out, err = run_cli(capsys, "verify", "--suite", "limits", "--tol", tol)
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_all_suites_deterministic(self, capsys, tmp_path):
         # cached coefficient rows and rule caches leave the output alone
@@ -271,6 +275,64 @@ class TestScanCommand:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("k1,k2,x,y,value")
+
+
+def _csv_value(cell):
+    try:
+        return json.loads(cell)
+    except ValueError:
+        return cell
+
+
+def _csv_layout(record, pairs=()):
+    """A JSON record's (column, value) pairs as CSV lays them out; keys in ``pairs`` always split."""
+    for key, v in record.items():
+        if isinstance(v, dict) or key in pairs:
+            re, im = (v["re"], v["im"]) if isinstance(v, dict) else (v, 0.0)
+            yield from ((f"{key}_re", re), (f"{key}_im", im))
+        else:
+            yield key, v
+
+
+class TestFormatsAgree:
+    """The JSON and CSV of one report carry the same columns and values."""
+
+    def reports(self, capsys, *argv):
+        runs = [run_cli(capsys, *argv, "--format", fmt) for fmt in ("json", "csv")]
+        assert runs[0][0] == runs[1][0] == 0
+        return json.loads(runs[0][1]), list(csv.reader(io.StringIO(runs[1][1])))
+
+    def assert_agree(self, records, table, pairs=()):
+        assert len(table) == 1 + len(records)
+        for record, row in zip(records, table[1:]):
+            fields = list(_csv_layout(record, pairs))
+            assert table[0] == [column for column, _ in fields]
+            assert [_csv_value(cell) for cell in row] == [v for _, v in fields]
+
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "--k1", "0.5", "--k2", "0.7", "--x", "1", "--y", "0.3"),
+        ("opdam", "--k1", "0.5", "--k2", "0.5", "--lam", "1.5", "--x", "1.0"),
+    ], ids=["kernel-real", "opdam-complex"])
+    def test_point_record(self, capsys, argv):
+        record, table = self.reports(capsys, *argv)
+        self.assert_agree([record], table)
+
+    def test_verify_rows(self, capsys):
+        rows, table = self.reports(capsys, "verify", "--suite", "limits")
+        # real lhs, rhs too, so every row has the same columns
+        assert not isinstance(rows[0]["lhs"], dict)
+        self.assert_agree(rows, table, pairs=("lhs", "rhs"))
+
+    def test_two_cell_scan(self, capsys):
+        rows, table = self.reports(capsys, "scan", "--k1-range", "0.5:0.5:1",
+                                   "--k2-range", "0.5:0.7:2", "--x-range", "1:1:1",
+                                   "--yfrac-range", "0.3:0.3:1")
+        *cells, summary = rows
+        assert len(cells) == 2
+        self.assert_agree(cells, table[:-1])
+        argmin = summary["argmin"]
+        assert table[-1] == ["min_value", repr(summary["min_value"]), "argmin",
+                             *(repr(argmin[key]) for key in ("k1", "k2", "x", "y"))]
 
 
 def test_unknown_command_exits_2(capsys):
