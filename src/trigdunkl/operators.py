@@ -195,6 +195,65 @@ _MIRROR = np.array([1.0, -1.0])[:, None, None]   # an outer piece and its mirror
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
+def _v_sums(k: Multiplicity, f: TestFunction, x, u=None) -> EvalResult:
+    """Vf at x, a scalar or an array; with weights u of shape (2,) + x.shape,
+    u[0] Vf(x) + u[1] Vf(-x) for x >= 0.
+
+    The kernel's series depend on |x| only, so the mirror pair's values at
+    each node come from one series, the sign on its own axis.
+    """
+    x = np.asarray(x, dtype=float)
+    if u is not None:
+        u = np.reshape(u, (2, -1))
+
+    def integrand(i, s, d_lo, d_hi):
+        y = _MIRROR * s
+        xi = x.flat[i][:, None]
+        fy = np.asarray(f.eval(y))
+        if u is None:
+            kv, kb = _kernel_values(k, xi, y, gap=d_hi)
+        else:
+            kv, kb = _kernel_values(k, xi[None], y, gap=d_hi, mirror=True)
+            fy = fy * u[:, i][:, None, :, None]     # (sign, mirror, points, nodes)
+        return kv * fy, kb * np.abs(fy)
+
+    values, est, rule = _outer_sums(0.0, np.abs(x), integrand, (k.k1 + k.k2).real)
+    zero = x == 0.0
+    if zero.any():
+        weight = 1.0 if u is None else u.sum(0).reshape(x.shape)[zero]
+        values[zero] = weight * f.eval(0.0)
+    method = "point-evaluation" if zero.all() else f"{rule} x {METHOD}"
+    return _point_result(values, est, method)
+
+
+@np.errstate(all="ignore")   # a non-finite value raises instead
+def _vt_sums(k: Multiplicity, g: TestFunction, y, u=None) -> EvalResult:
+    """tVg at y, a scalar or an array; with weights u of shape (2,) + y.shape,
+    u[0] tVg(y) + u[1] tVg(-y) for y >= 0, the pair's values at each node
+    from one series.
+    """
+    if g.support is None:
+        raise ContractError(f"{g.id} declares no compact support; the dual needs one")
+    y = np.asarray(y, dtype=float)
+    if u is not None:
+        u = np.reshape(u, (2, -1))
+    a = float(g.support)
+
+    def integrand(i, s, d_lo, d_hi):
+        # the kernel's series and the density are even in x: formed on s once
+        yi = y.flat[i][:, None]
+        ga = np.asarray(g.eval(_MIRROR * s)) * weight_A(k, s)
+        if u is not None:
+            yi = _MIRROR[:, None] * yi      # (sign, mirror, points, nodes)
+            ga = ga * u[:, i][:, None, :, None]
+        kv, kb = _kernel_values(k, s, yi, gap=d_lo, mirror=True)
+        return kv * ga, kb * np.abs(ga)
+
+    ya = np.abs(y)
+    values, est, rule = _outer_sums(ya, np.maximum(ya, a), integrand, (k.k1 + k.k2).real)
+    return _point_result(values, est, f"{rule} x {METHOD}" if (ya < a).any() else "empty-domain")
+
+
 def apply_V(k: Multiplicity, f: TestFunction, x) -> EvalResult:
     """Intertwining operator applied to a registered function at x, a scalar or an array.
 
@@ -203,23 +262,9 @@ def apply_V(k: Multiplicity, f: TestFunction, x) -> EvalResult:
     at 0 with a double-exponential rule per half so the algebraic vanishing
     of the kernel at y = -/+ x is resolved.
     """
-    x = np.asarray(x, dtype=float)
-
-    def integrand(i, s, d_lo, d_hi):
-        y = _MIRROR * s
-        kv, kb = _kernel_values(k, x.flat[i][:, None], y, gap=d_hi)
-        fy = np.asarray(f.eval(y))
-        return kv * fy, kb * np.abs(fy)
-
-    values, est, rule = _outer_sums(0.0, np.abs(x), integrand, (k.k1 + k.k2).real)
-    zero = x == 0.0
-    if zero.any():
-        values[zero] = f.eval(0.0)
-    method = "point-evaluation" if zero.all() else f"{rule} x {METHOD}"
-    return _point_result(values, est, method)
+    return _v_sums(k, f, x)
 
 
-@np.errstate(all="ignore")   # a non-finite value raises instead
 def apply_Vt(k: Multiplicity, g: TestFunction, y) -> EvalResult:
     """Dual operator: kernel integral against g and the measure over |x| > |y|.
 
@@ -227,43 +272,38 @@ def apply_Vt(k: Multiplicity, g: TestFunction, y) -> EvalResult:
     elsewhere integrated over (|y|, a) from its singular end |y|.  y is a
     scalar or an array, and the result has its shape.
     """
-    if g.support is None:
-        raise ContractError(f"{g.id} declares no compact support; the dual needs one")
-    y = np.asarray(y, dtype=float)
-    a = float(g.support)
-
-    def integrand(i, s, d_lo, d_hi):
-        # the kernel's series and the density are even in x: formed on s once
-        kv, kb = _kernel_values(k, s, y.flat[i][:, None], gap=d_lo, mirror=True)
-        ga = np.asarray(g.eval(_MIRROR * s)) * weight_A(k, s)
-        return kv * ga, kb * np.abs(ga)
-
-    ya = np.abs(y)
-    values, est, rule = _outer_sums(ya, np.maximum(ya, a), integrand, (k.k1 + k.k2).real)
-    return _point_result(values, est, f"{rule} x {METHOD}" if (ya < a).any() else "empty-domain")
+    return _vt_sums(k, g, y)
 
 
 def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
     """Normalized defect of the pairing identity between V and its dual.
 
     |LHS - RHS| / max(|LHS|, |RHS|, 1) with LHS the measure-weighted pairing
-    of Vf with g over supp g and RHS the plain pairing of f with tVg.
+    of Vf with g over supp g and RHS the plain pairing of f with tVg.  Each
+    side is one outer integral over s in (0, a) of the weighted operator
+    values at s and -s, which share one nested kernel sum per node.  Nodes
+    where both weights are 0 add 0: their operator value is never formed,
+    so it cannot raise there.
     """
     if g.support is None:
         raise ContractError(f"{g.id} declares no compact support")
     a = float(g.support)
 
-    def pairing(outer, op, fn):
-        # integral of outer(x) op(k, fn, x) over (0, a) and its mirror image
+    def pairing(outer, sums, fn):
+        # integral of outer(x) op(k, fn, x) over (0, a) and its mirror image,
+        # one nested sum per node s for x = s, -s; nodes weighted 0 by both add 0
         def integrand(i, s, d_lo, d_hi):
-            x = _MIRROR * s
-            u = np.asarray(outer(x))
-            v = op(k, fn, x)
-            return u * v.value, np.abs(u) * v.est_error
+            u = np.reshape(outer(_MIRROR * s), (2, -1))
+            live = np.flatnonzero(u.any(0))
+            values, bars = np.zeros(s.size, dtype=complex), np.zeros(s.size)
+            if live.size:
+                res = sums(k, fn, s.reshape(-1)[live], u[:, live])
+                values[live], bars[live] = res.value, res.est_error
+            return values, bars
         return complex(_outer_sums(0.0, a, integrand)[0])
 
-    lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x), apply_V, f)
-    rhs = pairing(f.eval, apply_Vt, g)
+    lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x), _v_sums, f)
+    rhs = pairing(f.eval, _vt_sums, g)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 

@@ -428,6 +428,67 @@ class TestDuality:
         gap = duality_gap(Multiplicity(0.3, 1.5), plane_wave(1.0), bump(2.0))
         assert gap <= 1e-6
 
+    def test_suite_gaps_at_rounding(self):
+        # far below the suite's tolerance: a partly cancelling mix-up of the
+        # two sides' sign axes would still pass the tolerance
+        gaps = [row["gap"] for row in run_suite("duality")]
+        assert len(gaps) == 9
+        assert max(gaps) <= 1e-12
+
+    def test_zero_weight_nodes_skip_the_operator(self):
+        points = []
+
+        def counted(y):
+            points.append(np.size(y))
+            return bump(2.0).eval(y)
+
+        f = TestFunction("counted bump", eval=counted, support=2.0)
+        zero = TestFunction("zero", eval=lambda x: np.zeros_like(np.asarray(x, float)),
+                            support=2.0)
+        assert duality_gap(Multiplicity(0.5, 0.5), f, zero) == 0.0
+        # only the outer nodes of the right side: V f is never formed
+        assert 0 < sum(points) < 1000
+
+    @pytest.mark.parametrize("side", ["f", "g"])
+    def test_nan_inside_support_raises(self, side):
+        def nan_inside(y):
+            y = np.asarray(y, dtype=float)
+            return np.where(np.abs(y) < 0.5, np.nan, bump(2.0).eval(y))
+
+        bad = TestFunction("nan inside", eval=nan_inside, support=2.0)
+        f, g = (bad, bump(2.0)) if side == "f" else (bump(2.0), bad)
+        with pytest.raises(EvaluationError):
+            duality_gap(Multiplicity(0.5, 0.5), f, g)
+
+
+class TestMirrorPairs:
+    """The duality pairing's two-row sums equal the weighted operators at s and -s."""
+
+    KS = [Multiplicity(0.3, 1.5), Multiplicity(0.5 + 0.3j, 0.7), Multiplicity(0.05, 0.05)]
+
+    @staticmethod
+    def _check(sums, op, k, fn, seed):
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(0.0, 2.0, 7)
+        u = rng.normal(size=(2, s.size))
+        pair = sums(k, fn, s, u)
+        plus, minus = op(k, fn, s), op(k, fn, -s)
+        expected = u[0] * plus.value + u[1] * minus.value
+        bars = pair.est_error + np.abs(u[0]) * plus.est_error + np.abs(u[1]) * minus.est_error
+        assert np.all(np.abs(pair.value - expected) <= bars)
+
+    @pytest.mark.parametrize("k", KS, ids=["real", "complex", "small"])
+    @pytest.mark.parametrize("f", [bump(2.0), plane_wave(1.0)], ids=["bump", "plane_wave"])
+    def test_v_pair(self, k, f):
+        self._check(operators._v_sums, apply_V, k, f, 11)
+
+    @pytest.mark.parametrize("k", KS, ids=["real", "complex", "small"])
+    @pytest.mark.parametrize("f", [bump(2.0), plane_wave(1.0)], ids=["bump", "plane_wave"])
+    def test_vt_pair(self, k, f):
+        # the dual needs a support: the plane wave is cut to [-2, 2]
+        g = f if f.support else TestFunction(f.id, eval=f.eval, support=2.0)
+        self._check(operators._vt_sums, apply_Vt, k, g, 12)
+
 
 class TestIntertwine:
     @pytest.mark.parametrize("f_name", ["plane_wave:1.5", "monomial:2"])
