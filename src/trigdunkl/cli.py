@@ -30,16 +30,11 @@ EXIT_ARGS = 2
 EXIT_NUMERIC = 3
 
 
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {key: _jsonable(x) for key, x in v.items()}
-    if isinstance(v, list):
-        return [_jsonable(x) for x in v]
+def _complex_json(v):
+    """json.dumps' hook: a complex value as {"re", "im"}; any other type raises."""
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
-    if isinstance(v, (bool, str, int)):
-        return v
-    return float(v)
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 def _csv_fields(record):
@@ -57,7 +52,7 @@ def _csv_fields(record):
 def _text(records, fmt) -> str:
     """One record (a dict) or a list of them as JSON, or as CSV under the first one's columns."""
     if fmt == "json":
-        return json.dumps(_jsonable(records), indent=2) + "\n"
+        return json.dumps(records, indent=2, default=_complex_json) + "\n"
     rows = [dict(_csv_fields(r)) for r in ([records] if isinstance(records, dict) else records)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -1,9 +1,11 @@
 """Central defaults: numeric knobs, tolerances, and verification grids.
 
-Every tunable lives here and nowhere else.  The only per-run override is
-``trigdunkl verify --tol``; no environment variables are consulted.  The
-grids below are the built-in verification grids driven by
-``trigdunkl.verify`` and the acceptance tests.
+The tolerances, grids and numeric knobs live here.  Internal sizes live
+with their code: ``quadrature._OUTER_NODES`` and ``_MAX_TS_LEVEL``,
+``operators._SCAN_CHUNK`` and ``kernel._LOG_TAIL``.  The only per-run
+override is ``trigdunkl verify --tol``; no environment variables are
+consulted.  The grids below are the built-in verification grids driven
+by ``trigdunkl.verify`` and the acceptance tests.
 """
 
 from dataclasses import dataclass

@@ -195,63 +195,61 @@ _MIRROR = np.array([1.0, -1.0])[:, None, None]   # an outer piece and its mirror
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
-def _v_sums(k: Multiplicity, f: TestFunction, x, u=None) -> EvalResult:
-    """Vf at x, a scalar or an array; with weights u of shape (2,) + x.shape,
-    u[0] Vf(x) + u[1] Vf(-x) for x >= 0.
+def _v_sums(k: Multiplicity, f: TestFunction, x, u) -> EvalResult:
+    """Weighted sums of Vf at x, a scalar or an array, for weights u of shape
+    (r,) + x.shape: one row gives u[0] Vf(x), two rows u[0] Vf(x) + u[1] Vf(-x)
+    for x >= 0.
 
     The kernel's series depend on |x| only, so the mirror pair's values at
-    each node come from one series, the sign on its own axis.
+    each node come from one series, the sign on its own axis.  A point whose
+    weights are all 0 is an empty interval: f is not evaluated there, and
+    its value and bar are 0.
     """
     x = np.asarray(x, dtype=float)
-    if u is not None:
-        u = np.reshape(u, (2, -1))
+    u = np.reshape(u, (len(u), -1))
+    mirror = len(u) == 2
+    live = u.any(0).reshape(x.shape)
 
     def integrand(i, s, d_lo, d_hi):
         y = _MIRROR * s
-        xi = x.flat[i][:, None]
-        fy = np.asarray(f.eval(y))
-        if u is None:
-            kv, kb = _kernel_values(k, xi, y, gap=d_hi)
-        else:
-            kv, kb = _kernel_values(k, xi[None], y, gap=d_hi, mirror=True)
-            fy = fy * u[:, i][:, None, :, None]     # (sign, mirror, points, nodes)
+        fy = np.asarray(f.eval(y)) * u[:, i][:, None, :, None]     # (row, mirror, points, nodes)
+        kv, kb = _kernel_values(k, x.flat[i][None, :, None], y, gap=d_hi, mirror=mirror)
         return kv * fy, kb * np.abs(fy)
 
-    values, est, rule = _outer_sums(0.0, np.abs(x), integrand, (k.k1 + k.k2).real)
-    zero = x == 0.0
+    values, est, rule = _outer_sums(0.0, np.where(live, np.abs(x), 0.0), integrand,
+                                    (k.k1 + k.k2).real)
+    zero = (x == 0.0) & live
     if zero.any():
-        weight = 1.0 if u is None else u.sum(0).reshape(x.shape)[zero]
-        values[zero] = weight * f.eval(0.0)
+        values[zero] = u.sum(0).reshape(x.shape)[zero] * f.eval(0.0)
     method = "point-evaluation" if zero.all() else f"{rule} x {METHOD}"
     return _point_result(values, est, method)
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
-def _vt_sums(k: Multiplicity, g: TestFunction, y, u=None) -> EvalResult:
-    """tVg at y, a scalar or an array; with weights u of shape (2,) + y.shape,
-    u[0] tVg(y) + u[1] tVg(-y) for y >= 0, the pair's values at each node
-    from one series.
+def _vt_sums(k: Multiplicity, g: TestFunction, y, u) -> EvalResult:
+    """Weighted sums of tVg at y, a scalar or an array, for weights u of shape
+    (r,) + y.shape: one row gives u[0] tVg(y), two rows u[0] tVg(y) + u[1]
+    tVg(-y) for y >= 0, the pair's values at each node from one series.  A
+    point whose weights are all 0 is an empty interval, as in ``_v_sums``.
     """
     if g.support is None:
         raise ContractError(f"{g.id} declares no compact support; the dual needs one")
     y = np.asarray(y, dtype=float)
-    if u is not None:
-        u = np.reshape(u, (2, -1))
+    u = np.reshape(u, (len(u), -1))
+    signs = _MIRROR[:len(u), None]
     a = float(g.support)
 
     def integrand(i, s, d_lo, d_hi):
         # the kernel's series and the density are even in x: formed on s once
-        yi = y.flat[i][:, None]
-        ga = np.asarray(g.eval(_MIRROR * s)) * weight_A(k, s)
-        if u is not None:
-            yi = _MIRROR[:, None] * yi      # (sign, mirror, points, nodes)
-            ga = ga * u[:, i][:, None, :, None]
+        yi = signs * y.flat[i][:, None]     # (row, 1, points, 1)
+        ga = np.asarray(g.eval(_MIRROR * s)) * weight_A(k, s) * u[:, i][:, None, :, None]
         kv, kb = _kernel_values(k, s, yi, gap=d_lo, mirror=True)
         return kv * ga, kb * np.abs(ga)
 
     ya = np.abs(y)
-    values, est, rule = _outer_sums(ya, np.maximum(ya, a), integrand, (k.k1 + k.k2).real)
-    return _point_result(values, est, f"{rule} x {METHOD}" if (ya < a).any() else "empty-domain")
+    hi = np.where(u.any(0).reshape(y.shape), np.maximum(ya, a), ya)
+    values, est, rule = _outer_sums(ya, hi, integrand, (k.k1 + k.k2).real)
+    return _point_result(values, est, f"{rule} x {METHOD}" if (ya < hi).any() else "empty-domain")
 
 
 def apply_V(k: Multiplicity, f: TestFunction, x) -> EvalResult:
@@ -262,7 +260,7 @@ def apply_V(k: Multiplicity, f: TestFunction, x) -> EvalResult:
     at 0 with a double-exponential rule per half so the algebraic vanishing
     of the kernel at y = -/+ x is resolved.
     """
-    return _v_sums(k, f, x)
+    return _v_sums(k, f, x, np.ones((1,) + np.shape(x)))
 
 
 def apply_Vt(k: Multiplicity, g: TestFunction, y) -> EvalResult:
@@ -272,7 +270,7 @@ def apply_Vt(k: Multiplicity, g: TestFunction, y) -> EvalResult:
     elsewhere integrated over (|y|, a) from its singular end |y|.  y is a
     scalar or an array, and the result has its shape.
     """
-    return _vt_sums(k, g, y)
+    return _vt_sums(k, g, y, np.ones((1,) + np.shape(y)))
 
 
 def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
@@ -281,9 +279,9 @@ def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
     |LHS - RHS| / max(|LHS|, |RHS|, 1) with LHS the measure-weighted pairing
     of Vf with g over supp g and RHS the plain pairing of f with tVg.  Each
     side is one outer integral over s in (0, a) of the weighted operator
-    values at s and -s, which share one nested kernel sum per node.  Nodes
-    where both weights are 0 add 0: their operator value is never formed,
-    so it cannot raise there.
+    values at s and -s, which share one nested kernel sum per node.  A node
+    where both weights are 0 is an empty interval of that sum: its operator
+    value is never formed, so it cannot raise there.
     """
     if g.support is None:
         raise ContractError(f"{g.id} declares no compact support")
@@ -291,15 +289,11 @@ def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
 
     def pairing(outer, sums, fn):
         # integral of outer(x) op(k, fn, x) over (0, a) and its mirror image,
-        # one nested sum per node s for x = s, -s; nodes weighted 0 by both add 0
+        # one nested sum per node s for x = s, -s
         def integrand(i, s, d_lo, d_hi):
-            u = np.reshape(outer(_MIRROR * s), (2, -1))
-            live = np.flatnonzero(u.any(0))
-            values, bars = np.zeros(s.size, dtype=complex), np.zeros(s.size)
-            if live.size:
-                res = sums(k, fn, s.reshape(-1)[live], u[:, live])
-                values[live], bars[live] = res.value, res.est_error
-            return values, bars
+            res = sums(k, fn, s, outer(_MIRROR * s))
+            # complex, as the outer sum rounds a real matmul differently
+            return np.asarray(res.value, dtype=complex), res.est_error
         return complex(_outer_sums(0.0, a, integrand)[0])
 
     lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x), _v_sums, f)

@@ -460,9 +460,18 @@ class TestDuality:
         with pytest.raises(EvaluationError):
             duality_gap(Multiplicity(0.5, 0.5), f, g)
 
+    @pytest.mark.parametrize("k1, k2", [(0.5 + 0.3j, 0.7), (0.2 - 0.4j, 1.1), (0.05, 0.05),
+                                        (1e-3, 0.5)])
+    @pytest.mark.parametrize("f, g", [(bump(2.0), bump(2.0)), (plane_wave(0.7), bump(1.5))],
+                             ids=["bumps", "plane_wave"])
+    def test_complex_and_small_k(self, k1, k2, f, g):
+        # for complex k the left side's weights g A are complex
+        assert duality_gap(Multiplicity(k1, k2), f, g) <= 1e-13
+
 
 class TestMirrorPairs:
-    """The duality pairing's two-row sums equal the weighted operators at s and -s."""
+    """The operator sums' weight rows: two rows are the weighted operators at s and -s,
+    one-hot rows the operator itself, and a point weighted 0 forms no value."""
 
     KS = [Multiplicity(0.3, 1.5), Multiplicity(0.5 + 0.3j, 0.7), Multiplicity(0.05, 0.05)]
 
@@ -488,6 +497,61 @@ class TestMirrorPairs:
         # the dual needs a support: the plane wave is cut to [-2, 2]
         g = f if f.support else TestFunction(f.id, eval=f.eval, support=2.0)
         self._check(operators._vt_sums, apply_Vt, k, g, 12)
+
+    @staticmethod
+    def _check_one_hot(sums, op, k, fn, points):
+        # rows (1, 0) at x >= 0 and (0, 1) at x < 0 give the operator at x itself
+        u = np.stack((points >= 0.0, points < 0.0)).astype(float)
+        pair, plain = sums(k, fn, np.abs(points), u), op(k, fn, points)
+        for a, b in ((pair.value, plain.value), (pair.est_error, plain.est_error)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("k", KS, ids=["real", "complex", "small"])
+    @pytest.mark.parametrize("f", [bump(2.0), plane_wave(1.0)], ids=["bump", "plane_wave"])
+    def test_v_one_hot_rows(self, k, f):
+        x = np.concatenate(([0.0, -0.0, 1e-200, -2.9],
+                            np.random.default_rng(13).uniform(-3, 3, 6)))
+        self._check_one_hot(operators._v_sums, apply_V, k, f, x)
+
+    @pytest.mark.parametrize("k", KS, ids=["real", "complex", "small"])
+    @pytest.mark.parametrize("f", [bump(2.0), plane_wave(1.0)], ids=["bump", "plane_wave"])
+    def test_vt_one_hot_rows(self, k, f):
+        g = f if f.support else TestFunction(f.id, eval=f.eval, support=2.0)
+        # |y| >= 2 is outside the support
+        y = np.concatenate(([0.0, -0.0, 2.0, -2.5], np.random.default_rng(14).uniform(-2, 2, 6)))
+        self._check_one_hot(operators._vt_sums, apply_Vt, k, g, y)
+
+    @pytest.mark.parametrize("k", KS, ids=["real", "complex", "small"])
+    def test_v_zero_weight_forms_no_value(self, k):
+        def cos_or_nan(y):
+            y = np.asarray(y, dtype=float)
+            return np.where(np.abs(y) > 1.5, np.nan, np.cos(y))
+
+        f = TestFunction("cos, NaN beyond 1.5", eval=cos_or_nan)
+        res = operators._v_sums(k, f, [1.0, 2.0], [[1.0, 0.0]])
+        one = apply_V(k, f, 1.0)
+        assert np.asarray(res.value[0]).tobytes() == np.asarray(one.value).tobytes()
+        assert np.float64(res.est_error[0]).tobytes() == np.float64(one.est_error).tobytes()
+        assert res.value[1] == 0.0 and res.est_error[1] == 0.0
+        with pytest.raises(EvaluationError):
+            operators._v_sums(k, f, [1.0, 2.0], [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("k", KS, ids=["real", "complex", "small"])
+    def test_vt_zero_weight_adds_no_evaluations(self, k):
+        points = []
+
+        def counted(y):
+            points.append(np.size(y))
+            return bump(2.0).eval(y)
+
+        g = TestFunction("counted bump", eval=counted, support=2.0)
+        res = operators._vt_sums(k, g, [0.5, 1.0], [[1.0, 0.0]])
+        with_zero = sum(points)
+        points.clear()
+        one = apply_Vt(k, g, 0.5)
+        assert with_zero == sum(points) > 0
+        assert np.asarray(res.value[0]).tobytes() == np.asarray(one.value).tobytes()
+        assert res.value[1] == 0.0 and res.est_error[1] == 0.0
 
 
 class TestIntertwine:
