@@ -66,8 +66,9 @@ from one product of the stacked coefficient rows with the shared powers
 (``_kernel_grid``, which ``positivity_scan`` calls; one k is the K = 1
 case, with numbers in place of the axis).  ``kernel_K_mourou`` is three
 such calls at half arguments, whose sum it quarters.  ``kernel_K`` and the
-oracle forms take scalars or broadcasting arrays; a non-finite value
-raises ``EvaluationError``.
+oracle forms take scalars or broadcasting arrays, a scalar call being the
+one-element array call bit for bit; a non-finite value raises
+``EvaluationError``.
 """
 
 import math
@@ -267,10 +268,44 @@ def _times_u(y):
     return lambda f1, f2: (np.cosh(y), 2.0 * f1 * f2)
 
 
+def _one_point(x, y):
+    """x, y as float arrays, 0-d when they hold one point, and the shape that
+    ``_reshaped`` gives its values back (() for more points).
+
+    numpy rounds complex products of scalars and of arrays differently, so one
+    point goes in numpy scalars whatever its shape: a scalar call is the
+    one-element array call, bit for bit.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    shape = max(x.shape, y.shape, key=len) if x.size == y.size == 1 else ()
+    if shape:
+        x, y = x.reshape(()), y.reshape(())
+    return x, y, shape
+
+
+def _reshaped(shape, *arrays):
+    """``arrays`` with ``_one_point``'s shape appended to theirs."""
+    return tuple(np.reshape(a, np.shape(a) + shape) for a in arrays) if shape else arrays
+
+
 def _points(x, y):
-    """Admissible kernel points as float arrays of one (broadcast) shape."""
+    """Admissible kernel points as float arrays of one (broadcast) shape, and the
+    shape to append to their values, as ``_one_point`` gives them."""
     KernelPoint(x, y)
-    return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    x, y, shape = _one_point(x, y)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    return x, y, shape
+
+
+def _end_power(k: Multiplicity):
+    """The power at a kernel end that an outer sum may cut at: Re(k1 + k2), at most 1.
+
+    Above 1 the kernel vanishes there, but an outer sum whose mass sits at
+    that end (a nested tV sum with |y| near the support's edge) climbs
+    levels when cut at eps^{1/Re(k1 + k2)}, so such an end counts as regular.
+    """
+    return min(1.0, (k.k1 + k.k2).real)
 
 
 def _k_axis(ks, *cells):
@@ -285,7 +320,7 @@ def _k_axis(ks, *cells):
     return k1, k2, (log_d, size_d)
 
 
-def _kernel_grid(ks, x, y, *, gap=None, mirror=False):
+def _kernel_grid(ks, x, y, *, gap=None, mirror=False, density=False):
     """Kernel values and their error bars for each multiplicity in the tuple
     ks along a leading axis (none for one k), broadcasting over x and y.
 
@@ -295,14 +330,13 @@ def _kernel_grid(ks, x, y, *, gap=None, mirror=False):
     ``mirror`` x >= 0 stands for the pair x, -x along a new leading axis:
     the series and the even factors depend on |x| only and are formed once.
     Likewise everything but the exponents and the series coefficients is
-    formed once for all ks.
+    formed once for all ks.  With ``density`` the values are K(x, y) A(x):
+    the exponent leaves out the -log A(x) that the density would cancel.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    # one point goes in numpy scalars whatever its shape, so that it rounds
-    # alike: numpy rounds complex products of scalars and of arrays differently
-    shape = max(x.shape, y.shape, key=len) if gap is None and x.size == y.size == 1 else ()
-    if shape:
-        x, y = x.reshape(()), y.reshape(())
+    if gap is None:
+        x, y, shape = _one_point(x, y)
+    else:
+        x, y, shape = np.asarray(x, dtype=float), np.asarray(y, dtype=float), ()
     xa = np.abs(x)
     if gap is None:
         gap = xa - np.abs(y)
@@ -320,16 +354,14 @@ def _kernel_grid(ks, x, y, *, gap=None, mirror=False):
     values, bars = _cosh_gap_integral(
         kd, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, (-1, -1), np.sign(x),
         lambda f1, f2: (e_fwd, -(2.0 * f1 / xa) * f2 * e_bwd),
-        (-_log_weight(k1, k2, xa), np.log(xa)),
+        (np.log(xa),) if density else (-_log_weight(k1, k2, xa), np.log(xa)),
     )
-    if shape:
-        return values.reshape(values.shape + shape), bars.reshape(bars.shape + shape)
-    return values, bars
+    return _reshaped(shape, values, bars)
 
 
-def _kernel_values(k: Multiplicity, x, y, *, gap=None, mirror=False):
+def _kernel_values(k: Multiplicity, x, y, *, gap=None, mirror=False, density=False):
     """``_kernel_grid`` at the one multiplicity k: values and bars of the shape of x and y."""
-    return _kernel_grid((k,), x, y, gap=gap, mirror=mirror)
+    return _kernel_grid((k,), x, y, gap=gap, mirror=mirror, density=density)
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
@@ -384,13 +416,13 @@ def _cosine_terms(kd, x, gap, log_pref=()):
 @np.errstate(all="ignore")   # a non-finite value raises instead
 def jacobi_kernel(k: Multiplicity, x, y) -> EvalResult:
     """Kernel of the intertwining operator in the hyperbolic-cosine setting."""
-    x, y = _points(x, y)
+    x, y, shape = _points(x, y)
     log_ainv = -_log_weight(k.k1, k.k2, 2.0 * x)
-    return _point_result(*_cosine_terms(_k_axis((k,)), x, np.abs(x) - np.abs(y), (log_ainv,)),
-                         METHOD)
+    return _point_result(*_reshaped(shape, *_cosine_terms(_k_axis((k,)), x, np.abs(x) - np.abs(y),
+                                                          (log_ainv,))), METHOD)
 
 
-def _ktilde_defining(k, x, y):
+def _ktilde_defining(k, x, y, shape):
     # nested route: integrate the cosine-setting kernel against its measure
     # over (|y|, |x|); the inner endpoint w -> |y| carries the
     # (w - |y|)^{k1+k2-1} singularity
@@ -398,8 +430,8 @@ def _ktilde_defining(k, x, y):
     values, est, rule = _outer_sums(
         np.abs(y), np.abs(x),
         lambda i, s, d_lo, d_hi: _cosine_terms(kd, s, d_lo),
-        (k.k1 + k.k2).real)
-    return _point_result(values, est, f"nested {rule} x {METHOD}")
+        (_end_power(k), 1.0))
+    return _point_result(*_reshaped(shape, values, est), f"nested {rule} x {METHOD}")
 
 
 _KTILDE_FORMS = ("direct", "byparts", "defining")
@@ -413,22 +445,24 @@ def ktilde(k: Multiplicity, x, y, form: str = "direct") -> EvalResult:
     the outer cosh difference, ``byparts`` trades it for a full power of the
     inner one, ``defining`` integrates the kernel itself (nested quadrature).
     """
-    x, y = _points(x, y)
+    x, y, shape = _points(x, y)
     if form not in _KTILDE_FORMS:
         raise DomainError(f"form must be one of {_KTILDE_FORMS}, got {form!r}")
     if form == "defining":
-        return _ktilde_defining(k, x, y)
+        return _ktilde_defining(k, x, y, shape)
     shift, q = ((0, -1), None) if form == "direct" else ((-1, 0), _times_u(y))
-    return _point_result(*_cosh_gap_integral(_k_axis((k,)), np.abs(x), np.abs(x) - np.abs(y),
-                                             shift, 16.0 / (k.k1 + k.k2), q), METHOD)
+    return _point_result(*_reshaped(shape, *_cosh_gap_integral(
+        _k_axis((k,)), np.abs(x), np.abs(x) - np.abs(y), shift, 16.0 / (k.k1 + k.k2), q)),
+        METHOD)
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
 def dktilde_dy(k: Multiplicity, x, y) -> EvalResult:
     """Same-variable y-derivative of the antiderivative; odd in y, zero at y = 0."""
-    x, y = _points(x, y)
-    return _point_result(*_cosh_gap_integral(_k_axis((k,)), np.abs(x), np.abs(x) - np.abs(y),
-                                             (-1, -1), -8.0 * np.sinh(y), _times_u(y)), METHOD)
+    x, y, shape = _points(x, y)
+    return _point_result(*_reshaped(shape, *_cosh_gap_integral(
+        _k_axis((k,)), np.abs(x), np.abs(x) - np.abs(y), (-1, -1), -8.0 * np.sinh(y),
+        _times_u(y))), METHOD)
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
@@ -441,7 +475,7 @@ def kernel_K_mourou(k: Multiplicity, x, y) -> EvalResult:
     that reproduces the direct kernel, and the equality is enforced on the
     verification grid.
     """
-    x, y = _points(x, y)
+    x, y, shape = _points(x, y)
     xh, yh = x / 2.0, y / 2.0
     xa, gap = np.abs(xh), np.abs(xh) - np.abs(yh)
     kd = _k_axis((k,))
@@ -457,4 +491,5 @@ def kernel_K_mourou(k: Multiplicity, x, y) -> EvalResult:
                            np.sign(x) * (16.0 * k1 + 32.0 * k2) / (k1 + k2), None, (log_ainv,)),
         _cosh_gap_integral(kd, xa, gap, (-1, -1), 8.0 * np.sign(x) * np.sign(y),
                            _times_u(yh), (log_ainv, log_sinh)))
-    return _point_result(0.25 * sum(values), 0.25 * sum(bars), f"mourou[{METHOD}]")
+    return _point_result(*_reshaped(shape, 0.25 * sum(values), 0.25 * sum(bars)),
+                         f"mourou[{METHOD}]")

@@ -22,7 +22,7 @@ import numpy as np
 from . import config
 from .config import NUMERICS
 from .errors import ContractError, DomainError
-from .kernel import METHOD, _kernel_grid, _kernel_values, weight_A
+from .kernel import METHOD, _end_power, _kernel_grid, _kernel_values, weight_A
 from .params import KernelPoint, Multiplicity
 from .quadrature import EvalResult, _outer_sums, _point_result
 
@@ -217,7 +217,7 @@ def _v_sums(k: Multiplicity, f: TestFunction, x, u) -> EvalResult:
         return kv * fy, kb * np.abs(fy)
 
     values, est, rule = _outer_sums(0.0, np.where(live, np.abs(x), 0.0), integrand,
-                                    (k.k1 + k.k2).real)
+                                    (1.0, _end_power(k)))
     zero = (x == 0.0) & live
     if zero.any():
         values[zero] = u.sum(0).reshape(x.shape)[zero] * f.eval(0.0)
@@ -240,15 +240,16 @@ def _vt_sums(k: Multiplicity, g: TestFunction, y, u) -> EvalResult:
     a = float(g.support)
 
     def integrand(i, s, d_lo, d_hi):
-        # the kernel's series and the density are even in x: formed on s once
+        # K(x, y) A(x): the kernel's series and the density are even in x,
+        # formed on s once, and the density is left out of the exponent
         yi = signs * y.flat[i][:, None]     # (row, 1, points, 1)
-        ga = np.asarray(g.eval(_MIRROR * s)) * weight_A(k, s) * u[:, i][:, None, :, None]
-        kv, kb = _kernel_values(k, s, yi, gap=d_lo, mirror=True)
-        return kv * ga, kb * np.abs(ga)
+        gu = np.asarray(g.eval(_MIRROR * s)) * u[:, i][:, None, :, None]
+        kv, kb = _kernel_values(k, s, yi, gap=d_lo, mirror=True, density=True)
+        return kv * gu, kb * np.abs(gu)
 
     ya = np.abs(y)
     hi = np.where(u.any(0).reshape(y.shape), np.maximum(ya, a), ya)
-    values, est, rule = _outer_sums(ya, hi, integrand, (k.k1 + k.k2).real)
+    values, est, rule = _outer_sums(ya, hi, integrand, (_end_power(k), 1.0))
     return _point_result(values, est, f"{rule} x {METHOD}" if (ya < hi).any() else "empty-domain")
 
 
@@ -281,23 +282,27 @@ def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
     side is one outer integral over s in (0, a) of the weighted operator
     values at s and -s, which share one nested kernel sum per node.  A node
     where both weights are 0 is an empty interval of that sum: its operator
-    value is never formed, so it cannot raise there.
+    value is never formed, so it cannot raise there.  The left side's
+    integrand vanishes like s^{2 Re(k1 + k2)} with the density at 0, so its
+    outer rule stops short of 0 where that power leaves about eps.
     """
     if g.support is None:
         raise ContractError(f"{g.id} declares no compact support")
     a = float(g.support)
 
-    def pairing(outer, sums, fn):
+    def pairing(outer, sums, fn, power):
         # integral of outer(x) op(k, fn, x) over (0, a) and its mirror image,
-        # one nested sum per node s for x = s, -s
+        # one nested sum per node s for x = s, -s; ``power`` at the end 0
         def integrand(i, s, d_lo, d_hi):
             res = sums(k, fn, s, outer(_MIRROR * s))
             # complex, as the outer sum rounds a real matmul differently
             return np.asarray(res.value, dtype=complex), res.est_error
-        return complex(_outer_sums(0.0, a, integrand)[0])
+        return complex(_outer_sums(0.0, a, integrand, (power, 1.0))[0])
 
-    lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x), _v_sums, f)
-    rhs = pairing(f.eval, _vt_sums, g)
+    # A(x) / |x|^{2 Re s} grows with |x|, so the power bounds the left side at 0
+    lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x), _v_sums, f,
+                  1.0 + 2.0 * (k.k1 + k.k2).real)
+    rhs = pairing(f.eval, _vt_sums, g, 1.0)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 

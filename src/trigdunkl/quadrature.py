@@ -23,9 +23,10 @@ even-indexed nodes, which are the level below) as a second weight vector
 estimate as ``vals @ w`` and ``vals @ wc``.
 
 ``_outer_sums`` (V, tV, the duality pairing, the nested ``ktilde`` form) cuts
-the rule where the endpoint power leaves about eps and picks the level per
-interval: from level 4 up, the first whose companion agrees to sqrt(eps)
-times the sum of |integrand| w (each level about squares the error).
+each end of the rule where that end's power leaves about eps, so a regular
+end keeps only the nodes it needs, and picks the level per interval: from
+level 4 up, the first whose companion agrees to sqrt(eps) times the sum of
+|integrand| w (each level about squares the error).
 """
 
 import math
@@ -212,9 +213,10 @@ def _tanh_sinh_full(level: int):
     return out
 
 
-def _cut(rule, cut):
-    """The arrays of a ``_tanh_sinh_full`` rule at the nodes whose endpoint gap is at least ``cut``."""
-    keep = np.minimum(rule[2], rule[3]) >= cut
+def _cut(rule, cut_lo, cut_hi):
+    """The arrays of a ``_tanh_sinh_full`` rule at the nodes whose gaps to the lower and
+    the upper end are at least ``cut_lo`` and ``cut_hi``."""
+    keep = (rule[2] >= cut_lo) & (rule[3] >= cut_hi)
     return tuple(a[keep] for a in rule)
 
 
@@ -222,7 +224,7 @@ def tanh_sinh(level: int) -> QuadratureRule:
     """Double-exponential rule on (-1, 1); each level halves the step size."""
     if not isinstance(level, int) or isinstance(level, bool) or not 1 <= level <= _MAX_TS_LEVEL:
         raise DomainError(f"level must be an integer in 1..{_MAX_TS_LEVEL}, got {level!r}")
-    nodes, weights, gap_lo, gap_hi, _ = _cut(_tanh_sinh_full(level), _TS_PUBLIC_GAP)
+    nodes, weights, gap_lo, gap_hi, _ = _cut(_tanh_sinh_full(level), _TS_PUBLIC_GAP, _TS_PUBLIC_GAP)
     return QuadratureRule(f"tanh-sinh(level={level})", nodes, weights, gap_lo, gap_hi,
                           level=level)
 
@@ -234,7 +236,7 @@ def _on_interval(lo, hi, t, glo, ghi):
     return np.where(t <= 0.0, lo + d_lo, hi - d_hi), d_lo, d_hi
 
 
-def _outer_sums(lo, hi, integrand, power=1.0):
+def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0)):
     """Outer tanh-sinh integrals over the broadcast intervals (lo, hi), each at its own level.
 
     ``integrand(i, s, d_lo, d_hi)`` gets a batch's flat interval indices and
@@ -244,14 +246,15 @@ def _outer_sums(lo, hi, integrand, power=1.0):
     integrand.  Each level is computed whole, ``_OUTER_NODES`` points x nodes
     a batch, until every interval stops or ``_MAX_TS_LEVEL``.  Returns the
     values and error estimates in the broadcast shape, and the highest rule
-    used.  For an integrand like gap^{power-1} at an end the rule is cut at
-    gap eps^{max(1, 1/power)}, dropping about eps relative, but not below
-    1e-280 / (least half-width) while that is below eps, so no end distance
-    underflows for intervals wider than about 1e-305.  An estimate is
-    min(d, 10 d^2 / m), d the difference from the level below and m the
+    used.  ``powers`` are the ends' powers p: the integrand is at most about
+    gap^{p-1} there, so each end is cut at gap eps^{1/p}, dropping about eps
+    relative (a caller passes p <= 1 for an end it cannot bound so), but not
+    below 1e-280 / (least half-width) while that is below eps, so no end
+    distance underflows for intervals wider than about 1e-305.  An estimate
+    is min(d, 10 d^2 / m), d the difference from the level below and m the
     integral of |integrand| (a level squares the relative error), plus the
-    integrand's rounding and the part beyond the cut, about gap |integrand|
-    / power at the outermost nodes.
+    integrand's rounding and the parts beyond the cuts, about gap
+    |integrand| / p at each end's outermost node.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     ends = np.concatenate((lo.ravel(), hi.ravel()))
@@ -261,9 +264,10 @@ def _outer_sums(lo, hi, integrand, power=1.0):
     est = np.zeros(lo.shape)
     todo = np.flatnonzero(lo < hi)
     half_min = 0.5 * np.min(hi.flat[todo] - lo.flat[todo], initial=np.inf)
-    cut = max(_EPS ** max(1.0, 1.0 / power), min(_EPS, _TS_FULL_GAP / half_min))
+    floor = min(_EPS, _TS_FULL_GAP / half_min)
+    cut_lo, cut_hi = (max(_EPS ** (1.0 / p), floor) for p in powers)
     for level in range(4, _MAX_TS_LEVEL + 1):
-        t, w, glo, ghi, wc = _cut(_tanh_sinh_full(level), cut)
+        t, w, glo, ghi, wc = _cut(_tanh_sinh_full(level), cut_lo, cut_hi)
         step = max(1, _OUTER_NODES // t.size)
         done = np.zeros(todo.size, dtype=bool)
         for j in range(0, todo.size, step):
@@ -274,7 +278,8 @@ def _outer_sums(lo, hi, integrand, power=1.0):
             fine = vals @ w
             diff = np.abs(fine - vals @ wc).sum(0) * half
             mags = (np.abs(vals) @ w).sum(0) * half
-            tail = (glo[0] * np.abs(vals[..., 0]) + ghi[-1] * np.abs(vals[..., -1])).sum(0)
+            tail = (glo[0] / powers[0] * np.abs(vals[..., 0])
+                    + ghi[-1] / powers[1] * np.abs(vals[..., -1])).sum(0)
             # a NaN difference stops at once: no level makes it finite
             stop = ~(diff > math.sqrt(_EPS) * mags) | (level == _MAX_TS_LEVEL)
             values.flat[i[stop]] = (fine.sum(0) * half)[stop]
@@ -283,7 +288,7 @@ def _outer_sums(lo, hi, integrand, power=1.0):
             level_err = diff * np.minimum(1.0, 10.0 * diff / np.maximum(mags, math.ulp(0.0)))
             # products with f and the measure, and the sum, round each term
             est.flat[i[stop]] = (level_err + (bars @ w).sum(0) * half + 8.0 * _EPS * mags
-                                 + tail * half / power)[stop]
+                                 + tail * half)[stop]
             done[j:j + step] = stop
         todo = todo[~done]
         if not todo.size:

@@ -133,7 +133,7 @@ class TestCompanionRules:
     @pytest.mark.parametrize("level", [4, 6, 8])
     @pytest.mark.parametrize("cut", [1e-280, 1e-60, 1e-12])
     def test_tanh_sinh_cut_and_masses(self, level, cut):
-        nodes, w, gap_lo, gap_hi, wc = _cut(_tanh_sinh_full(level), cut)
+        nodes, w, gap_lo, gap_hi, wc = _cut(_tanh_sinh_full(level), cut, cut)
         assert np.all(np.minimum(gap_lo, gap_hi) >= cut)
         assert len(nodes) == len(w) == len(wc)
         # the dropped tails carry at most 2 * cut of the mass
@@ -276,8 +276,29 @@ class TestOuterSums:
             assert np.all((lo <= s) & (s <= hi) & (d_lo > 0.0) & (d_hi > 0.0))
             return d_lo ** (p - 1.0) * d_hi ** (p - 1.0), np.zeros(s.shape)
 
-        values, est, _ = _outer_sums(lo, hi, integrand, p)
+        values, est, _ = _outer_sums(lo, hi, integrand, (p, p))
         exact = (hi - lo) ** (2.0 * p - 1.0) * math.gamma(p) ** 2 / math.gamma(2.0 * p)
         assert values.shape == est.shape == ()
         assert abs(values.item() - exact) <= est.item()
         assert est.item() < 1e-12 * exact
+
+    @pytest.mark.parametrize("p", [0.3, 1.0, 2.2, 7.0])
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_each_end_cut_at_its_own_power(self, p, end):
+        # integral of gap^{p-1} over (0, 1) = 1/p with the power at one end;
+        # the other end is regular and keeps every node down to gap eps, and
+        # a power above 1 drops nodes at its own end
+        regular, nodes = [], []
+
+        def integrand(i, s, d_lo, d_hi):
+            gap, other = (d_lo, d_hi) if end == "lo" else (d_hi, d_lo)
+            regular.append(other.min())
+            nodes.append(s.shape[-1])
+            return gap ** (p - 1.0), np.zeros(s.shape)
+
+        values, est, _ = _outer_sums(0.0, 1.0, integrand, (p, 1.0) if end == "lo" else (1.0, p))
+        assert abs(values.item() - 1.0 / p) <= est.item() <= 1e-14 / p
+        eps = np.finfo(float).eps
+        gaps = np.minimum(*_tanh_sinh_full(4)[2:4])     # each level-4 node to its nearer end
+        assert regular[0] == 0.5 * gaps[gaps >= eps].min()
+        assert (nodes[0] < np.count_nonzero(gaps >= eps)) == (p > 1.0)
