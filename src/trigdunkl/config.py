@@ -1,11 +1,11 @@
 """Central defaults: numeric knobs, tolerances, and verification grids.
 
 The tolerances, grids and numeric knobs live here.  Internal sizes live
-with their code: ``quadrature._OUTER_NODES`` and ``_MAX_TS_LEVEL``,
-``operators._SCAN_CHUNK`` and ``kernel._LOG_TAIL``.  The only per-run
-override is ``trigdunkl verify --tol``; no environment variables are
-consulted.  The grids below are the built-in verification grids driven
-by ``trigdunkl.verify`` and the acceptance tests.
+with their code: ``quadrature._OUTER_NODES``, ``_MIN_TS_LEVEL`` and
+``_MAX_TS_LEVEL``, ``operators._SCAN_CHUNK`` and ``kernel._LOG_TAIL``.
+The only per-run override is ``trigdunkl verify --tol``; no environment
+variables are consulted.  The grids below are the built-in verification
+grids driven by ``trigdunkl.verify`` and the acceptance tests.
 """
 
 from dataclasses import dataclass

@@ -66,9 +66,10 @@ from one product of the stacked coefficient rows with the shared powers
 (``_kernel_grid``, which ``positivity_scan`` calls; one k is the K = 1
 case, with numbers in place of the axis).  ``kernel_K_mourou`` is three
 such calls at half arguments, whose sum it quarters.  ``kernel_K`` and the
-oracle forms take scalars or broadcasting arrays, a scalar call being the
-one-element array call bit for bit; a non-finite value raises
-``EvaluationError``.
+oracle forms are each their own terms passed to ``_form``, which checks
+that the points are real and admissible (``KernelPoint``), gives the terms
+float arrays of one shape, a scalar call being the one-element array call
+bit for bit, and raises ``EvaluationError`` for a non-finite value.
 """
 
 import math
@@ -78,7 +79,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .params import KernelPoint, Multiplicity
+from .params import KernelPoint, Multiplicity, _real_array
 from .quadrature import _EPS, EvalResult, _outer_sums, _point_result
 from .specfun import _loggamma_parts, gamma_real
 
@@ -268,36 +269,6 @@ def _times_u(y):
     return lambda f1, f2: (np.cosh(y), 2.0 * f1 * f2)
 
 
-def _one_point(x, y):
-    """x, y as float arrays, 0-d when they hold one point, and the shape that
-    ``_reshaped`` gives its values back (() for more points).
-
-    numpy rounds complex products of scalars and of arrays differently, so one
-    point goes in numpy scalars whatever its shape: a scalar call is the
-    one-element array call, bit for bit.
-    """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    shape = max(x.shape, y.shape, key=len) if x.size == y.size == 1 else ()
-    if shape:
-        x, y = x.reshape(()), y.reshape(())
-    return x, y, shape
-
-
-def _reshaped(shape, *arrays):
-    """``arrays`` with ``_one_point``'s shape appended to theirs."""
-    return tuple(np.reshape(a, np.shape(a) + shape) for a in arrays) if shape else arrays
-
-
-def _points(x, y):
-    """Admissible kernel points as float arrays of one (broadcast) shape, and the
-    shape to append to their values, as ``_one_point`` gives them."""
-    KernelPoint(x, y)
-    x, y, shape = _one_point(x, y)
-    if x.shape != y.shape:
-        x, y = np.broadcast_arrays(x, y)
-    return x, y, shape
-
-
 def _end_power(k: Multiplicity):
     """The power at a kernel end that an outer sum may cut at: Re(k1 + k2), at most 1.
 
@@ -322,7 +293,8 @@ def _k_axis(ks, *cells):
 
 def _kernel_grid(ks, x, y, *, gap=None, mirror=False, density=False):
     """Kernel values and their error bars for each multiplicity in the tuple
-    ks along a leading axis (none for one k), broadcasting over x and y.
+    ks along a leading axis (none for one k), broadcasting over the float
+    arrays x and y.
 
     ``gap`` optionally supplies |x| - |y| computed without cancellation; it
     is what the endpoint power actually depends on, so integrators that know
@@ -333,10 +305,6 @@ def _kernel_grid(ks, x, y, *, gap=None, mirror=False, density=False):
     formed once for all ks.  With ``density`` the values are K(x, y) A(x):
     the exponent leaves out the -log A(x) that the density would cancel.
     """
-    if gap is None:
-        x, y, shape = _one_point(x, y)
-    else:
-        x, y, shape = np.asarray(x, dtype=float), np.asarray(y, dtype=float), ()
     xa = np.abs(x)
     if gap is None:
         gap = xa - np.abs(y)
@@ -351,12 +319,11 @@ def _kernel_grid(ks, x, y, *, gap=None, mirror=False, density=False):
     k1, k2, _ = kd
     # one exponent: A(x) ~ |x|^{2(k1+k2)} near 0 and the radius power near
     # y = -/+ x stay inside double range only in combination
-    values, bars = _cosh_gap_integral(
-        kd, xa / 2.0, np.asarray(gap, dtype=float) / 2.0, (-1, -1), np.sign(x),
+    return _cosh_gap_integral(
+        kd, xa / 2.0, gap / 2.0, (-1, -1), np.sign(x),
         lambda f1, f2: (e_fwd, -(2.0 * f1 / xa) * f2 * e_bwd),
         (np.log(xa),) if density else (-_log_weight(k1, k2, xa), np.log(xa)),
     )
-    return _reshaped(shape, values, bars)
 
 
 def _kernel_values(k: Multiplicity, x, y, *, gap=None, mirror=False, density=False):
@@ -365,10 +332,32 @@ def _kernel_values(k: Multiplicity, x, y, *, gap=None, mirror=False, density=Fal
 
 
 @np.errstate(all="ignore")   # a non-finite value raises instead
+def _form(x, y, terms) -> EvalResult:
+    """A public kernel form at real admissible x, y, scalars or broadcasting arrays.
+
+    ``terms(x, y)`` gets the points as float arrays of one shape and returns
+    (values, bars) or (values, bars, method), ``METHOD`` by default.  numpy
+    rounds complex products of scalars and of arrays differently, so one
+    point goes in 0-d arrays whatever its shape, which its values get back:
+    a scalar call is the one-element array call, bit for bit.
+    """
+    x, y = _real_array("kernel point x", x), _real_array("kernel point y", y)
+    KernelPoint(x, y)
+    shape = ()
+    if x.size == y.size == 1:
+        shape = max(x.shape, y.shape, key=len)
+        x, y = x.reshape(()), y.reshape(())
+    elif x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    values, bars, *method = terms(x, y)
+    if shape:
+        values, bars = (np.reshape(a, np.shape(a) + shape) for a in (values, bars))
+    return _point_result(values, bars, *method or (METHOD,))
+
+
 def kernel_K(k: Multiplicity, x, y) -> EvalResult:
     """Main kernel with error bars at admissible x, y: scalars or broadcasting arrays."""
-    KernelPoint(x, y)
-    return _point_result(*_kernel_values(k, x, y), METHOD)
+    return _form(x, y, lambda x, y: _kernel_values(k, x, y))
 
 
 def _limit_kernel(k: float, x: float, y: float, name: str) -> float:
@@ -413,31 +402,15 @@ def _cosine_terms(kd, x, gap, log_pref=()):
                               (np.log(np.abs(np.sinh(2.0 * x))), *log_pref))
 
 
-@np.errstate(all="ignore")   # a non-finite value raises instead
 def jacobi_kernel(k: Multiplicity, x, y) -> EvalResult:
     """Kernel of the intertwining operator in the hyperbolic-cosine setting."""
-    x, y, shape = _points(x, y)
-    log_ainv = -_log_weight(k.k1, k.k2, 2.0 * x)
-    return _point_result(*_reshaped(shape, *_cosine_terms(_k_axis((k,)), x, np.abs(x) - np.abs(y),
-                                                          (log_ainv,))), METHOD)
-
-
-def _ktilde_defining(k, x, y, shape):
-    # nested route: integrate the cosine-setting kernel against its measure
-    # over (|y|, |x|); the inner endpoint w -> |y| carries the
-    # (w - |y|)^{k1+k2-1} singularity
-    kd = _k_axis((k,))
-    values, est, rule = _outer_sums(
-        np.abs(y), np.abs(x),
-        lambda i, s, d_lo, d_hi: _cosine_terms(kd, s, d_lo),
-        (_end_power(k), 1.0))
-    return _point_result(*_reshaped(shape, values, est), f"nested {rule} x {METHOD}")
+    return _form(x, y, lambda x, y: _cosine_terms(_k_axis((k,)), x, np.abs(x) - np.abs(y),
+                                                  (-_log_weight(k.k1, k.k2, 2.0 * x),)))
 
 
 _KTILDE_FORMS = ("direct", "byparts", "defining")
 
 
-@np.errstate(all="ignore")   # a non-finite value raises instead
 def ktilde(k: Multiplicity, x, y, form: str = "direct") -> EvalResult:
     """Antiderivative-in-|x| of the cosine-setting kernel against its measure.
 
@@ -445,27 +418,31 @@ def ktilde(k: Multiplicity, x, y, form: str = "direct") -> EvalResult:
     the outer cosh difference, ``byparts`` trades it for a full power of the
     inner one, ``defining`` integrates the kernel itself (nested quadrature).
     """
-    x, y, shape = _points(x, y)
     if form not in _KTILDE_FORMS:
         raise DomainError(f"form must be one of {_KTILDE_FORMS}, got {form!r}")
-    if form == "defining":
-        return _ktilde_defining(k, x, y, shape)
-    shift, q = ((0, -1), None) if form == "direct" else ((-1, 0), _times_u(y))
-    return _point_result(*_reshaped(shape, *_cosh_gap_integral(
-        _k_axis((k,)), np.abs(x), np.abs(x) - np.abs(y), shift, 16.0 / (k.k1 + k.k2), q)),
-        METHOD)
+
+    def terms(x, y):
+        kd, xa = _k_axis((k,)), np.abs(x)
+        if form == "defining":
+            # nested route: integrate the cosine-setting kernel against its
+            # measure over (|y|, |x|); the inner endpoint w -> |y| carries the
+            # (w - |y|)^{k1+k2-1} singularity
+            values, bars, rule = _outer_sums(np.abs(y), xa,
+                                             lambda i, s, d_lo, d_hi: _cosine_terms(kd, s, d_lo),
+                                             (_end_power(k), 1.0))
+            return values, bars, f"nested {rule} x {METHOD}"
+        shift, q = ((0, -1), None) if form == "direct" else ((-1, 0), _times_u(y))
+        return _cosh_gap_integral(kd, xa, xa - np.abs(y), shift, 16.0 / (k.k1 + k.k2), q)
+    return _form(x, y, terms)
 
 
-@np.errstate(all="ignore")   # a non-finite value raises instead
 def dktilde_dy(k: Multiplicity, x, y) -> EvalResult:
     """Same-variable y-derivative of the antiderivative; odd in y, zero at y = 0."""
-    x, y, shape = _points(x, y)
-    return _point_result(*_reshaped(shape, *_cosh_gap_integral(
+    return _form(x, y, lambda x, y: _cosh_gap_integral(
         _k_axis((k,)), np.abs(x), np.abs(x) - np.abs(y), (-1, -1), -8.0 * np.sinh(y),
-        _times_u(y))), METHOD)
+        _times_u(y)))
 
 
-@np.errstate(all="ignore")   # a non-finite value raises instead
 def kernel_K_mourou(k: Multiplicity, x, y) -> EvalResult:
     """Main kernel assembled from the cosine-setting pieces at half arguments.
 
@@ -475,21 +452,21 @@ def kernel_K_mourou(k: Multiplicity, x, y) -> EvalResult:
     that reproduces the direct kernel, and the equality is enforced on the
     verification grid.
     """
-    x, y, shape = _points(x, y)
-    xh, yh = x / 2.0, y / 2.0
-    xa, gap = np.abs(xh), np.abs(xh) - np.abs(yh)
-    kd = _k_axis((k,))
-    k1, k2, _ = kd
-    # 1/A(x) and |sinh(y/2)| enter the exponents, which stay in range at tiny |x|;
-    # sign(y) zeroes the derivative term at y = 0, where sinh(x/2) stands in
-    log_ainv = -_log_weight(k1, k2, x)
-    log_sinh = np.log(np.abs(np.sinh(np.where(y == 0.0, xh, yh))))
-    # 4 times: Jacobi kernel / 4, sign x (k1/4 + k2/2) Ktilde / A, -sign x dKtilde/dy / (4A)
-    values, bars = zip(
-        _cosine_terms(kd, xh, gap, (log_ainv,)),
-        _cosh_gap_integral(kd, xa, gap, (0, -1),
-                           np.sign(x) * (16.0 * k1 + 32.0 * k2) / (k1 + k2), None, (log_ainv,)),
-        _cosh_gap_integral(kd, xa, gap, (-1, -1), 8.0 * np.sign(x) * np.sign(y),
-                           _times_u(yh), (log_ainv, log_sinh)))
-    return _point_result(*_reshaped(shape, 0.25 * sum(values), 0.25 * sum(bars)),
-                         f"mourou[{METHOD}]")
+    def terms(x, y):
+        xh, yh = x / 2.0, y / 2.0
+        xa, gap = np.abs(xh), np.abs(xh) - np.abs(yh)
+        kd = _k_axis((k,))
+        k1, k2, _ = kd
+        # 1/A(x) and |sinh(y/2)| enter the exponents, which stay in range at tiny |x|;
+        # sign(y) zeroes the derivative term at y = 0, where sinh(x/2) stands in
+        log_ainv = -_log_weight(k1, k2, x)
+        log_sinh = np.log(np.abs(np.sinh(np.where(y == 0.0, xh, yh))))
+        # 4 times: Jacobi kernel / 4, sign x (k1/4 + k2/2) Ktilde / A, -sign x dKtilde/dy / (4A)
+        values, bars = zip(
+            _cosine_terms(kd, xh, gap, (log_ainv,)),
+            _cosh_gap_integral(kd, xa, gap, (0, -1),
+                               np.sign(x) * (16.0 * k1 + 32.0 * k2) / (k1 + k2), None, (log_ainv,)),
+            _cosh_gap_integral(kd, xa, gap, (-1, -1), 8.0 * np.sign(x) * np.sign(y),
+                               _times_u(yh), (log_ainv, log_sinh)))
+        return 0.25 * sum(values), 0.25 * sum(bars), f"mourou[{METHOD}]"
+    return _form(x, y, terms)

@@ -23,7 +23,7 @@ from . import config
 from .config import NUMERICS
 from .errors import ContractError, DomainError
 from .kernel import METHOD, _end_power, _kernel_grid, _kernel_values, weight_A
-from .params import KernelPoint, Multiplicity
+from .params import KernelPoint, Multiplicity, _real_array
 from .quadrature import EvalResult, _outer_sums, _point_result
 
 
@@ -205,7 +205,7 @@ def _v_sums(k: Multiplicity, f: TestFunction, x, u) -> EvalResult:
     weights are all 0 is an empty interval: f is not evaluated there, and
     its value and bar are 0.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real_array("evaluation point", x)
     u = np.reshape(u, (len(u), -1))
     mirror = len(u) == 2
     live = u.any(0).reshape(x.shape)
@@ -234,7 +234,7 @@ def _vt_sums(k: Multiplicity, g: TestFunction, y, u) -> EvalResult:
     """
     if g.support is None:
         raise ContractError(f"{g.id} declares no compact support; the dual needs one")
-    y = np.asarray(y, dtype=float)
+    y = _real_array("evaluation point", y)
     u = np.reshape(u, (len(u), -1))
     signs = _MIRROR[:len(u), None]
     a = float(g.support)
@@ -324,7 +324,7 @@ def intertwine_gap(k: Multiplicity, f: TestFunction, x):
     """
     shape = np.shape(x)
     # flat arrays throughout: numpy rounds complex scalars and arrays differently
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _real_array("evaluation point", x).reshape(-1)
     if (x == 0.0).any():
         raise DomainError("intertwining defect is evaluated away from x = 0")
     if f.deriv is None:

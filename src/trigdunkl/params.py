@@ -41,6 +41,15 @@ class Multiplicity:
         return isinstance(self.k1, float) and isinstance(self.k2, float)
 
 
+def _real_array(name, v):
+    """v as a float array; DomainError unless it holds real numbers, so that
+    no imaginary part is dropped and no text is parsed."""
+    arr = np.asarray(v)
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"{name} must be real, got {v!r}")
+    return arr.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class KernelPoint:
     """Kernel argument pairs: x nonzero, |y| < |x|; scalars or broadcasting arrays."""

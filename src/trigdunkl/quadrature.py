@@ -25,8 +25,8 @@ estimate as ``vals @ w`` and ``vals @ wc``.
 ``_outer_sums`` (V, tV, the duality pairing, the nested ``ktilde`` form) cuts
 each end of the rule where that end's power leaves about eps, so a regular
 end keeps only the nodes it needs, and picks the level per interval: from
-level 4 up, the first whose companion agrees to sqrt(eps) times the sum of
-|integrand| w (each level about squares the error).
+``_MIN_TS_LEVEL`` up, the first whose companion agrees to sqrt(eps) times the
+sum of |integrand| w (each level about squares the error).
 """
 
 import math
@@ -39,6 +39,7 @@ from .errors import DomainError, EvaluationError
 from .specfun import gamma_real
 
 _MAX_GAUSS_N = 512
+_MIN_TS_LEVEL = 4       # the outer sums' first level
 _MAX_TS_LEVEL = 12
 _TS_FULL_GAP = 1e-280   # keep tail nodes while 1-|t| stays comfortably normal
 _TS_PUBLIC_GAP = 1e-12  # node floats are distinct and < 1 above this gap
@@ -243,14 +244,15 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0)):
     the abscissae with their end distances (points x nodes), and returns the
     integrand there, summed over any leading axis (pieces of the domain, e.g.
     s and -s), and its error bar.  An empty interval gives 0 without the
-    integrand.  Each level is computed whole, ``_OUTER_NODES`` points x nodes
-    a batch, until every interval stops or ``_MAX_TS_LEVEL``.  Returns the
-    values and error estimates in the broadcast shape, and the highest rule
-    used.  ``powers`` are the ends' powers p: the integrand is at most about
-    gap^{p-1} there, so each end is cut at gap eps^{1/p}, dropping about eps
-    relative (a caller passes p <= 1 for an end it cannot bound so), but not
-    below 1e-280 / (least half-width) while that is below eps, so no end
-    distance underflows for intervals wider than about 1e-305.  An estimate
+    integrand.  Each level from ``_MIN_TS_LEVEL`` up is computed whole,
+    ``_OUTER_NODES`` points x nodes a batch, until every interval stops or
+    ``_MAX_TS_LEVEL``.  Returns the values and error estimates in the
+    broadcast shape, and the highest rule used.  ``powers`` are the ends'
+    powers p: the integrand is at most about gap^{p-1} there, so each end is
+    cut at gap eps^{1/p}, dropping about eps relative (a caller passes p <= 1
+    for an end it cannot bound so), but not below 1e-280 / (least
+    half-width) while that is below eps, so no end distance underflows for
+    intervals wider than about 1e-305.  An estimate
     is min(d, 10 d^2 / m), d the difference from the level below and m the
     integral of |integrand| (a level squares the relative error), plus the
     integrand's rounding and the parts beyond the cuts, about gap
@@ -266,7 +268,7 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0)):
     half_min = 0.5 * np.min(hi.flat[todo] - lo.flat[todo], initial=np.inf)
     floor = min(_EPS, _TS_FULL_GAP / half_min)
     cut_lo, cut_hi = (max(_EPS ** (1.0 / p), floor) for p in powers)
-    for level in range(4, _MAX_TS_LEVEL + 1):
+    for level in range(_MIN_TS_LEVEL, _MAX_TS_LEVEL + 1):
         t, w, glo, ghi, wc = _cut(_tanh_sinh_full(level), cut_lo, cut_hi)
         step = max(1, _OUTER_NODES // t.size)
         done = np.zeros(todo.size, dtype=bool)
