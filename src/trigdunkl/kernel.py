@@ -30,9 +30,9 @@ small |x| and near y = -x).  Euler's integral and Pfaff's transformation
 two Gauss series summed to rounding, with no quadrature rule.  In each
 form's constant c 2^{3 alpha + beta + 1} B the Gamma(k1) Gamma(k2) of c
 cancel, leaving D = 2^{4k1+6k2-4} Gamma(s+1/2) / (sqrt(pi) Gamma(s)),
-s = k1 + k2, times a factor.  Each row is one ``_cosh_gap_integral`` call,
+s = k1 + k2, times a factor.  Each row is a form of ``_cosh_gap_integral``,
 which returns the row's final values and error bars: the factor's leading
-sign or number (sign x, 4, 16/s, -8 sinh y) is its ``pref``, and the rest
+sign or number (sign x, 4, 16/s, -8 sign y) is its ``pref``, and the rest
 enters the exponent.  A form is named by its integer exponent shift
 (da, db), alpha = k2 + da and beta = k1 + db: (-1, -1) for K, the cosine
 kernel and dKtilde/dy, (0, -1) for Ktilde direct, (-1, 0) for by parts:
@@ -45,7 +45,8 @@ kernel and dKtilde/dy, (0, -1) for Ktilde direct, (-1, 0) for by parts:
     dKtilde/dy     = -8D sinh y           J'(k2-1, k1-1; b + v)
 
 All forms share log D, and the power of d/2 enters as log sinh((X+Y)/2) +
-log sinh((X-Y)/2), so tiny gaps stay representable.  Real and complex k
+log sinh((X-Y)/2), so tiny gaps stay representable; so do the factors
+|sinh 2x| and |sinh y|, which enter as logs too.  Real and complex k
 differ only in how log D is formed.  The series parameters come from k
 exactly: each factor of a coefficient and the slope's (beta + 1)/c is an
 integer plus k1, k2 or s, so no k2 - 1 formed first drops k2's low bits at
@@ -53,19 +54,21 @@ small k (only the power alpha + beta + 1 and a^alpha, whose rounding is
 absolute in the exponent, take alpha).  The coefficient rows depend only
 on (k1, k2, shift) and are built once per triple, at the 59 terms that
 w < 1/2 can need; a call slices them.  The powers w^j are products of lower
-powers, j - 1 roundings each.  Every value carries an error bar: the
-rounding of its exponent's log parts and of the series (the sum of its
-terms' magnitudes, each scaled by 1 + (j - 1)/2 for its power's
-roundings), plus the series' last term, which bounds the dropped tail, and
-exp's absolute rounding where the exponent underflows before a^alpha
-multiplies it.
+powers (at one point a running product), j - 1 roundings each.  Every
+value carries an error bar: the rounding of its exponent's log parts and
+of the series (the sum of its terms' magnitudes, each scaled by
+1 + (j - 1)/2 for its power's roundings), plus the series' last term,
+which bounds the dropped tail, and exp's absolute rounding where the
+exponent underflows before a^alpha multiplies it.
 Only log D, alpha, beta and the weights 2 k1, 2 k2 of A(x)'s logs depend
 on k, so a call can take a leading axis of multiplicities: the cell
 geometry and the powers of w are formed once, and all the series come
 from one product of the stacked coefficient rows with the shared powers
 (``_kernel_grid``, which ``positivity_scan`` calls; one k is the K = 1
-case, with numbers in place of the axis).  ``kernel_K_mourou`` is three
-such calls at half arguments, whose sum it quarters.  ``kernel_K`` and the
+case, with numbers in place of the axis).  Likewise one call takes a tuple
+of forms at one geometry: ``kernel_K_mourou`` is one call of its three
+terms at half arguments, which share the geometry and the powers of w (two
+share their series too), and it quarters their sum.  ``kernel_K`` and the
 oracle forms are each their own terms passed to ``_form``, which checks
 that the points are real and admissible (``KernelPoint``), gives the terms
 float arrays of one shape, a scalar call being the one-element array call
@@ -170,7 +173,13 @@ _ROUNDINGS = 1.0 + 0.5 * np.arange(_MAX_TERMS - 1.0)
 
 
 def _powers(w, m):
-    """Rows w^1 .. w^m of the flattened w, each row a product of two lower ones."""
+    """Rows w^1 .. w^m of the flattened w, each row a product of two lower ones.
+
+    One point's powers are a running product instead, the same j - 1
+    roundings per power in one numpy call.
+    """
+    if w.size == 1:
+        return np.full((m, 1), w.reshape(-1)).cumprod(axis=0)
     powers = np.empty((m, w.size))
     powers[0] = w.reshape(-1)
     f = 1
@@ -199,69 +208,78 @@ def _series_rows(k1, k2, shift):
     return rows
 
 
-def _cosh_gap_integral(kd, xa, gap, shift, pref, q=None, log_pref=()):
-    """pref D exp(sum of log_pref) J'(alpha, beta; q) over (cosh(xa - gap), cosh xa), broadcasting.
+def _cosh_gap_integral(kd, xa, gap, forms):
+    """pref D exp(sum of log_pref) J'(alpha, beta; q) over (cosh(xa - gap), cosh xa) for each
+    form (shift, pref, q, log_pref) in the tuple ``forms``, broadcasting.
 
-    Returns (values, error bars) of a form in the module docstring's table,
-    ``pref`` being its factor; no caller rescales them.  ``kd`` is
-    ``_k_axis``'s triple (k1, k2, (log D, its rounding size)), and the form's
-    integer exponent shift (da, db) gives alpha = k2 + da, beta = k1 + db.
-    ``q(f1, f2)`` gives the integrand factor's value at v = 0 and its rise
-    over the gap d = 2 f1 f2, with f1 = sinh((xa + ya)/2), f2 = sinh(gap/2)
-    passed separately so that callers can form the rise without overflow; it
-    defaults to 1.  ``gap`` = xa - (lower end) is passed separately so
-    callers that know it without cancellation keep it exact.  The value at
-    v = 0 and ``pref`` may broadcast over leading axes that xa and gap lack,
-    which then share one series.  So may the multiplicity: the parts of
-    ``kd`` are numbers for one k, or arrays of shape (K, 1, ..., 1), one
-    entry per k in front of every other axis; the cell geometry and the
-    powers of w are then formed once for all K.
+    Returns one (values, error bars) pair per form, each a row of the module
+    docstring's table with ``pref`` its factor; no caller rescales them.
+    ``kd`` is ``_k_axis``'s triple (k1, k2, (log D, its rounding size)), and
+    a form's integer exponent shift (da, db) gives alpha = k2 + da,
+    beta = k1 + db.  ``q(f1, f2)`` gives the integrand factor's value at
+    v = 0 and its rise over the gap d = 2 f1 f2, with f1 = sinh((xa + ya)/2),
+    f2 = sinh(gap/2) passed separately so that callers can form the rise
+    without overflow; None stands for 1.  ``gap`` = xa - (lower end) is
+    passed separately so callers that know it without cancellation keep it
+    exact.  The forms share the geometry, the term count and the powers of
+    w, and forms of one shift share its series; each form's values and bars
+    are those of its one-form call, bit for bit.  The value at v = 0 and
+    ``pref`` may broadcast over leading axes that xa and gap lack, which then
+    share one series.  So may the multiplicity: the parts of ``kd`` are
+    numbers for one k, or arrays of shape (K, 1, ..., 1), one entry per k in
+    front of every other axis; the cell geometry and the powers of w are
+    then formed once for all K.
     """
     k1, k2, (log_d, size_d) = kd
-    da, db = map(float, shift)      # numpy adds a float to an array faster than an int
-    alpha, beta = k2 + da, k1 + db
     a = np.cosh(xa)
     half = gap / 2.0
     f1, f2 = np.sinh(xa - half), np.sinh(half)     # (xa + ya)/2, gap/2
     log_f = np.log(f1) + np.log(f2)
-    log_scale = sum(log_pref, log_d + (alpha + beta + 1.0) * log_f)
     # each log part rounds where it is formed and where it is added; the
     # power alpha + beta + 1 is only as exact as its parts, and log f2 only
     # as exact as gap/2, which keeps few bits when subnormal (0 if fully lost)
     ulp = np.spacing(half)
     size_f = np.abs(log_f) + ulp / np.maximum(half, ulp) / (2.0 * _EPS)
-    size = sum((np.abs(p) for p in log_pref),
-               size_d + (abs(alpha) + abs(beta) + 1.0) * size_f)
-    q0, rise = (1.0, 0.0) if q is None else q(f1, f2)
     w = f1 * f2 / a
     w_max = float(w.max(initial=0.0))
     n = 4 + (int(_LOG_TAIL / math.log(w_max)) if w_max > 0.0 else 0)
-    # both series' coefficients 1..n-1 and their magnitudes, each row kind
-    # for every k, against one matrix of powers of w; magnitudes times 2 eps
-    # bound the series' rounding, and the last term, which bounds the
-    # dropped tail, counts in full
+    powers = _powers(w, n - 1)
     k_shape = getattr(k2, "shape", ())
     lead = k_shape[:len(k_shape) - w.ndim]      # the k axis, with the axes w lacks
-    if k_shape:
-        rows = np.stack([_series_rows(*k12, shift)[:, :n - 1] for k12 in zip(k1.flat, k2.flat)],
-                        axis=1).reshape(-1, n - 1)
-    else:
-        rows = _series_rows(k1, k2, shift)[:, :n - 1].copy()
-    rows[len(rows) // 2:, -1] *= 1.0 + 0.5 / _EPS
-    sums = (1.0 + rows @ _powers(w, n - 1)).reshape((4,) + lead + w.shape)
-    # (beta + 1) / c, an integer plus k1 over an integer plus s, like the rows
-    slope = rise * ((k1 + (db + 1.0)) / ((k1 + k2) + (da + db + 2.0)))
-    power = a ** alpha
-    factor = np.exp(log_scale) * power
-    values = factor * (q0 * sums[0] + slope * sums[1])
-    series = np.abs(q0) * sums[2].real + np.abs(slope) * sums[3].real
-    # small factors first: values near the largest double keep finite bars
-    bars = _EPS * (8.0 + 2.0 * size) * np.abs(values) + 2.0 * _EPS * series * np.abs(factor)
-    if np.count_nonzero(log_scale.real < _LOG_TINY):
-        # exp underflowed before the power multiplied it: its absolute rounding
-        # ulp(0) counts too (only then, as subnormal arithmetic is slow)
-        bars = bars + math.ulp(0.0) * series * np.abs(power)
-    return pref * values, abs(pref) * bars
+    by_shift, results = {}, []
+    for shift, pref, q, log_pref in forms:
+        da, db = map(float, shift)      # numpy adds a float to an array faster than an int
+        alpha, beta = k2 + da, k1 + db
+        if shift not in by_shift:
+            # both series' coefficients 1..n-1 and their magnitudes, each row
+            # kind for every k, against the shared powers of w; magnitudes
+            # times 2 eps bound the series' rounding, and the last term, which
+            # bounds the dropped tail, counts in full
+            if k_shape:
+                rows = np.stack([_series_rows(*k12, shift)[:, :n - 1]
+                                 for k12 in zip(k1.flat, k2.flat)], axis=1).reshape(-1, n - 1)
+            else:
+                rows = _series_rows(k1, k2, shift)[:, :n - 1].copy()
+            rows[len(rows) // 2:, -1] *= 1.0 + 0.5 / _EPS
+            by_shift[shift] = (1.0 + rows @ powers).reshape((4,) + lead + w.shape), a ** alpha
+        sums, power = by_shift[shift]
+        log_scale = sum(log_pref, log_d + (alpha + beta + 1.0) * log_f)
+        size = sum((np.abs(p) for p in log_pref),
+                   size_d + (abs(alpha) + abs(beta) + 1.0) * size_f)
+        q0, rise = (1.0, 0.0) if q is None else q(f1, f2)
+        # (beta + 1) / c, an integer plus k1 over an integer plus s, like the rows
+        slope = rise * ((k1 + (db + 1.0)) / ((k1 + k2) + (da + db + 2.0)))
+        factor = np.exp(log_scale) * power
+        values = factor * (q0 * sums[0] + slope * sums[1])
+        series = np.abs(q0) * sums[2].real + np.abs(slope) * sums[3].real
+        # small factors first: values near the largest double keep finite bars
+        bars = _EPS * (8.0 + 2.0 * size) * np.abs(values) + 2.0 * _EPS * series * np.abs(factor)
+        if np.count_nonzero(log_scale.real < _LOG_TINY):
+            # exp underflowed before the power multiplied it: its absolute rounding
+            # ulp(0) counts too (only then, as subnormal arithmetic is slow)
+            bars = bars + math.ulp(0.0) * series * np.abs(power)
+        results.append((pref * values, abs(pref) * bars))
+    return results
 
 
 def _times_u(y):
@@ -319,11 +337,11 @@ def _kernel_grid(ks, x, y, *, gap=None, mirror=False, density=False):
     k1, k2, _ = kd
     # one exponent: A(x) ~ |x|^{2(k1+k2)} near 0 and the radius power near
     # y = -/+ x stay inside double range only in combination
-    return _cosh_gap_integral(
-        kd, xa / 2.0, gap / 2.0, (-1, -1), np.sign(x),
+    return _cosh_gap_integral(kd, xa / 2.0, gap / 2.0, ((
+        (-1, -1), np.sign(x),
         lambda f1, f2: (e_fwd, -(2.0 * f1 / xa) * f2 * e_bwd),
         (np.log(xa),) if density else (-_log_weight(k1, k2, xa), np.log(xa)),
-    )
+    ),))[0]
 
 
 def _kernel_values(k: Multiplicity, x, y, *, gap=None, mirror=False, density=False):
@@ -360,9 +378,12 @@ def kernel_K(k: Multiplicity, x, y) -> EvalResult:
     return _form(x, y, lambda x, y: _kernel_values(k, x, y))
 
 
-def _limit_kernel(k: float, x: float, y: float, name: str) -> float:
+def _limit_kernel(k: float, x: float, y: float, name: str, scale: float = 1.0) -> float:
+    """The vanishing-k1 form at (scale x, scale y), checked as the public forms check x, y."""
     if isinstance(k, complex) or not math.isfinite(k) or k <= 0:
         raise DomainError(f"require real {name} > 0, got {k!r}")
+    x = scale * _real_array("kernel point x", x)
+    y = scale * _real_array("kernel point y", y)
     KernelPoint(x, y)
     xa, ya = abs(x), abs(y)
     cosh_gap = 2.0 * math.sinh((xa + ya) / 2.0) * math.sinh((xa - ya) / 2.0)
@@ -386,26 +407,26 @@ def kernel_K_limit_k2zero(k1: float, x: float, y: float) -> float:
 
     It is the vanishing-k1 form at half arguments, halved.
     """
-    return 0.5 * _limit_kernel(k1, x / 2.0, y / 2.0, "k1")
+    return 0.5 * _limit_kernel(k1, x, y, "k1", 0.5)
 
 
-def _cosine_terms(kd, x, gap, log_pref=()):
-    """(values, error bars) of the cosine-setting kernel at (x, |x| - gap) times exp(sum log_pref),
-    at the multiplicity ``kd`` as ``_k_axis`` gives it.
+def _cosine_form(x, log_pref=()):
+    """The cosine-setting kernel at x times exp(sum log_pref), as a form of
+    ``_cosh_gap_integral`` at |x| and its gap.
 
     Its division by A(2x) is the exponent term -log A(2x), which a caller
     passes in ``log_pref``; one that multiplies by the density leaves it out.
     """
     # |sinh 2x| goes into the exponent too: at the nested route's inner
     # end it is tiny while the radius power alone overflows
-    return _cosh_gap_integral(kd, np.abs(x), gap, (-1, -1), 4.0, None,
-                              (np.log(np.abs(np.sinh(2.0 * x))), *log_pref))
+    return (-1, -1), 4.0, None, (np.log(np.abs(np.sinh(2.0 * x))), *log_pref)
 
 
 def jacobi_kernel(k: Multiplicity, x, y) -> EvalResult:
     """Kernel of the intertwining operator in the hyperbolic-cosine setting."""
-    return _form(x, y, lambda x, y: _cosine_terms(_k_axis((k,)), x, np.abs(x) - np.abs(y),
-                                                  (-_log_weight(k.k1, k.k2, 2.0 * x),)))
+    return _form(x, y, lambda x, y: _cosh_gap_integral(
+        _k_axis((k,)), np.abs(x), np.abs(x) - np.abs(y),
+        (_cosine_form(x, (-_log_weight(k.k1, k.k2, 2.0 * x),)),))[0])
 
 
 _KTILDE_FORMS = ("direct", "byparts", "defining")
@@ -427,20 +448,26 @@ def ktilde(k: Multiplicity, x, y, form: str = "direct") -> EvalResult:
             # nested route: integrate the cosine-setting kernel against its
             # measure over (|y|, |x|); the inner endpoint w -> |y| carries the
             # (w - |y|)^{k1+k2-1} singularity
-            values, bars, rule = _outer_sums(np.abs(y), xa,
-                                             lambda i, s, d_lo, d_hi: _cosine_terms(kd, s, d_lo),
-                                             (_end_power(k), 1.0))
+            values, bars, rule = _outer_sums(
+                np.abs(y), xa,
+                lambda i, s, d_lo, d_hi: _cosh_gap_integral(kd, s, d_lo, (_cosine_form(s),))[0],
+                (_end_power(k), 1.0))
             return values, bars, f"nested {rule} x {METHOD}"
         shift, q = ((0, -1), None) if form == "direct" else ((-1, 0), _times_u(y))
-        return _cosh_gap_integral(kd, xa, xa - np.abs(y), shift, 16.0 / (k.k1 + k.k2), q)
+        return _cosh_gap_integral(kd, xa, xa - np.abs(y),
+                                  ((shift, 16.0 / (k.k1 + k.k2), q, ()),))[0]
     return _form(x, y, terms)
 
 
 def dktilde_dy(k: Multiplicity, x, y) -> EvalResult:
     """Same-variable y-derivative of the antiderivative; odd in y, zero at y = 0."""
-    return _form(x, y, lambda x, y: _cosh_gap_integral(
-        _k_axis((k,)), np.abs(x), np.abs(x) - np.abs(y), (-1, -1), -8.0 * np.sinh(y),
-        _times_u(y)))
+    def terms(x, y):
+        # |sinh y| enters the exponent, which stays in range at tiny |x|;
+        # sign(y) zeroes the value at y = 0, where sinh x stands in
+        log_sinh = np.log(np.abs(np.sinh(np.where(y == 0.0, x, y))))
+        return _cosh_gap_integral(_k_axis((k,)), np.abs(x), np.abs(x) - np.abs(y),
+                                  (((-1, -1), -8.0 * np.sign(y), _times_u(y), (log_sinh,)),))[0]
+    return _form(x, y, terms)
 
 
 def kernel_K_mourou(k: Multiplicity, x, y) -> EvalResult:
@@ -462,11 +489,9 @@ def kernel_K_mourou(k: Multiplicity, x, y) -> EvalResult:
         log_ainv = -_log_weight(k1, k2, x)
         log_sinh = np.log(np.abs(np.sinh(np.where(y == 0.0, xh, yh))))
         # 4 times: Jacobi kernel / 4, sign x (k1/4 + k2/2) Ktilde / A, -sign x dKtilde/dy / (4A)
-        values, bars = zip(
-            _cosine_terms(kd, xh, gap, (log_ainv,)),
-            _cosh_gap_integral(kd, xa, gap, (0, -1),
-                               np.sign(x) * (16.0 * k1 + 32.0 * k2) / (k1 + k2), None, (log_ainv,)),
-            _cosh_gap_integral(kd, xa, gap, (-1, -1), 8.0 * np.sign(x) * np.sign(y),
-                               _times_u(yh), (log_ainv, log_sinh)))
+        values, bars = zip(*_cosh_gap_integral(kd, xa, gap, (
+            _cosine_form(xh, (log_ainv,)),
+            ((0, -1), np.sign(x) * (16.0 * k1 + 32.0 * k2) / (k1 + k2), None, (log_ainv,)),
+            ((-1, -1), 8.0 * np.sign(x) * np.sign(y), _times_u(yh), (log_ainv, log_sinh)))))
         return 0.25 * sum(values), 0.25 * sum(bars), f"mourou[{METHOD}]"
     return _form(x, y, terms)

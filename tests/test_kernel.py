@@ -26,7 +26,8 @@ from trigdunkl import (
     weight_A,
 )
 from trigdunkl import kernel
-from trigdunkl.kernel import _MAX_TERMS, _kernel_values, _powers, _series_rows
+from trigdunkl.kernel import (_MAX_TERMS, _cosh_gap_integral, _k_axis, _kernel_values, _powers,
+                              _series_rows, _times_u)
 from trigdunkl.quadrature import _gauss_jacobi_arrays, _tanh_sinh_full
 
 K_GRID = [(a, b) for a in (0.3, 0.7, 1.5) for b in (0.3, 0.7, 1.5)]
@@ -507,16 +508,55 @@ class TestSeriesPieces:
         w = np.nextafter(0.5, 0.0)
         assert 4 + int(math.log(1e-17) / math.log(w)) <= _MAX_TERMS
 
-    def test_power_rows_within_their_roundings(self):
-        # w^j is a product of j factors: j - 1 roundings of eps/2 at most
-        rng = np.random.default_rng(615)
-        w = np.concatenate((rng.uniform(1e-3, 0.5, 20), [0.5, np.nextafter(0.5, 0.0), 0.1]))
-        powers = _powers(w, _MAX_TERMS - 1)
-        eps = Fraction(np.finfo(float).eps)
-        for wi, row in zip(w, powers.T):
-            for j, p in enumerate(row.tolist(), start=1):
-                exact = Fraction(float(wi)) ** j
-                assert abs(Fraction(p) - exact) <= (j - 1) * eps / 2 * exact, (wi, j)
+    @pytest.mark.parametrize("points", [1, 50], ids=["one-point", "array"])
+    def test_power_rows_within_their_roundings(self, points):
+        # w^j is a product of j factors, whether a running product (one
+        # point) or of two lower powers: j - 1 roundings of 2^-53 at most
+        w = np.random.default_rng(615).uniform(0.0, 0.5, 2000)
+        m = _MAX_TERMS - 1      # the most powers a call takes
+        powers = np.hstack([_powers(chunk.reshape(()) if points == 1 else chunk, m)
+                            for chunk in w.reshape(-1, points)])
+        assert powers.shape == (m, w.size)
+        # |p - w^j| <= (j - 1) u (1 + j u) w^j with u = 2^-53, times 2^106 den^j q
+        # for w = num/den and p = r/q: exact integers, as Fraction is too slow here
+        for wi, row in zip(w.tolist(), powers.T.tolist()):
+            num, den = wi.as_integer_ratio()
+            num_j, den_j = num, den
+            for j, p in enumerate(row[1:], start=2):
+                num_j, den_j = num_j * num, den_j * den
+                r, q = p.as_integer_ratio()
+                assert (abs(r * den_j - num_j * q) << 106
+                        <= (j - 1) * ((1 << 53) + j) * num_j * q), (wi, j)
+            assert row[0] == wi
+
+    @pytest.mark.parametrize("k", [Multiplicity(0.7, 0.4), Multiplicity(0.5 + 0.2j, 0.7)],
+                             ids=["real", "complex"])
+    @pytest.mark.parametrize("xa, frac", [(1.3, 0.3), ([[0.05, 1.3, 2.9]], [[-0.8], [0.3], [0.9]])],
+                             ids=["0-d", "array"])
+    def test_forms_match_their_one_form_calls(self, k, xa, frac):
+        # the forms of one call share its geometry and powers, and those of
+        # one shift its series; each form's values and bars are its own
+        # call's, bit for bit, in any order and company
+        xa, frac = np.broadcast_arrays(np.asarray(xa), np.asarray(frac))
+        y = frac * xa
+        gap = xa - np.abs(y)
+        sign = np.where(y < 0.0, -1.0, 1.0)
+        log_pref = (np.log(np.sinh(xa)),)
+        forms = [((-1, -1), 4.0, None, ()),
+                 ((-1, -1), -8.0 * sign, _times_u(y), log_pref),
+                 ((0, -1), 16.0 / (k.k1 + k.k2), None, log_pref),
+                 ((0, -1), sign, _times_u(y), ()),
+                 ((-1, 0), 2.5, None, ()),
+                 ((-1, 0), -sign, _times_u(y), (-xa, log_pref[0]))]
+        kd = _k_axis((k,))
+        with np.errstate(all="raise"):
+            alone = [_cosh_gap_integral(kd, xa, gap, (form,)) for form in forms]
+            together = _cosh_gap_integral(kd, xa, gap, tuple(forms))
+            reversed_ = _cosh_gap_integral(kd, xa, gap, tuple(forms[::-1]))[::-1]
+        for i, ((want,), got, got_reversed) in enumerate(zip(alone, together, reversed_)):
+            for w, g, r in zip(want, got, got_reversed):
+                assert np.shape(g) == xa.shape and np.all(np.isfinite(g)), i
+                assert g.tobytes() == w.tobytes() == r.tobytes(), i
 
     def test_cached_rows_read_only(self):
         rows = _series_rows(0.5, 0.5, (-1, -1))
@@ -571,6 +611,16 @@ class TestLimitKernels:
             kernel_K_limit_k1zero(-0.5, 1.0, 0.0)
         with pytest.raises(DomainError):
             kernel_K_limit_k2zero(0.0, 1.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("limit", [kernel_K_limit_k1zero, kernel_K_limit_k2zero],
+                             ids=["k1zero", "k2zero"])
+    @pytest.mark.parametrize("x, y", [(1.3 + 0.5j, 0.2), (1.3, 0.2 + 0.1j), ("1.3", 0.2)],
+                             ids=["complex-x", "complex-y", "string"])
+    def test_non_real_point_raises(self, limit, x, y):
+        # as the public forms do: no modulus taken, no text parsed
+        with pytest.raises(DomainError, match="must be real"):
+            limit(0.5, x, y)
 
 
 class TestJacobiSettingPieces:
@@ -630,6 +680,23 @@ class TestJacobiSettingPieces:
         minus = dktilde_dy(k, 1.2, -0.5).value
         assert plus == pytest.approx(-minus, rel=1e-13)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [Multiplicity(0.0734, 0.2869), Multiplicity(0.0807 + 0.38j, 0.2258)],
+                             ids=["real", "complex"])
+    def test_derivative_power_law_at_tiny_x(self, k):
+        # |sinh y| sits in the exponent, so the value stays finite down to
+        # |x| = 1e-300, where the factor exp(log scale) alone overflows; there
+        # dKtilde/dy(x, c x) is C |x|^(2(k1 + k2) - 1), decade to decade
+        x = 10.0 ** -np.arange(200.0, 301.0, 10.0)
+        res = dktilde_dy(k, x, -0.9329 * x)
+        assert np.all(np.isfinite(res.value)) and np.all(res.est_error > 0.0)
+        rel = res.est_error / np.abs(res.value)
+        law = (x[1:] / x[:-1]) ** (2.0 * (k.k1 + k.k2) - 1.0)
+        err = np.abs(res.value[1:] / res.value[:-1] / law - 1.0)
+        assert np.all(err <= rel[1:] + rel[:-1]), err / (rel[1:] + rel[:-1])
+        zero = dktilde_dy(k, [1.4, -0.3, 1e-155, -1e-300], 0.0)
+        assert np.all(zero.value == 0.0) and np.all(zero.est_error == 0.0)
+
     def test_derivative_matches_finite_difference(self):
         h = 1e-5
         for k in (Multiplicity(0.7, 0.4), Multiplicity(0.5 + 0.2j, 0.7)):
@@ -673,13 +740,14 @@ class TestMourouAssembly:
 
     @pytest.mark.filterwarnings("error")
     def test_derivative_term_exactly_zero_at_y_zero(self, monkeypatch):
-        # the last _cosh_gap_integral of the assembly is the y-derivative term
+        # the assembly's one _cosh_gap_integral call: its third form is the y-derivative term
         terms, cosh_gap_integral = [], kernel._cosh_gap_integral
         monkeypatch.setattr(kernel, "_cosh_gap_integral",
                             lambda *a, **kw: terms.append(cosh_gap_integral(*a, **kw)) or terms[-1])
-        for k in (Multiplicity(1.5, 0.7), Multiplicity(0.5 + 0.3j, 0.7)):
+        for i, k in enumerate((Multiplicity(1.5, 0.7), Multiplicity(0.5 + 0.3j, 0.7))):
             res = kernel_K_mourou(k, [1.4, -0.3, 1e-155, -1e-300], 0.0)
-            values, bars = terms[-1]
+            assert len(terms) == i + 1 and len(terms[-1]) == 3
+            values, bars = terms[-1][2]
             assert np.all(values == 0.0) and np.all(bars == 0.0)
             assert np.all(np.isfinite(res.value)) and np.all(res.est_error > 0.0)
 
