@@ -4,8 +4,11 @@ Exit codes: 0 success, 1 verification failure, 2 argument error, 3 numerical
 failure (non-convergence, or a non-finite value).  Output is deterministic:
 fixed field order and shortest round-trip float formatting, JSON or CSV, to
 stdout or --out.  Each report is a list of records (a point command's is one
-record); CSV columns follow the record's keys, a complex value as a ``_re``,
-``_im`` pair, and ``verify`` CSV always has ``lhs`` and ``rhs`` as such pairs.
+record).  JSON has one record per line, a list ``[`` and ``]`` on lines of
+their own, written by json's C encoder.  CSV columns follow the record's
+keys, a complex value as a ``_re``, ``_im`` pair, and ``verify`` CSV always
+has ``lhs`` and ``rhs`` as such pairs; csv writes the cells, a float as its
+repr.
 """
 
 import argparse
@@ -31,33 +34,42 @@ EXIT_NUMERIC = 3
 
 
 def _complex_json(v):
-    """json.dumps' hook: a complex value as {"re", "im"}; any other type raises."""
+    """The JSON encoder's hook: a complex value as {"re", "im"}; any other type raises."""
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
-def _csv_fields(record):
-    """(column, cell) pairs of a record: a complex value gives ``_re``, ``_im`` columns."""
-    for key, v in record.items():
-        if isinstance(v, complex):
-            yield f"{key}_re", repr(float(v.real))
-            yield f"{key}_im", repr(float(v.imag))
+_json = json.JSONEncoder(default=_complex_json).encode     # json's C encoder: no indent
+
+
+def _csv_cells(record):
+    """A record's CSV cells: a complex value as its real and imaginary parts, a bool as
+    true or false; csv writes the rest, a float as its repr."""
+    cells = []
+    for v in record.values():
+        if isinstance(v, complex):      # numpy's complex parts would print as np.float64(..)
+            cells += (float(v.real), float(v.imag))
         elif isinstance(v, bool):
-            yield key, "true" if v else "false"
+            cells.append("true" if v else "false")
         else:
-            yield key, repr(float(v)) if isinstance(v, float) else str(v)
+            cells.append(v)
+    return cells
 
 
 def _text(records, fmt) -> str:
-    """One record (a dict) or a list of them as JSON, or as CSV under the first one's columns."""
+    """One record (a dict) as one line of JSON, a list of them as a JSON array with one
+    record a line; or as CSV under the first record's columns."""
     if fmt == "json":
-        return json.dumps(records, indent=2, default=_complex_json) + "\n"
-    rows = [dict(_csv_fields(r)) for r in ([records] if isinstance(records, dict) else records)]
+        if isinstance(records, dict):
+            return _json(records) + "\n"
+        return "[\n" + ",\n".join(map(_json, records)) + "\n]\n"
+    records = [records] if isinstance(records, dict) else records
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows[0])
-    writer.writerows(row.values() for row in rows)
+    writer.writerow(f"{key}{part}" for key, v in records[0].items()
+                    for part in (("_re", "_im") if isinstance(v, complex) else ("",)))
+    writer.writerows(map(_csv_cells, records))
     return buf.getvalue()
 
 

@@ -76,12 +76,13 @@ bit for bit, and raises ``EvaluationError`` for a non-finite value.
 """
 
 import math
+import sys
 from contextlib import suppress
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .params import KernelPoint, Multiplicity, _real_array
 from .quadrature import _EPS, EvalResult, _outer_sums, _point_result
 from .specfun import _loggamma_parts, gamma_real
@@ -93,6 +94,7 @@ _SQRT_PI = math.sqrt(math.pi)
 _LOG2 = math.log(2.0)
 _LOG_TAIL = math.log(1e-17)     # series terms below this share of the first are dropped
 _LOG_TINY = -1022.0 * _LOG2     # exp below this is subnormal
+_LOG_HUGE = math.log(sys.float_info.max)    # exp above this overflows
 _C_MINUS_1 = np.array([[1.0], [2.0]])   # c - 1 - alpha - beta of the two series
 
 
@@ -379,22 +381,33 @@ def kernel_K(k: Multiplicity, x, y) -> EvalResult:
 
 
 def _limit_kernel(k: float, x: float, y: float, name: str, scale: float = 1.0) -> float:
-    """The vanishing-k1 form at (scale x, scale y), checked as the public forms check x, y."""
+    """The vanishing-k1 form at (scale x, scale y), checked as the public forms check x, y;
+    a value beyond double range raises ``EvaluationError``."""
     if isinstance(k, complex) or not math.isfinite(k) or k <= 0:
         raise DomainError(f"require real {name} > 0, got {k!r}")
     x = scale * _real_array("kernel point x", x)
     y = scale * _real_array("kernel point y", y)
     KernelPoint(x, y)
     xa, ya = abs(x), abs(y)
-    cosh_gap = 2.0 * math.sinh((xa + ya) / 2.0) * math.sinh((xa - ya) / 2.0)
-    return (
-        2.0 ** (k - 1.0)
-        * gamma_real(k + 0.5) / (_SQRT_PI * gamma_real(k))
-        * abs(math.sinh(x)) ** (-2.0 * k)
-        * cosh_gap ** (k - 1.0)
-        * math.copysign(1.0, x)
-        * (math.exp(x) - math.exp(-y))
+    # e^x - e^{-y} = 2 e^{(x-y)/2} sinh((x+y)/2), and the powers enter as
+    # logs: nothing cancels at small |x|, and no power over- or underflows at
+    # tiny |x|.  sinh((x+y)/2) has the sign of x, so the value is positive
+    log_value = (
+        k * _LOG2 + math.log(gamma_real(k + 0.5) / (_SQRT_PI * gamma_real(k)))
+        - 2.0 * k * math.log(abs(math.sinh(x)))
+        + (k - 1.0) * (_LOG2 + _log_sinh_half(xa + ya) + _log_sinh_half(xa - ya))
+        + (x - y) / 2.0 + _log_sinh_half(abs(x + y))
     )
+    if not log_value <= _LOG_HUGE:
+        value = math.inf if log_value > _LOG_HUGE else math.nan
+        raise EvaluationError(f"the closed-form limit kernel gave the non-finite value {value!r}")
+    return math.exp(log_value)
+
+
+def _log_sinh_half(t: float) -> float:
+    """log sinh(t/2) for t > 0; below 1e-300, where t/2 may drop bits of a
+    subnormal t, it is log t - log 2 (sinh(t/2) = t/2 in double precision)."""
+    return math.log(t) - _LOG2 if t < 1e-300 else math.log(math.sinh(t / 2.0))
 
 
 def kernel_K_limit_k1zero(k2: float, x: float, y: float) -> float:

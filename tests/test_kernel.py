@@ -570,14 +570,18 @@ class TestSeriesPieces:
     @pytest.mark.parametrize("k", [Multiplicity(0.7, 0.4), Multiplicity(0.5 + 0.2j, 0.7)],
                              ids=["real", "complex"])
     def test_mirror_shares_the_series(self, k):
-        # x >= 0 with mirror=True is the pair (x, -x): one series, both values
+        # x >= 0 with mirror=True is the pair (x, -x), and y rows of both signs
+        # on one more axis give the four pieces (+-s, +-y), as the dual takes
+        # them: one series, each piece its one-sign call
         s = np.array([[0.4, 1.1, 1.9], [0.8, 1.2, 1.6]])
         y = np.array([[0.3], [-0.7]])
-        both = _kernel_values(k, np.stack((s, -s)), y, gap=s - np.abs(y))
-        mirrored = _kernel_values(k, s, y, gap=s - np.abs(y), mirror=True)
-        for got, want in zip(mirrored, both):
-            assert got.shape == (2, 2, 3)
-            assert np.allclose(got, want, rtol=4e-16, atol=0.0)
+        gap = s - np.abs(y)
+        four = _kernel_values(k, s, np.stack((y, -y))[:, None], gap=gap, mirror=True)
+        assert all(got.shape == (2, 2, 2, 3) for got in four)
+        for y_flip, x_flip in np.ndindex(2, 2):
+            alone = _kernel_values(k, (1 - 2 * x_flip) * s, (1 - 2 * y_flip) * y, gap=gap)
+            for got, want in zip(four, alone):
+                assert np.allclose(got[y_flip, x_flip], want, rtol=4e-16, atol=0.0), (y_flip, x_flip)
 
 
 class TestLimitKernels:
@@ -605,6 +609,38 @@ class TestLimitKernels:
         assert near1 == pytest.approx(kernel_K_limit_k1zero(0.75, x, y), rel=1e-3)
         near2 = kernel_K(Multiplicity(0.75, 1e-4), x, y).value
         assert near2 == pytest.approx(kernel_K_limit_k2zero(0.75, x, y), rel=1e-3)
+
+    @pytest.mark.parametrize("x", [1.0, 1e-4, 1e-12, 1e-16, 1e-100, 1e-200, 1e-300])
+    @pytest.mark.parametrize("fr", [0.3, -0.9])
+    def test_against_richardson_kernel(self, x, fr):
+        # the limit is 2 K(k=1e-6) - K(k=2e-6) up to O(k^2); the closed form
+        # must neither cancel at small |x| nor over- or underflow at tiny |x|
+        y = fr * x
+        for limit, at in ((kernel_K_limit_k1zero, lambda t: Multiplicity(t, 0.7)),
+                          (kernel_K_limit_k2zero, lambda t: Multiplicity(0.7, t))):
+            want = 2.0 * kernel_K(at(1e-6), x, y).value - kernel_K(at(2e-6), x, y).value
+            assert limit(0.7, x, y) == pytest.approx(want, rel=1e-11), limit.__name__
+
+    def test_subnormal_gap(self):
+        # |x| - |y| is the smallest subnormal, whose half rounds to 0; the
+        # value, about 1.5e297, is finite
+        mp = pytest.importorskip("mpmath")
+        x = 1e-310
+        y = math.nextafter(x, 0.0)
+        with mp.workprec(200):
+            k, xm, ym = mp.mpf(2), mp.mpf(x), mp.mpf(y)
+            want = (2 ** (k - 1) * mp.gamma(k + 0.5) / (mp.sqrt(mp.pi) * mp.gamma(k))
+                    * mp.sinh(xm) ** (-2 * k)
+                    * (2 * mp.sinh((xm + ym) / 2) * mp.sinh((xm - ym) / 2)) ** (k - 1)
+                    * 2 * mp.exp((xm - ym) / 2) * mp.sinh((xm + ym) / 2))
+        assert kernel_K_limit_k1zero(2.0, x, y) == pytest.approx(float(want), rel=1e-12)
+
+    def test_beyond_double_range_raises(self):
+        # the value here is about 4.8e313
+        x = 1e-300
+        for limit in (kernel_K_limit_k1zero, kernel_K_limit_k2zero):
+            with pytest.raises(EvaluationError, match="non-finite value inf"):
+                limit(0.05, x, math.nextafter(x, 0.0))
 
     def test_k_domain(self):
         with pytest.raises(DomainError):

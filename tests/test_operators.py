@@ -298,14 +298,19 @@ class TestArrayInputs:
         **{name: _at_y(form) for name, form in KERNEL_FORMS.items()},
     }
     POINTS = (1.3, -0.5, 2.4, 0.6)      # 2.4 lies outside the bump's support
+    # mostly negative: V at negative x and tV at negative y take the mirror
+    # pieces with the other sign; -2.6 lies outside the bump's support
+    MIXED = (-1.3, 0.9, -2.6, -0.2, -2.9)
     KS = [Multiplicity(0.7, 0.4), Multiplicity(0.5 + 0.2j, 0.7)]
     by_name = pytest.mark.parametrize("name", sorted(CALLS))
     by_k = pytest.mark.parametrize("k", KS, ids=["real", "complex"])
+    by_points = pytest.mark.parametrize("points", [POINTS, MIXED], ids=["points", "mixed-signs"])
 
     @by_name
     @by_k
-    def test_scalar_is_one_element_array(self, name, k):
-        for p in self.POINTS:
+    @by_points
+    def test_scalar_is_one_element_array(self, name, k, points):
+        for p in points:
             one, arr = self.CALLS[name](k, p), self.CALLS[name](k, [p])
             assert arr.value.shape == arr.est_error.shape == (1,)
             assert np.asarray(one.value).tobytes() == arr.value.tobytes(), p
@@ -314,9 +319,10 @@ class TestArrayInputs:
 
     @by_name
     @by_k
-    def test_array_matches_scalars_within_bars(self, name, k):
-        arr = self.CALLS[name](k, self.POINTS)
-        for p, value, est in zip(self.POINTS, arr.value, arr.est_error):
+    @by_points
+    def test_array_matches_scalars_within_bars(self, name, k, points):
+        arr = self.CALLS[name](k, points)
+        for p, value, est in zip(points, arr.value, arr.est_error):
             one = self.CALLS[name](k, p)
             assert abs(value - one.value) <= est + one.est_error, p
 
