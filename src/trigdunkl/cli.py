@@ -167,6 +167,9 @@ def _add_common(parser, default_format="json"):
 
 
 _REQUIRED_FLOAT = {"type": float, "required": True}
+# argparse takes only plain negative decimals for numbers, so -1e-200 reads as an option
+_POINT = {**_REQUIRED_FLOAT, "help": "a negative value in exponent notation needs the = form, "
+                                     "as in --%(dest)s=-1e-200"}
 
 
 def _add_point_command(sub, name, text, options, **defaults):
@@ -185,19 +188,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     _add_point_command(sub, "kernel", "evaluate the kernel at one point",
-                       {"--x": _REQUIRED_FLOAT, "--y": _REQUIRED_FLOAT,
+                       {"--x": _POINT, "--y": _POINT,
                         "--method": {"choices": ("direct", "mourou"), "default": "direct"}},
                        func=_cmd_kernel)
     _add_point_command(sub, "opdam", "evaluate the deformed exponential eigenfunction",
-                       {"--lam": _REQUIRED_FLOAT, "--x": _REQUIRED_FLOAT}, func=_cmd_opdam)
+                       {"--lam": _REQUIRED_FLOAT, "--x": _POINT}, func=_cmd_opdam)
     _add_point_command(sub, "apply-v", "apply the intertwining operator",
                        {"--function": {"required": True, "help": "registry id, e.g. "
                                        "plane_wave:1.5, monomial:2, gaussian, bump:2"},
-                        "--x": _REQUIRED_FLOAT}, func=_cmd_apply, op=apply_V, at="x")
+                        "--x": _POINT}, func=_cmd_apply, op=apply_V, at="x")
     _add_point_command(sub, "apply-vt", "apply the dual operator (needs compact support)",
                        {"--function": {"required": True,
                                        "help": "registry id with support, e.g. bump:2"},
-                        "--y": _REQUIRED_FLOAT}, func=_cmd_apply, op=apply_Vt, at="y")
+                        "--y": _POINT}, func=_cmd_apply, op=apply_Vt, at="y")
 
     p = sub.add_parser("verify", help="run a verification suite over the built-in grids")
     p.add_argument("--suite", choices=("all",) + tuple(sorted(SUITES)), default="all")

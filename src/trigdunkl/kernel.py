@@ -45,34 +45,32 @@ kernel and dKtilde/dy, (0, -1) for Ktilde direct, (-1, 0) for by parts:
     dKtilde/dy     = -8D sinh y           J'(k2-1, k1-1; b + v)
 
 All forms share log D, and the power of d/2 enters as log sinh((X+Y)/2) +
-log sinh((X-Y)/2), so tiny gaps stay representable; so do the factors
-|sinh 2x| and |sinh y|, which enter as logs too.  Real and complex k
-differ only in how log D is formed.  The series parameters come from k
-exactly: each factor of a coefficient and the slope's (beta + 1)/c is an
-integer plus k1, k2 or s, so no k2 - 1 formed first drops k2's low bits at
-small k (only the power alpha + beta + 1 and a^alpha, whose rounding is
-absolute in the exponent, take alpha).  The coefficient rows depend only
-on (k1, k2, shift) and are built once per triple, at the 59 terms that
-w < 1/2 can need; a call slices them.  The powers w^j are products of lower
-powers (at one point a running product), j - 1 roundings each.  Every
-value carries an error bar: the rounding of its exponent's log parts and
-of the series (the sum of its terms' magnitudes, each scaled by
-1 + (j - 1)/2 for its power's roundings), plus the series' last term,
-which bounds the dropped tail, and exp's absolute rounding where the
-exponent underflows before a^alpha multiplies it.
-Only log D, alpha, beta and the weights 2 k1, 2 k2 of A(x)'s logs depend
-on k, so a call can take a leading axis of multiplicities: the cell
-geometry and the powers of w are formed once, and all the series come
-from one product of the stacked coefficient rows with the shared powers
-(``_kernel_grid``, which ``positivity_scan`` calls; one k is the K = 1
-case, with numbers in place of the axis).  Likewise one call takes a tuple
-of forms at one geometry: ``kernel_K_mourou`` is one call of its three
-terms at half arguments, which share the geometry and the powers of w (two
-share their series too), and it quarters their sum.  ``kernel_K`` and the
-oracle forms are each their own terms passed to ``_form``, which checks
-that the points are real and admissible (``KernelPoint``), gives the terms
-float arrays of one shape, a scalar call being the one-element array call
-bit for bit, and raises ``EvaluationError`` for a non-finite value.
+log sinh((X-Y)/2), so tiny gaps stay representable.  The series parameters
+come from k exactly: each factor of a coefficient and the slope's
+(beta + 1)/c is an integer plus k1, k2 or s, so no k2 - 1 formed first
+drops k2's low bits at small k (only the power alpha + beta + 1 and
+a^alpha, whose rounding is absolute in the exponent, take alpha).  Every
+value carries an error bar: the rounding of its exponent's log parts and of
+the series (the sum of its terms' magnitudes, each scaled by 1 + (j - 1)/2
+for the roundings of w^j), plus the series' last term, which bounds the
+dropped tail, and exp's absolute rounding where the exponent underflows
+before a^alpha multiplies it.
+
+Each row is defined once: K's in ``_kernel_grid``, the others in
+``_cosine_form``, ``_ktilde_form`` and ``_dktilde_form``, which take an
+extra factor and exponent terms.  ``jacobi_kernel``, ``ktilde`` and
+``dktilde_dy`` pass one row each to ``_cosine_setting``, the one-k call at
+(|x|, |x| - |y|); ``kernel_K_mourou`` passes its three terms at half
+arguments in one call and quarters their sum.  Only log D, alpha, beta and
+the weights 2 k1, 2 k2 of A(x)'s logs depend on k, so ``_kernel_grid``
+(which ``positivity_scan`` calls) takes a leading axis of multiplicities
+and forms all their series from one product of stacked coefficient rows.
+The Gamma ratio log(2^p Gamma(s+1/2) / (sqrt(pi) Gamma(s))) is formed in
+``_log_gamma_ratio`` alone, the one step where real and complex k differ:
+log D at p = 4 k1 + 6 k2 - 4, s = k1 + k2, the limit kernels' constant at
+p = s = k, and ``constant_c``'s at p = 3s, times 1/B(k1, k2).  It needs no
+finite Gamma, so the limit kernels and ``constant_c`` return every value
+that is a double, at any k and x, and raise ``EvaluationError`` beyond.
 """
 
 import math
@@ -85,7 +83,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 from .params import KernelPoint, Multiplicity, _real_array
 from .quadrature import _EPS, EvalResult, _outer_sums, _point_result
-from .specfun import _loggamma_parts, gamma_real
+from .specfun import _loggamma_parts
 
 # inner method of every kernel value, as ``operators`` and point results name it
 METHOD = "euler-2f1"
@@ -118,40 +116,52 @@ def weight_A(k: Multiplicity, x):
 def constant_c(k: Multiplicity) -> float:
     """Normalizing constant 2^{3k1+3k2} Gamma(k1+k2+1/2) / (sqrt(pi) Gamma(k1) Gamma(k2)).
 
-    Restricted to real positive parameters; the kernels use c B(k1, k2)
-    instead, in which Gamma(k1) Gamma(k2) cancel.
+    Restricted to real positive parameters; a value beyond double range
+    raises ``EvaluationError``.
     """
     if not k.real_positive:
         raise DomainError(f"constant_c needs real k1, k2 > 0, got ({k.k1}, {k.k2})")
-    k1, k2 = k.k1, k.k2
-    return (
-        2.0 ** (3.0 * (k1 + k2))
-        * gamma_real(k1 + k2 + 0.5)
-        / (_SQRT_PI * gamma_real(k1) * gamma_real(k2))
-    )
+    s = k.k1 + k.k2
+    # 1 / B(k1, k2) in log-Gammas, which overflow only past 2.5e305, far beyond c's range
+    with suppress(OverflowError):
+        return _exp_in_range(_log_gamma_ratio(3.0 * s, s)[0] + math.lgamma(s)
+                             - math.lgamma(k.k1) - math.lgamma(k.k2), "constant_c")
+    return _exp_in_range(math.inf, "constant_c")
 
 
-@lru_cache(maxsize=256)     # every kernel call needs both, this one 12 us for complex k
-def _log_constant(k: Multiplicity):
-    """(log D, the magnitude its rounding scales with); D as in the module docstring.
+def _exp_in_range(log_value, name):
+    """exp(log_value); ``EvaluationError`` naming ``name`` where that is beyond double range."""
+    if not log_value <= _LOG_HUGE:
+        value = math.inf if log_value > _LOG_HUGE else math.nan
+        raise EvaluationError(f"{name} gave the non-finite value {value!r}")
+    return math.exp(log_value)
 
-    Real k takes log D from ``math.gamma`` where that is finite; elsewhere each
-    log-Gamma is a difference of two parts, about 25 in size near Re s = 0,
-    so their magnitudes enter the rounding, not the result's.
+
+@lru_cache(maxsize=256)     # every kernel call needs log D, this one 12 us for complex k
+def _log_gamma_ratio(p, s):
+    """(log(2^p Gamma(s+1/2) / (sqrt(pi) Gamma(s))), the magnitude its rounding scales with).
+
+    Real s takes the log from ``math.gamma`` where that is finite.  Elsewhere
+    each log-Gamma is a difference of two parts, about 25 in size near
+    Re s = 0, so their magnitudes enter the rounding, not the result's; past
+    s = 171, where two log-Gammas of size s log s would cancel, the parts are
+    (log(Gamma(s+1/2) / Gamma(s)), 0, 0, 0), from its asymptotic series,
+    exact to rounding there.
     """
-    k1, k2 = k.k1, k.k2
-    s = k1 + k2
-    if k.real_positive:
-        with suppress(OverflowError):   # D or a Gamma overflows at large k
-            log_d = math.log(2.0 ** (4.0 * k1 + 6.0 * k2 - 4.0) * math.gamma(s + 0.5)
-                             / (_SQRT_PI * math.gamma(s)))
-            if log_d < math.inf:
-                return log_d, abs(log_d)
-    parts = (*_loggamma_parts(s + 0.5), *_loggamma_parts(s))
-    log_pow2 = (4.0 * k1 + 6.0 * k2 - 4.0) * _LOG2
-    log_d = log_pow2 + (parts[0] - parts[1]) - (parts[2] - parts[3]) - math.log(_SQRT_PI)
-    return (log_d.real if k.real_positive else log_d,
-            abs(log_pow2) + sum(abs(p) for p in parts) + math.log(_SQRT_PI))
+    real = not isinstance(s, complex)
+    if real:
+        with suppress(OverflowError):   # the power or a Gamma overflows past s = 171
+            log_r = math.log(2.0 ** p * math.gamma(s + 0.5) / (_SQRT_PI * math.gamma(s)))
+            if log_r < math.inf:
+                return log_r, abs(log_r)
+    if real and s > 1.0:
+        parts = (0.5 * math.log(s) - (0.125 - (1 / 192 - 1 / (640 * s * s)) / (s * s)) / s, 0, 0, 0)
+    else:
+        parts = (*_loggamma_parts(s + 0.5), *_loggamma_parts(s))
+    log_pow2 = p * _LOG2
+    log_r = log_pow2 + (parts[0] - parts[1]) - (parts[2] - parts[3]) - math.log(_SQRT_PI)
+    return (log_r.real if real else log_r,
+            abs(log_pow2) + sum(abs(part) for part in parts) + math.log(_SQRT_PI))
 
 
 def sigma(x, y, z):
@@ -197,9 +207,8 @@ def _series_rows(k1, k2, shift):
     """Coefficients 1 .. _MAX_TERMS - 1 of F(-alpha, alpha+1; c; w) and of the series at c + 1
     (the 0th is 1), then their magnitudes times ``_ROUNDINGS``: a read-only (4, m) array.
 
-    alpha = k2 + da and c = k1 + k2 + da + db + 2 for shift = (da, db), so each
-    factor is an integer plus k2 or k1 + k2.  ``cumprod`` runs in order, so its
-    first n - 1 columns are the rows of length n - 1.
+    alpha = k2 + da and c = k1 + k2 + da + db + 2 for shift = (da, db).
+    ``cumprod`` runs in order, so its first n - 1 columns are the rows of length n - 1.
     """
     da, db = shift
     i = np.arange(1.0, _MAX_TERMS)
@@ -216,21 +225,17 @@ def _cosh_gap_integral(kd, xa, gap, forms):
 
     Returns one (values, error bars) pair per form, each a row of the module
     docstring's table with ``pref`` its factor; no caller rescales them.
-    ``kd`` is ``_k_axis``'s triple (k1, k2, (log D, its rounding size)), and
-    a form's integer exponent shift (da, db) gives alpha = k2 + da,
-    beta = k1 + db.  ``q(f1, f2)`` gives the integrand factor's value at
-    v = 0 and its rise over the gap d = 2 f1 f2, with f1 = sinh((xa + ya)/2),
-    f2 = sinh(gap/2) passed separately so that callers can form the rise
-    without overflow; None stands for 1.  ``gap`` = xa - (lower end) is
-    passed separately so callers that know it without cancellation keep it
-    exact.  The forms share the geometry, the term count and the powers of
-    w, and forms of one shift share its series; each form's values and bars
-    are those of its one-form call, bit for bit.  The value at v = 0 and
-    ``pref`` may broadcast over leading axes that xa and gap lack, which then
-    share one series.  So may the multiplicity: the parts of ``kd`` are
-    numbers for one k, or arrays of shape (K, 1, ..., 1), one entry per k in
-    front of every other axis; the cell geometry and the powers of w are
-    then formed once for all K.
+    ``kd`` is ``_k_axis``'s triple (k1, k2, (log D, its rounding size)).
+    ``q(f1, f2)`` gives the integrand factor's value at v = 0 and its rise
+    over the gap d = 2 f1 f2, with f1 = sinh((xa + ya)/2), f2 = sinh(gap/2)
+    passed separately so that callers can form the rise without overflow;
+    None stands for 1.  ``gap`` = xa - (lower end) is passed separately so
+    callers that know it without cancellation keep it exact.  The forms
+    share the geometry, the term count and the powers of w, and forms of one
+    shift share its series; each form's values and bars are those of its
+    one-form call, bit for bit.  The value at v = 0 and ``pref`` may
+    broadcast over leading axes that xa and gap lack, which then share one
+    series, and so may the k axis of ``kd``.
     """
     k1, k2, (log_d, size_d) = kd
     a = np.cosh(xa)
@@ -300,14 +305,15 @@ def _end_power(k: Multiplicity):
 
 
 def _k_axis(ks, *cells):
-    """k1, k2 and ``_log_constant``'s pair for the multiplicities ks, as
+    """k1, k2 and (log D, its rounding size) for the multiplicities ks, as
     ``_cosh_gap_integral`` takes them: numbers for one k, else arrays with a
     leading axis over ks in front of the axes of every array in ``cells``."""
-    if len(ks) == 1:
-        return ks[0].k1, ks[0].k2, _log_constant(ks[0])
-    shape = (-1,) + (1,) * max(map(np.ndim, cells))
-    k1, k2, log_d, size_d = (np.reshape(col, shape)
-                             for col in zip(*((k.k1, k.k2, *_log_constant(k)) for k in ks)))
+    cols = [(k.k1, k.k2, *_log_gamma_ratio(4.0 * k.k1 + 6.0 * k.k2 - 4.0, k.k1 + k.k2))
+            for k in ks]
+    if len(ks) > 1:
+        shape = (-1,) + (1,) * max(map(np.ndim, cells))
+        cols = [[np.reshape(col, shape) for col in zip(*cols)]]
+    k1, k2, log_d, size_d = cols[0]
     return k1, k2, (log_d, size_d)
 
 
@@ -321,8 +327,7 @@ def _kernel_grid(ks, x, y, *, gap=None, mirror=False, density=False):
     the gap exactly (double-exponential tails) must pass it.  With
     ``mirror`` x >= 0 stands for the pair x, -x along a new leading axis:
     the series and the even factors depend on |x| only and are formed once.
-    Likewise everything but the exponents and the series coefficients is
-    formed once for all ks.  With ``density`` the values are K(x, y) A(x):
+    With ``density`` the values are K(x, y) A(x):
     the exponent leaves out the -log A(x) that the density would cancel.
     """
     xa = np.abs(x)
@@ -381,32 +386,29 @@ def kernel_K(k: Multiplicity, x, y) -> EvalResult:
 
 
 def _limit_kernel(k: float, x: float, y: float, name: str, scale: float = 1.0) -> float:
-    """The vanishing-k1 form at (scale x, scale y), checked as the public forms check x, y;
-    a value beyond double range raises ``EvaluationError``."""
+    """The vanishing-k1 form at (scale x, scale y), checked as the public forms check x, y."""
     if isinstance(k, complex) or not math.isfinite(k) or k <= 0:
         raise DomainError(f"require real {name} > 0, got {k!r}")
-    x = scale * _real_array("kernel point x", x)
-    y = scale * _real_array("kernel point y", y)
+    x = scale * _real_array("kernel point x", x).item()     # Python floats overflow quietly
+    y = scale * _real_array("kernel point y", y).item()
     KernelPoint(x, y)
     xa, ya = abs(x), abs(y)
+    log_sinh = math.log(math.sinh(xa)) if xa < 700.0 else xa - _LOG2     # sinh x nears overflow
     # e^x - e^{-y} = 2 e^{(x-y)/2} sinh((x+y)/2), and the powers enter as
     # logs: nothing cancels at small |x|, and no power over- or underflows at
     # tiny |x|.  sinh((x+y)/2) has the sign of x, so the value is positive
-    log_value = (
-        k * _LOG2 + math.log(gamma_real(k + 0.5) / (_SQRT_PI * gamma_real(k)))
-        - 2.0 * k * math.log(abs(math.sinh(x)))
+    return _exp_in_range(
+        _log_gamma_ratio(k, k)[0] - 2.0 * k * log_sinh
         + (k - 1.0) * (_LOG2 + _log_sinh_half(xa + ya) + _log_sinh_half(xa - ya))
-        + (x - y) / 2.0 + _log_sinh_half(abs(x + y))
-    )
-    if not log_value <= _LOG_HUGE:
-        value = math.inf if log_value > _LOG_HUGE else math.nan
-        raise EvaluationError(f"the closed-form limit kernel gave the non-finite value {value!r}")
-    return math.exp(log_value)
+        + (x - y) / 2.0 + _log_sinh_half(abs(x + y)), "the closed-form limit kernel")
 
 
 def _log_sinh_half(t: float) -> float:
     """log sinh(t/2) for t > 0; below 1e-300, where t/2 may drop bits of a
-    subnormal t, it is log t - log 2 (sinh(t/2) = t/2 in double precision)."""
+    subnormal t, it is log t - log 2 (sinh(t/2) = t/2 in double precision),
+    and above 1400, where sinh(t/2) nears overflow, t/2 - log 2."""
+    if t > 1400.0:
+        return t / 2.0 - _LOG2
     return math.log(t) - _LOG2 if t < 1e-300 else math.log(math.sinh(t / 2.0))
 
 
@@ -416,30 +418,41 @@ def kernel_K_limit_k1zero(k2: float, x: float, y: float) -> float:
 
 
 def kernel_K_limit_k2zero(k1: float, x: float, y: float) -> float:
-    """Closed-form kernel in the vanishing-k2 limit (k1 > 0 real).
-
-    It is the vanishing-k1 form at half arguments, halved.
-    """
+    """Closed-form kernel in the vanishing-k2 limit (k1 > 0 real): k1 form at x/2, y/2, halved."""
     return 0.5 * _limit_kernel(k1, x, y, "k1", 0.5)
 
 
 def _cosine_form(x, log_pref=()):
-    """The cosine-setting kernel at x times exp(sum log_pref), as a form of
-    ``_cosh_gap_integral`` at |x| and its gap.
-
-    Its division by A(2x) is the exponent term -log A(2x), which a caller
-    passes in ``log_pref``; one that multiplies by the density leaves it out.
-    """
+    """The cosine kernel's row at x; its division by A(2x) is the exponent term
+    -log A(2x) in ``log_pref``, which a caller that multiplies by the density leaves out."""
     # |sinh 2x| goes into the exponent too: at the nested route's inner
     # end it is tiny while the radius power alone overflows
     return (-1, -1), 4.0, None, (np.log(np.abs(np.sinh(2.0 * x))), *log_pref)
 
 
+def _ktilde_form(k, y, form, pref=1.0, log_pref=()):
+    """Ktilde's ``direct`` or ``byparts`` row at y."""
+    shift, q = ((0, -1), None) if form == "direct" else ((-1, 0), _times_u(y))
+    return shift, 16.0 * pref / (k.k1 + k.k2), q, log_pref
+
+
+def _dktilde_form(x, y, pref=1.0, log_pref=()):
+    """dKtilde/dy's row at (x, y)."""
+    # |sinh y| enters the exponent, which stays in range at tiny |x|;
+    # sign(y) zeroes the value at y = 0, where sinh x stands in
+    log_sinh = np.log(np.abs(np.sinh(np.where(y == 0.0, x, y))))
+    return (-1, -1), -8.0 * pref * np.sign(y), _times_u(y), (*log_pref, log_sinh)
+
+
+def _cosine_setting(k, x, y, *forms):
+    """The (values, bars) pair of each cosine-setting row at the one k on the cell (|y|, |x|)."""
+    return _cosh_gap_integral(_k_axis((k,)), np.abs(x), np.abs(x) - np.abs(y), forms)
+
+
 def jacobi_kernel(k: Multiplicity, x, y) -> EvalResult:
     """Kernel of the intertwining operator in the hyperbolic-cosine setting."""
-    return _form(x, y, lambda x, y: _cosh_gap_integral(
-        _k_axis((k,)), np.abs(x), np.abs(x) - np.abs(y),
-        (_cosine_form(x, (-_log_weight(k.k1, k.k2, 2.0 * x),)),))[0])
+    return _form(x, y, lambda x, y: _cosine_setting(
+        k, x, y, _cosine_form(x, (-_log_weight(k.k1, k.k2, 2.0 * x),)))[0])
 
 
 _KTILDE_FORMS = ("direct", "byparts", "defining")
@@ -456,31 +469,22 @@ def ktilde(k: Multiplicity, x, y, form: str = "direct") -> EvalResult:
         raise DomainError(f"form must be one of {_KTILDE_FORMS}, got {form!r}")
 
     def terms(x, y):
-        kd, xa = _k_axis((k,)), np.abs(x)
-        if form == "defining":
-            # nested route: integrate the cosine-setting kernel against its
-            # measure over (|y|, |x|); the inner endpoint w -> |y| carries the
-            # (w - |y|)^{k1+k2-1} singularity
-            values, bars, rule = _outer_sums(
-                np.abs(y), xa,
-                lambda i, s, d_lo, d_hi: _cosh_gap_integral(kd, s, d_lo, (_cosine_form(s),))[0],
-                (_end_power(k), 1.0))
-            return values, bars, f"nested {rule} x {METHOD}"
-        shift, q = ((0, -1), None) if form == "direct" else ((-1, 0), _times_u(y))
-        return _cosh_gap_integral(kd, xa, xa - np.abs(y),
-                                  ((shift, 16.0 / (k.k1 + k.k2), q, ()),))[0]
+        if form != "defining":
+            return _cosine_setting(k, x, y, _ktilde_form(k, y, form))[0]
+        # nested route: integrate the cosine-setting kernel against its
+        # measure over (|y|, |x|); the inner endpoint w -> |y| carries the
+        # (w - |y|)^{k1+k2-1} singularity
+        values, bars, rule = _outer_sums(
+            np.abs(y), np.abs(x),
+            lambda i, s, d_lo, _: _cosh_gap_integral(_k_axis((k,)), s, d_lo, (_cosine_form(s),))[0],
+            (_end_power(k), 1.0))
+        return values, bars, f"nested {rule} x {METHOD}"
     return _form(x, y, terms)
 
 
 def dktilde_dy(k: Multiplicity, x, y) -> EvalResult:
     """Same-variable y-derivative of the antiderivative; odd in y, zero at y = 0."""
-    def terms(x, y):
-        # |sinh y| enters the exponent, which stays in range at tiny |x|;
-        # sign(y) zeroes the value at y = 0, where sinh x stands in
-        log_sinh = np.log(np.abs(np.sinh(np.where(y == 0.0, x, y))))
-        return _cosh_gap_integral(_k_axis((k,)), np.abs(x), np.abs(x) - np.abs(y),
-                                  (((-1, -1), -8.0 * np.sign(y), _times_u(y), (log_sinh,)),))[0]
-    return _form(x, y, terms)
+    return _form(x, y, lambda x, y: _cosine_setting(k, x, y, _dktilde_form(x, y))[0])
 
 
 def kernel_K_mourou(k: Multiplicity, x, y) -> EvalResult:
@@ -493,18 +497,13 @@ def kernel_K_mourou(k: Multiplicity, x, y) -> EvalResult:
     verification grid.
     """
     def terms(x, y):
-        xh, yh = x / 2.0, y / 2.0
-        xa, gap = np.abs(xh), np.abs(xh) - np.abs(yh)
-        kd = _k_axis((k,))
-        k1, k2, _ = kd
-        # 1/A(x) and |sinh(y/2)| enter the exponents, which stay in range at tiny |x|;
-        # sign(y) zeroes the derivative term at y = 0, where sinh(x/2) stands in
-        log_ainv = -_log_weight(k1, k2, x)
-        log_sinh = np.log(np.abs(np.sinh(np.where(y == 0.0, xh, yh))))
+        xh, yh, sign = x / 2.0, y / 2.0, np.sign(x)
+        # 1/A(x) enters the exponents, which stay in range at tiny |x|
+        log_ainv = (-_log_weight(k.k1, k.k2, x),)
         # 4 times: Jacobi kernel / 4, sign x (k1/4 + k2/2) Ktilde / A, -sign x dKtilde/dy / (4A)
-        values, bars = zip(*_cosh_gap_integral(kd, xa, gap, (
-            _cosine_form(xh, (log_ainv,)),
-            ((0, -1), np.sign(x) * (16.0 * k1 + 32.0 * k2) / (k1 + k2), None, (log_ainv,)),
-            ((-1, -1), 8.0 * np.sign(x) * np.sign(y), _times_u(yh), (log_ainv, log_sinh)))))
+        values, bars = zip(*_cosine_setting(
+            k, xh, yh, _cosine_form(xh, log_ainv),
+            _ktilde_form(k, yh, "direct", sign * (k.k1 + 2.0 * k.k2), log_ainv),
+            _dktilde_form(xh, yh, -sign, log_ainv)))
         return 0.25 * sum(values), 0.25 * sum(bars), f"mourou[{METHOD}]"
     return _form(x, y, terms)

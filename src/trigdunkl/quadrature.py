@@ -319,11 +319,23 @@ def _eval_integrand(f, xs):
     return vals
 
 
+def _end_part(d, f):
+    """The integral of |f| between an end and the node nearest it, from the
+    nodes' end distances d (ascending) and values f: d[0] |f[0]| / p for
+    |f| ~ d^{p-1}, the power p at most 1 and read off the nearest node and
+    the next at another distance (inf for p <= 0, where the integral diverges)."""
+    f, j = np.abs(f), np.argmax(d > d[0])     # j = 0 if all nodes round to one distance
+    p = 1.0 + math.log(f[0] / f[j]) / math.log(d[0] / d[j]) if f[0] > f[j] > 0.0 else 1.0
+    return d[0] * f[0] / p if p > 0.0 else math.inf
+
+
 def integrate(rule: QuadratureRule, f, interval) -> EvalResult:
     """Integrate f over a finite interval with the affinely mapped rule.
 
     The error estimate compares against the next refinement (2n nodes for
     Gauss rules, level + 1 for tanh-sinh) and the refined value is returned.
+    A tanh-sinh node that would round onto an end is cut, and the estimate
+    adds the parts between each end and its nearest node (``_end_part``).
     Jacobi rules integrate f against the rule's endpoint weight transplanted
     onto the interval, i.e. f is only the smooth factor of the integrand.
     The refinement needs the rule's generator: a rule that ``gauss_legendre``,
@@ -348,6 +360,8 @@ def integrate(rule: QuadratureRule, f, interval) -> EvalResult:
         refined = min(rule.level + 1, _MAX_TS_LEVEL)
         t, w, gap_lo, gap_hi, wc = _tanh_sinh_full(refined)
         xs = _on_interval(lo, hi, t, gap_lo, gap_hi)[0]
+        inside = (xs > lo) & (xs < hi)      # end offsets below half an ulp round onto the end
+        xs, w, wc = xs[inside], w[inside], wc[inside]
         method = f"{rule.kind}->level={refined}"
     else:
         # Gauss rule: the refined companion has the same weight exponents
@@ -357,4 +371,6 @@ def integrate(rule: QuadratureRule, f, interval) -> EvalResult:
         method = f"{rule.kind}->n={2 * n}"
     vals = _eval_integrand(f, xs)
     fine, coarse = (vals @ w) * half, (vals @ wc) * half
-    return _point_result(fine, abs(fine - coarse), method)
+    ends = 0.0 if rule.level is None else (_end_part(xs - lo, vals)
+                                            + _end_part(hi - xs[::-1], vals[::-1]))
+    return _point_result(fine, abs(fine - coarse) + ends, method)

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -107,6 +108,29 @@ class TestConstantC:
     def test_complex_rejected(self):
         with pytest.raises(DomainError):
             constant_c(Multiplicity(0.5 + 0.1j, 0.5))
+
+    def test_log_grid_against_mpmath(self):
+        # finite wherever c is a double, also where a Gamma overflows
+        mp = pytest.importorskip("mpmath")
+        grid = np.geomspace(0.02, 400.0, 25).tolist()
+        finite = 0
+        for k1 in grid:
+            for k2 in grid:
+                with mp.workdps(30):
+                    want = (mp.mpf(2) ** (3 * (mp.mpf(k1) + k2)) * mp.gamma(mp.mpf(k1) + k2 + 0.5)
+                            / (mp.sqrt(mp.pi) * mp.gamma(k1) * mp.gamma(k2)))
+                if want > sys.float_info.max:
+                    with pytest.raises(EvaluationError, match="constant_c gave the non-finite"):
+                        constant_c(Multiplicity(k1, k2))
+                else:
+                    finite += 1
+                    assert constant_c(Multiplicity(k1, k2)) == pytest.approx(float(want), rel=1e-12)
+        assert finite == 562
+        assert constant_c(Multiplicity(100, 100)) == pytest.approx(1.498019135604324e242, rel=1e-12)
+
+    def test_beyond_lgamma_range_raises(self):
+        with pytest.raises(EvaluationError):
+            constant_c(Multiplicity(1e308, 1e308))
 
 
 class TestSigma:
@@ -628,12 +652,49 @@ class TestLimitKernels:
         x = 1e-310
         y = math.nextafter(x, 0.0)
         with mp.workprec(200):
-            k, xm, ym = mp.mpf(2), mp.mpf(x), mp.mpf(y)
-            want = (2 ** (k - 1) * mp.gamma(k + 0.5) / (mp.sqrt(mp.pi) * mp.gamma(k))
-                    * mp.sinh(xm) ** (-2 * k)
-                    * (2 * mp.sinh((xm + ym) / 2) * mp.sinh((xm - ym) / 2)) ** (k - 1)
-                    * 2 * mp.exp((xm - ym) / 2) * mp.sinh((xm + ym) / 2))
+            want = self._closed_form(mp, 2.0, x, y)
         assert kernel_K_limit_k1zero(2.0, x, y) == pytest.approx(float(want), rel=1e-12)
+
+    @staticmethod
+    def _closed_form(mp, k, x, y):
+        """The vanishing-k1 form in mpmath."""
+        k, x, y = mp.mpf(k), mp.mpf(x), mp.mpf(y)
+        xa, ya = abs(x), abs(y)
+        return (2 ** k * mp.gamma(k + 0.5) / (mp.sqrt(mp.pi) * mp.gamma(k)) * mp.sinh(xa) ** (-2 * k)
+                * (2 * mp.sinh((xa + ya) / 2) * mp.sinh((xa - ya) / 2)) ** (k - 1)
+                * mp.exp((x - y) / 2) * mp.sinh(abs(x + y) / 2))
+
+    def test_k_past_gamma_overflow(self):
+        # Gamma(k + 1/2) overflows past k = 171; the constant comes from its
+        # log, and the values stay within rounding of the closed form
+        mp = pytest.importorskip("mpmath")
+        assert kernel_K_limit_k1zero(171.3, 1.0, 0.3) == pytest.approx(6.4402682764318376e-24,
+                                                                       rel=1e-12)
+        checked = 0
+        for k in (171.0, 171.3, 250.0, 600.0, 1000.0, 1500.0, 2000.0):
+            for x, y in ((1.0, 0.3), (2.2, -1.3), (0.8, 0.0)):
+                with mp.workdps(40):
+                    want1 = self._closed_form(mp, k, x, y)
+                    want2 = self._closed_form(mp, k, x / 2, y / 2) / 2
+                # the half-argument form sums log terms of size ~2.5 k: 2e-12 at k = 2000
+                for limit, want, rel in ((kernel_K_limit_k1zero, want1, 1e-12),
+                                         (kernel_K_limit_k2zero, want2, 2e-12)):
+                    if sys.float_info.min <= want <= sys.float_info.max:
+                        checked += 1
+                        assert limit(k, x, y) == pytest.approx(float(want), rel=rel), (k, x, y)
+        assert checked >= 30
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("limit, half, x", [(kernel_K_limit_k1zero, 1.0, 800.0),
+                                                (kernel_K_limit_k2zero, 0.5, 1500.0)],
+                             ids=["k1zero", "k2zero"])
+    def test_x_past_sinh_overflow(self, limit, half, x):
+        # sinh overflows past 710; the value there is tiny, not an OverflowError
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            want = float(half * self._closed_form(mp, 0.5, half * x, half))
+        assert want > 0.0 and limit(0.5, x, 1.0) == pytest.approx(want, rel=1e-12)
+        assert limit(0.5, -1e300, 1.0) == 0.0
 
     def test_beyond_double_range_raises(self):
         # the value here is about 4.8e313
@@ -752,6 +813,36 @@ class TestMourouAssembly:
         kt = ktilde(k, x / 2, 0.0, "direct").value
         expected = 0.25 * kj + (0.6 / 4 + 0.9 / 2) / weight_A(k, x) * kt
         assert kernel_K_mourou(k, x, 0.0).value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [Multiplicity(0.6, 0.9), Multiplicity(2.5, 0.05),
+                                   Multiplicity(0.5 + 0.3j, 0.7), Multiplicity(0.2 - 0.5j, 1.1)],
+                             ids=["real", "real-small-k2", "complex", "complex-both"])
+    def test_assembly_identity(self, k):
+        # K(x, y) = Kj/4 + sign x (k1/4 + k2/2) Kt / A(x) - sign x dKt/dy / (4 A(x)),
+        # the pieces at (x/2, y/2), within the summed bars at y != 0
+        x = np.repeat(X_GRID, 7)
+        y = np.tile((0.2, -0.2, 0.5, -0.5, 0.9, -0.9, 1e-9), 6) * np.abs(x)
+        assembled = kernel_K_mourou(k, x, y)
+        kj = jacobi_kernel(k, x / 2, y / 2)
+        kt = ktilde(k, x / 2, y / 2, "direct")
+        dkt = dktilde_dy(k, x / 2, y / 2)
+        a, sign = weight_A(k, x), np.sign(x)
+        coef = sign * (k.k1 / 4 + k.k2 / 2)
+        expected = 0.25 * kj.value + coef * kt.value / a - sign * dkt.value / (4 * a)
+        bars = (assembled.est_error + 0.25 * kj.est_error + np.abs(coef) * kt.est_error / np.abs(a)
+                + dkt.est_error / (4 * np.abs(a)))
+        assert np.all(dkt.value != 0.0)
+        assert np.all(np.abs(assembled.value - expected) <= bars)
+
+    @pytest.mark.parametrize("k", [Multiplicity(0.6, 0.9), Multiplicity(0.5 + 0.3j, 0.7)],
+                             ids=["real", "complex"])
+    def test_smallest_subnormal_y(self, k):
+        # y/2 rounds to 0: the derivative term drops, as at y = 0, and the bars stay finite
+        x = np.array([1.3, -0.4, 2.9])
+        for y in (5e-324, -5e-324):
+            direct, assembled = kernel_K(k, x, y), kernel_K_mourou(k, x, y)
+            gap = np.abs(direct.value - assembled.value)
+            assert np.all(gap <= direct.est_error + assembled.est_error)
 
     def test_positive_on_grid(self):
         k = Multiplicity(0.3, 1.5)

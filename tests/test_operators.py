@@ -520,6 +520,16 @@ class TestDuality:
         assert len(gaps) == 9
         assert max(gaps) <= 1e-12
 
+    def test_kernel_consistency_gaps_at_rounding(self):
+        # the two kernel routes and the two closed Ktilde forms agree to
+        # rounding, far below the suite's tolerances
+        gaps = {}
+        for row in run_suite("kernel-consistency"):
+            gaps.setdefault(row["check"], []).append(row["gap"])
+        assert len(gaps["kernel_direct_vs_assembled"]) == len(gaps["ktilde_direct_vs_byparts"]) == 378
+        assert max(gaps["kernel_direct_vs_assembled"]) <= 1e-12
+        assert max(gaps["ktilde_direct_vs_byparts"]) <= 1e-14
+
     def test_zero_weight_nodes_skip_the_operator(self):
         points = []
 

@@ -105,6 +105,22 @@ class TestTanhSinh:
         res = integrate(tanh_sinh(7), lambda t: t ** -0.5, (0.0, 1.0))
         assert res.value == pytest.approx(2.0, abs=1e-10)
 
+    @pytest.mark.parametrize("f, interval", [
+        (lambda t: (1.0 - t) ** -0.5, (0.0, 1.0)),
+        (lambda t: np.power(1.0 - t, -0.5), (0.0, 1.0)),
+        (lambda t: (t + 3.0) ** -0.5, (-3.0, -2.0)),
+    ], ids=["upper-end", "upper-end-numpy", "lower-end-off-zero"])
+    def test_nodes_rounding_onto_an_end(self, f, interval):
+        # the refined rule's end offsets reach 1e-280 half-widths: nodes that
+        # would round onto an end other than 0 are cut, and the parts between
+        # the ends and their nearest nodes enter the bar
+        res = integrate(tanh_sinh(6), f, interval)
+        assert abs(res.value - 2.0) <= res.est_error <= 1e-6
+
+    def test_divergent_end_raises(self):
+        with pytest.raises(EvaluationError, match="non-finite error bar"):
+            integrate(tanh_sinh(6), lambda t: 1.0 / t, (0.0, 1.0))
+
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 1.0])
     def test_algebraic_endpoint_family(self, p):
         res = integrate(tanh_sinh(8), lambda t: t ** (p - 1.0), (0.0, 1.0))
