@@ -68,7 +68,8 @@ and forms all their series from one product of stacked coefficient rows.
 The Gamma ratio log(2^p Gamma(s+1/2) / (sqrt(pi) Gamma(s))) is formed in
 ``_log_gamma_ratio`` alone, the one step where real and complex k differ:
 log D at p = 4 k1 + 6 k2 - 4, s = k1 + k2, the limit kernels' constant at
-p = s = k, and ``constant_c``'s at p = 3s, times 1/B(k1, k2).  It needs no
+p = 0, s = k (their 2^k joins the power that k multiplies), and
+``constant_c``'s at p = 3s, times 1/B(k1, k2).  It needs no
 finite Gamma, so the limit kernels and ``constant_c`` return every value
 that is a double, at any k and x, and raise ``EvaluationError`` beyond.
 """
@@ -393,14 +394,25 @@ def _limit_kernel(k: float, x: float, y: float, name: str, scale: float = 1.0) -
     y = scale * _real_array("kernel point y", y).item()
     KernelPoint(x, y)
     xa, ya = abs(x), abs(y)
-    log_sinh = math.log(math.sinh(xa)) if xa < 700.0 else xa - _LOG2     # sinh x nears overflow
+    # 2^k (cosh x - cosh y)^{k-1} / sinh^{2k} x = r^k / (cosh x - cosh y) with
+    # r = 4 (sinh((x+y)/2) / sinh x) (sinh((x-y)/2) / sinh x) < 4: k multiplies
+    # log r, not three logs of size ~k that cancel to it.
     # e^x - e^{-y} = 2 e^{(x-y)/2} sinh((x+y)/2), and the powers enter as
     # logs: nothing cancels at small |x|, and no power over- or underflows at
     # tiny |x|.  sinh((x+y)/2) has the sign of x, so the value is positive
+    log_r = 2.0 * _LOG2 + _log_sinh_ratio(xa + ya, xa) + _log_sinh_ratio(xa - ya, xa)
     return _exp_in_range(
-        _log_gamma_ratio(k, k)[0] - 2.0 * k * log_sinh
-        + (k - 1.0) * (_LOG2 + _log_sinh_half(xa + ya) + _log_sinh_half(xa - ya))
+        _log_gamma_ratio(0.0, k)[0] + k * log_r
+        - (_LOG2 + _log_sinh_half(xa + ya) + _log_sinh_half(xa - ya))
         + (x - y) / 2.0 + _log_sinh_half(abs(x + y)), "the closed-form limit kernel")
+
+
+def _log_sinh_ratio(t: float, xa: float) -> float:
+    """log(sinh(t/2) / sinh xa) for 0 < t/2 <= xa: the log of one quotient
+    while both sinh are normal doubles, else the difference of their logs."""
+    if t >= 1e-300 and xa < 700.0:
+        return math.log(math.sinh(t / 2.0) / math.sinh(xa))
+    return _log_sinh_half(t) - _log_sinh_half(2.0 * xa)
 
 
 def _log_sinh_half(t: float) -> float:

@@ -7,6 +7,13 @@ the origin, and for nonzero x is the integral of the kernel against f over
 over {|x| > |y|} and is truncated here to the declared compact support of
 its argument.
 
+V's kernel at x is the same for every test function, and its series depend
+on |x| only, so ``apply_V`` and ``intertwine_gap`` take a tuple of functions
+and evaluate them in one outer pass: each |x| asked for at both signs is one
+interval of the kernel's mirror path, any other point one of its one-sign
+path, and every (function, sign, point) output keeps its own level, value
+and error bar.
+
 Test inputs come from a small registry of vectorized functions rather than
 arbitrary user callables, which keeps every operator evaluation
 reproducible.
@@ -194,43 +201,106 @@ _SCAN_CHUNK = 4096  # scan cells times ks per kernel call, keeps temporaries ~3 
 _MIRROR = np.array([1.0, -1.0])[:, None, None]   # an outer piece and its mirror image
 
 
-@np.errstate(all="ignore")   # a non-finite value raises instead
-def _v_sums(k: Multiplicity, f: TestFunction, x, u) -> EvalResult:
-    """Weighted sums of Vf at x, a scalar or an array, for weights u of shape
-    (r,) + x.shape: one row gives u[0] Vf(x), two rows u[0] Vf(x) + u[1] Vf(-x)
-    for x >= 0.
+def _eval_at(f: TestFunction, y, points):
+    """f at the nodes y (pieces x points x nodes) of the points where the mask
+    ``points`` is set, 0 at the others, which f is not evaluated at."""
+    if points.all():
+        return np.asarray(f.eval(y))
+    out = np.zeros(y.shape)
+    if points.any():
+        part = np.asarray(f.eval(y[:, points]))
+        out = out.astype(part.dtype)
+        out[:, points] = part
+    return out
 
-    The kernel's series depend on |x| only, so the mirror pair's values at
-    each node come from one series, the sign on its own axis.  A point whose
-    weights are all 0 is an empty interval: f is not evaluated there, and
-    its value and bar are 0.
+
+@np.errstate(all="ignore")   # a non-finite value raises in _point_result
+def _v_sums(k: Multiplicity, fs, x, u, per_row=True):
+    """Weighted sums of V f at x, a scalar or an array, for each function f
+    in the tuple fs and weights u of shape (len(fs), r) + x.shape: one row
+    gives u[j, 0] V f_j(x), two rows u[j, 0] V f_j(x) and u[j, 1] V f_j(-x)
+    for x >= 0, each an output of its own, or with ``per_row`` False their
+    sum.  Returns the values and bars of shape (len(fs), r) + x.shape
+    ((len(fs),) + x.shape for the sums), unchecked, and the method.
+
+    One outer pass serves every output, each at its own level (see
+    ``_outer_sums``).  The kernel's series depend on |x| only, so the pair's
+    values at each node come from one series, the sign on its own axis, and
+    each function is evaluated once per batch at the nodes s and -s, which
+    serve both signs.  A point whose weights are all 0 is an empty interval,
+    and a function whose weights at a point are 0 is not evaluated there;
+    such an output's value and bar are 0.  At x = 0 the value is f(0) times
+    the weight, the defining point evaluation.
     """
     x = _real_array("evaluation point", x)
-    u = np.reshape(u, (len(u), -1))
-    mirror = len(u) == 2
-    live = u.any(0).reshape(x.shape)
+    u = np.reshape(u, (len(fs), -1, x.size))
+    rows = u.shape[1]
+    wanted = u.any(1)       # (function, point)
+    live = wanted.any(0).reshape(x.shape)
 
     def integrand(i, s, d_lo, d_hi):
         y = _MIRROR * s
-        fy = np.asarray(f.eval(y)) * u[:, i][:, None, :, None]     # (row, mirror, points, nodes)
-        kv, kb = _kernel_values(k, x.flat[i][None, :, None], y, gap=d_hi, mirror=mirror)
+        kv, kb = _kernel_values(k, x.flat[i][None, :, None], y, gap=d_hi, mirror=rows == 2)
+        fy = np.array([_eval_at(f, y, at) for f, at in zip(fs, wanted[:, i])])
+        fy = fy[:, None] * u[:, :, None, i, None]      # (function, row, piece, points, nodes)
         return kv * fy, kb * np.abs(fy)
 
+    outputs = (len(fs), rows) if per_row else (len(fs),)
+    # every argument by position, as a stand-in that records the calls takes them
     values, est, rule = _outer_sums(0.0, np.where(live, np.abs(x), 0.0), integrand,
-                                    (1.0, _end_power(k)))
+                                    (1.0, _end_power(k)), outputs)
     zero = (x == 0.0) & live
     if zero.any():
-        values[zero] = u.sum(0).reshape(x.shape)[zero] * f.eval(0.0)
-    method = "point-evaluation" if zero.all() else f"{rule} x {METHOD}"
-    return _point_result(values, est, method)
+        weights = u.reshape((len(fs), rows) + x.shape)
+        for v, f, w in zip(values, fs, weights if per_row else weights.sum(1)):
+            v[..., zero] = w[..., zero] * f.eval(0.0)
+    return values, est, "point-evaluation" if zero.all() else f"{rule} x {METHOD}"
 
 
-@np.errstate(all="ignore")   # a non-finite value raises instead
-def _vt_sums(k: Multiplicity, g: TestFunction, y, u) -> EvalResult:
+def _v_points(k: Multiplicity, fs, x, want):
+    """V f at x, a float array, for each function f in the tuple fs where
+    ``want`` (shape (len(fs),) + x.shape) is set, else 0: the values and bars
+    of that shape, unchecked, and the method.
+
+    Each |x| asked for at both signs is one interval of the mirror path, the
+    signs separate outputs, in the order the |x| first appear; every other
+    point is an interval of the one-sign path, in the order given.
+    """
+    flat = x.reshape(-1)
+    xa = np.abs(flat)
+    signs = {}      # |x| -> the signs asked for, in the order the |x| first appear
+    for a, positive in zip(xa.tolist(), (flat > 0.0).tolist()):
+        signs.setdefault(a, set()).add(positive)
+    slot = {a: j for j, a in enumerate(a for a, both in signs.items() if len(both) == 2)}
+    if not slot:    # one one-sign pass over x as given
+        v, b, method = _v_sums(k, fs, x, np.reshape(want, (len(fs), 1) + x.shape))
+        return v[:, 0], b[:, 0], method
+    at = np.array([slot.get(a, -1) for a in xa.tolist()], dtype=int)
+    mirror = at >= 0
+    one = ~mirror
+    want = np.reshape(want, (len(fs), -1))
+    values, bars = np.zeros(want.shape, dtype=complex), np.zeros(want.shape)
+    pos, row = at[mirror], (flat[mirror] < 0.0).astype(int)
+    u = np.zeros((len(fs), 2, len(slot)))
+    np.maximum.at(u, (slice(None), row, pos), want[:, mirror])
+    v, b, method = _v_sums(k, fs, np.array(list(slot)), u)
+    values[:, mirror], bars[:, mirror] = v[:, row, pos], b[:, row, pos]
+    if one.any():
+        v, b, single = _v_sums(k, fs, flat[one], want[:, None, one])
+        values[:, one], bars[:, one] = v[:, 0], b[:, 0]
+        # the higher rule: methods order by length, then by text
+        method = max(method, single, key=lambda m: (len(m), m))
+    shape = want.shape[:1] + x.shape
+    return values.reshape(shape), bars.reshape(shape), method
+
+
+@np.errstate(all="ignore")   # a non-finite value raises in _point_result
+def _vt_sums(k: Multiplicity, g: TestFunction, y, u):
     """Weighted sums of tVg at y, a scalar or an array, for weights u of shape
     (r,) + y.shape: one row gives u[0] tVg(y), two rows u[0] tVg(y) + u[1]
     tVg(-y) for y >= 0, the pair's values at each node from one series.  A
     point whose weights are all 0 is an empty interval, as in ``_v_sums``.
+    Returns the values and bars of the shape of y, unchecked, and the method.
     """
     if g.support is None:
         raise ContractError(f"{g.id} declares no compact support; the dual needs one")
@@ -250,18 +320,26 @@ def _vt_sums(k: Multiplicity, g: TestFunction, y, u) -> EvalResult:
     ya = np.abs(y)
     hi = np.where(u.any(0).reshape(y.shape), np.maximum(ya, a), ya)
     values, est, rule = _outer_sums(ya, hi, integrand, (_end_power(k), 1.0))
-    return _point_result(values, est, f"{rule} x {METHOD}" if (ya < hi).any() else "empty-domain")
+    return values, est, f"{rule} x {METHOD}" if (ya < hi).any() else "empty-domain"
 
 
-def apply_V(k: Multiplicity, f: TestFunction, x) -> EvalResult:
+def apply_V(k: Multiplicity, f, x):
     """Intertwining operator applied to a registered function at x, a scalar or an array.
 
     Values and error bars have the shape of x: f(0) at x = 0, the defining
     point evaluation; elsewhere the kernel integral over (-|x|, |x|), split
     at 0 with a double-exponential rule per half so the algebraic vanishing
-    of the kernel at y = -/+ x is resolved.
+    of the kernel at y = -/+ x is resolved.  f may be a tuple of functions:
+    the result is then a tuple of results, one per function, each with its
+    own values, bars and type (real where its values are), from one outer
+    pass that forms the kernel once for all of them; the method names the
+    pass's highest rule.
     """
-    return _v_sums(k, f, x, np.ones((1,) + np.shape(x)))
+    fs = f if isinstance(f, tuple) else (f,)
+    x = _real_array("evaluation point", x)
+    values, bars, method = _v_points(k, fs, x, np.ones((len(fs),) + x.shape, dtype=bool))
+    results = tuple(_point_result(v, b, method) for v, b in zip(values, bars))
+    return results if isinstance(f, tuple) else results[0]
 
 
 def apply_Vt(k: Multiplicity, g: TestFunction, y) -> EvalResult:
@@ -271,7 +349,7 @@ def apply_Vt(k: Multiplicity, g: TestFunction, y) -> EvalResult:
     elsewhere integrated over (|y|, a) from its singular end |y|.  y is a
     scalar or an array, and the result has its shape.
     """
-    return _vt_sums(k, g, y, np.ones((1,) + np.shape(y)))
+    return _point_result(*_vt_sums(k, g, y, np.ones((1,) + np.shape(y))))
 
 
 def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
@@ -290,19 +368,20 @@ def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
         raise ContractError(f"{g.id} declares no compact support")
     a = float(g.support)
 
-    def pairing(outer, sums, fn, power):
-        # integral of outer(x) op(k, fn, x) over (0, a) and its mirror image,
-        # one nested sum per node s for x = s, -s; ``power`` at the end 0
+    def pairing(outer, sums, power):
+        # integral of outer(x) op(x) over (0, a) and its mirror image, one
+        # nested sum per node s for x = s, -s; ``power`` at the end 0
         def integrand(i, s, d_lo, d_hi):
-            res = sums(k, fn, s, outer(_MIRROR * s))
+            res = _point_result(*sums(s, outer(_MIRROR * s)))
             # complex, as the outer sum rounds a real matmul differently
             return np.asarray(res.value, dtype=complex), res.est_error
         return complex(_outer_sums(0.0, a, integrand, (power, 1.0))[0])
 
     # A(x) / |x|^{2 Re s} grows with |x|, so the power bounds the left side at 0
-    lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x), _v_sums, f,
+    lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x),
+                  lambda s, u: _v_sums(k, (f,), s, u[None], False),
                   1.0 + 2.0 * (k.k1 + k.k2).real)
-    rhs = pairing(f.eval, _vt_sums, g, 1.0)
+    rhs = pairing(f.eval, lambda s, u: _vt_sums(k, g, s, u), 1.0)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -315,27 +394,37 @@ def _richardson_derivative(up, down, up2, down2, h):
     return (8.0 * (up - down) - (up2 - down2)) / (12.0 * h)
 
 
-def intertwine_gap(k: Multiplicity, f: TestFunction, x):
+def intertwine_gap(k: Multiplicity, f, x):
     """Defect |D(Vf)(x) - V(f')(x)| of the intertwining identity at x, a scalar or an array.
 
     D acts on Vf through ``_richardson_derivative`` with step
-    1e-4 max(1, |x|), so the result is finite-difference limited.  Each side
-    is one ``apply_V`` call over all points; the gaps have the shape of x.
+    1e-4 max(1, |x|), so the result is finite-difference limited.  Vf at
+    x +- h, x +- 2h, x and -x and V(f') at x come from one outer pass; the
+    gaps have the shape of x.  f may be a tuple of functions, which share
+    that pass: the result is then a tuple of their gaps.
     """
+    fs = f if isinstance(f, tuple) else (f,)
     shape = np.shape(x)
     # flat arrays throughout: numpy rounds complex scalars and arrays differently
     x = _real_array("evaluation point", x).reshape(-1)
     if (x == 0.0).any():
         raise DomainError("intertwining defect is evaluated away from x = 0")
-    if f.deriv is None:
-        raise ContractError(f"{f.id} has no derivative")
+    for fn in fs:
+        if fn.deriv is None:
+            raise ContractError(f"{fn.id} has no derivative")
     h = NUMERICS.fd_step_scale * np.maximum(1.0, np.abs(x))
-    *shifted, v_x, v_mx = apply_V(k, f, np.stack((x + h, x - h, x + 2 * h, x - 2 * h,
-                                                  x, -x))).value
-    lhs = _d_cothtanh(k, x, _richardson_derivative(*shifted, h), v_x, v_mx)
-    f_prime = TestFunction(id=f"{f.id}'", eval=f.deriv, support=f.support)
-    gap = np.abs(lhs - apply_V(k, f_prime, x).value).reshape(shape)
-    return gap if shape else gap.item()
+    primes = tuple(TestFunction(id=f"{fn.id}'", eval=fn.deriv, support=fn.support) for fn in fs)
+    points = np.stack((x + h, x - h, x + 2 * h, x - 2 * h, x, -x))
+    want = np.ones((2 * len(fs),) + points.shape, dtype=bool)
+    want[len(fs):, [0, 1, 2, 3, 5]] = False    # V(f') at x alone
+    values, bars, method = _v_points(k, fs + primes, points, want)
+    v = [_point_result(*vb, method).value for vb in zip(values, bars)]
+    gaps = []
+    for (*shifted, v_x, v_mx), v_prime in zip(v[:len(fs)], v[len(fs):]):
+        lhs = _d_cothtanh(k, x, _richardson_derivative(*shifted, h), v_x, v_mx)
+        gap = np.abs(lhs - v_prime[4]).reshape(shape)
+        gaps.append(gap if shape else gap.item())
+    return tuple(gaps) if isinstance(f, tuple) else gaps[0]
 
 
 @dataclass(frozen=True)

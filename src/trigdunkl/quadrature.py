@@ -24,9 +24,13 @@ estimate as ``vals @ w`` and ``vals @ wc``.
 
 ``_outer_sums`` (V, tV, the duality pairing, the nested ``ktilde`` form) cuts
 each end of the rule where that end's power leaves about eps, so a regular
-end keeps only the nodes it needs, and picks the level per interval: from
+end keeps only the nodes it needs, and picks the level per output: from
 ``_MIN_TS_LEVEL`` up, the first whose companion agrees to sqrt(eps) times the
-sum of |integrand| w (each level about squares the error).
+sum of |integrand| w (each level about squares the error).  An interval may
+carry several outputs (V of several functions, at x and -x), which share its
+nodes and so its kernel values; it is evaluated while any of them is open,
+and an output that stopped keeps its level's value and bar.  Every caller
+but V's is the one-output case.
 """
 
 import math
@@ -237,65 +241,74 @@ def _on_interval(lo, hi, t, glo, ghi):
     return np.where(t <= 0.0, lo + d_lo, hi - d_hi), d_lo, d_hi
 
 
-def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0)):
-    """Outer tanh-sinh integrals over the broadcast intervals (lo, hi), each at its own level.
+def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
+    """Outer tanh-sinh integrals over the broadcast intervals (lo, hi), each output at its level.
 
     ``integrand(i, s, d_lo, d_hi)`` gets a batch's flat interval indices and
     the abscissae with their end distances (points x nodes), and returns the
-    integrand there, summed over any leading axis (pieces of the domain, e.g.
-    s and -s), and its error bar.  An empty interval gives 0 without the
-    integrand.  Each level from ``_MIN_TS_LEVEL`` up is computed whole,
-    ``_OUTER_NODES`` points x nodes a batch, until every interval stops or
-    ``_MAX_TS_LEVEL``.  Returns the values and error estimates in the
-    broadcast shape, and the highest rule used.  ``powers`` are the ends'
-    powers p: the integrand is at most about gap^{p-1} there, so each end is
-    cut at gap eps^{1/p}, dropping about eps relative (a caller passes p <= 1
-    for an end it cannot bound so), but not below 1e-280 / (least
-    half-width) while that is below eps, so no end distance underflows for
-    intervals wider than about 1e-305.  An estimate
-    is min(d, 10 d^2 / m), d the difference from the level below and m the
-    integral of |integrand| (a level squares the relative error), plus the
-    integrand's rounding and the parts beyond the cuts, about gap
-    |integrand| / p at each end's outermost node.
+    integrand there and its error bar, of shape ``outputs`` + pieces +
+    (points, nodes): an output is the sum over its pieces of the domain (e.g.
+    s and -s).  An empty interval gives 0 without the integrand.  Each level
+    from ``_MIN_TS_LEVEL`` up is computed whole, ``_OUTER_NODES`` points x
+    nodes a batch; an output stops at the first level whose companion agrees
+    (or at ``_MAX_TS_LEVEL``) and keeps that level's value and bar, and an
+    interval is evaluated while any of its outputs is open.  Returns the
+    values and error estimates of shape ``outputs`` + the broadcast shape,
+    and the highest rule used.  ``powers`` are the ends' powers p: the
+    integrand is at most about gap^{p-1} there, so each end is cut at gap
+    eps^{1/p}, dropping about eps relative (a caller passes p <= 1 for an
+    end it cannot bound so), but not below 1e-280 / (least half-width) while
+    that is below eps, so no end distance underflows for intervals wider
+    than about 1e-305.  An estimate is min(d, 10 d^2 / m), d the difference
+    from the level below and m the integral of |integrand| (a level squares
+    the relative error), plus the integrand's rounding and the parts beyond
+    the cuts, about gap |integrand| / p at each end's outermost node.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     ends = np.concatenate((lo.ravel(), hi.ravel()))
     if not np.isfinite(ends).all():
         raise DomainError(f"non-finite evaluation point {ends[~np.isfinite(ends)][0].item()!r}")
-    values = np.zeros(lo.shape, dtype=complex)
-    est = np.zeros(lo.shape)
+    n_out = math.prod(outputs)
+    values = np.zeros((n_out, lo.size), dtype=complex)
+    est = np.zeros((n_out, lo.size))
     todo = np.flatnonzero(lo < hi)
+    open_ = np.ones((n_out, todo.size), dtype=bool)     # the outputs of todo's intervals
     half_min = 0.5 * np.min(hi.flat[todo] - lo.flat[todo], initial=np.inf)
     floor = min(_EPS, _TS_FULL_GAP / half_min)
     cut_lo, cut_hi = (max(_EPS ** (1.0 / p), floor) for p in powers)
     for level in range(_MIN_TS_LEVEL, _MAX_TS_LEVEL + 1):
         t, w, glo, ghi, wc = _cut(_tanh_sinh_full(level), cut_lo, cut_hi)
         step = max(1, _OUTER_NODES // t.size)
-        done = np.zeros(todo.size, dtype=bool)
         for j in range(0, todo.size, step):
             i = todo[j:j + step]
             half = 0.5 * (hi.flat[i] - lo.flat[i])
             s, d_lo, d_hi = _on_interval(lo.flat[i][:, None], hi.flat[i][:, None], t, glo, ghi)
-            vals, bars = (np.reshape(v, (-1,) + s.shape) for v in integrand(i, s, d_lo, d_hi))
+            vals, bars = (np.reshape(v, (n_out, -1) + s.shape)
+                          for v in integrand(i, s, d_lo, d_hi))
             fine = vals @ w
-            diff = np.abs(fine - vals @ wc).sum(0) * half
-            mags = (np.abs(vals) @ w).sum(0) * half
+            diff = np.abs(fine - vals @ wc).sum(1) * half
+            mags = (np.abs(vals) @ w).sum(1) * half
             tail = (glo[0] / powers[0] * np.abs(vals[..., 0])
-                    + ghi[-1] / powers[1] * np.abs(vals[..., -1])).sum(0)
+                    + ghi[-1] / powers[1] * np.abs(vals[..., -1])).sum(1)
             # a NaN difference stops at once: no level makes it finite
             stop = ~(diff > math.sqrt(_EPS) * mags) | (level == _MAX_TS_LEVEL)
-            values.flat[i[stop]] = (fine.sum(0) * half)[stop]
+            now = stop & open_[:, j:j + step]
+            out, col = np.nonzero(now)
+            at = out, i[col]
+            values[at] = (fine.sum(1) * half)[now]
             # m >= d, so m = 0 (pieces outside a support) only with d = 0;
             # the floor keeps 0/0 out
             level_err = diff * np.minimum(1.0, 10.0 * diff / np.maximum(mags, math.ulp(0.0)))
             # products with f and the measure, and the sum, round each term
-            est.flat[i[stop]] = (level_err + (bars @ w).sum(0) * half + 8.0 * _EPS * mags
-                                 + tail * half)[stop]
-            done[j:j + step] = stop
-        todo = todo[~done]
+            est[at] = (level_err + (bars @ w).sum(1) * half + 8.0 * _EPS * mags
+                       + tail * half)[now]
+            open_[:, j:j + step] &= ~stop
+        more = open_.any(0)
+        todo, open_ = todo[more], open_[:, more]
         if not todo.size:
             break
-    return values, est, f"tanh-sinh(level={level})"
+    shape = outputs + lo.shape
+    return values.reshape(shape), est.reshape(shape), f"tanh-sinh(level={level})"
 
 
 def _gauss_jacobi_pair(n: int, alpha: float, beta: float):
@@ -333,7 +346,8 @@ def integrate(rule: QuadratureRule, f, interval) -> EvalResult:
     """Integrate f over a finite interval with the affinely mapped rule.
 
     The error estimate compares against the next refinement (2n nodes for
-    Gauss rules, level + 1 for tanh-sinh) and the refined value is returned.
+    Gauss rules, level + 1 for tanh-sinh) and the refined value is returned;
+    it adds 8 eps times the integral of |f| for the rounding of the sum.
     A tanh-sinh node that would round onto an end is cut, and the estimate
     adds the parts between each end and its nearest node (``_end_part``).
     Jacobi rules integrate f against the rule's endpoint weight transplanted
@@ -373,4 +387,6 @@ def integrate(rule: QuadratureRule, f, interval) -> EvalResult:
     fine, coarse = (vals @ w) * half, (vals @ wc) * half
     ends = 0.0 if rule.level is None else (_end_part(xs - lo, vals)
                                             + _end_part(hi - xs[::-1], vals[::-1]))
-    return _point_result(fine, abs(fine - coarse) + ends, method)
+    # the products with the weights and their sum round each term, as in _outer_sums
+    rounding = 8.0 * _EPS * (np.abs(vals) @ w) * half
+    return _point_result(fine, abs(fine - coarse) + ends + rounding, method)

@@ -668,21 +668,29 @@ class TestLimitKernels:
         # Gamma(k + 1/2) overflows past k = 171; the constant comes from its
         # log, and the values stay within rounding of the closed form
         mp = pytest.importorskip("mpmath")
+        # abs=0: approx's default absolute 1e-12 would pass any value this small
         assert kernel_K_limit_k1zero(171.3, 1.0, 0.3) == pytest.approx(6.4402682764318376e-24,
-                                                                       rel=1e-12)
+                                                                       rel=1e-12, abs=0.0)
         checked = 0
         for k in (171.0, 171.3, 250.0, 600.0, 1000.0, 1500.0, 2000.0):
             for x, y in ((1.0, 0.3), (2.2, -1.3), (0.8, 0.0)):
                 with mp.workdps(40):
                     want1 = self._closed_form(mp, k, x, y)
                     want2 = self._closed_form(mp, k, x / 2, y / 2) / 2
-                # the half-argument form sums log terms of size ~2.5 k: 2e-12 at k = 2000
+                # k multiplies the log of a ratio of sinh, not logs of size ~2.5 k
                 for limit, want, rel in ((kernel_K_limit_k1zero, want1, 1e-12),
-                                         (kernel_K_limit_k2zero, want2, 2e-12)):
+                                         (kernel_K_limit_k2zero, want2, 1e-12)):
                     if sys.float_info.min <= want <= sys.float_info.max:
                         checked += 1
-                        assert limit(k, x, y) == pytest.approx(float(want), rel=rel), (k, x, y)
+                        assert limit(k, x, y) == pytest.approx(float(want), rel=rel,
+                                                               abs=0.0), (k, x, y)
         assert checked >= 30
+
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_float_k(self):
+        # the constant's 2^k joins the power, so no numpy scalar power overflows
+        for limit in (kernel_K_limit_k1zero, kernel_K_limit_k2zero):
+            assert limit(np.float64(1500.0), 1.0, 0.3) == limit(1500.0, 1.0, 0.3) > 0.0
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("limit, half, x", [(kernel_K_limit_k1zero, 1.0, 800.0),
@@ -693,7 +701,7 @@ class TestLimitKernels:
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             want = float(half * self._closed_form(mp, 0.5, half * x, half))
-        assert want > 0.0 and limit(0.5, x, 1.0) == pytest.approx(want, rel=1e-12)
+        assert want > 0.0 and limit(0.5, x, 1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
         assert limit(0.5, -1e300, 1.0) == 0.0
 
     def test_beyond_double_range_raises(self):

@@ -588,6 +588,16 @@ class TestMirrorPairs:
     KS = [Multiplicity(0.3, 1.5), Multiplicity(0.5 + 0.3j, 0.7), Multiplicity(0.05, 0.05)]
 
     @staticmethod
+    def _v_sums(k, f, x, u):
+        # one function, the rows summed into one output, as the duality pairing takes them
+        values, bars, method = operators._v_sums(k, (f,), x, np.asarray(u)[None], False)
+        return _point_result(values[0], bars[0], method)
+
+    @staticmethod
+    def _vt_sums(k, g, y, u):
+        return _point_result(*operators._vt_sums(k, g, y, u))
+
+    @staticmethod
     def _check(sums, op, k, fn, seed):
         rng = np.random.default_rng(seed)
         s = rng.uniform(0.0, 2.0, 7)
@@ -601,14 +611,14 @@ class TestMirrorPairs:
     @pytest.mark.parametrize("k", KS, ids=["real", "complex", "small"])
     @pytest.mark.parametrize("f", [bump(2.0), plane_wave(1.0)], ids=["bump", "plane_wave"])
     def test_v_pair(self, k, f):
-        self._check(operators._v_sums, apply_V, k, f, 11)
+        self._check(self._v_sums, apply_V, k, f, 11)
 
     @pytest.mark.parametrize("k", KS, ids=["real", "complex", "small"])
     @pytest.mark.parametrize("f", [bump(2.0), plane_wave(1.0)], ids=["bump", "plane_wave"])
     def test_vt_pair(self, k, f):
         # the dual needs a support: the plane wave is cut to [-2, 2]
         g = f if f.support else TestFunction(f.id, eval=f.eval, support=2.0)
-        self._check(operators._vt_sums, apply_Vt, k, g, 12)
+        self._check(self._vt_sums, apply_Vt, k, g, 12)
 
     @staticmethod
     def _check_one_hot(sums, op, k, fn, points):
@@ -623,7 +633,7 @@ class TestMirrorPairs:
     def test_v_one_hot_rows(self, k, f):
         x = np.concatenate(([0.0, -0.0, 1e-200, -2.9],
                             np.random.default_rng(13).uniform(-3, 3, 6)))
-        self._check_one_hot(operators._v_sums, apply_V, k, f, x)
+        self._check_one_hot(self._v_sums, apply_V, k, f, x)
 
     @pytest.mark.parametrize("k", KS, ids=["real", "complex", "small"])
     @pytest.mark.parametrize("f", [bump(2.0), plane_wave(1.0)], ids=["bump", "plane_wave"])
@@ -631,7 +641,7 @@ class TestMirrorPairs:
         g = f if f.support else TestFunction(f.id, eval=f.eval, support=2.0)
         # |y| >= 2 is outside the support
         y = np.concatenate(([0.0, -0.0, 2.0, -2.5], np.random.default_rng(14).uniform(-2, 2, 6)))
-        self._check_one_hot(operators._vt_sums, apply_Vt, k, g, y)
+        self._check_one_hot(self._vt_sums, apply_Vt, k, g, y)
 
     @pytest.mark.parametrize("k", KS, ids=["real", "complex", "small"])
     def test_v_zero_weight_forms_no_value(self, k):
@@ -640,13 +650,13 @@ class TestMirrorPairs:
             return np.where(np.abs(y) > 1.5, np.nan, np.cos(y))
 
         f = TestFunction("cos, NaN beyond 1.5", eval=cos_or_nan)
-        res = operators._v_sums(k, f, [1.0, 2.0], [[1.0, 0.0]])
+        res = self._v_sums(k, f, [1.0, 2.0], [[1.0, 0.0]])
         one = apply_V(k, f, 1.0)
         assert np.asarray(res.value[0]).tobytes() == np.asarray(one.value).tobytes()
         assert np.float64(res.est_error[0]).tobytes() == np.float64(one.est_error).tobytes()
         assert res.value[1] == 0.0 and res.est_error[1] == 0.0
         with pytest.raises(EvaluationError):
-            operators._v_sums(k, f, [1.0, 2.0], [[1.0, 1.0]])
+            self._v_sums(k, f, [1.0, 2.0], [[1.0, 1.0]])
 
     @pytest.mark.parametrize("k", KS, ids=["real", "complex", "small"])
     def test_vt_zero_weight_adds_no_evaluations(self, k):
@@ -657,13 +667,149 @@ class TestMirrorPairs:
             return bump(2.0).eval(y)
 
         g = TestFunction("counted bump", eval=counted, support=2.0)
-        res = operators._vt_sums(k, g, [0.5, 1.0], [[1.0, 0.0]])
+        res = self._vt_sums(k, g, [0.5, 1.0], [[1.0, 0.0]])
         with_zero = sum(points)
         points.clear()
         one = apply_Vt(k, g, 0.5)
         assert with_zero == sum(points) > 0
         assert np.asarray(res.value[0]).tobytes() == np.asarray(one.value).tobytes()
         assert res.value[1] == 0.0 and res.est_error[1] == 0.0
+
+
+class TestSharedPass:
+    """A tuple of functions shares one outer pass, and a |x| asked for at both signs one
+    mirror interval; every (function, sign, point) output keeps its own level."""
+
+    KS = [Multiplicity(0.7, 0.4), Multiplicity(0.5 + 0.2j, 0.7)]
+    by_k = pytest.mark.parametrize("k", KS, ids=["real", "complex"])
+    MIXED = (plane_wave(1.5), plane_wave(0.0), gaussian(), monomial(2), bump(2.0))
+
+    @staticmethod
+    def _same(a, b):
+        """Equal values (of one type) and bars, bit for bit."""
+        return all(np.asarray(p).dtype == np.asarray(q).dtype
+                   and np.asarray(p).tobytes() == np.asarray(q).tobytes()
+                   for p, q in ((a.value, b.value), (a.est_error, b.est_error)))
+
+    @by_k
+    @pytest.mark.parametrize("fs", [(plane_wave(1.5), plane_wave(0.0), plane_wave(20.0)),
+                                    (gaussian(), monomial(2), bump(2.0))],
+                             ids=["complex-values", "real-values"])
+    @pytest.mark.parametrize("x", [1.3, -0.5, 2.9, 1e-3, 0.0])
+    def test_one_point_matches_each_call_bit_for_bit(self, k, fs, x):
+        # one interval, so the pass forms the same kernel values at each level
+        results = apply_V(k, fs, x)
+        assert isinstance(results, tuple) and len(results) == len(fs)
+        for f, res in zip(fs, results):
+            assert self._same(res, apply_V(k, f, x)), f.id
+
+    @by_k
+    def test_points_match_each_call_within_bars(self, k):
+        # real and complex functions together; the batches follow the open
+        # intervals, so values move by rounding only
+        x = np.array([-1.3, 0.9, -2.6, 1.3, 0.0, -0.9, 2.0])
+        for f, res in zip(self.MIXED, apply_V(k, self.MIXED, x)):
+            one = apply_V(k, f, x)
+            assert res.value.shape == res.est_error.shape == x.shape
+            assert np.all(np.abs(res.value - one.value) <= res.est_error + one.est_error), f.id
+
+    @by_k
+    @pytest.mark.parametrize("x", [1.3, 2.9, 1e-3, 1e-200])
+    def test_pair_matches_one_sign_calls(self, k, x, monkeypatch):
+        mirror = []
+        kernel_values = operators._kernel_values
+
+        def recording(*args, **kwargs):
+            mirror.append(kwargs["mirror"])
+            return kernel_values(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "_kernel_values", recording)
+        for f in self.MIXED:
+            pair = apply_V(k, f, [x, -x])
+            assert mirror and all(mirror)
+            mirror.clear()
+            for res in pair.value, pair.est_error:
+                assert res.shape == (2,)
+            for at, value, bar in zip((x, -x), pair.value, pair.est_error):
+                one = apply_V(k, f, at)
+                assert not any(mirror)      # one sign asked for: the one-sign kernel
+                mirror.clear()
+                assert np.asarray(value).tobytes() == np.asarray(one.value).tobytes()
+                assert np.float64(bar).tobytes() == np.float64(one.est_error).tobytes()
+
+    @by_k
+    @pytest.mark.parametrize("x", [2.5, -2.5, [2.5, -2.5]])
+    def test_climbing_output_leaves_the_other_alone(self, k, x):
+        slow, fast = plane_wave(0.1), plane_wave(40.0)
+        low, high = apply_V(k, (slow, fast), x)
+        alone = apply_V(k, slow, x)
+        assert alone.method == "tanh-sinh(level=4) x euler-2f1"
+        assert high.method == low.method == apply_V(k, fast, x).method != alone.method
+        assert self._same(low, alone)
+        assert self._same(high, apply_V(k, fast, x))
+
+    def test_real_values_stay_real(self):
+        k = Multiplicity(0.7, 0.4)
+        res = apply_V(k, (plane_wave(0.0), plane_wave(1.0), monomial(2)), config.EIGEN_X)
+        assert [r.value.dtype.kind for r in res] == ["f", "c", "f"]
+        lam0 = [row for row in run_suite("eigen") if " lam=0.0 " in row["point"]]
+        assert len(lam0) == 54 and all(type(row["lhs"]) is float for row in lam0)
+
+    @by_k
+    def test_zero_weight_outputs_evaluate_nothing(self, k):
+        calls = []
+
+        def counted(y):
+            calls.append(np.shape(y))
+            return gaussian().eval(y)
+
+        g = TestFunction("counted gaussian", eval=counted)
+        f = plane_wave(1.5)
+        # 1.0 and -1.0 share a mirror interval, 0.5 and 0.7 take one sign each
+        x = np.array([1.0, -1.0, 0.5, 0.7])
+        want = np.ones((2, 4), dtype=bool)
+        want[1] = [False, False, True, False]
+        values, bars, method = operators._v_points(k, (f, g), x, want)
+        assert calls and all(shape[1] == 1 for shape in calls)    # at 0.5 alone
+        assert not values[1, [0, 1, 3]].any() and not bars[1, [0, 1, 3]].any()
+        alone = apply_V(k, g, 0.5)
+        assert abs(values[1, 2] - alone.value) <= bars[1, 2] + alone.est_error
+        calls.clear()
+        want[1] = False
+        values, bars, method = operators._v_points(k, (f, g), x, want)
+        assert calls == [] and not values[1].any() and not bars[1].any()
+        # g's outputs close at once, so f's pass is its own, bit for bit
+        assert self._same(_point_result(values[0], bars[0], method), apply_V(k, f, x))
+
+    @by_k
+    def test_intertwine_tuple_matches_each_call(self, k):
+        fs = (plane_wave(1.5), monomial(2))
+        gaps = intertwine_gap(k, fs, config.EIGEN_X)
+        assert isinstance(gaps, tuple) and len(gaps) == 2
+        for f, gap in zip(fs, gaps):
+            # the difference quotient magnifies the batches' rounding by about 1/h
+            alone = intertwine_gap(k, f, config.EIGEN_X)
+            assert gap.shape == (6,) and np.all(np.abs(gap - alone) <= 0.05 * config.TOL_INTERTWINE)
+        one = intertwine_gap(k, fs, 1.3)
+        assert all(isinstance(gap, float) for gap in one)
+
+    @by_k
+    def test_intertwine_derivative_only_at_x(self, k):
+        # V(f') is wanted at x alone: f' sees the mirror interval |x|, never
+        # the four shifted points, which take one sign each
+        seen = {"f": [], "f'": []}
+
+        def counting(name, fn):
+            def ev(y):
+                seen[name].append(np.shape(y)[1])
+                return fn(y)
+            return ev
+
+        f = TestFunction("counted", eval=counting("f", plane_wave(1.5).eval),
+                         deriv=counting("f'", plane_wave(1.5).deriv))
+        gap = intertwine_gap(k, f, 0.7)
+        assert gap == intertwine_gap(k, plane_wave(1.5), 0.7)
+        assert max(seen["f"]) == 4 and set(seen["f'"]) == {1}
 
 
 class TestIntertwine:

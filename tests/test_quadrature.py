@@ -185,6 +185,17 @@ class TestIntegrate:
                         (0.0, 1.0))
         assert res.value == pytest.approx(complex(math.sin(1.0), 1.0 - math.cos(1.0)))
 
+    @pytest.mark.parametrize("rule, f, interval, exact", [
+        (tanh_sinh(6), lambda t: 1.0, (-1.0, 1.0), 2.0),
+        (tanh_sinh(12), lambda t: t ** -0.5, (0.0, 1.0), 2.0),
+        (tanh_sinh(8), lambda t: t ** -0.9, (0.0, 1.0), 10.0),
+        (gauss_legendre(16), math.exp, (0.0, 1.0), math.e - 1.0),
+    ], ids=["constant", "inverse-sqrt-level-12", "t^-0.9-level-8", "legendre-exp"])
+    def test_bar_covers_rounding(self, rule, f, interval, exact):
+        # the level difference can vanish where the sum's rounding does not
+        res = integrate(rule, f, interval)
+        assert abs(res.value - exact) <= res.est_error <= 1e-13 * exact
+
     def test_empty_interval_rejected(self):
         with pytest.raises(DomainError):
             integrate(gauss_legendre(4), lambda t: 1.0, (1.0, 1.0))
@@ -318,3 +329,27 @@ class TestOuterSums:
         gaps = np.minimum(*_tanh_sinh_full(4)[2:4])     # each level-4 node to its nearer end
         assert regular[0] == 0.5 * gaps[gaps >= eps].min()
         assert (nodes[0] < np.count_nonzero(gaps >= eps)) == (p > 1.0)
+
+    def test_outputs_keep_their_own_levels(self):
+        # two outputs on each of three intervals: a constant, which stops at
+        # the first level, and cos(40 s), which climbs; each equals its
+        # one-output pass bit for bit, as every interval keeps its nodes
+        def integrand(outputs):
+            def fn(i, s, d_lo, d_hi):
+                both = np.stack((np.ones(s.shape), np.cos(40.0 * s)))
+                return both[outputs], np.zeros((len(outputs),) + s.shape)
+            return fn
+
+        lo, hi = [0.0, -1.0, 0.5], [1.0, 2.0, 0.5]
+        values, est, rule = _outer_sums(lo, hi, integrand([0, 1]), (1.0, 1.0), (2,))
+        assert values.shape == est.shape == (2, 3)
+        assert rule != "tanh-sinh(level=4)"
+        for out in (0, 1):
+            one, one_est, one_rule = _outer_sums(lo, hi, integrand([out]), (1.0, 1.0), (1,))
+            assert values[out].tobytes() == one[0].tobytes()
+            assert est[out].tobytes() == one_est[0].tobytes()
+            assert (one_rule == "tanh-sinh(level=4)") == (out == 0)
+        assert values[:, 2].tolist() == [0.0, 0.0]
+        exact = [(np.sin(40.0 * b) - np.sin(40.0 * a)) / 40.0 for a, b in zip(lo, hi)]
+        assert np.all(np.abs(values[0] - np.subtract(hi, lo)) <= est[0])
+        assert np.all(np.abs(values[1] - exact) <= est[1])
