@@ -9,10 +9,13 @@ its argument.
 
 V's kernel at x is the same for every test function, and its series depend
 on |x| only, so ``apply_V`` and ``intertwine_gap`` take a tuple of functions
-and evaluate them in one outer pass: each |x| asked for at both signs is one
-interval of the kernel's mirror path, any other point one of its one-sign
-path, and every (function, sign, point) output keeps its own level, value
-and error bar.
+and evaluate them in one outer pass per support: each |x| asked for at both
+signs is one interval of the kernel's mirror path, any other point one of
+its one-sign path, and every (function, sign, point) output keeps its own
+level, value and error bar.  V's integrand is smooth at y = 0, so its outer
+rule is centred there and crowds its nodes only at the interval's ends
++-min(|x|, a), a the half-width of f's support; so does the right side of
+the duality pairing, f tVg over (-a, a).
 
 Test inputs come from a small registry of vectorized functions rather than
 arbitrary user callables, which keeps every operator evaluation
@@ -214,6 +217,11 @@ def _eval_at(f: TestFunction, y, points):
     return out
 
 
+def _higher_rule(*methods):
+    """The method naming the highest rule: methods order by length, then by text."""
+    return max(methods, key=lambda m: (len(m), m))
+
+
 @np.errstate(all="ignore")   # a non-finite value raises in _point_result
 def _v_sums(k: Multiplicity, fs, x, u, per_row=True):
     """Weighted sums of V f at x, a scalar or an array, for each function f
@@ -223,32 +231,53 @@ def _v_sums(k: Multiplicity, fs, x, u, per_row=True):
     sum.  Returns the values and bars of shape (len(fs), r) + x.shape
     ((len(fs),) + x.shape for the sums), unchecked, and the method.
 
-    One outer pass serves every output, each at its own level (see
-    ``_outer_sums``).  The kernel's series depend on |x| only, so the pair's
-    values at each node come from one series, the sign on its own axis, and
-    each function is evaluated once per batch at the nodes s and -s, which
-    serve both signs.  A point whose weights are all 0 is an empty interval,
-    and a function whose weights at a point are 0 is not evaluated there;
-    such an output's value and bar are 0.  At x = 0 the value is f(0) times
-    the weight, the defining point evaluation.
+    One outer pass per support serves every output of its functions, each at
+    its own level (see ``_outer_sums``): the integral over (-b, b), b =
+    min(|x|, a) for the support [-a, a] (b = |x| without one), from the
+    centred half rule on (0, b), whose nodes crowd only at b.  There the
+    kernel vanishes like a power of its gap |x| - |y| if b = |x|; if b = a <
+    |x| f vanishes instead, the kernel's gap is (|x| - a) + (b - s), and the
+    end counts as regular if it does so at every point of the pass (else it
+    is cut at the kernel's power, deeper).  The kernel's series depend on |x|
+    only, so the pair's values at each node come from one series, the sign
+    on its own axis, and each function is evaluated once per batch at the
+    nodes s and -s, which serve both signs.  A point whose weights are all 0
+    is an empty interval, and a function whose weights at a point are 0 is
+    not evaluated there; such an output's value and bar are 0.  At x = 0 the
+    value is f(0) times the weight, the defining point evaluation.
     """
     x = _real_array("evaluation point", x)
     u = np.reshape(u, (len(fs), -1, x.size))
+    by_support = {}
+    for j, f in enumerate(fs):
+        by_support.setdefault(f.support, []).append(j)
+    if len(by_support) > 1:
+        shape = (len(fs),) + ((u.shape[1],) if per_row else ()) + x.shape
+        values, est, methods = np.zeros(shape, dtype=complex), np.zeros(shape), []
+        for js in by_support.values():
+            values[js], est[js], method = _v_sums(k, tuple(fs[j] for j in js), x, u[js], per_row)
+            methods.append(method)
+        return values, est, _higher_rule(*methods)
     rows = u.shape[1]
     wanted = u.any(1)       # (function, point)
     live = wanted.any(0).reshape(x.shape)
+    xa = np.abs(x)
+    a = fs[0].support
+    b = np.where(live, xa if a is None else np.minimum(xa, a), 0.0)
+    beyond = xa - b     # the kernel's gap at b: 0 unless f's support ends first
 
     def integrand(i, s, d_lo, d_hi):
         y = _MIRROR * s
-        kv, kb = _kernel_values(k, x.flat[i][None, :, None], y, gap=d_hi, mirror=rows == 2)
+        kv, kb = _kernel_values(k, x.flat[i][None, :, None], y, gap=beyond.flat[i][:, None] + d_hi,
+                                mirror=rows == 2)
         fy = np.array([_eval_at(f, y, at) for f, at in zip(fs, wanted[:, i])])
         fy = fy[:, None] * u[:, :, None, i, None]      # (function, row, piece, points, nodes)
         return kv * fy, kb * np.abs(fy)
 
     outputs = (len(fs), rows) if per_row else (len(fs),)
+    power = 1.0 if (beyond > 0.0)[live].all() else _end_power(k)
     # every argument by position, as a stand-in that records the calls takes them
-    values, est, rule = _outer_sums(0.0, np.where(live, np.abs(x), 0.0), integrand,
-                                    (1.0, _end_power(k)), outputs)
+    values, est, rule = _outer_sums(0.0, b, integrand, (None, power), outputs)
     zero = (x == 0.0) & live
     if zero.any():
         weights = u.reshape((len(fs), rows) + x.shape)
@@ -288,8 +317,7 @@ def _v_points(k: Multiplicity, fs, x, want):
     if one.any():
         v, b, single = _v_sums(k, fs, flat[one], want[:, None, one])
         values[:, one], bars[:, one] = v[:, 0], b[:, 0]
-        # the higher rule: methods order by length, then by text
-        method = max(method, single, key=lambda m: (len(m), m))
+        method = _higher_rule(method, single)
     shape = want.shape[:1] + x.shape
     return values.reshape(shape), bars.reshape(shape), method
 
@@ -327,13 +355,18 @@ def apply_V(k: Multiplicity, f, x):
     """Intertwining operator applied to a registered function at x, a scalar or an array.
 
     Values and error bars have the shape of x: f(0) at x = 0, the defining
-    point evaluation; elsewhere the kernel integral over (-|x|, |x|), split
-    at 0 with a double-exponential rule per half so the algebraic vanishing
-    of the kernel at y = -/+ x is resolved.  f may be a tuple of functions:
+    point evaluation; elsewhere the kernel integral over (-|x|, |x|), cut to
+    f's support where that ends first, with the t >= 0 half of a symmetric
+    double-exponential rule centred at 0 for both signs of y, whose nodes
+    crowd at the ends, so the algebraic vanishing of the kernel at y = -/+ x
+    (or f's flat support edge) is resolved.  The rule takes f to be smooth
+    at 0, as every registry function is; a kink there (|y|) converges only
+    algebraically, to level 12, with a bar of the last levels' difference.
+    f may be a tuple of functions:
     the result is then a tuple of results, one per function, each with its
     own values, bars and type (real where its values are), from one outer
-    pass that forms the kernel once for all of them; the method names the
-    pass's highest rule.
+    pass per support that forms the kernel once for all of its functions;
+    the method names the highest rule of the passes.
     """
     fs = f if isinstance(f, tuple) else (f,)
     x = _real_array("evaluation point", x)
@@ -352,17 +385,19 @@ def apply_Vt(k: Multiplicity, g: TestFunction, y) -> EvalResult:
     return _point_result(*_vt_sums(k, g, y, np.ones((1,) + np.shape(y))))
 
 
-def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
-    """Normalized defect of the pairing identity between V and its dual.
+def _pairing_sides(k: Multiplicity, f: TestFunction, g: TestFunction):
+    """The duality pairing's two sides as (value, error bar) pairs: the
+    measure-weighted pairing of Vf with g over supp g, and the plain pairing
+    of f with tVg.
 
-    |LHS - RHS| / max(|LHS|, |RHS|, 1) with LHS the measure-weighted pairing
-    of Vf with g over supp g and RHS the plain pairing of f with tVg.  Each
-    side is one outer integral over s in (0, a) of the weighted operator
-    values at s and -s, which share one nested kernel sum per node.  A node
-    where both weights are 0 is an empty interval of that sum: its operator
-    value is never formed, so it cannot raise there.  The left side's
-    integrand vanishes like s^{2 Re(k1 + k2)} with the density at 0, so its
-    outer rule stops short of 0 where that power leaves about eps.
+    Each side is one outer integral over s in (0, a) of the weighted
+    operator values at s and -s, which share one nested kernel sum per node.
+    A node where both weights are 0 is an empty interval of that sum: its
+    operator value is never formed, so it cannot raise there.  The left
+    side's integrand vanishes like s^{2 Re(k1 + k2)} with the density at 0,
+    so its outer rule stops short of 0 where that power leaves about eps;
+    the right side's is smooth at 0 and takes the centred half rule over
+    (-a, a), whose nodes crowd only at a.
     """
     if g.support is None:
         raise ContractError(f"{g.id} declares no compact support")
@@ -375,13 +410,26 @@ def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
             res = _point_result(*sums(s, outer(_MIRROR * s)))
             # complex, as the outer sum rounds a real matmul differently
             return np.asarray(res.value, dtype=complex), res.est_error
-        return complex(_outer_sums(0.0, a, integrand, (power, 1.0))[0])
+        value, bar, _ = _outer_sums(0.0, a, integrand, (power, 1.0))
+        return complex(value), float(bar)
 
     # A(x) / |x|^{2 Re s} grows with |x|, so the power bounds the left side at 0
     lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x),
                   lambda s, u: _v_sums(k, (f,), s, u[None], False),
                   1.0 + 2.0 * (k.k1 + k.k2).real)
-    rhs = pairing(f.eval, lambda s, u: _vt_sums(k, g, s, u), 1.0)
+    # f tVg is smooth at 0
+    rhs = pairing(f.eval, lambda s, u: _vt_sums(k, g, s, u), None)
+    return lhs, rhs
+
+
+def duality_gap(k: Multiplicity, f: TestFunction, g: TestFunction) -> float:
+    """Normalized defect of the pairing identity between V and its dual.
+
+    |LHS - RHS| / max(|LHS|, |RHS|, 1) with LHS the measure-weighted pairing
+    of Vf with g over supp g and RHS the plain pairing of f with tVg, each
+    one outer integral (see ``_pairing_sides``).
+    """
+    (lhs, _), (rhs, _) = _pairing_sides(k, f, g)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -401,7 +449,7 @@ def intertwine_gap(k: Multiplicity, f, x):
     1e-4 max(1, |x|), so the result is finite-difference limited.  Vf at
     x +- h, x +- 2h, x and -x and V(f') at x come from one outer pass; the
     gaps have the shape of x.  f may be a tuple of functions, which share
-    that pass: the result is then a tuple of their gaps.
+    that pass (one per support): the result is then a tuple of their gaps.
     """
     fs = f if isinstance(f, tuple) else (f,)
     shape = np.shape(x)

@@ -1,8 +1,8 @@
 """Quadrature rules resolving algebraic endpoint singularities.
 
-Two families serve the outer integrals of the operators, the nested form of
-``ktilde`` and ``integrate``; kernel values are closed-form series and use
-no rule:
+Two families serve ``integrate``; the outer integrals of the operators and
+the nested form of ``ktilde`` use tanh-sinh alone, and kernel values are
+closed-form series and use no rule:
 
 * Gauss rules (Legendre and Jacobi) built by the Golub-Welsch method from
   the three-term recurrence of the weight ``(1-t)^alpha (1+t)^beta``.  The
@@ -26,7 +26,10 @@ estimate as ``vals @ w`` and ``vals @ wc``.
 each end of the rule where that end's power leaves about eps, so a regular
 end keeps only the nodes it needs, and picks the level per output: from
 ``_MIN_TS_LEVEL`` up, the first whose companion agrees to sqrt(eps) times the
-sum of |integrand| w (each level about squares the error).  An interval may
+sum of |integrand| w.  An interval whose integrand is smooth at its middle
+(V over (-|x|, |x|), the pairing's f tVg over (-a, a)) passes its centre as
+the lower end: its pieces at s and -s then share the t >= 0 half of one
+symmetric rule, whose nodes crowd only at the outer end.  An interval may
 carry several outputs (V of several functions, at x and -x), which share its
 nodes and so its kernel values; it is evaluated while any of them is open,
 and an output that stopped keeps its level's value and bar.  Every caller
@@ -259,15 +262,36 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
     eps^{1/p}, dropping about eps relative (a caller passes p <= 1 for an
     end it cannot bound so), but not below 1e-280 / (least half-width) while
     that is below eps, so no end distance underflows for intervals wider
-    than about 1e-305.  An estimate is min(d, 10 d^2 / m), d the difference
-    from the level below and m the integral of |integrand| (a level squares
-    the relative error), plus the integrand's rounding and the parts beyond
-    the cuts, about gap |integrand| / p at each end's outermost node.
+    than about 1e-305.
+
+    A lower power None makes lo a centre: (lo, hi) stands for (2 lo - hi,
+    hi), whose two halves the pieces supply (s and its mirror 2 lo - s), and
+    the rule is the t >= 0 half of the symmetric rule, with the centre's
+    weight and its companion halved, as both pieces count that node.  Nodes
+    then crowd only at hi, and there is no cut or tail at lo; ``d_lo`` is
+    the distance to 2 lo - hi.  Each piece alone is not smooth at the
+    centre, so an output's level difference is taken on the sum of its
+    pieces, not piece by piece as for two ends.
+
+    An estimate is min(d, m (d/m)^1.6), d the difference from the level
+    below and m the integral of |integrand| (d itself at the last level if
+    the levels never agreed: an integrand that is not smooth inside the
+    interval converges only algebraically), plus the integrand's rounding
+    and the parts beyond the cuts, about gap |integrand| / p at each cut
+    end's outermost node.  A level about squares the relative error where
+    the integrand is analytic, but only raises it to a power near 1.6 where
+    it is flat and not analytic at an end (the edge of a compact support,
+    as f at |x| beyond it in V, or g A at a in the duality pairing): there
+    double-exponential sums converge like exp(-c / (h log(1/h))), not
+    exp(-c / h), and from level 3 to 4 the powers were 1.61-1.77.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     ends = np.concatenate((lo.ravel(), hi.ravel()))
     if not np.isfinite(ends).all():
         raise DomainError(f"non-finite evaluation point {ends[~np.isfinite(ends)][0].item()!r}")
+    centred = powers[0] is None
+    if centred:
+        lo = 2.0 * lo - hi
     n_out = math.prod(outputs)
     values = np.zeros((n_out, lo.size), dtype=complex)
     est = np.zeros((n_out, lo.size))
@@ -275,9 +299,13 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
     open_ = np.ones((n_out, todo.size), dtype=bool)     # the outputs of todo's intervals
     half_min = 0.5 * np.min(hi.flat[todo] - lo.flat[todo], initial=np.inf)
     floor = min(_EPS, _TS_FULL_GAP / half_min)
-    cut_lo, cut_hi = (max(_EPS ** (1.0 / p), floor) for p in powers)
+    # a centre keeps the nodes at gap 1 + t >= 1 from the lower end: t >= 0
+    cut_lo, cut_hi = (1.0 if p is None else max(_EPS ** (1.0 / p), floor) for p in powers)
     for level in range(_MIN_TS_LEVEL, _MAX_TS_LEVEL + 1):
         t, w, glo, ghi, wc = _cut(_tanh_sinh_full(level), cut_lo, cut_hi)
+        if centred:     # fresh arrays from _cut; node 0 is the centre t = 0
+            w[0] *= 0.5
+            wc[0] *= 0.5
         step = max(1, _OUTER_NODES // t.size)
         for j in range(0, todo.size, step):
             i = todo[j:j + step]
@@ -286,19 +314,24 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
             vals, bars = (np.reshape(v, (n_out, -1) + s.shape)
                           for v in integrand(i, s, d_lo, d_hi))
             fine = vals @ w
-            diff = np.abs(fine - vals @ wc).sum(1) * half
+            diff = fine - vals @ wc
+            diff = (np.abs(diff.sum(1)) if centred else np.abs(diff).sum(1)) * half
             mags = (np.abs(vals) @ w).sum(1) * half
-            tail = (glo[0] / powers[0] * np.abs(vals[..., 0])
-                    + ghi[-1] / powers[1] * np.abs(vals[..., -1])).sum(1)
+            tail = ghi[-1] / powers[1] * np.abs(vals[..., -1])
+            if not centred:
+                tail = glo[0] / powers[0] * np.abs(vals[..., 0]) + tail
+            tail = tail.sum(1)
             # a NaN difference stops at once: no level makes it finite
-            stop = ~(diff > math.sqrt(_EPS) * mags) | (level == _MAX_TS_LEVEL)
+            agree = ~(diff > math.sqrt(_EPS) * mags)
+            stop = agree | (level == _MAX_TS_LEVEL)
             now = stop & open_[:, j:j + step]
             out, col = np.nonzero(now)
             at = out, i[col]
             values[at] = (fine.sum(1) * half)[now]
             # m >= d, so m = 0 (pieces outside a support) only with d = 0;
-            # the floor keeps 0/0 out
-            level_err = diff * np.minimum(1.0, 10.0 * diff / np.maximum(mags, math.ulp(0.0)))
+            # the floor keeps 0/0 out; the power model holds once levels agree
+            level_err = np.where(agree, diff * np.minimum(
+                1.0, (diff / np.maximum(mags, math.ulp(0.0))) ** 0.6), diff)
             # products with f and the measure, and the sum, round each term
             est[at] = (level_err + (bars @ w).sum(1) * half + 8.0 * _EPS * mags
                        + tail * half)[now]

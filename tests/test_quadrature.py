@@ -25,17 +25,19 @@ def beta_moment(alpha, beta):
 class TestGaussLegendre:
     def test_midpoint_rule(self):
         rule = gauss_legendre(1)
-        assert rule.nodes == pytest.approx([0.0])
-        assert rule.weights == pytest.approx([2.0])
+        # the node is 0, where only an absolute tolerance means anything
+        assert rule.nodes == pytest.approx([0.0], abs=1e-15)
+        assert rule.weights == pytest.approx([2.0], rel=1e-15, abs=0.0)
 
     def test_two_point_rule(self):
         rule = gauss_legendre(2)
-        assert rule.nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)])
-        assert rule.weights == pytest.approx([1.0, 1.0])
+        assert rule.nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)],
+                                           rel=1e-15, abs=0.0)
+        assert rule.weights == pytest.approx([1.0, 1.0], rel=1e-15, abs=0.0)
 
     def test_quadratic_exact_with_two_points(self):
         res = integrate(gauss_legendre(2), lambda t: t * t, (-1.0, 1.0))
-        assert res.value == pytest.approx(2.0 / 3.0, rel=1e-14)
+        assert res.value == pytest.approx(2.0 / 3.0, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("n", [3, 8, 17, 40])
     def test_polynomial_exactness(self, n):
@@ -70,13 +72,13 @@ class TestGaussJacobi:
     def test_inverse_sqrt_mass(self):
         # integral of (1-t)^{-1/2} over (-1,1) is 2 sqrt(2)
         rule = gauss_jacobi(8, -0.5, 0.0)
-        assert rule.weights.sum() == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-13)
+        assert rule.weights.sum() == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [-0.7, -0.3, 0.0, 0.5, 2.0])
     @pytest.mark.parametrize("beta", [-0.7, -0.3, 0.0, 0.5, 2.0])
     def test_weight_sum_beta_identity(self, alpha, beta):
         rule = gauss_jacobi(24, alpha, beta)
-        assert rule.weights.sum() == pytest.approx(beta_moment(alpha, beta), rel=1e-12)
+        assert rule.weights.sum() == pytest.approx(beta_moment(alpha, beta), rel=1e-12, abs=0.0)
 
     def test_weighted_polynomial_exactness(self):
         # degree 2n-1 against the weight, via the n+1 rule as reference
@@ -88,7 +90,7 @@ class TestGaussJacobi:
         r40 = gauss_jacobi(40, alpha, beta)
         v6 = float((poly(r6.nodes) * r6.weights).sum())
         v40 = float((poly(r40.nodes) * r40.weights).sum())
-        assert v6 == pytest.approx(v40, rel=1e-12)
+        assert v6 == pytest.approx(v40, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("alpha, beta", [(-1.0, 0.0), (0.0, -1.2), (math.nan, 0.0)])
     def test_bad_exponents(self, alpha, beta):
@@ -124,7 +126,7 @@ class TestTanhSinh:
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 1.0])
     def test_algebraic_endpoint_family(self, p):
         res = integrate(tanh_sinh(8), lambda t: t ** (p - 1.0), (0.0, 1.0))
-        assert res.value == pytest.approx(1.0 / p, rel=1e-9)
+        assert res.value == pytest.approx(1.0 / p, rel=1e-9, abs=0.0)
 
     def test_est_error_decreases_with_level(self):
         ests = [integrate(tanh_sinh(level), math.exp, (0.0, 1.0)).est_error
@@ -161,14 +163,14 @@ class TestCompanionRules:
         nodes, w, wc = _gauss_jacobi_pair(n, alpha, beta)
         assert len(nodes) == 3 * n
         assert np.count_nonzero(w) == 2 * n and np.count_nonzero(wc) == n
-        assert w.sum() == pytest.approx(beta_moment(alpha, beta), rel=1e-12)
-        assert wc.sum() == pytest.approx(beta_moment(alpha, beta), rel=1e-12)
+        assert w.sum() == pytest.approx(beta_moment(alpha, beta), rel=1e-12, abs=0.0)
+        assert wc.sum() == pytest.approx(beta_moment(alpha, beta), rel=1e-12, abs=0.0)
 
 
 class TestIntegrate:
     def test_constant(self):
         res = integrate(gauss_legendre(4), lambda t: 1.0, (0.0, 3.0))
-        assert res.value == pytest.approx(3.0, rel=1e-14)
+        assert res.value == pytest.approx(3.0, rel=1e-14, abs=0.0)
 
     def test_sine_arch(self):
         res = integrate(gauss_legendre(32), math.sin, (0.0, math.pi))
@@ -178,12 +180,13 @@ class TestIntegrate:
     def test_largest_rule_refines_to_twice_its_nodes(self):
         res = integrate(gauss_legendre(512), math.exp, (0.0, 1.0))
         assert res.method.endswith("->n=1024")
-        assert res.value == pytest.approx(math.e - 1.0, rel=1e-14)
+        assert res.value == pytest.approx(math.e - 1.0, rel=1e-14, abs=0.0)
 
     def test_complex_integrand(self):
         res = integrate(gauss_legendre(32), lambda t: complex(math.cos(t), math.sin(t)),
                         (0.0, 1.0))
-        assert res.value == pytest.approx(complex(math.sin(1.0), 1.0 - math.cos(1.0)))
+        assert res.value == pytest.approx(complex(math.sin(1.0), 1.0 - math.cos(1.0)),
+                                          rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("rule, f, interval, exact", [
         (tanh_sinh(6), lambda t: 1.0, (-1.0, 1.0), 2.0),
@@ -244,7 +247,8 @@ class TestIntegrate:
         (tanh_sinh(3), 2.0),
     ], ids=["legendre", "jacobi", "tanh-sinh"])
     def test_generated_rules_accepted(self, rule, mass):
-        assert integrate(rule, lambda t: 1.0, (-1.0, 1.0)).value == pytest.approx(mass, rel=1e-10)
+        value = integrate(rule, lambda t: 1.0, (-1.0, 1.0)).value
+        assert value == pytest.approx(mass, rel=1e-10, abs=0.0)
 
     def test_nonfinite_integrand_identified(self):
         with pytest.raises(EvaluationError) as err:
@@ -266,7 +270,7 @@ class TestOuterSums:
         calls = []
         values, est, _ = _outer_sums([1.0, 2.0, 0.5], [1.0, 1.0, 2.0], self._recording(calls))
         assert values[:2].tolist() == [0.0, 0.0] and est[:2].tolist() == [0.0, 0.0]
-        assert values[2] == pytest.approx(1.5, rel=1e-14)
+        assert values[2] == pytest.approx(1.5, rel=1e-14, abs=0.0)
         assert calls and all(i.tolist() == [2] for i in calls)
 
     def test_all_empty_never_calls_integrand(self):
@@ -329,6 +333,59 @@ class TestOuterSums:
         gaps = np.minimum(*_tanh_sinh_full(4)[2:4])     # each level-4 node to its nearer end
         assert regular[0] == 0.5 * gaps[gaps >= eps].min()
         assert (nodes[0] < np.count_nonzero(gaps >= eps)) == (p > 1.0)
+
+    @staticmethod
+    def _centred(pieces):
+        """An integrand whose pieces at s and -s are pieces(s) and whose bars are 0."""
+        def integrand(i, s, d_lo, d_hi):
+            vals = np.stack(pieces(s))
+            return vals, np.zeros(vals.shape)
+        return integrand
+
+    def test_centred_constant_counts_the_centre_once(self):
+        # (0, 1) with a centre at 0 stands for (-1, 1); both pieces hold the
+        # node s = 0, whose weight each takes half of
+        values, est, rule = _outer_sums(0.0, 1.0, self._centred(lambda s: (np.ones(s.shape),) * 2),
+                                        (None, 1.0))
+        assert values.item() == pytest.approx(2.0, rel=4.0 * np.finfo(float).eps, abs=0.0)
+        assert abs(values.item() - 2.0) <= est.item() < 1e-14
+        assert rule == "tanh-sinh(level=4)"
+
+    def test_centred_exponential_stops_at_first_level(self):
+        # e^y over (-1, 1) from the pieces e^s and e^-s; the level difference
+        # of each piece alone is large, as neither is smooth at the centre
+        seen = []
+
+        def integrand(i, s, d_lo, d_hi):
+            seen.append(s.min())
+            vals = np.stack((np.exp(s), np.exp(-s)))
+            return vals, np.zeros(vals.shape)
+
+        values, est, rule = _outer_sums(0.0, 1.0, integrand, (None, 1.0))
+        assert abs(values.item() - 2.0 * math.sinh(1.0)) <= est.item() < 1e-14
+        assert rule == "tanh-sinh(level=4)" and seen == [0.0]
+
+    def test_centred_odd_pair_sums_to_zero(self):
+        # the pieces s^3 and (-s)^3 cancel node by node, and the bar stays
+        # finite: the rounding and tail terms of the integral of |y|^3
+        values, est, _ = _outer_sums([0.0, 0.0], [1.0, 2.5],
+                                     self._centred(lambda s: (s ** 3, -(s ** 3))), (None, 1.0))
+        assert values.tolist() == [0.0, 0.0]
+        assert np.all(np.isfinite(est)) and np.all(est < 1e-12)
+
+    def test_centred_end_at_hi_resolves_its_power(self):
+        # (1 - y^2)^{p-1} over (-1, 1), smooth at the centre, has the
+        # integral B(1/2, p); only hi is cut, at its power
+        p = 0.3
+
+        def integrand(i, s, d_lo, d_hi):
+            assert np.all(d_lo >= 1.0)      # the mirrored lower end is 2 lo - hi = -1
+            vals = np.stack(((d_hi * (2.0 - d_hi)) ** (p - 1.0),) * 2)
+            return vals, np.zeros(vals.shape)
+
+        values, est, _ = _outer_sums(0.0, 1.0, integrand, (None, p))
+        exact = math.gamma(0.5) * math.gamma(p) / math.gamma(p + 0.5)
+        assert abs(values.item() - exact) <= est.item() < 1e-13 * exact
 
     def test_outputs_keep_their_own_levels(self):
         # two outputs on each of three intervals: a constant, which stops at
