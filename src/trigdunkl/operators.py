@@ -43,7 +43,9 @@ class TestFunction:
 
     ``eval`` and ``deriv`` accept scalars or numpy arrays elementwise.
     ``support`` is the half-width a of a compact support [-a, a]; functions
-    without it cannot be fed to the dual operator.
+    without it cannot be fed to the dual operator.  ``eval`` must be smooth
+    at 0: V's outer rule is centred there, and its error bar holds only for
+    an integrand smooth inside (-|x|, |x|).
     """
 
     __test__ = False  # not a pytest collectable despite the name
@@ -236,15 +238,16 @@ def _v_sums(k: Multiplicity, fs, x, u, per_row=True):
     min(|x|, a) for the support [-a, a] (b = |x| without one), from the
     centred half rule on (0, b), whose nodes crowd only at b.  There the
     kernel vanishes like a power of its gap |x| - |y| if b = |x|; if b = a <
-    |x| f vanishes instead, the kernel's gap is (|x| - a) + (b - s), and the
-    end counts as regular if it does so at every point of the pass (else it
-    is cut at the kernel's power, deeper).  The kernel's series depend on |x|
-    only, so the pair's values at each node come from one series, the sign
-    on its own axis, and each function is evaluated once per batch at the
-    nodes s and -s, which serve both signs.  A point whose weights are all 0
-    is an empty interval, and a function whose weights at a point are 0 is
-    not evaluated there; such an output's value and bar are 0.  At x = 0 the
-    value is f(0) times the weight, the defining point evaluation.
+    |x| f vanishes instead and the kernel's gap is (|x| - a) + (b - s).  The
+    end is cut at the kernel's power either way, which bounds the kernel's
+    part beyond the cut also for an f that does not vanish at its support's
+    edge.  The kernel's series depend on |x| only, so the pair's values at
+    each node come from one series, the sign on its own axis, and each
+    function is evaluated once per batch at the nodes s and -s, which serve
+    both signs.  A point whose weights are all 0 is an empty interval, and
+    a function whose weights at a point are 0 is not evaluated there; such
+    an output's value and bar are 0.  At x = 0 the value is f(0) times the
+    weight, the defining point evaluation.
     """
     x = _real_array("evaluation point", x)
     u = np.reshape(u, (len(fs), -1, x.size))
@@ -275,9 +278,8 @@ def _v_sums(k: Multiplicity, fs, x, u, per_row=True):
         return kv * fy, kb * np.abs(fy)
 
     outputs = (len(fs), rows) if per_row else (len(fs),)
-    power = 1.0 if (beyond > 0.0)[live].all() else _end_power(k)
     # every argument by position, as a stand-in that records the calls takes them
-    values, est, rule = _outer_sums(0.0, b, integrand, (None, power), outputs)
+    values, est, rule = _outer_sums(0.0, b, integrand, (None, _end_power(k)), outputs)
     zero = (x == 0.0) & live
     if zero.any():
         weights = u.reshape((len(fs), rows) + x.shape)
@@ -359,14 +361,15 @@ def apply_V(k: Multiplicity, f, x):
     f's support where that ends first, with the t >= 0 half of a symmetric
     double-exponential rule centred at 0 for both signs of y, whose nodes
     crowd at the ends, so the algebraic vanishing of the kernel at y = -/+ x
-    (or f's flat support edge) is resolved.  The rule takes f to be smooth
-    at 0, as every registry function is; a kink there (|y|) converges only
-    algebraically, to level 12, with a bar of the last levels' difference.
-    f may be a tuple of functions:
-    the result is then a tuple of results, one per function, each with its
-    own values, bars and type (real where its values are), from one outer
-    pass per support that forms the kernel once for all of its functions;
-    the method names the highest rule of the passes.
+    (or f's flat support edge) is resolved.  f must be smooth at 0, as
+    every registry function is: at a kink or jump there the sums converge
+    only algebraically, climb to level 12, and report the last two levels'
+    difference, which is not a bound (for a jump it is about the error
+    itself).  f may be a tuple of functions: the result is then a tuple of
+    results, one per function, each with its own values, bars and type
+    (real where its values are), from one outer pass per support that forms
+    the kernel once for all of its functions; the method names the highest
+    rule of the passes.
     """
     fs = f if isinstance(f, tuple) else (f,)
     x = _real_array("evaluation point", x)

@@ -260,14 +260,14 @@ class TestApplyV:
         assert abs(res.value - ref) <= res.est_error
 
     def test_kink_at_origin_within_error_bar(self):
-        # |y| is not smooth at the rule's centre: its levels never agree, and
-        # the bar at the last level is their difference, not a converged estimate
+        # |y| breaks the smoothness at 0 that apply_V asks of f: the sums
+        # converge only algebraically, and their bar is the difference of
+        # the last two levels, which covers a kink's error but is no bound
         f = TestFunction("abs", eval=lambda y: np.abs(np.asarray(y, dtype=float)))
         k = Multiplicity(0.5, 0.3)
         for x in (1.0, -2.0):
             res = apply_V(k, f, x)
             ref = split_at_origin(k, f, x)
-            assert res.method == "tanh-sinh(level=12) x euler-2f1"
             assert abs(res.value - ref) <= res.est_error < 1e-6
 
     def test_constant_function_gives_lambda_zero(self):
@@ -570,7 +570,7 @@ class TestOuterBarsAgainstLevel8:
     def test_apply_vt_small_y_within_bar(self, monkeypatch):
         # from level 3 to 4 the error fell only to about the power 1.4 of the
         # one before, not 2: the error was 2.35 times the squaring bar
-        # min(d, 10 d^2 / m), and is 0.93 times the bar min(d, m (d/m)^1.6)
+        # min(d, 10 d^2 / m), and is below the bar min(d, m (d/m)^1.5)
         k = Multiplicity(0.0901, 2.953)
         assert _error_over_bar(monkeypatch, lambda: apply_Vt(k, bump(2.0), -0.00588)) <= 1.0
 

@@ -13,6 +13,7 @@ from trigdunkl import (
     integrate,
     tanh_sinh,
 )
+from trigdunkl import quadrature
 from trigdunkl.quadrature import _cut, _gauss_jacobi_pair, _outer_sums, _tanh_sinh_full
 
 
@@ -386,6 +387,48 @@ class TestOuterSums:
         values, est, _ = _outer_sums(0.0, 1.0, integrand, (None, p))
         exact = math.gamma(0.5) * math.gamma(p) / math.gamma(p + 0.5)
         assert abs(values.item() - exact) <= est.item() < 1e-13 * exact
+
+    @staticmethod
+    def _flat_edge(c, w):
+        """exp(-c / (1 - y^2)) cos(w y) over (-1, 1) from centred pieces: flat
+        but not analytic at the ends, as at the edge of a compact support."""
+        def integrand(i, s, d_lo, d_hi):
+            e = np.exp(-c / (d_hi * (2.0 - d_hi))) * np.cos(w * s)
+            vals = np.stack((e, e))
+            return vals, np.zeros(vals.shape)
+        return integrand
+
+    @staticmethod
+    def _flat_edge_sum(c, w, monkeypatch, first=4, last=12):
+        """The flat-edge sum's value, bar and rule, from levels first to last."""
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_MIN_TS_LEVEL", first)
+            m.setattr(quadrature, "_MAX_TS_LEVEL", last)
+            value, est, rule = _outer_sums(0.0, 1.0, TestOuterSums._flat_edge(c, w), (None, 1.0))
+        return value.real.item(), est.item(), rule
+
+    def test_flat_edge_stop_near_threshold_within_bar(self, monkeypatch):
+        # the bump's profile stops at level 4 with d/m = 1.26e-8, just inside
+        # sqrt(eps): the bar there is m (d/m)^1.5 = 1.4e-12 m, the model's
+        # power 2(L-1)/L at L = 4; the error, 1.0e-14 m, fell from level 3
+        # to 4 to the power 1.77.  The integrand is positive, so m is the value
+        value, est, rule = self._flat_edge_sum(1.0, 0.0, monkeypatch)
+        below = self._flat_edge_sum(1.0, 0.0, monkeypatch, 3, 3)[0]
+        ref = self._flat_edge_sum(1.0, 0.0, monkeypatch, 8)[0]
+        assert rule == "tanh-sinh(level=4)"
+        assert 1e-8 * value < abs(value - below) < math.sqrt(np.finfo(float).eps) * value
+        assert abs(value - ref) <= est < 2e-12 * value
+
+    @pytest.mark.xfail(strict=True, reason="a flat edge sharper than the bump's converges "
+                       "slower than the bar's model at level 4; ROADMAP item 7")
+    def test_sharp_flat_edge_stop_within_bar(self, monkeypatch):
+        # exp(-0.08 / (1 - y^2)) falls from 1 to 0 within about 0.04 of the
+        # ends; from level 2 to 3 its error fell to the power 1.55 and from 3
+        # to 4 to 1.41, so the level-4 stop at d/m = 2.2e-9 misses its bar by 6.3x
+        value, est, rule = self._flat_edge_sum(0.08, 1.25, monkeypatch)
+        ref = self._flat_edge_sum(0.08, 1.25, monkeypatch, 8)[0]
+        assert rule == "tanh-sinh(level=4)"
+        assert abs(value - ref) <= est
 
     def test_outputs_keep_their_own_levels(self):
         # two outputs on each of three intervals: a constant, which stops at
