@@ -113,8 +113,9 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_opdam(args) -> int:
-    value, bar = _opdam_G(Multiplicity(args.k1, args.k2), args.lam, args.x)
-    return _emit_point(args, lam=args.lam, x=args.x, value=value, est_error=bar)
+    value, bar, method, terms = _opdam_G(Multiplicity(args.k1, args.k2), args.lam, args.x)
+    return _emit_point(args, lam=args.lam, x=args.x, value=value, est_error=bar,
+                       method=method, terms=terms)
 
 
 def _cmd_apply(args) -> int:

@@ -4,8 +4,11 @@ All evaluators are pure functions of their arguments and safe to call
 concurrently.  The hypergeometric evaluator accepts complex upper and lower
 parameters but only a real argument Z < 1, which is all the hyperbolic
 substitution Z = -sinh^2(x/2) ever produces.  ``hyp2f1``, ``jacobi_phi``
-and ``opdam_G`` take one series path (``_gauss_2f1``): one loop over the
-terms, one Pfaff map, one error bar and one NonConvergenceError.
+and ``opdam_G`` share one evaluator (``_gauss_2f1``) with three branches:
+the series in Z, Pfaff's map onto Z/(Z - 1), and the connection formula in
+1/(1 - Z) for Z < -1 and upper parameters a long way apart (large lam in
+G).  All three sum their series in one loop (``_block_sums``), carry an
+error bar, and raise one NonConvergenceError.
 """
 
 import cmath
@@ -72,14 +75,17 @@ def _is_nonpositive_integer(v) -> bool:
 def hyp2f1(a, b, c, z) -> complex:
     """Gauss hypergeometric 2F1(a, b; c; z) for complex a, b, c and real z < 1.
 
-    One series (``_gauss_2f1``): in z for -1/2 < z < 1, and after Pfaff's
-    transformation in w = z/(z-1) in [1/3, 1) for z <= -1/2.  a and b go
-    there sorted by (real, imag) part, so the Pfaff branch's exponent -a,
-    and with it the value, does not depend on their order.  Raises
+    ``_gauss_2f1``'s branches: the series in z for -1/2 < z < 1; after
+    Pfaff's transformation the series in w = z/(z-1) in [1/3, 1) for
+    z <= -1/2; and for z < -1 with Re a = Re b, |a - b| >= 6 and a, b, c,
+    c - a, c - b of positive real part, the connection formula's two series
+    in u = 1/(1 - z) < 1/2.  a and b go there sorted by (real, imag) part,
+    so the value does not depend on their order.  Raises
     NonConvergenceError (carrying the partial value and a bar for its
     rounding and the dropped tail) if ``NUMERICS.series_max_terms`` terms do
-    not converge, as from about z = 0.998 on (2F1(1, 1; 2; 0.999)); no
-    caller in the package passes z > 0.
+    not converge: on the direct branch from about z = 0.998 on
+    (2F1(1, 1; 2; 0.999)), where no caller in the package goes, and on the
+    Pfaff branch where w is near 1 (2F1(1, 1; 2; -5000)).
     """
     if isinstance(z, complex):
         if z.imag != 0.0:
@@ -127,18 +133,20 @@ def jacobi_phi(alpha: float, beta: float, lam, t: float) -> complex:
 
 # Rounding per step of ``_block_sums``, first order in u = eps/2, for
 # parameters with positive real parts (in G: real lam, Re k > 0).  Forming
-# the ratio and the term: 14.5 u.  That is 1 u for each shifted parameter
-# (a + m, c + m, and b + m or b + n), 5 u for the quotient by c + m
+# the ratio and the term: at most 15.5 u.  That is 1 u for each shifted
+# parameter (a, b and c plus m or n), 5 u for the one complex quotient
 # (CPython's scaled division, measured at most 2.8 u), and three products
 # and w / m: in the direct form a complex product in g (sqrt(5) u), w / m
 # and g q (1 u each); in the Pfaff form (b + n) w / m (2 u) and g q
-# (sqrt(5) u); then the product into the term (sqrt(5) u).
-# The inputs: a, b (or c - b) and c are each off by a few roundings, and
-# with positive real parts |p + n| >= |p|, so each adds at most 3 u per
-# factor (9 u); w, from -sinh^2(x/2) and Pfaff-mapped or not, is off by at
-# most 5.5 u, and w^n carries that n times.  That is 29 u per step, so term
-# n is off by at most 15 eps n |t_n|; each partial sum rounds by at most u
-# of its magnitude.
+# (sqrt(5) u); in the connection form the quotient times w / m (2 u),
+# (a + n) q (sqrt(5) u) and, for the second block, r1 + q (1 u); then the
+# product into the term (sqrt(5) u).
+# The inputs: a, b (or c - b) and c (or a - b + 1) are each off by a few
+# roundings, and with positive real parts |p + n| >= |p|, so each adds at
+# most 3 u per factor (9 u); w, from -sinh^2(x/2) and mapped to z/(z - 1)
+# or 1/(1 - z) or not, is off by at most 5.5 u, and w^n carries that n
+# times.  That is at most 30 u per step, so term n is off by at most
+# 15 eps n |t_n|; each partial sum rounds by at most u of its magnitude.
 _STEP_ROUNDING = 15.0
 # The blocks' weight, a / (2 k1 + 2 k2 + 1) sinh(x) or a / c tanh(x/2), is
 # off by at most 12 u (2 u each for a and the divisor, 5 u for the quotient,
@@ -147,39 +155,48 @@ _STEP_ROUNDING = 15.0
 _COMBINE_ROUNDING = 8.0
 
 
-def _block_sums(a, b, c, w, pfaff):
+def _block_sums(a, b, c, w, form):
     """The two Gauss series of ``_gauss_2f1`` from one loop over their terms.
 
-    Direct (``pfaff`` false): F(a, b; c; w) and F(a + 1, b + 1; c + 1; w),
-    whose term ratios at step n are g_n w/(n+1) and g_{n+1} w/(n+1) with
-    g_n = (a + n)(b + n)/(c + n).  Pfaff: F(a, b; c; w) and F(a + 1, b;
-    c + 1; w), with ratios g_n (b + n) w/(n+1) and g_{n+1} (b + n) w/(n+1)
-    and g_n = (a + n)/(c + n).  Each step forms one new quotient g_{n+1}
-    and divides by nothing but c + n + 1 and n + 1.  The loop stops once
-    both terms have stayed below 1e-17 of their sums for three steps, or at
+    ``form`` "direct": F(a, b; c; w) and F(a + 1, b + 1; c + 1; w), whose
+    term ratios at step n are g_n w/(n+1) and g_{n+1} w/(n+1) with g_n =
+    (a + n)(b + n)/(c + n).  "pfaff": F(a, b; c; w) and F(a + 1, b; c + 1;
+    w), with ratios g_n (b + n) w/(n+1) and g_{n+1} (b + n) w/(n+1) and g_n
+    = (a + n)/(c + n).  "connection": F(a, b; c; w) and F(a + 1, b; c; w),
+    with ratios (a + n) q_n and (a + n + 1) q_n and q_n = (b + n)/(c + n)
+    w/(n+1).  Each step forms one complex quotient, by c + n + 1 or c + n,
+    and divides by nothing else but n + 1.  The loop stops once both terms
+    have stayed below 1e-17 of their sums for three steps, or at
     ``NUMERICS.series_max_terms`` steps.
 
-    Returns (s1, s2, e1, e2, converged): e_i bounds the rounding of s_i
-    (``_STEP_ROUNDING`` per step for each term, u per partial sum and
+    Returns (s1, s2, e1, e2, steps, converged): e_i bounds the rounding of
+    s_i (``_STEP_ROUNDING`` per step for each term, u per partial sum and
     ``_COMBINE_ROUNDING`` eps of the summed term magnitudes for the caller's
     combination) plus the dropped tail |t| r/(1 - r), with r the larger of
     |w| and the last term ratio (inf if r >= 1).
     """
-    g = a / c if pfaff else a * b / c
+    direct, connection = form == "direct", form == "connection"
+    g = a * b / c if direct else a / c
     s1 = s2 = t1 = t2 = 1.0 + 0.0j
     # summed |t_i|, and the sum of those running sums, sum_i (N + 1 - i) |t_i|
     m1 = m2 = c1 = c2 = 1.0
     streak = 0
     for n in range(NUMERICS.series_max_terms):
         m = n + 1
-        if pfaff:
-            gn = (a + m) / (c + m)
-            q = (b + n) * w / m
+        if connection:
+            q = (b + n) / (c + n) * (w / m)
+            r1 = (a + n) * q
+            r2 = r1 + q
         else:
-            gn = (a + m) * (b + m) / (c + m)
-            q = w / m
-        r1 = g * q
-        r2 = gn * q
+            if direct:
+                gn = (a + m) * (b + m) / (c + m)
+                q = w / m
+            else:
+                gn = (a + m) / (c + m)
+                q = (b + n) * w / m
+            r1 = g * q
+            r2 = gn * q
+            g = gn
         t1 *= r1
         t2 *= r2
         s1 += t1
@@ -196,7 +213,6 @@ def _block_sums(a, b, c, w, pfaff):
                 break
         else:
             streak = 0
-        g = gn
     bars = []
     for mags, cum, last, ratio in ((m1, c1, a1, r1), (m2, c2, a2, r2)):
         r = max(abs(w), abs(ratio))
@@ -205,50 +221,169 @@ def _block_sums(a, b, c, w, pfaff):
         weighted = (m + 1) * mags - cum
         bars.append(_EPS * (_STEP_ROUNDING * weighted + 0.5 * cum + _COMBINE_ROUNDING * mags)
                     + tail)
-    return s1, s2, bars[0], bars[1], streak >= 3
+    return s1, s2, bars[0], bars[1], m, streak >= 3
+
+
+# Where ``_gauss_2f1`` takes the connection branch.  u = 1/(1 - z) below
+# 1/2 (z < -1) is where u is smaller than Pfaff's w = z/(z - 1) = 1 - u.
+# The parameter gap |a - b| from 6 on (lam >= 3 in G) is where the
+# connection route becomes the more accurate one.  Against 40-digit mpmath
+# on G at 1.77 <= |x| <= 3, real and complex k (Re k in [0.1, 3]), 60
+# points per lam band, the median relative errors of the Pfaff series and
+# of the connection terms were 7.3e-16 and 6.0e-15 at lam in [1, 2],
+# 2.9e-15 and 6.1e-15 in [2, 3], 1.6e-14 and 7.1e-15 in [3, 4], 4.0e-13
+# and 9.9e-15 in [4, 6], and 2.5e-11 and 8.7e-15 in [6, 8]: the Pfaff
+# series cancel more as lam grows, while the connection terms' Gamma
+# factors cost a fixed few digits.
+_CONNECTION_MAX_U = 0.5
+_CONNECTION_MIN_GAP = 6.0
+# Rounding of ``_loggamma_parts`` per unit of |Stirling value| + |shift|, in
+# eps.  Against 40-digit mpmath at 4,000 arguments in the connection
+# branch's range (Re w in (0, 4], |Im w| up to 80) the error is at most
+# 2.0 eps of the two parts; it is largest where |Im w| is large, since the
+# product (w - 1/2) log w, of about the Stirling value's size, takes the
+# rounding of log w times |w|.  The rest of 2.5 is for the argument
+# (c - p or 1 + q - p) being off by u |w|, which moves the value by about
+# u |w log w|, u of the Stirling value.
+_LOGGAMMA_ROUNDING = 2.5
+
+
+def _power_rounding(a, log_1mz):
+    """Relative rounding of (1 - z)^{-a} = exp(-a log(1 - z)), times a product.
+
+    The exponent is off by at most u (5 |a| + 4 |a| log(1 - z)), through the
+    rounding of z (5 u), of a (2 u), of the log and of the product; the
+    exponential and one product add 4 u.
+    """
+    return _EPS * (abs(a) * (2.5 + 2.0 * log_1mz) + 2.0)
 
 
 def _gauss_2f1(a, b, c, z, weight=None):
-    """2F1(a, b; c; z), or two blocks of it, for real z < 1 as (value, est_error).
+    """2F1(a, b; c; z), or two blocks of it, for real z < 1.
 
-    The one series path of ``hyp2f1``, ``jacobi_phi`` and ``opdam_G``.  For
-    -1/2 < z < 1 the series in z; for z <= -1/2 Pfaff's transformation (DLMF
-    15.8.1) onto w = z/(z - 1) in [1/3, 1), 2F1(a, b; c; z) = (1 - z)^{-a}
-    2F1(a, c - b; c; w), so every z < 1 takes one convergent series.
-    ``_block_sums`` gives that block and the second one, 2F1(a + 1, b + 1;
-    c + 1; z) or 2F1(a + 1, c - b; c + 1; w).  ``weight``, a function of the
-    branch (true for Pfaff), gives the second block's weight there; the value
-    is pre (F1 + weight F2), with pre = 1 or (1 - z)^{-a}.  Without
-    ``weight`` the second block is not used.
+    The one evaluator of ``hyp2f1``, ``jacobi_phi`` and ``opdam_G``.  It
+    returns (value, est_error, method, steps): the branch taken, "direct",
+    "pfaff" or "connection", and the steps of its series loops.  The
+    connection branch (``_connection_2f1``) is taken where u = 1/(1 - z) <
+    ``_CONNECTION_MAX_U`` (z < -1), Re a = Re b, |a - b| >=
+    ``_CONNECTION_MIN_GAP``, and a, b, c, c - a and c - b have positive
+    real parts; everywhere else ``_series_2f1``, direct for z > -1/2 and
+    Pfaff below.  Beside the value of 2F1(a, b; c; z), F1, each branch sums
+    the block F2 = 2F1(a + 1, b + 1; c + 1; z) in the same loop.  ``weight``,
+    a function of whether the branch scales F2 by 1 - z (true off the direct
+    branch), gives F2's weight (so scaled); the value is then F1 + weight
+    F2.  Without ``weight`` F2 is not used.
 
-    The bar is ``_block_sums``' bars combined with those weights, times
-    |pre|, plus the prefactor's rounding times |value|: the exponent
-    a log(1 - z) is off by at most u (5 |a| + 4 |a| log(1 - z)), through the
-    rounding of z (5 u), of a (2 u), of the log and of the product; the
-    exponential and the final product add 4 u.  Raises NonConvergenceError,
-    naming z and the Pfaff-mapped w and carrying the partial value and its
-    bar, where ``NUMERICS.series_max_terms`` steps do not converge.
+    Raises NonConvergenceError, naming z and the mapped argument and
+    carrying the partial value and its bar, where
+    ``NUMERICS.series_max_terms`` steps do not converge: on the direct
+    branch near z = 1, and on the Pfaff branch where w = z/(z - 1) is near
+    1 (large |z|: G at lam < 3 from about |x| = 8).  The connection
+    branch's argument is below 1/2; its series converge within the cap
+    unless |a| or |b| is in the thousands.
     """
-    pfaff = z <= -0.5
-    if pfaff:   # 1 - z > 1, so the prefactor power is principal and real based
-        w, b = z / (z - 1.0), c - b
+    if (1.0 / (1.0 - z) < _CONNECTION_MAX_U and a.real == b.real
+            and abs(a - b) >= _CONNECTION_MIN_GAP
+            and min(a.real, c.real, (c - a).real, (c - b).real) > 0.0):
+        return _connection_2f1(a, b, c, z, weight)
+    return _series_2f1(a, b, c, z, weight)
+
+
+def _series_2f1(a, b, c, z, weight):
+    """``_gauss_2f1``'s direct and Pfaff branches, (value, est_error, method, steps).
+
+    For -1/2 < z < 1 the series in z; for z <= -1/2 Pfaff's transformation
+    (DLMF 15.8.1) onto w = z/(z - 1) in [1/3, 1), 2F1(a, b; c; z) =
+    (1 - z)^{-a} 2F1(a, c - b; c; w), so every z < 1 takes one convergent
+    series.  ``_block_sums`` gives that block and the second one,
+    2F1(a + 1, b + 1; c + 1; z) or 2F1(a + 1, c - b; c + 1; w); the value
+    is pre (F1 + weight F2), with pre = 1 or (1 - z)^{-a}.
+
+    The bar is ``_block_sums``' bars combined with the weight, times |pre|,
+    plus the prefactor's rounding (``_power_rounding``) times |value|.
+    """
+    if z > -0.5:
+        w, pre, pre_rounding, form = z, 1.0, 0.0, "direct"
+    else:   # 1 - z > 1, so the prefactor power is principal and real based
         log_1mz = math.log1p(-z)
+        w, b, form = z / (z - 1.0), c - b, "pfaff"
         pre = cmath.exp(-a * log_1mz)
-        pre_rounding = _EPS * (abs(a) * (2.5 + 2.0 * log_1mz) + 2.0)
-    else:
-        w, pre, pre_rounding = z, 1.0, 0.0
-    f1, f2, e1, e2, converged = _block_sums(a, b, c, w, pfaff)
+        pre_rounding = _power_rounding(a, log_1mz)
+    f1, f2, e1, e2, steps, converged = _block_sums(a, b, c, w, form)
     if weight is not None:
-        wt = weight(pfaff)
+        wt = weight(form != "direct")
         f1, e1 = f1 + wt * f2, e1 + abs(wt) * e2
     value = pre * f1
     bar = abs(pre) * e1 + pre_rounding * abs(value)
     if not converged:
-        at = f"z={z}, Pfaff-mapped to w={w}" if pfaff else f"z={z}"
-        raise NonConvergenceError(
-            f"2F1 series did not converge within {NUMERICS.series_max_terms} terms ({at})",
-            partial=value, est_error=bar)
-    return value, bar
+        _not_converged(z, form, w, value, bar)
+    return value, bar, form, steps
+
+
+def _connection_2f1(a, b, c, z, weight):
+    """``_gauss_2f1``'s connection branch, (value, est_error, "connection", steps).
+
+    A&S 15.3.8: 2F1(a, b; c; z) is the sum over (p, q) = (a, b) and (b, a)
+    of C_p (1 - z)^{-p} 2F1(p, c - q; p - q + 1; u), with C_p = Gamma(c)
+    Gamma(q - p) / (Gamma(q) Gamma(c - p)) and Gamma(q - p) taken as
+    Gamma(1 + q - p) / (q - p), so that every log-Gamma argument has a
+    positive real part.  2F1(a + 1, b + 1; c + 1; z) is the same sum with
+    (c/q) u C_p (1 - z)^{-p} 2F1(p + 1, c - q; p - q + 1; u), so the second
+    block is summed scaled by 1 - z, in the same loop as the first.  Where
+    b = conj(a) and c is real the (b, a) term is the conjugate of the
+    (a, b) term: each block is twice the real part of that term's.
+
+    Each term's bar is its series bars times |C_p (1 - z)^{-p}|, plus the
+    rounding of that prefactor times the term: ``_LOGGAMMA_ROUNDING`` per
+    unit of each log-Gamma's two parts, u per partial sum of the exponent,
+    ``_power_rounding`` for the power of 1 - z (and the product into the
+    first block), and 7 eps for c/q (8 u), its two products into the second
+    block (4.5 u) and the sum of the terms (1 u).
+    """
+    u, log_1mz = 1.0 / (1.0 - z), math.log1p(-z)
+    pairs = ((a, b),) if b == a.conjugate() and c.imag == 0.0 else ((a, b), (b, a))
+    f1 = f2 = 0j
+    e1 = e2 = 0.0
+    steps, converged = 0, True
+    gamma_c = _loggamma_parts(c)
+    for p, q in pairs:
+        # the largest log-Gamma first: the next two cancel most of its
+        # imaginary part, so the partial sums, each rounded by u, shrink
+        log_pre = rounding = 0.0
+        for (stirling, shift), sign in ((_loggamma_parts(1.0 + q - p), 1.0),
+                                        (_loggamma_parts(q), -1.0),
+                                        (_loggamma_parts(c - p), -1.0), (gamma_c, 1.0)):
+            log_pre += sign * (stirling - shift)
+            rounding += _LOGGAMMA_ROUNDING * (abs(stirling) + abs(shift)) + 0.5 * abs(log_pre)
+        log_rest = cmath.log(q - p) + p * log_1mz
+        log_pre -= log_rest
+        pre = cmath.exp(log_pre)
+        s1, s2, b1, b2, n, done = _block_sums(p, c - q, p - q + 1.0, u, "connection")
+        steps, converged = steps + n, converged and done
+        scale = c / q
+        t1, t2 = pre * s1, pre * scale * s2
+        rate = (_EPS * (rounding + 0.5 * (abs(log_rest) + abs(log_pre)) + 7.0)
+                + _power_rounding(p, log_1mz))
+        f1, f2 = f1 + t1, f2 + t2
+        e1 += abs(pre) * b1 + rate * abs(t1)
+        e2 += abs(pre * scale) * b2 + rate * abs(t2)
+    if len(pairs) == 1:
+        f1, f2, e1, e2 = 2.0 * f1.real + 0j, 2.0 * f2.real + 0j, 2.0 * e1, 2.0 * e2
+    value, bar = f1, e1
+    if weight is not None:
+        wt = weight(True)
+        value, bar = f1 + wt * f2, e1 + abs(wt) * e2
+    if not converged:
+        _not_converged(z, "connection", u, value, bar)
+    return value, bar, "connection", steps
+
+
+def _not_converged(z, form, w, value, bar):
+    """Raise NonConvergenceError naming z and, off the direct branch, the mapped argument."""
+    mapped = {"pfaff": f", Pfaff-mapped to w={w}", "connection": f", mapped to u={w}"}
+    raise NonConvergenceError(
+        f"2F1 series did not converge within {NUMERICS.series_max_terms} terms "
+        f"(z={z}{mapped.get(form, '')})", partial=value, est_error=bar)
 
 
 def opdam_G(k: Multiplicity, lam, x: float) -> complex:
@@ -261,32 +396,36 @@ def opdam_G(k: Multiplicity, lam, x: float) -> complex:
         G = F1 + a / (2 k1 + 2 k2 + 1) * sinh(x) * F2.
     Normalized so G(0) = 1 for every admissible parameter pair.
 
-    Both blocks come from ``hyp2f1``'s series path (``_gauss_2f1``), in one
-    loop; for z <= -1/2 Pfaff's transformation onto w = z/(z - 1) gives
+    Both blocks come from ``hyp2f1``'s evaluator (``_gauss_2f1``), in one
+    loop.  For z <= -1/2 Pfaff's transformation onto w = z/(z - 1) gives
     G = (1 - z)^{-a} (H + (a/c) tanh(x/2) P) with H = 2F1(a, c - b; c; w)
-    and P = 2F1(a + 1, c - b; c + 1; w).  F2 is not taken from the
-    derivative identity F2 = c/(ab) dF1/dz (DLMF 15.5.1), which divides by
-    b = rho - i lam, and b vanishes at lam = -i rho; the loop divides by
-    nothing that can vanish for Re k > 0.  Raises NonConvergenceError
-    carrying G's partial value and its bar where the series do not converge
-    (from about |x| = 8, where w is near 1); ``_opdam_G`` also returns the
-    bar.
+    and P = 2F1(a + 1, c - b; c + 1; w).  Beyond |x| = 2 asinh(1) = 1.76
+    (z < -1) at real lam >= 3 the connection formula takes its place, in
+    u = 1/(1 - z) = 1/cosh^2(x/2): there the Pfaff series cancel and lose
+    digits as lam grows, and the connection terms do not.  F2 is not taken
+    from the derivative identity F2 = c/(ab) dF1/dz (DLMF 15.5.1), which
+    divides by b = rho - i lam, and b vanishes at lam = -i rho; the loops
+    divide by nothing that can vanish for Re k > 0.  Raises
+    NonConvergenceError carrying G's partial value and its bar where the
+    Pfaff series do not converge (lam < 3 or not real, from about |x| = 8,
+    where w is near 1); ``_opdam_G`` also returns the bar, the branch and
+    its series steps.
     """
     return _opdam_G(k, lam, x)[0]
 
 
 def _opdam_G(k: Multiplicity, lam, x: float):
-    """(G_{i lam}(x), est_error) as in ``opdam_G``."""
+    """(G_{i lam}(x), est_error, method, steps) as in ``opdam_G`` and ``_gauss_2f1``."""
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise DomainError(f"non-finite spectral parameter {lam!r}")
     s = complex(k.k1) + complex(k.k2)
     a, b, c = k.rho + 1j * lam, k.rho - 1j * lam, s + 0.5
 
-    def weight(pfaff):
+    def weight(scaled):
         # a / c tanh(x/2) equals a / (2s + 1) sinh(x) / (1 - z) but rounds
         # differently; and sinh(x) is formed only where z > -1/2, since it
         # overflows from |x| = 711 on
-        return a / c * math.tanh(x / 2.0) if pfaff else a / (2.0 * s + 1.0) * math.sinh(x)
+        return a / c * math.tanh(x / 2.0) if scaled else a / (2.0 * s + 1.0) * math.sinh(x)
 
     return _gauss_2f1(a, b, c, _minus_sinh_sq(x / 2.0), weight)

@@ -95,9 +95,23 @@ class TestOpdamCommand:
         assert record["value"]["im"] != 0.0
         assert 0.0 < record["est_error"] < 1e-12
 
+    @pytest.mark.parametrize("lam, x, method", [("1.5", "1.0", "direct"), ("1", "3", "pfaff"),
+                                                ("5", "10", "connection")])
+    def test_record_names_branch_and_steps(self, capsys, lam, x, method):
+        # the branch _gauss_2f1 took and its series steps, next to est_error;
+        # at lam = 5, x = 10 the Pfaff series would not converge
+        code, out, _ = run_cli(capsys, "opdam", "--k1", "0.5", "--k2", "0.5",
+                               "--lam", lam, "--x", x)
+        assert code == 0
+        record = json.loads(out)
+        assert list(record)[-3:] == ["est_error", "method", "terms"]
+        assert record["method"] == method
+        assert isinstance(record["terms"], int) and 3 <= record["terms"] < 200
+
     def test_error_bar_covers_apply_v(self, capsys):
-        # at lam = 20, x = 3 the series cancel: G's value is far off, and its
-        # bar says so; V agrees with G within the two bars
+        # at lam = 20, x = 3 G takes the connection terms, whose bar is
+        # about 1e-12 of G, where the Pfaff series were off by 107; V agrees
+        # with G within the two bars
         point = ("--k1", "0.3", "--k2", "0.3", "--x", "3")
         _, out_g, _ = run_cli(capsys, "opdam", *point, "--lam", "20")
         _, out_v, _ = run_cli(capsys, "apply-v", *point, "--function", "plane_wave:20")

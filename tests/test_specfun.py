@@ -10,15 +10,16 @@ from test_operators import eigen_reference
 from trigdunkl import (DomainError, Multiplicity, NonConvergenceError, config, gamma_real,
                        hyp2f1, jacobi_phi, opdam_G, specfun)
 from trigdunkl.config import NUMERICS
-from trigdunkl.specfun import _block_sums, _gauss_2f1, _opdam_G, loggamma_right_half
+from trigdunkl.specfun import (_block_sums, _connection_2f1, _gauss_2f1, _opdam_G, _series_2f1,
+                               loggamma_right_half)
 
 
-def _hyp2f1_with_bar(a, b, c, z):
-    """(value, bar) of the series path that ``hyp2f1`` takes, a and b in its order."""
+def _hyp2f1_branch(a, b, c, z):
+    """(value, bar, method) of the branch that ``hyp2f1`` takes, a and b in its order."""
     a, b = sorted((complex(a), complex(b)), key=lambda v: (v.real, v.imag))
-    val, bar = _gauss_2f1(a, b, complex(c), z)
+    val, bar, method, _ = _gauss_2f1(a, b, complex(c), z)
     assert val == hyp2f1(a, b, c, z)
-    return val, bar
+    return val, bar, method
 
 
 class TestGammaReal:
@@ -30,11 +31,11 @@ class TestGammaReal:
         (10.5, 1133278.3889487855673),  # Gamma(21/2) = 654729075 sqrt(pi) / 2^10
     ])
     def test_known_values(self, x, expected):
-        assert gamma_real(x) == pytest.approx(expected, rel=1e-13)
+        assert gamma_real(x) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_recurrence(self):
         for x in (0.1, 0.37, 2.6, 7.3):
-            assert gamma_real(x + 1.0) == pytest.approx(x * gamma_real(x), rel=1e-13)
+            assert gamma_real(x + 1.0) == pytest.approx(x * gamma_real(x), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf])
     def test_domain(self, bad):
@@ -46,7 +47,7 @@ class TestLogGamma:
     def test_matches_real_gamma(self):
         for x in (0.3, 1.0, 4.7, 11.2):
             assert cmath.exp(loggamma_right_half(x)).real == pytest.approx(
-                gamma_real(x), rel=1e-12)
+                gamma_real(x), rel=1e-12, abs=0.0)
 
     def test_functional_equation_complex(self):
         # log Gamma(w+1) = log Gamma(w) + log w, exactly in the right half-plane
@@ -67,13 +68,16 @@ class TestHyp2F1:
     def test_log_identity(self):
         # 2F1(1,1;2;z) = -log(1-z)/z
         for z in (-1.0, -0.25, 0.4, -7.0, 0.5, 0.7, 0.9):
-            assert hyp2f1(1, 1, 2, z) == pytest.approx(-math.log1p(-z) / z, rel=1e-12)
+            assert hyp2f1(1, 1, 2, z) == pytest.approx(-math.log1p(-z) / z, rel=1e-12, abs=0.0)
 
     def test_binomial_identity(self):
         # 2F1(a,b;b;z) = (1-z)^{-a}
-        assert hyp2f1(0.7, 0.3, 0.3, -0.5) == pytest.approx(1.5 ** -0.7, rel=1e-12)
+        assert hyp2f1(0.7, 0.3, 0.3, -0.5) == pytest.approx(1.5 ** -0.7, rel=1e-12, abs=0.0)
         a = 0.4 + 1.1j
-        assert hyp2f1(a, 2.0, 2.0, -2.0) == pytest.approx(cmath.exp(-a * math.log(3.0)))
+        assert hyp2f1(a, 2.0, 2.0, -2.0) == pytest.approx(cmath.exp(-a * math.log(3.0)),
+                                                          rel=1e-12, abs=0.0)
+        # c = b has c - b = 0: no connection branch, the Pfaff series as before
+        assert _hyp2f1_branch(a, 2.0, 2.0, -2.0)[2] == "pfaff"
 
     def test_parameter_swap_exact(self):
         # on both branches: the Pfaff branch's exponent -a is taken from a
@@ -114,6 +118,21 @@ class TestHyp2F1:
             lhs = hyp2f1(a, b, c, z)
             rhs = cmath.exp((c - a - b) * math.log1p(-z)) * hyp2f1(c - a, c - b, c, z)
             assert abs(lhs - rhs) <= 1e-11 * abs(lhs)
+
+    @pytest.mark.parametrize("a, b, c, z", [
+        (0.6 + 5j, 0.6 - 5j, 1.7, -9.0),            # b = conj(a), c real: one term, doubled
+        (0.6 + 5j, 0.6 - 2j, 1.7 + 0.3j, -1.5),     # both terms
+        (2.5 - 20j, 2.5 + 20j, 4.0, -400.0),
+    ])
+    def test_connection_branch_against_reference(self, a, b, c, z):
+        # Re a = Re b, |a - b| >= 6, positive real parts and z < -1
+        mp = pytest.importorskip("mpmath")
+        val, bar, method = _hyp2f1_branch(a, b, c, z)
+        assert method == "connection"
+        with mp.workdps(40):
+            ref = complex(mp.hyp2f1(a, b, c, z))
+        assert abs(val - ref) <= min(bar, 1e-13 * abs(ref))
+        assert hyp2f1(b, a, c, z) == val
 
     @pytest.mark.parametrize("bad_c", [0, -1, -3.0])
     def test_pole_rejected(self, bad_c):
@@ -171,7 +190,7 @@ class TestHyp2F1:
                 a, b = (rng.uniform(-2.0, 3.0, 2) + 1j * rng.uniform(-5.0, 5.0, 2)).tolist()
                 c = rng.uniform(0.2, 4.0)
                 z = rng.uniform(-20.0, -0.5) if i % 2 else rng.uniform(-0.5, 0.9)
-                val, bar = _hyp2f1_with_bar(a, b, c, z)
+                val, bar, _ = _hyp2f1_branch(a, b, c, z)
                 assert abs(val - complex(mp.hyp2f1(a, b, c, z))) <= bar, (a, b, c, z)
 
 
@@ -180,10 +199,13 @@ class TestJacobiPhi:
         assert jacobi_phi(0.7, -0.2, 1.9, 0.0) == 1.0
 
     def test_cosine_closed_form(self):
-        # alpha = beta = -1/2 reduces to cos(lam * t)
-        for lam, t in ((2.0, 0.7), (0.5, 1.3), (3.2, 0.25)):
+        # alpha = beta = -1/2 reduces to cos(lam * t); a = i lam / 2 has no
+        # positive real part, so no point takes the connection branch
+        for lam, t in ((2.0, 0.7), (0.5, 1.3), (3.2, 0.25), (7.0, 1.3)):
             assert jacobi_phi(-0.5, -0.5, lam, t) == pytest.approx(
-                math.cos(lam * t), abs=1e-12)
+                math.cos(lam * t), rel=0.0, abs=1e-12)
+            z = -math.sinh(t) ** 2
+            assert _hyp2f1_branch(0.5j * lam, -0.5j * lam, 0.5, z)[2] != "connection"
 
     def test_spectral_sign_symmetry(self):
         # exact: lam -> -lam swaps hyp2f1's a and b, which it sorts
@@ -194,9 +216,20 @@ class TestJacobiPhi:
         for alpha, beta, lam, t in points:
             assert jacobi_phi(alpha, beta, lam, t) == jacobi_phi(alpha, beta, -lam, t)
 
+    def test_large_lam_on_connection_branch(self):
+        # the Pfaff series cancel here (off by 2.7e-4); the connection terms do not
+        mp = pytest.importorskip("mpmath")
+        alpha, beta, lam, t = 0.2, -0.3, 30.0, 1.5
+        r = alpha + beta + 1.0
+        assert _hyp2f1_branch((r + 1j * lam) / 2, (r - 1j * lam) / 2, alpha + 1.0,
+                              -math.sinh(t) ** 2)[2] == "connection"
+        with mp.workdps(40):
+            ref = complex(mp.hyp2f1((r + 1j * mp.mpf(lam)) / 2, (r - 1j * mp.mpf(lam)) / 2,
+                                    alpha + 1, -mp.sinh(t) ** 2))
+        assert abs(jacobi_phi(alpha, beta, lam, t) - ref) <= 1e-13
+
     def test_error_bar_covers_reference(self):
-        # lam <= 30, t <= 3, against phi at the exact parameters; the first
-        # point is off by about 3e-4 (the series cancel), within its bar
+        # lam <= 30, t <= 3, against phi at the exact parameters
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(30)
         points = [(0.2, -0.3, 30.0, 1.5)]
@@ -206,7 +239,7 @@ class TestJacobiPhi:
             for alpha, beta, lam, t in points:
                 r = alpha + beta + 1.0
                 a, b = (r + 1j * lam) / 2, (r - 1j * lam) / 2
-                val, bar = _hyp2f1_with_bar(a, b, alpha + 1.0, -math.sinh(t) ** 2)
+                val, bar, _ = _hyp2f1_branch(a, b, alpha + 1.0, -math.sinh(t) ** 2)
                 assert val == jacobi_phi(alpha, beta, lam, t)
                 r, lam = mp.mpf(alpha) + beta + 1, mp.mpf(lam)
                 ref = complex(mp.hyp2f1((r + 1j * lam) / 2, (r - 1j * lam) / 2, alpha + 1,
@@ -225,9 +258,10 @@ class TestOpdamG:
                 assert opdam_G(Multiplicity(k1, k2), lam, 0.0) == 1.0
 
     def test_conjugation_symmetry(self):
+        # on all three branches (lam = 5, |x| = 2.5: connection)
         k = Multiplicity(0.6, 1.1)
-        for lam in (0.7, 2.2):
-            for x in (0.4, -1.3):
+        for lam in (0.7, 2.2, 5.0):
+            for x in (0.4, -1.3, 2.5):
                 g_plus = opdam_G(k, lam, x)
                 g_minus = opdam_G(k, -lam, x)
                 assert abs(g_minus - g_plus.conjugate()) <= 1e-12
@@ -255,10 +289,12 @@ class TestOpdamG:
 
     @pytest.mark.parametrize("k1, k2", [*config.K_GRID, (0.5 + 0.4j, 0.8 - 0.3j)])
     def test_block_sums_match_hyp2f1(self, k1, k2):
-        # one loop gives both blocks as two 30-digit 2F1 would, on both
-        # branches: to 1e-13 at lam <= 1, else to 1e-13 or the loop's own
-        # bar, since from lam = 2.5 at large |x| the series cancel (the
-        # known large-lam defect) and the sums keep only that many digits
+        # one loop gives both blocks as two 30-digit 2F1 would, in all three
+        # forms.  Direct and Pfaff: to 1e-13 at lam <= 1, else to 1e-13 or
+        # the loop's own bar, since from lam = 2.5 at large |x| the Pfaff
+        # series cancel and keep only that many digits.  Connection, where
+        # z < -1: F(a, c - b; a - b + 1; u) and F(a + 1, c - b; a - b + 1; u)
+        # with u = 1/(1 - z), to 1e-13 and within the bar at every lam
         mp = pytest.importorskip("mpmath")
         k = Multiplicity(k1, k2)
         rho, c = k.rho, k1 + k2 + 0.5
@@ -268,7 +304,8 @@ class TestOpdamG:
                 z = -math.sinh(x / 2.0) ** 2
                 pfaff = z <= -0.5
                 bb, w = (c - b, z / (z - 1.0)) if pfaff else (b, z)
-                s1, s2, e1, e2, converged = _block_sums(a, bb, c, w, pfaff)
+                s1, s2, e1, e2, _, converged = _block_sums(a, bb, c, w,
+                                                           "pfaff" if pfaff else "direct")
                 with mp.workdps(30):
                     h1 = complex(mp.hyp2f1(a, bb, c, w))
                     h2 = complex(mp.hyp2f1(a + 1, bb if pfaff else bb + 1, c + 1, w))
@@ -277,6 +314,15 @@ class TestOpdamG:
                 assert abs(s2 - h2) <= 1e-13 * abs(h2) + e2, (lam, x)
                 if lam <= 1.0:
                     assert abs(s1 - h1) <= 1e-13 * abs(h1) and abs(s2 - h2) <= 1e-13 * abs(h2)
+                if z < -1.0:
+                    u, d = 1.0 / (1.0 - z), a - b + 1.0
+                    s1, s2, e1, e2, _, converged = _block_sums(a, c - b, d, u, "connection")
+                    with mp.workdps(30):
+                        h1 = complex(mp.hyp2f1(a, c - b, d, u))
+                        h2 = complex(mp.hyp2f1(a + 1, c - b, d, u))
+                    assert converged
+                    for err, h, e in ((abs(s1 - h1), h1, e1), (abs(s2 - h2), h2, e2)):
+                        assert err <= min(e, 1e-13 * abs(h)), (lam, x)
 
     @pytest.mark.parametrize("k1, k2", [(0.3, 0.7), (1.5, 0.3), (0.5 + 0.4j, 0.8 - 0.3j),
                                         (0.005, 0.005)])
@@ -287,8 +333,10 @@ class TestOpdamG:
         lam = -1j * k.rho
         for x in (-3.0, -1.0, -0.2, 0.5, 1.2, 3.0):
             ref = eigen_reference(k1, k2, lam, x)
-            val = opdam_G(k, lam, x)
+            val, _, method, _ = _opdam_G(k, lam, x)
             assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref)), x
+            # a - b = 2 rho is real: never the connection branch
+            assert method == ("direct" if abs(x) < 1.4 else "pfaff")
 
     @pytest.mark.parametrize("k1, k2", [(0.005, 0.005), (0.01, 0.002)])
     def test_tiny_multiplicity(self, k1, k2):
@@ -327,8 +375,21 @@ class TestOpdamG:
                 ks = rng.uniform(0.001, 0.02, 2)
             (k1, k2), lam, x = ks.tolist(), rng.uniform(0.0, 20.0), rng.uniform(-3.0, 3.0)
             ref = eigen_reference(k1, k2, lam, x)
-            val, bar = _opdam_G(Multiplicity(k1, k2), lam, x)
+            val, bar, _, _ = _opdam_G(Multiplicity(k1, k2), lam, x)
             assert abs(val - ref) <= bar, (k1, k2, lam, x)
+
+    @pytest.mark.parametrize("lam, bar_rel", [(8.0, 1e-12), (12.0, 1e-12), (20.0, 1e-12),
+                                              (30.0, 2e-12)])
+    def test_large_lam_at_x_3(self, lam, bar_rel):
+        # the Pfaff series were off by 2.4e-10, 1.3e-6, 107 and 3.0e11 here;
+        # the connection terms keep 13 digits.  The bar is the first-order
+        # bound on four log-Gammas (their parts sum to 560 at lam = 30) and
+        # on series whose largest term is 15 times their sum
+        ref = eigen_reference(0.3, 0.3, lam, 3.0)
+        val, bar, method, _ = _opdam_G(Multiplicity(0.3, 0.3), lam, 3.0)
+        assert method == "connection"
+        assert abs(val - ref) <= 1e-13 * abs(ref)
+        assert abs(val - ref) <= bar <= bar_rel * abs(ref)
 
     def test_non_convergence_carries_partial_value_of_G(self):
         # at x = 10 the Pfaff-mapped argument is 0.99982 and the series stop
@@ -337,3 +398,51 @@ class TestOpdamG:
             opdam_G(Multiplicity(0.5, 0.5), 1.0, 10.0)
         ref = eigen_reference(0.5, 0.5, 1.0, 10.0)
         assert abs(info.value.partial - ref) <= info.value.est_error < abs(ref)
+
+
+def _opdam_routes(k, lam, x):
+    """G's (value, bar, method, steps) from the Pfaff series and from the connection terms."""
+    s = complex(k.k1) + complex(k.k2)
+    a, b, c = k.rho + 1j * lam, k.rho - 1j * lam, s + 0.5
+
+    def weight(scaled):
+        assert scaled
+        return a / c * math.tanh(x / 2.0)
+
+    z = -math.sinh(x / 2.0) ** 2
+    return _series_2f1(a, b, c, z, weight), _connection_2f1(a, b, c, z, weight)
+
+
+class TestConnectionBranch:
+    """G and 2F1 where u = 1/(1 - z) < 1/2 and |a - b| >= 6 (lam >= 3 in G)."""
+
+    def test_error_bar_covers_reference(self):
+        # lam in [3, 40], 1.77 <= |x| <= 20, real and complex k down to
+        # Re k = 0.05: every point takes the branch, and none is dropped
+        rng = np.random.default_rng(32)
+        for i in range(320):
+            ks = rng.uniform(0.05, 3.0, 2)
+            if i % 2:
+                ks = ks + 1j * rng.uniform(-1.0, 1.0, 2)
+            (k1, k2), lam = ks.tolist(), rng.uniform(3.0, 40.0)
+            x = rng.choice((-1.0, 1.0)) * rng.uniform(1.77, 20.0)
+            ref = eigen_reference(k1, k2, lam, x)
+            val, bar, method, _ = _opdam_G(Multiplicity(k1, k2), lam, x)
+            assert method == "connection", (k1, k2, lam, x)
+            assert abs(val - ref) <= bar, (k1, k2, lam, x)
+
+    @pytest.mark.parametrize("k1, k2", [(0.3, 0.3), (1.5, 0.7), (0.5 + 0.4j, 0.8 - 0.3j)])
+    def test_routes_agree_at_the_switch(self, k1, k2):
+        # x_half = 2 asinh(1) is where z = -1 and u = 1/2; lam = 3 is where
+        # |a - b| = 6.  Just either side of each, the Pfaff series and the
+        # connection terms agree within the sum of their bars, and
+        # _gauss_2f1 takes the connection branch only inside both thresholds
+        k = Multiplicity(k1, k2)
+        x_half = 2.0 * math.asinh(1.0)
+        for lam, x, inside in ((3.0, x_half + 1e-9, True), (3.0, x_half - 1e-9, False),
+                               (3.0 - 1e-9, 2.5, False), (3.0 + 1e-9, 2.5, True),
+                               (3.0, 2.5, True), (2.9, -2.5, False)):
+            (vs, bs, ms, _), (vc, bc, mc, _) = _opdam_routes(k, lam, x)
+            assert (ms, mc) == ("pfaff", "connection")
+            assert abs(vs - vc) <= bs + bc, (lam, x)
+            assert _opdam_G(k, lam, x)[2] == ("connection" if inside else "pfaff"), (lam, x)
