@@ -486,11 +486,11 @@ def ktilde(k: Multiplicity, x, y, form: str = "direct") -> EvalResult:
         # nested route: integrate the cosine-setting kernel against its
         # measure over (|y|, |x|); the inner endpoint w -> |y| carries the
         # (w - |y|)^{k1+k2-1} singularity
-        values, bars, rule = _outer_sums(
+        values, bars, level = _outer_sums(
             np.abs(y), np.abs(x),
             lambda i, s, d_lo, _: _cosh_gap_integral(_k_axis((k,)), s, d_lo, (_cosine_form(s),))[0],
             (_end_power(k), 1.0))
-        return values, bars, f"nested {rule} x {METHOD}"
+        return values, bars, f"nested tanh-sinh(level={level}) x {METHOD}"
     return _form(x, y, terms)
 
 

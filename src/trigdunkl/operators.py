@@ -9,10 +9,13 @@ its argument.
 
 V's kernel at x is the same for every test function, and its series depend
 on |x| only, so ``apply_V`` and ``intertwine_gap`` take a tuple of functions
-and evaluate them in one outer pass per support: each |x| asked for at both
-signs is one interval of the kernel's mirror path, any other point one of
-its one-sign path, and every (function, sign, point) output keeps its own
-level, value and error bar.  V's integrand is smooth at y = 0, so its outer
+and evaluate them in one outer pass per support, every function at every
+point: each |x| asked for at both signs is one interval of the kernel's
+mirror path, any other point one of its one-sign path, and every (function,
+sign, point) output keeps its own level, value and error bar.  V's sums take
+tV's weights, one per sign and point, shared by every function, and both
+report the highest level their outer sums integrated, from which each
+operator names its method.  V's integrand is smooth at y = 0, so its outer
 rule is centred there and crowds its nodes only at the interval's ends
 +-min(|x|, a), a the half-width of f's support; so does the right side of
 the duality pairing, f tVg over (-a, a).
@@ -206,32 +209,20 @@ _SCAN_CHUNK = 4096  # scan cells times ks per kernel call, keeps temporaries ~3 
 _MIRROR = np.array([1.0, -1.0])[:, None, None]   # an outer piece and its mirror image
 
 
-def _eval_at(f: TestFunction, y, points):
-    """f at the nodes y (pieces x points x nodes) of the points where the mask
-    ``points`` is set, 0 at the others, which f is not evaluated at."""
-    if points.all():
-        return np.asarray(f.eval(y))
-    out = np.zeros(y.shape)
-    if points.any():
-        part = np.asarray(f.eval(y[:, points]))
-        out = out.astype(part.dtype)
-        out[:, points] = part
-    return out
-
-
-def _higher_rule(*methods):
-    """The method naming the highest rule: methods order by length, then by text."""
-    return max(methods, key=lambda m: (len(m), m))
+def _method(level, empty):
+    """An operator's method from the highest level its outer sums integrated, ``empty`` for none."""
+    return f"tanh-sinh(level={level}) x {METHOD}" if level else empty
 
 
 @np.errstate(all="ignore")   # a non-finite value raises in _point_result
 def _v_sums(k: Multiplicity, fs, x, u, per_row=True):
     """Weighted sums of V f at x, a scalar or an array, for each function f
-    in the tuple fs and weights u of shape (len(fs), r) + x.shape: one row
-    gives u[j, 0] V f_j(x), two rows u[j, 0] V f_j(x) and u[j, 1] V f_j(-x)
-    for x >= 0, each an output of its own, or with ``per_row`` False their
-    sum.  Returns the values and bars of shape (len(fs), r) + x.shape
-    ((len(fs),) + x.shape for the sums), unchecked, and the method.
+    in the tuple fs and weights u of shape (r,) + x.shape, which every
+    function shares: one row gives u[0] V f(x), two rows u[0] V f(x) and
+    u[1] V f(-x) for x >= 0, each an output of its own, or with ``per_row``
+    False their sum.  Returns the values and bars of shape (len(fs), r) +
+    x.shape ((len(fs),) + x.shape for the sums), unchecked, and the highest
+    level integrated (0 for none).
 
     One outer pass per support serves every output of its functions, each at
     its own level (see ``_outer_sums``): the integral over (-b, b), b =
@@ -244,26 +235,24 @@ def _v_sums(k: Multiplicity, fs, x, u, per_row=True):
     edge.  The kernel's series depend on |x| only, so the pair's values at
     each node come from one series, the sign on its own axis, and each
     function is evaluated once per batch at the nodes s and -s, which serve
-    both signs.  A point whose weights are all 0 is an empty interval, and
-    a function whose weights at a point are 0 is not evaluated there; such
-    an output's value and bar are 0.  At x = 0 the value is f(0) times the
-    weight, the defining point evaluation.
+    both signs.  A point whose weights are all 0 is an empty interval, where
+    no function is evaluated, and its outputs' values and bars are 0.  At x
+    = 0 the value is f(0) times the weight, the defining point evaluation.
     """
     x = _real_array("evaluation point", x)
-    u = np.reshape(u, (len(fs), -1, x.size))
+    u = np.reshape(u, (len(u), x.size))
     by_support = {}
     for j, f in enumerate(fs):
         by_support.setdefault(f.support, []).append(j)
-    if len(by_support) > 1:
-        shape = (len(fs),) + ((u.shape[1],) if per_row else ()) + x.shape
-        values, est, methods = np.zeros(shape, dtype=complex), np.zeros(shape), []
+    if len(by_support) != 1:
+        shape = (len(fs),) + (u.shape[:1] if per_row else ()) + x.shape
+        values, est, level = np.zeros(shape, dtype=complex), np.zeros(shape), 0
         for js in by_support.values():
-            values[js], est[js], method = _v_sums(k, tuple(fs[j] for j in js), x, u[js], per_row)
-            methods.append(method)
-        return values, est, _higher_rule(*methods)
-    rows = u.shape[1]
-    wanted = u.any(1)       # (function, point)
-    live = wanted.any(0).reshape(x.shape)
+            values[js], est[js], top = _v_sums(k, tuple(fs[j] for j in js), x, u, per_row)
+            level = max(level, top)
+        return values, est, level
+    rows = len(u)
+    live = u.any(0).reshape(x.shape)
     xa = np.abs(x)
     a = fs[0].support
     b = np.where(live, xa if a is None else np.minimum(xa, a), 0.0)
@@ -273,25 +262,25 @@ def _v_sums(k: Multiplicity, fs, x, u, per_row=True):
         y = _MIRROR * s
         kv, kb = _kernel_values(k, x.flat[i][None, :, None], y, gap=beyond.flat[i][:, None] + d_hi,
                                 mirror=rows == 2)
-        fy = np.array([_eval_at(f, y, at) for f, at in zip(fs, wanted[:, i])])
-        fy = fy[:, None] * u[:, :, None, i, None]      # (function, row, piece, points, nodes)
+        fy = np.array([np.asarray(f.eval(y)) for f in fs])
+        fy = fy[:, None] * u[:, None, i, None]      # (function, row, piece, points, nodes)
         return kv * fy, kb * np.abs(fy)
 
     outputs = (len(fs), rows) if per_row else (len(fs),)
     # every argument by position, as a stand-in that records the calls takes them
-    values, est, rule = _outer_sums(0.0, b, integrand, (None, _end_power(k)), outputs)
+    values, est, level = _outer_sums(0.0, b, integrand, (None, _end_power(k)), outputs)
     zero = (x == 0.0) & live
     if zero.any():
-        weights = u.reshape((len(fs), rows) + x.shape)
-        for v, f, w in zip(values, fs, weights if per_row else weights.sum(1)):
+        w = u.reshape((rows,) + x.shape) if per_row else u.sum(0).reshape(x.shape)
+        for v, f in zip(values, fs):
             v[..., zero] = w[..., zero] * f.eval(0.0)
-    return values, est, "point-evaluation" if zero.all() else f"{rule} x {METHOD}"
+    return values, est, level
 
 
-def _v_points(k: Multiplicity, fs, x, want):
-    """V f at x, a float array, for each function f in the tuple fs where
-    ``want`` (shape (len(fs),) + x.shape) is set, else 0: the values and bars
-    of that shape, unchecked, and the method.
+def _v_points(k: Multiplicity, fs, x):
+    """V f at x, a float array, for each function f in the tuple fs: the
+    values and bars of shape (len(fs),) + x.shape, unchecked, and the highest
+    level integrated (0 for none).
 
     Each |x| asked for at both signs is one interval of the mirror path, the
     signs separate outputs, in the order the |x| first appear; every other
@@ -304,24 +293,22 @@ def _v_points(k: Multiplicity, fs, x, want):
         signs.setdefault(a, set()).add(positive)
     slot = {a: j for j, a in enumerate(a for a, both in signs.items() if len(both) == 2)}
     if not slot:    # one one-sign pass over x as given
-        v, b, method = _v_sums(k, fs, x, np.reshape(want, (len(fs), 1) + x.shape))
-        return v[:, 0], b[:, 0], method
+        v, b, level = _v_sums(k, fs, x, np.ones((1,) + x.shape))
+        return v[:, 0], b[:, 0], level
     at = np.array([slot.get(a, -1) for a in xa.tolist()], dtype=int)
     mirror = at >= 0
     one = ~mirror
-    want = np.reshape(want, (len(fs), -1))
-    values, bars = np.zeros(want.shape, dtype=complex), np.zeros(want.shape)
+    values = np.zeros((len(fs), flat.size), dtype=complex)
+    bars = np.zeros(values.shape)
     pos, row = at[mirror], (flat[mirror] < 0.0).astype(int)
-    u = np.zeros((len(fs), 2, len(slot)))
-    np.maximum.at(u, (slice(None), row, pos), want[:, mirror])
-    v, b, method = _v_sums(k, fs, np.array(list(slot)), u)
+    v, b, level = _v_sums(k, fs, np.array(list(slot)), np.ones((2, len(slot))))
     values[:, mirror], bars[:, mirror] = v[:, row, pos], b[:, row, pos]
     if one.any():
-        v, b, single = _v_sums(k, fs, flat[one], want[:, None, one])
+        v, b, single = _v_sums(k, fs, flat[one], np.ones((1, np.count_nonzero(one))))
         values[:, one], bars[:, one] = v[:, 0], b[:, 0]
-        method = _higher_rule(method, single)
-    shape = want.shape[:1] + x.shape
-    return values.reshape(shape), bars.reshape(shape), method
+        level = max(level, single)
+    shape = (len(fs),) + x.shape
+    return values.reshape(shape), bars.reshape(shape), level
 
 
 @np.errstate(all="ignore")   # a non-finite value raises in _point_result
@@ -330,12 +317,13 @@ def _vt_sums(k: Multiplicity, g: TestFunction, y, u):
     (r,) + y.shape: one row gives u[0] tVg(y), two rows u[0] tVg(y) + u[1]
     tVg(-y) for y >= 0, the pair's values at each node from one series.  A
     point whose weights are all 0 is an empty interval, as in ``_v_sums``.
-    Returns the values and bars of the shape of y, unchecked, and the method.
+    Returns the values and bars of the shape of y, unchecked, and the
+    highest level integrated (0 for none).
     """
     if g.support is None:
         raise ContractError(f"{g.id} declares no compact support; the dual needs one")
     y = _real_array("evaluation point", y)
-    u = np.reshape(u, (len(u), -1))
+    u = np.reshape(u, (len(u), y.size))
     signs = _MIRROR[:len(u), None]
     a = float(g.support)
 
@@ -349,8 +337,7 @@ def _vt_sums(k: Multiplicity, g: TestFunction, y, u):
 
     ya = np.abs(y)
     hi = np.where(u.any(0).reshape(y.shape), np.maximum(ya, a), ya)
-    values, est, rule = _outer_sums(ya, hi, integrand, (_end_power(k), 1.0))
-    return values, est, f"{rule} x {METHOD}" if (ya < hi).any() else "empty-domain"
+    return _outer_sums(ya, hi, integrand, (_end_power(k), 1.0))
 
 
 def apply_V(k: Multiplicity, f, x):
@@ -368,12 +355,14 @@ def apply_V(k: Multiplicity, f, x):
     itself).  f may be a tuple of functions: the result is then a tuple of
     results, one per function, each with its own values, bars and type
     (real where its values are), from one outer pass per support that forms
-    the kernel once for all of its functions; the method names the highest
-    rule of the passes.
+    the kernel once for all of its functions and asks each of them at every
+    point; the method names the highest level of the passes.  An empty
+    array of points gives empty results, an empty tuple of functions ().
     """
     fs = f if isinstance(f, tuple) else (f,)
     x = _real_array("evaluation point", x)
-    values, bars, method = _v_points(k, fs, x, np.ones((len(fs),) + x.shape, dtype=bool))
+    values, bars, level = _v_points(k, fs, x)
+    method = _method(level, "point-evaluation")
     results = tuple(_point_result(v, b, method) for v, b in zip(values, bars))
     return results if isinstance(f, tuple) else results[0]
 
@@ -385,7 +374,8 @@ def apply_Vt(k: Multiplicity, g: TestFunction, y) -> EvalResult:
     elsewhere integrated over (|y|, a) from its singular end |y|.  y is a
     scalar or an array, and the result has its shape.
     """
-    return _point_result(*_vt_sums(k, g, y, np.ones((1,) + np.shape(y))))
+    values, bars, level = _vt_sums(k, g, y, np.ones((1,) + np.shape(y)))
+    return _point_result(values, bars, _method(level, "empty-domain"))
 
 
 def _pairing_sides(k: Multiplicity, f: TestFunction, g: TestFunction):
@@ -410,7 +400,8 @@ def _pairing_sides(k: Multiplicity, f: TestFunction, g: TestFunction):
         # integral of outer(x) op(x) over (0, a) and its mirror image, one
         # nested sum per node s for x = s, -s; ``power`` at the end 0
         def integrand(i, s, d_lo, d_hi):
-            res = _point_result(*sums(s, outer(_MIRROR * s)))
+            values, bars, level = sums(s, outer(_MIRROR * s))
+            res = _point_result(values, bars, _method(level, "empty-domain"))
             # complex, as the outer sum rounds a real matmul differently
             return np.asarray(res.value, dtype=complex), res.est_error
         value, bar, _ = _outer_sums(0.0, a, integrand, (power, 1.0))
@@ -418,7 +409,7 @@ def _pairing_sides(k: Multiplicity, f: TestFunction, g: TestFunction):
 
     # A(x) / |x|^{2 Re s} grows with |x|, so the power bounds the left side at 0
     lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x),
-                  lambda s, u: _v_sums(k, (f,), s, u[None], False),
+                  lambda s, u: _v_sums(k, (f,), s, u, False),
                   1.0 + 2.0 * (k.k1 + k.k2).real)
     # f tVg is smooth at 0
     rhs = pairing(f.eval, lambda s, u: _vt_sums(k, g, s, u), None)
@@ -449,10 +440,12 @@ def intertwine_gap(k: Multiplicity, f, x):
     """Defect |D(Vf)(x) - V(f')(x)| of the intertwining identity at x, a scalar or an array.
 
     D acts on Vf through ``_richardson_derivative`` with step
-    1e-4 max(1, |x|), so the result is finite-difference limited.  Vf at
-    x +- h, x +- 2h, x and -x and V(f') at x come from one outer pass; the
-    gaps have the shape of x.  f may be a tuple of functions, which share
-    that pass (one per support): the result is then a tuple of their gaps.
+    1e-4 max(1, |x|), so the result is finite-difference limited.  Vf and
+    V(f') at x +- h, x +- 2h, x and -x come from one outer pass, which asks
+    every function at all six points; the identity reads Vf at all six and
+    V(f') at x.  The gaps have the shape of x.  f may be a tuple of
+    functions, which share that pass (one per support): the result is then a
+    tuple of their gaps.
     """
     fs = f if isinstance(f, tuple) else (f,)
     shape = np.shape(x)
@@ -466,9 +459,8 @@ def intertwine_gap(k: Multiplicity, f, x):
     h = NUMERICS.fd_step_scale * np.maximum(1.0, np.abs(x))
     primes = tuple(TestFunction(id=f"{fn.id}'", eval=fn.deriv, support=fn.support) for fn in fs)
     points = np.stack((x + h, x - h, x + 2 * h, x - 2 * h, x, -x))
-    want = np.ones((2 * len(fs),) + points.shape, dtype=bool)
-    want[len(fs):, [0, 1, 2, 3, 5]] = False    # V(f') at x alone
-    values, bars, method = _v_points(k, fs + primes, points, want)
+    values, bars, level = _v_points(k, fs + primes, points)
+    method = _method(level, "point-evaluation")
     v = [_point_result(*vb, method).value for vb in zip(values, bars)]
     gaps = []
     for (*shifted, v_x, v_mx), v_prime in zip(v[:len(fs)], v[len(fs):]):

@@ -257,12 +257,12 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
     (or at ``_MAX_TS_LEVEL``) and keeps that level's value and bar, and an
     interval is evaluated while any of its outputs is open.  Returns the
     values and error estimates of shape ``outputs`` + the broadcast shape,
-    and the highest rule used.  ``powers`` are the ends' powers p: the
-    integrand is at most about gap^{p-1} there, so each end is cut at gap
-    eps^{1/p}, dropping about eps relative (a caller passes p <= 1 for an
-    end it cannot bound so), but not below 1e-280 / (least half-width) while
-    that is below eps, so no end distance underflows for intervals wider
-    than about 1e-305.
+    and the highest level integrated, an int (0 when every interval is
+    empty).  ``powers`` are the ends' powers p: the integrand is at most
+    about gap^{p-1} there, so each end is cut at gap eps^{1/p}, dropping
+    about eps relative (a caller passes p <= 1 for an end it cannot bound
+    so), but not below 1e-280 / (least half-width) while that is below eps,
+    so no end distance underflows for intervals wider than about 1e-305.
 
     A lower power None makes lo a centre: (lo, hi) stands for (2 lo - hi,
     hi), whose two halves the pieces supply (s and its mirror 2 lo - s), and
@@ -303,7 +303,11 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
     floor = min(_EPS, _TS_FULL_GAP / half_min)
     # a centre keeps the nodes at gap 1 + t >= 1 from the lower end: t >= 0
     cut_lo, cut_hi = (1.0 if p is None else max(_EPS ** (1.0 / p), floor) for p in powers)
+    top = 0     # the highest level integrated
     for level in range(_MIN_TS_LEVEL, _MAX_TS_LEVEL + 1):
+        if not todo.size:
+            break
+        top = level
         t, w, glo, ghi, wc = _cut(_tanh_sinh_full(level), cut_lo, cut_hi)
         if centred:     # fresh arrays from _cut; node 0 is the centre t = 0
             w[0] *= 0.5
@@ -341,10 +345,8 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
             open_[:, j:j + step] &= ~stop
         more = open_.any(0)
         todo, open_ = todo[more], open_[:, more]
-        if not todo.size:
-            break
     shape = outputs + lo.shape
-    return values.reshape(shape), est.reshape(shape), f"tanh-sinh(level={level})"
+    return values.reshape(shape), est.reshape(shape), top
 
 
 def _gauss_jacobi_pair(n: int, alpha: float, beta: float):

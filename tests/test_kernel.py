@@ -81,12 +81,12 @@ class TestWeightA:
 
     def test_hand_value(self):
         val = 2.0 * math.sinh(0.5) * 2.0 * math.sinh(1.0)
-        assert weight_A(Multiplicity(0.5, 0.5), 1.0) == pytest.approx(val, rel=1e-14)
+        assert weight_A(Multiplicity(0.5, 0.5), 1.0) == pytest.approx(val, rel=1e-14, abs=0.0)
 
     def test_even(self):
         k = Multiplicity(0.8, 1.7)
         for x in (0.3, 1.1, 2.9):
-            assert weight_A(k, x) == pytest.approx(weight_A(k, -x), rel=1e-14)
+            assert weight_A(k, x) == pytest.approx(weight_A(k, -x), rel=1e-14, abs=0.0)
 
     def test_complex_parameters(self):
         val = weight_A(Multiplicity(0.5 + 0.3j, 0.7), 1.2)
@@ -95,11 +95,14 @@ class TestWeightA:
 
 
 class TestConstantC:
+    # at these k the constant is within 3 ulp of its closed form, and a
+    # relative 2e-15 also fails a route shifted by 1e-12, not only by rounding
     def test_half_half(self):
-        assert constant_c(Multiplicity(0.5, 0.5)) == pytest.approx(4.0 / math.pi, rel=1e-12)
+        c = constant_c(Multiplicity(0.5, 0.5))
+        assert c == pytest.approx(4.0 / math.pi, rel=2e-15, abs=0.0)
 
     def test_one_one(self):
-        assert constant_c(Multiplicity(1.0, 1.0)) == pytest.approx(48.0, rel=1e-12)
+        assert constant_c(Multiplicity(1.0, 1.0)) == pytest.approx(48.0, rel=2e-15, abs=0.0)
 
     def test_positive_on_grid(self):
         for k1, k2 in K_GRID:
@@ -124,9 +127,11 @@ class TestConstantC:
                         constant_c(Multiplicity(k1, k2))
                 else:
                     finite += 1
-                    assert constant_c(Multiplicity(k1, k2)) == pytest.approx(float(want), rel=1e-12)
+                    c = constant_c(Multiplicity(k1, k2))
+                    assert c == pytest.approx(float(want), rel=1e-12, abs=0.0), (k1, k2)
         assert finite == 562
-        assert constant_c(Multiplicity(100, 100)) == pytest.approx(1.498019135604324e242, rel=1e-12)
+        c = constant_c(Multiplicity(100, 100))
+        assert c == pytest.approx(1.498019135604324e242, rel=1e-12, abs=0.0)
 
     def test_beyond_lgamma_range_raises(self):
         with pytest.raises(EvaluationError):
@@ -135,8 +140,8 @@ class TestConstantC:
 
 class TestSigma:
     def test_hand_values(self):
-        assert sigma(1.0, 0.0, 0.0) == pytest.approx(math.e - 1.0, rel=1e-14)
-        assert sigma(-1.0, 0.0, 0.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
+        assert sigma(1.0, 0.0, 0.0) == pytest.approx(math.e - 1.0, rel=1e-14, abs=0.0)
+        assert sigma(-1.0, 0.0, 0.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14, abs=0.0)
 
     def test_positive_on_ordered_triples(self):
         rng = np.random.default_rng(42)
@@ -609,15 +614,18 @@ class TestSeriesPieces:
 
 
 class TestLimitKernels:
+    # the hand values are within 3 ulp of the closed forms, and a relative
+    # 2e-15 also fails a route shifted by 1e-12, not only by rounding
     def test_k1zero_hand_value(self):
         val = kernel_K_limit_k1zero(0.5, 1.0, 0.0)
         expected = (1.0 / (math.sqrt(2.0) * math.pi)) / math.sinh(1.0) \
             * (math.cosh(1.0) - 1.0) ** -0.5 * (math.e - 1.0)
-        assert val == pytest.approx(expected, rel=1e-12)
+        assert val == pytest.approx(expected, rel=2e-15, abs=0.0)
 
     def test_k2zero_hand_value(self):
         val = kernel_K_limit_k2zero(1.0, 2.0, 0.0)
-        assert val == pytest.approx(0.25 * math.sinh(1.0) ** -2 * (math.e - 1.0), rel=1e-12)
+        expected = 0.25 * math.sinh(1.0) ** -2 * (math.e - 1.0)
+        assert val == pytest.approx(expected, rel=2e-15, abs=0.0)
 
     def test_positive_both_signs(self):
         for x in (0.9, -0.9, 2.1, -2.1):
@@ -630,9 +638,9 @@ class TestLimitKernels:
     def test_continuity_in_k(self, x, fr):
         y = fr * x
         near1 = kernel_K(Multiplicity(1e-4, 0.75), x, y).value
-        assert near1 == pytest.approx(kernel_K_limit_k1zero(0.75, x, y), rel=1e-3)
+        assert near1 == pytest.approx(kernel_K_limit_k1zero(0.75, x, y), rel=1e-3, abs=0.0)
         near2 = kernel_K(Multiplicity(0.75, 1e-4), x, y).value
-        assert near2 == pytest.approx(kernel_K_limit_k2zero(0.75, x, y), rel=1e-3)
+        assert near2 == pytest.approx(kernel_K_limit_k2zero(0.75, x, y), rel=1e-3, abs=0.0)
 
     @pytest.mark.parametrize("x", [1.0, 1e-4, 1e-12, 1e-16, 1e-100, 1e-200, 1e-300])
     @pytest.mark.parametrize("fr", [0.3, -0.9])
@@ -643,7 +651,7 @@ class TestLimitKernels:
         for limit, at in ((kernel_K_limit_k1zero, lambda t: Multiplicity(t, 0.7)),
                           (kernel_K_limit_k2zero, lambda t: Multiplicity(0.7, t))):
             want = 2.0 * kernel_K(at(1e-6), x, y).value - kernel_K(at(2e-6), x, y).value
-            assert limit(0.7, x, y) == pytest.approx(want, rel=1e-11), limit.__name__
+            assert limit(0.7, x, y) == pytest.approx(want, rel=1e-11, abs=0.0), limit.__name__
 
     def test_subnormal_gap(self):
         # |x| - |y| is the smallest subnormal, whose half rounds to 0; the
@@ -653,7 +661,7 @@ class TestLimitKernels:
         y = math.nextafter(x, 0.0)
         with mp.workprec(200):
             want = self._closed_form(mp, 2.0, x, y)
-        assert kernel_K_limit_k1zero(2.0, x, y) == pytest.approx(float(want), rel=1e-12)
+        assert kernel_K_limit_k1zero(2.0, x, y) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     @staticmethod
     def _closed_form(mp, k, x, y):
@@ -783,7 +791,7 @@ class TestJacobiSettingPieces:
         k = Multiplicity(0.7, 0.4)
         plus = dktilde_dy(k, 1.2, 0.5).value
         minus = dktilde_dy(k, 1.2, -0.5).value
-        assert plus == pytest.approx(-minus, rel=1e-13)
+        assert plus == pytest.approx(-minus, rel=1e-13, abs=0.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k", [Multiplicity(0.0734, 0.2869), Multiplicity(0.0807 + 0.38j, 0.2258)],
@@ -820,7 +828,7 @@ class TestMourouAssembly:
         kj = jacobi_kernel(k, x / 2, 0.0).value
         kt = ktilde(k, x / 2, 0.0, "direct").value
         expected = 0.25 * kj + (0.6 / 4 + 0.9 / 2) / weight_A(k, x) * kt
-        assert kernel_K_mourou(k, x, 0.0).value == pytest.approx(expected, rel=1e-12)
+        assert kernel_K_mourou(k, x, 0.0).value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("k", [Multiplicity(0.6, 0.9), Multiplicity(2.5, 0.05),
                                    Multiplicity(0.5 + 0.3j, 0.7), Multiplicity(0.2 - 0.5j, 1.1)],

@@ -207,6 +207,8 @@ class TestApplyV:
             assert apply_V(k, plane_wave(1.5), 1.0).method == "tanh-sinh(level=4) x euler-2f1"
             assert apply_Vt(k, bump(2.0), 0.5).method == "tanh-sinh(level=4) x euler-2f1"
             assert kernel_K(k, 1.0, 0.3).method == "euler-2f1"
+            assert ktilde(k, 1.3, 0.4, "defining").method == (
+                "nested tanh-sinh(level=4) x euler-2f1")
 
     @pytest.mark.parametrize("x", [3.0, -3.0])
     def test_level_above_start_within_error(self, x):
@@ -374,6 +376,24 @@ class TestArrayInputs:
         assert res.method == "tanh-sinh(level=4) x euler-2f1"
         assert apply_Vt(k, g, [2.0, -3.7]).method == "empty-domain"
         assert apply_Vt(k, g, 2.0).method == "empty-domain"
+
+    @pytest.mark.parametrize("points", [[], np.zeros((2, 0))], ids=["flat", "2d"])
+    def test_empty_points_give_empty_results(self, points):
+        # V and the intertwining defect accept no points as tV and the kernel forms do
+        k = Multiplicity(0.5, 0.5)
+        fs = (plane_wave(1.0), bump(2.0))
+        for res in (apply_V(k, fs[0], points), apply_Vt(k, fs[1], points),
+                    kernel_K(k, points, points), *apply_V(k, fs, points)):
+            assert res.value.shape == res.est_error.shape == np.shape(points)
+        for gap in (intertwine_gap(k, fs[0], points), *intertwine_gap(k, fs, points)):
+            assert gap.shape == np.shape(points)
+
+    def test_no_functions_give_no_results(self):
+        k = Multiplicity(0.5, 0.5)
+        assert apply_V(k, (), 1.0) == () and apply_V(k, (), [1.0, -1.0]) == ()
+        assert intertwine_gap(k, (), 1.0) == ()
+        with pytest.raises(DomainError, match="must be real"):
+            apply_V(k, (), 1.0 + 0.5j)
 
     @pytest.mark.parametrize("call, match", [
         (lambda k: kernel_K(k, [1.0, 1.0], [0.5, 1.0]), r"x=1.0, y=1.0"),
@@ -655,9 +675,9 @@ class TestDuality:
         outer_sums = operators._outer_sums
 
         def recording(*args):
-            values, est, rule = outer_sums(*args)
-            levels.append(int(rule.removeprefix("tanh-sinh(level=").removesuffix(")")))
-            return values, est, rule
+            values, est, level = outer_sums(*args)
+            levels.append(level)
+            return values, est, level
 
         monkeypatch.setattr(operators, "_outer_sums", recording)
         assert duality_gap(Multiplicity(k1, k2), bump(2.0), bump(2.0)) <= 1e-13
@@ -673,12 +693,13 @@ class TestMirrorPairs:
     @staticmethod
     def _v_sums(k, f, x, u):
         # one function, the rows summed into one output, as the duality pairing takes them
-        values, bars, method = operators._v_sums(k, (f,), x, np.asarray(u)[None], False)
-        return _point_result(values[0], bars[0], method)
+        values, bars, level = operators._v_sums(k, (f,), x, u, False)
+        return _point_result(values[0], bars[0], operators._method(level, "point-evaluation"))
 
     @staticmethod
     def _vt_sums(k, g, y, u):
-        return _point_result(*operators._vt_sums(k, g, y, u))
+        values, bars, level = operators._vt_sums(k, g, y, u)
+        return _point_result(values, bars, operators._method(level, "empty-domain"))
 
     @staticmethod
     def _check(sums, op, k, fn, seed):
@@ -827,7 +848,9 @@ class TestSharedPass:
         low, high = apply_V(k, (slow, fast), x)
         alone = apply_V(k, slow, x)
         assert alone.method == "tanh-sinh(level=4) x euler-2f1"
-        assert high.method == low.method == apply_V(k, fast, x).method != alone.method
+        # the method names the highest level of the pass, which the fast wave needs
+        assert high.method == low.method == apply_V(k, fast, x).method == (
+            "tanh-sinh(level=7) x euler-2f1")
         assert self._same(low, alone)
         assert self._same(high, apply_V(k, fast, x))
 
@@ -837,32 +860,6 @@ class TestSharedPass:
         assert [r.value.dtype.kind for r in res] == ["f", "c", "f"]
         lam0 = [row for row in run_suite("eigen") if " lam=0.0 " in row["point"]]
         assert len(lam0) == 54 and all(type(row["lhs"]) is float for row in lam0)
-
-    @by_k
-    def test_zero_weight_outputs_evaluate_nothing(self, k):
-        calls = []
-
-        def counted(y):
-            calls.append(np.shape(y))
-            return gaussian().eval(y)
-
-        g = TestFunction("counted gaussian", eval=counted)
-        f = plane_wave(1.5)
-        # 1.0 and -1.0 share a mirror interval, 0.5 and 0.7 take one sign each
-        x = np.array([1.0, -1.0, 0.5, 0.7])
-        want = np.ones((2, 4), dtype=bool)
-        want[1] = [False, False, True, False]
-        values, bars, method = operators._v_points(k, (f, g), x, want)
-        assert calls and all(shape[1] == 1 for shape in calls)    # at 0.5 alone
-        assert not values[1, [0, 1, 3]].any() and not bars[1, [0, 1, 3]].any()
-        alone = apply_V(k, g, 0.5)
-        assert abs(values[1, 2] - alone.value) <= bars[1, 2] + alone.est_error
-        calls.clear()
-        want[1] = False
-        values, bars, method = operators._v_points(k, (f, g), x, want)
-        assert calls == [] and not values[1].any() and not bars[1].any()
-        # g's outputs close at once, so f's pass is its own, bit for bit
-        assert self._same(_point_result(values[0], bars[0], method), apply_V(k, f, x))
 
     @by_k
     def test_intertwine_tuple_matches_each_call(self, k):
@@ -877,22 +874,22 @@ class TestSharedPass:
         assert all(isinstance(gap, float) for gap in one)
 
     @by_k
-    def test_intertwine_derivative_only_at_x(self, k):
-        # V(f') is wanted at x alone: f' sees the mirror interval |x|, never
-        # the four shifted points, which take one sign each
+    def test_intertwine_asks_derivative_at_every_point(self, k):
+        # the pass shares one weight per sign and point among its functions:
+        # f' is evaluated on the same node batches as f, the four shifted
+        # one-sign points included
         seen = {"f": [], "f'": []}
 
         def counting(name, fn):
             def ev(y):
-                seen[name].append(np.shape(y)[1])
+                seen[name].append(np.shape(y))
                 return fn(y)
             return ev
 
         f = TestFunction("counted", eval=counting("f", plane_wave(1.5).eval),
                          deriv=counting("f'", plane_wave(1.5).deriv))
-        gap = intertwine_gap(k, f, 0.7)
-        assert gap == intertwine_gap(k, plane_wave(1.5), 0.7)
-        assert max(seen["f"]) == 4 and set(seen["f'"]) == {1}
+        assert intertwine_gap(k, f, 0.7) == intertwine_gap(k, plane_wave(1.5), 0.7)
+        assert seen["f"] == seen["f'"] and max(shape[1] for shape in seen["f"]) == 4
 
 
 class TestIntertwine:
