@@ -8,17 +8,19 @@ over {|x| > |y|} and is truncated here to the declared compact support of
 its argument.
 
 V's kernel at x is the same for every test function, and its series depend
-on |x| only, so ``apply_V`` and ``intertwine_gap`` take a tuple of functions
-and evaluate them in one outer pass per support, every function at every
-point: each |x| asked for at both signs is one interval of the kernel's
-mirror path, any other point one of its one-sign path, and every (function,
-sign, point) output keeps its own level, value and error bar.  V's sums take
-tV's weights, one per sign and point, shared by every function, and both
-report the highest level their outer sums integrated, from which each
-operator names its method.  V's integrand is smooth at y = 0, so its outer
-rule is centred there and crowds its nodes only at the interval's ends
-+-min(|x|, a), a the half-width of f's support; so does the right side of
-the duality pairing, f tVg over (-a, a).
+on |x| only, so ``apply_V`` takes a tuple of functions, and it alone lays
+out V's points: each |x| asked for at both signs is one interval of the
+kernel's mirror path, any other point one of its one-sign path, each path
+one outer pass per support that asks every function at every point, and
+x = 0 takes f(0).  ``intertwine_gap`` reads V through it.  ``_v_sums`` and
+``_vt_sums`` are one support's weighted sums, one weight per sign and point
+shared by every function; every (function, sign, point) output keeps its
+own level, value and error bar, and both report the highest level their
+outer sums integrated, from which each operator names its method.  V's
+integrand is smooth at y = 0, so its outer rule is centred there and
+crowds its nodes only at the interval's ends +-min(|x|, a), a the
+half-width of f's support; so does the right side of the duality pairing,
+f tVg over (-a, a).
 
 Test inputs come from a small registry of vectorized functions rather than
 arbitrary user callables, which keeps every operator evaluation
@@ -80,13 +82,11 @@ def monomial(p: int) -> TestFunction:
     p = int(p)
     if p < 0:
         raise DomainError(f"monomial degree must be >= 0, got {p}")
-    if p == 0:
-        return TestFunction("monomial(0)", lambda y: np.ones_like(np.asarray(y, dtype=float)),
-                            lambda y: np.zeros_like(np.asarray(y, dtype=float)))
     return TestFunction(
         id=f"monomial({p})",
         eval=lambda y: np.asarray(y, dtype=float) ** p,
-        deriv=lambda y: p * np.asarray(y, dtype=float) ** (p - 1),
+        # p y^(p-1), with 0 y^0 = 0 for p = 0, also at y = 0
+        deriv=lambda y: p * np.asarray(y, dtype=float) ** max(p - 1, 0),
     )
 
 
@@ -217,45 +217,34 @@ def _method(level, empty):
 @np.errstate(all="ignore")   # a non-finite value raises in _point_result
 def _v_sums(k: Multiplicity, fs, x, u, per_row=True):
     """Weighted sums of V f at x, a scalar or an array, for each function f
-    in the tuple fs and weights u of shape (r,) + x.shape, which every
-    function shares: one row gives u[0] V f(x), two rows u[0] V f(x) and
-    u[1] V f(-x) for x >= 0, each an output of its own, or with ``per_row``
-    False their sum.  Returns the values and bars of shape (len(fs), r) +
-    x.shape ((len(fs),) + x.shape for the sums), unchecked, and the highest
-    level integrated (0 for none).
+    in the tuple fs, whose functions share one support, and weights u of
+    shape (r,) + x.shape, which every function shares: one row gives u[0] V
+    f(x), two rows u[0] V f(x) and u[1] V f(-x) for x >= 0, each an output
+    of its own, or with ``per_row`` False their sum.  Returns the values and
+    bars of shape (len(fs), r) + x.shape ((len(fs),) + x.shape for the
+    sums), unchecked, and the highest level integrated (0 for none).
 
-    One outer pass per support serves every output of its functions, each at
-    its own level (see ``_outer_sums``): the integral over (-b, b), b =
-    min(|x|, a) for the support [-a, a] (b = |x| without one), from the
-    centred half rule on (0, b), whose nodes crowd only at b.  There the
-    kernel vanishes like a power of its gap |x| - |y| if b = |x|; if b = a <
-    |x| f vanishes instead and the kernel's gap is (|x| - a) + (b - s).  The
-    end is cut at the kernel's power either way, which bounds the kernel's
-    part beyond the cut also for an f that does not vanish at its support's
-    edge.  The kernel's series depend on |x| only, so the pair's values at
-    each node come from one series, the sign on its own axis, and each
-    function is evaluated once per batch at the nodes s and -s, which serve
-    both signs.  A point whose weights are all 0 is an empty interval, where
-    no function is evaluated, and its outputs' values and bars are 0.  At x
-    = 0 the value is f(0) times the weight, the defining point evaluation.
+    One outer pass serves every output, each at its own level (see
+    ``_outer_sums``): the integral over (-b, b), b = min(|x|, a) for the
+    support [-a, a] (b = |x| without one), from the centred half rule on
+    (0, b), whose nodes crowd only at b.  There the kernel vanishes like a
+    power of its gap |x| - |y| if b = |x|; if b = a < |x| f vanishes instead
+    and the kernel's gap is (|x| - a) + (b - s).  The end is cut at the
+    kernel's power either way, which bounds the kernel's part beyond the cut
+    also for an f that does not vanish at its support's edge.  The kernel's
+    series depend on |x| only, so the pair's values at each node come from
+    one series, the sign on its own axis, and each function is evaluated
+    once per batch at the nodes s and -s, which serve both signs.  A point
+    whose weights are all 0, or x = 0, is an empty interval, where no
+    function is evaluated, and its outputs' values and bars are 0: V's
+    point evaluation at 0 is ``apply_V``'s to write.
     """
     x = _real_array("evaluation point", x)
     u = np.reshape(u, (len(u), x.size))
-    by_support = {}
-    for j, f in enumerate(fs):
-        by_support.setdefault(f.support, []).append(j)
-    if len(by_support) != 1:
-        shape = (len(fs),) + (u.shape[:1] if per_row else ()) + x.shape
-        values, est, level = np.zeros(shape, dtype=complex), np.zeros(shape), 0
-        for js in by_support.values():
-            values[js], est[js], top = _v_sums(k, tuple(fs[j] for j in js), x, u, per_row)
-            level = max(level, top)
-        return values, est, level
     rows = len(u)
-    live = u.any(0).reshape(x.shape)
     xa = np.abs(x)
     a = fs[0].support
-    b = np.where(live, xa if a is None else np.minimum(xa, a), 0.0)
+    b = np.where(u.any(0).reshape(x.shape), xa if a is None else np.minimum(xa, a), 0.0)
     beyond = xa - b     # the kernel's gap at b: 0 unless f's support ends first
 
     def integrand(i, s, d_lo, d_hi):
@@ -268,47 +257,7 @@ def _v_sums(k: Multiplicity, fs, x, u, per_row=True):
 
     outputs = (len(fs), rows) if per_row else (len(fs),)
     # every argument by position, as a stand-in that records the calls takes them
-    values, est, level = _outer_sums(0.0, b, integrand, (None, _end_power(k)), outputs)
-    zero = (x == 0.0) & live
-    if zero.any():
-        w = u.reshape((rows,) + x.shape) if per_row else u.sum(0).reshape(x.shape)
-        for v, f in zip(values, fs):
-            v[..., zero] = w[..., zero] * f.eval(0.0)
-    return values, est, level
-
-
-def _v_points(k: Multiplicity, fs, x):
-    """V f at x, a float array, for each function f in the tuple fs: the
-    values and bars of shape (len(fs),) + x.shape, unchecked, and the highest
-    level integrated (0 for none).
-
-    Each |x| asked for at both signs is one interval of the mirror path, the
-    signs separate outputs, in the order the |x| first appear; every other
-    point is an interval of the one-sign path, in the order given.
-    """
-    flat = x.reshape(-1)
-    xa = np.abs(flat)
-    signs = {}      # |x| -> the signs asked for, in the order the |x| first appear
-    for a, positive in zip(xa.tolist(), (flat > 0.0).tolist()):
-        signs.setdefault(a, set()).add(positive)
-    slot = {a: j for j, a in enumerate(a for a, both in signs.items() if len(both) == 2)}
-    if not slot:    # one one-sign pass over x as given
-        v, b, level = _v_sums(k, fs, x, np.ones((1,) + x.shape))
-        return v[:, 0], b[:, 0], level
-    at = np.array([slot.get(a, -1) for a in xa.tolist()], dtype=int)
-    mirror = at >= 0
-    one = ~mirror
-    values = np.zeros((len(fs), flat.size), dtype=complex)
-    bars = np.zeros(values.shape)
-    pos, row = at[mirror], (flat[mirror] < 0.0).astype(int)
-    v, b, level = _v_sums(k, fs, np.array(list(slot)), np.ones((2, len(slot))))
-    values[:, mirror], bars[:, mirror] = v[:, row, pos], b[:, row, pos]
-    if one.any():
-        v, b, single = _v_sums(k, fs, flat[one], np.ones((1, np.count_nonzero(one))))
-        values[:, one], bars[:, one] = v[:, 0], b[:, 0]
-        level = max(level, single)
-    shape = (len(fs),) + x.shape
-    return values.reshape(shape), bars.reshape(shape), level
+    return _outer_sums(0.0, b, integrand, (None, _end_power(k)), outputs)
 
 
 @np.errstate(all="ignore")   # a non-finite value raises in _point_result
@@ -354,14 +303,55 @@ def apply_V(k: Multiplicity, f, x):
     difference, which is not a bound (for a jump it is about the error
     itself).  f may be a tuple of functions: the result is then a tuple of
     results, one per function, each with its own values, bars and type
-    (real where its values are), from one outer pass per support that forms
-    the kernel once for all of its functions and asks each of them at every
-    point; the method names the highest level of the passes.  An empty
-    array of points gives empty results, an empty tuple of functions ().
+    (real where its values are); the method names the highest level of the
+    passes.  An empty array of points gives empty results, an empty tuple
+    of functions ().
+
+    V's points are laid out here and nowhere else.  Each |x| asked for at
+    both signs is one interval of the kernel's mirror path, its signs two
+    weight rows, in the order the |x| first appear; every other point is an
+    interval of the one-sign path, in the order given.  Each path is one
+    ``_v_sums`` pass per support, in the order the supports first appear,
+    which forms the kernel once for all of its functions and asks each of
+    them at every point of the pass; x = 0 then takes f(0).  A call with no
+    pair and one support is one pass over x as given, with nothing to merge.
     """
     fs = f if isinstance(f, tuple) else (f,)
     x = _real_array("evaluation point", x)
-    values, bars, level = _v_points(k, fs, x)
+    flat = x.reshape(-1)
+    xa = np.abs(flat)
+    signs = {}      # |x| -> the signs asked for, in the order the |x| first appear
+    for a, positive in zip(xa.tolist(), (flat > 0.0).tolist()):
+        signs.setdefault(a, set()).add(positive)
+    slot = {a: j for j, a in enumerate(a for a, both in signs.items() if len(both) == 2)}
+    supports = {}
+    for j, fn in enumerate(fs):
+        supports.setdefault(fn.support, []).append(j)
+    if not slot and len(supports) == 1:     # one one-sign pass over x as given, no merge
+        values, bars, level = _v_sums(k, fs, x, np.ones((1,) + x.shape))
+        values, bars = values[:, 0], bars[:, 0]
+    else:
+        at = np.array([slot.get(a, -1) for a in xa.tolist()], dtype=int)
+        mirror, one = np.flatnonzero(at >= 0), np.flatnonzero(at < 0)
+        # each path's points and rows, the flat outputs it fills, and the (row, point) it reads
+        paths = [(np.array(list(slot)), 2, mirror, (flat[mirror] < 0.0).astype(int), at[mirror]),
+                 (flat[one], 1, one, 0, slice(None))]
+        values = np.zeros((len(fs), flat.size), dtype=complex)
+        bars = np.zeros(values.shape)
+        level = 0
+        for points, rows, out, row, pos in paths:
+            if not out.size:
+                continue
+            u = np.ones((rows, points.size))
+            for js in supports.values():
+                v, b, top = _v_sums(k, tuple(fs[j] for j in js), points, u)
+                values[np.ix_(js, out)], bars[np.ix_(js, out)] = v[:, row, pos], b[:, row, pos]
+                level = max(level, top)
+        shape = (len(fs),) + x.shape
+        values, bars = values.reshape(shape), bars.reshape(shape)
+    zero = x == 0.0
+    if zero.any():      # the weight 1 times f(0), as the sums form a value: -0j reads +0j
+        values[:, zero] = 1.0 * np.array([fn.eval(0.0) for fn in fs])[:, None]
     method = _method(level, "point-evaluation")
     results = tuple(_point_result(v, b, method) for v, b in zip(values, bars))
     return results if isinstance(f, tuple) else results[0]
@@ -441,11 +431,11 @@ def intertwine_gap(k: Multiplicity, f, x):
 
     D acts on Vf through ``_richardson_derivative`` with step
     1e-4 max(1, |x|), so the result is finite-difference limited.  Vf and
-    V(f') at x +- h, x +- 2h, x and -x come from one outer pass, which asks
-    every function at all six points; the identity reads Vf at all six and
-    V(f') at x.  The gaps have the shape of x.  f may be a tuple of
-    functions, which share that pass (one per support): the result is then a
-    tuple of their gaps.
+    V(f') at x +- h, x +- 2h, x and -x come from one ``apply_V`` call on
+    the functions and their derivatives, which asks every function at all
+    six points; the identity reads Vf at all six and V(f') at x.  The gaps
+    have the shape of x.  f may be a tuple of functions, which share that
+    call: the result is then a tuple of their gaps.
     """
     fs = f if isinstance(f, tuple) else (f,)
     shape = np.shape(x)
@@ -459,9 +449,7 @@ def intertwine_gap(k: Multiplicity, f, x):
     h = NUMERICS.fd_step_scale * np.maximum(1.0, np.abs(x))
     primes = tuple(TestFunction(id=f"{fn.id}'", eval=fn.deriv, support=fn.support) for fn in fs)
     points = np.stack((x + h, x - h, x + 2 * h, x - 2 * h, x, -x))
-    values, bars, level = _v_points(k, fs + primes, points)
-    method = _method(level, "point-evaluation")
-    v = [_point_result(*vb, method).value for vb in zip(values, bars)]
+    v = [res.value for res in apply_V(k, fs + primes, points)]
     gaps = []
     for (*shifted, v_x, v_mx), v_prime in zip(v[:len(fs)], v[len(fs):]):
         lhs = _d_cothtanh(k, x, _richardson_derivative(*shifted, h), v_x, v_mx)

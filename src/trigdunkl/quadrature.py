@@ -132,8 +132,7 @@ def _gauss_jacobi_arrays(n: int, alpha: float, beta: float):
     """Golub-Welsch nodes/weights for the weight (1-t)^alpha (1+t)^beta."""
     apb = alpha + beta
     diag = np.zeros(n)
-    if apb + 2.0 != 0.0:
-        diag[0] = (beta - alpha) / (apb + 2.0)
+    diag[0] = (beta - alpha) / (apb + 2.0)     # apb > -2 for alpha, beta > -1
     for m in range(1, n):
         diag[m] = (beta * beta - alpha * alpha) / ((2 * m + apb) * (2 * m + apb + 2.0))
     off = np.zeros(n - 1)

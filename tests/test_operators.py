@@ -735,7 +735,8 @@ class TestMirrorPairs:
     @pytest.mark.parametrize("k", KS, ids=["real", "complex", "small"])
     @pytest.mark.parametrize("f", [bump(2.0), plane_wave(1.0)], ids=["bump", "plane_wave"])
     def test_v_one_hot_rows(self, k, f):
-        x = np.concatenate(([0.0, -0.0, 1e-200, -2.9],
+        # no x = 0: there the sums' interval is empty, and apply_V writes f(0)
+        x = np.concatenate(([1e-200, -2.9],
                             np.random.default_rng(13).uniform(-3, 3, 6)))
         self._check_one_hot(self._v_sums, apply_V, k, f, x)
 
@@ -840,6 +841,46 @@ class TestSharedPass:
                 mirror.clear()
                 assert np.asarray(value).tobytes() == np.asarray(one.value).tobytes()
                 assert np.float64(bar).tobytes() == np.float64(one.est_error).tobytes()
+
+    @by_k
+    def test_layout_one_sums_pass_per_path_and_support(self, k, monkeypatch):
+        # apply_V lays out the points: the pairs' |x| on the mirror path, the
+        # rest on the one-sign path, each path one _v_sums pass per support in
+        # the order the supports first appear; x = 0 takes f(0) afterwards
+        calls = []
+        v_sums = operators._v_sums
+
+        def recording(k, fs, x, u, per_row=True):
+            calls.append(([f.id for f in fs], np.shape(x), np.shape(u)))
+            return v_sums(k, fs, x, u, per_row)
+
+        monkeypatch.setattr(operators, "_v_sums", recording)
+        fs = (gaussian(), bump(2.0), plane_wave(1.5), bump(1.0))
+        results = apply_V(k, fs, [1.3, -0.4, 0.0, -1.3, 2.0])
+        assert calls == [(["gaussian(1.0)", "plane_wave(1.5)"], (1,), (2, 1)),
+                         (["bump(2.0)"], (1,), (2, 1)), (["bump(1.0)"], (1,), (2, 1)),
+                         (["gaussian(1.0)", "plane_wave(1.5)"], (3,), (1, 3)),
+                         (["bump(2.0)"], (3,), (1, 3)), (["bump(1.0)"], (3,), (1, 3))]
+        for f, res in zip(fs, results):
+            assert res.value[2] == f.eval(0.0) and res.est_error[2] == 0.0
+        # no pair and one support: one pass over x as given
+        calls.clear()
+        apply_V(k, (plane_wave(1.5), gaussian()), np.full((2, 3), 0.7))
+        assert calls == [(["plane_wave(1.5)", "gaussian(1.0)"], (2, 3), (1, 2, 3))]
+
+    @by_k
+    def test_intertwine_reads_v_through_apply_v(self, k, monkeypatch):
+        calls = []
+
+        def recording(k, f, x):
+            calls.append(([fn.id for fn in f], np.shape(x)))
+            return apply_V(k, f, x)
+
+        monkeypatch.setattr(operators, "apply_V", recording)
+        intertwine_gap(k, (plane_wave(1.5), bump(2.0)), [0.7, -1.1])
+        # f and f' at x +- h, x +- 2h, x and -x, in one call
+        assert calls == [(["plane_wave(1.5)", "bump(2.0)", "plane_wave(1.5)'", "bump(2.0)'"],
+                          (6, 2))]
 
     @by_k
     @pytest.mark.parametrize("x", [2.5, -2.5, [2.5, -2.5]])
