@@ -12,11 +12,14 @@ on |x| only, so ``apply_V`` takes a tuple of functions, and it alone lays
 out V's points: each |x| asked for at both signs is one interval of the
 kernel's mirror path, any other point one of its one-sign path, each path
 one outer pass per support that asks every function at every point, and
-x = 0 takes f(0).  ``intertwine_gap`` reads V through it.  ``_v_sums`` and
-``_vt_sums`` are one support's weighted sums, one weight per sign and point
-shared by every function; every (function, sign, point) output keeps its
-own level, value and error bar, and both report the highest level their
-outer sums integrated, from which each operator names its method.  V's
+x = 0 takes f(0) as f returns it.  ``intertwine_gap`` reads V through it.
+``_v_sums`` and ``_vt_sums`` are one support's weighted sums, one weight
+per sign and point shared by every function; every (function, sign, point)
+output keeps its own level, value and error bar, and both report the
+highest level their outer sums integrated, from which each operator names
+its method.  They trust their input and return their sums raw; each public
+result (V, tV, each side of the duality pairing) is checked once, by
+``_point_result``, which raises on a non-finite value or bar.  V's
 integrand is smooth at y = 0, so its outer rule is centred there and
 crowds its nodes only at the interval's ends +-min(|x|, a), a the
 half-width of f's support; so does the right side of the duality pairing,
@@ -267,10 +270,9 @@ def _vt_sums(k: Multiplicity, g: TestFunction, y, u):
     tVg(-y) for y >= 0, the pair's values at each node from one series.  A
     point whose weights are all 0 is an empty interval, as in ``_v_sums``.
     Returns the values and bars of the shape of y, unchecked, and the
-    highest level integrated (0 for none).
+    highest level integrated (0 for none).  g must declare its support;
+    ``apply_Vt`` and the duality pairing check that it does.
     """
-    if g.support is None:
-        raise ContractError(f"{g.id} declares no compact support; the dual needs one")
     y = _real_array("evaluation point", y)
     u = np.reshape(u, (len(u), y.size))
     signs = _MIRROR[:len(u), None]
@@ -350,8 +352,8 @@ def apply_V(k: Multiplicity, f, x):
         shape = (len(fs),) + x.shape
         values, bars = values.reshape(shape), bars.reshape(shape)
     zero = x == 0.0
-    if zero.any():      # the weight 1 times f(0), as the sums form a value: -0j reads +0j
-        values[:, zero] = 1.0 * np.array([fn.eval(0.0) for fn in fs])[:, None]
+    if zero.any():
+        values[:, zero] = np.array([fn.eval(0.0) for fn in fs])[:, None]
     method = _method(level, "point-evaluation")
     results = tuple(_point_result(v, b, method) for v, b in zip(values, bars))
     return results if isinstance(f, tuple) else results[0]
@@ -364,6 +366,8 @@ def apply_Vt(k: Multiplicity, g: TestFunction, y) -> EvalResult:
     elsewhere integrated over (|y|, a) from its singular end |y|.  y is a
     scalar or an array, and the result has its shape.
     """
+    if g.support is None:
+        raise ContractError(f"{g.id} declares no compact support; the dual needs one")
     values, bars, level = _vt_sums(k, g, y, np.ones((1,) + np.shape(y)))
     return _point_result(values, bars, _method(level, "empty-domain"))
 
@@ -376,7 +380,10 @@ def _pairing_sides(k: Multiplicity, f: TestFunction, g: TestFunction):
     Each side is one outer integral over s in (0, a) of the weighted
     operator values at s and -s, which share one nested kernel sum per node.
     A node where both weights are 0 is an empty interval of that sum: its
-    operator value is never formed, so it cannot raise there.  The left
+    operator value is never formed, so it cannot raise there.  The nested
+    sums reach the integrand raw, as ``_v_sums`` and ``_vt_sums`` return
+    them, and each side's one outer sum is checked once: a non-finite
+    operator value at any node makes it raise EvaluationError.  The left
     side's integrand vanishes like s^{2 Re(k1 + k2)} with the density at 0,
     so its outer rule stops short of 0 where that power leaves about eps;
     the right side's is smooth at 0 and takes the centred half rule over
@@ -390,11 +397,11 @@ def _pairing_sides(k: Multiplicity, f: TestFunction, g: TestFunction):
         # integral of outer(x) op(x) over (0, a) and its mirror image, one
         # nested sum per node s for x = s, -s; ``power`` at the end 0
         def integrand(i, s, d_lo, d_hi):
-            values, bars, level = sums(s, outer(_MIRROR * s))
-            res = _point_result(values, bars, _method(level, "empty-domain"))
-            # complex, as the outer sum rounds a real matmul differently
-            return np.asarray(res.value, dtype=complex), res.est_error
-        value, bar, _ = _outer_sums(0.0, a, integrand, (power, 1.0))
+            return sums(s, outer(_MIRROR * s))[:2]
+        # as in the nested sums, a non-finite value raises in _point_result, not as a warning
+        with np.errstate(all="ignore"):
+            value, bar, level = _outer_sums(0.0, a, integrand, (power, 1.0))
+            _point_result(value, bar, _method(level, "empty-domain"))
         return complex(value), float(bar)
 
     # A(x) / |x|^{2 Re s} grows with |x|, so the power bounds the left side at 0

@@ -254,14 +254,18 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
     from ``_MIN_TS_LEVEL`` up is computed whole, ``_OUTER_NODES`` points x
     nodes a batch; an output stops at the first level whose companion agrees
     (or at ``_MAX_TS_LEVEL``) and keeps that level's value and bar, and an
-    interval is evaluated while any of its outputs is open.  Returns the
-    values and error estimates of shape ``outputs`` + the broadcast shape,
-    and the highest level integrated, an int (0 when every interval is
-    empty).  ``powers`` are the ends' powers p: the integrand is at most
-    about gap^{p-1} there, so each end is cut at gap eps^{1/p}, dropping
-    about eps relative (a caller passes p <= 1 for an end it cannot bound
-    so), but not below 1e-280 / (least half-width) while that is below eps,
-    so no end distance underflows for intervals wider than about 1e-305.
+    interval is evaluated while any of its outputs is open.  The stop state
+    is one mask of the values' shape (outputs x intervals): a batch stores
+    the outputs that stop in it and are not yet marked, then marks them,
+    and the next level takes the intervals with an unmarked output.
+    Returns the values and error estimates of shape ``outputs`` + the
+    broadcast shape, and the highest level integrated, an int (0 when every
+    interval is empty).  They are unchecked: the caller checks its result.
+    ``powers`` are the ends' powers p: the integrand is at most about
+    gap^{p-1} there, so each end is cut at gap eps^{1/p}, dropping about eps
+    relative (a caller passes p <= 1 for an end it cannot bound so), but not
+    below 1e-280 / (least half-width) while that is below eps, so no end
+    distance underflows for intervals wider than about 1e-305.
 
     A lower power None makes lo a centre: (lo, hi) stands for (2 lo - hi,
     hi), whose two halves the pieces supply (s and its mirror 2 lo - s), and
@@ -296,8 +300,8 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
     n_out = math.prod(outputs)
     values = np.zeros((n_out, lo.size), dtype=complex)
     est = np.zeros((n_out, lo.size))
+    done = np.zeros(values.shape, dtype=bool)     # the outputs that stopped
     todo = np.flatnonzero(lo < hi)
-    open_ = np.ones((n_out, todo.size), dtype=bool)     # the outputs of todo's intervals
     half_min = 0.5 * np.min(hi.flat[todo] - lo.flat[todo], initial=np.inf)
     floor = min(_EPS, _TS_FULL_GAP / half_min)
     # a centre keeps the nodes at gap 1 + t >= 1 from the lower end: t >= 0
@@ -329,21 +333,18 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
             # a NaN difference stops at once: no level makes it finite
             agree = ~(diff > math.sqrt(_EPS) * mags)
             stop = agree | (level == _MAX_TS_LEVEL)
-            now = stop & open_[:, j:j + step]
-            out, col = np.nonzero(now)
-            at = out, i[col]
-            values[at] = (fine.sum(1) * half)[now]
+            now = stop & ~done[:, i]
+            values[:, i] = np.where(now, fine.sum(1) * half, values[:, i])
             # m >= d, so m = 0 (pieces outside a support) only with d = 0;
             # the floor keeps 0/0 out; the power model holds once levels agree:
             # m (d/m)^{2(L-1)/L} = d (d/m)^{(L-2)/L}
             level_err = np.where(agree, diff * np.minimum(
                 1.0, (diff / np.maximum(mags, math.ulp(0.0))) ** ((level - 2) / level)), diff)
             # products with f and the measure, and the sum, round each term
-            est[at] = (level_err + (bars @ w).sum(1) * half + 8.0 * _EPS * mags
-                       + tail * half)[now]
-            open_[:, j:j + step] &= ~stop
-        more = open_.any(0)
-        todo, open_ = todo[more], open_[:, more]
+            est[:, i] = np.where(now, level_err + (bars @ w).sum(1) * half + 8.0 * _EPS * mags
+                                 + tail * half, est[:, i])
+            done[:, i] |= stop
+        todo = todo[~done[:, todo].all(0)]
     shape = outputs + lo.shape
     return values.reshape(shape), est.reshape(shape), top
 

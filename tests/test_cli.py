@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trigdunkl import operators
+from trigdunkl import cli, operators
 from trigdunkl.cli import main
 
 
@@ -276,10 +276,18 @@ class TestScanCommand:
         summary = json.loads(out)[-1]
         assert summary["min_value"] == 1e-300 and summary["all_positive"] is False
 
-    def test_bad_range_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "scan", "--x-range", "2:1:3")
+    @pytest.mark.parametrize("option, text, match", [
+        ("--x-range", "2:1:3", "lo <= hi"),
+        ("--k1-range", "0.5:1", "range must be lo:hi:count"),
+        ("--k1-range", "0.5:x:3", "bad range"),
+        ("--k1-range", "0.5:1:0", "count must be >= 1"),
+    ], ids=["reversed", "two-parts", "unparsable", "count-0"])
+    def test_bad_range_exit_2(self, capsys, option, text, match):
+        code, out, err = run_cli(capsys, "scan", option, text)
         assert code == 2
-        assert "lo <= hi" in err
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert match in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
@@ -336,6 +344,12 @@ class TestFormatsAgree:
         # real lhs, rhs too, so every row has the same columns
         assert not isinstance(rows[0]["lhs"], dict)
         self.assert_agree(rows, table, pairs=("lhs", "rhs"))
+
+    def test_json_hook_rejects_other_types(self):
+        # the encoder's hook turns complex values into {"re", "im"} and nothing else
+        assert cli._complex_json(1 - 2j) == {"re": 1.0, "im": -2.0}
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            cli._complex_json({1.0})
 
     def test_two_cell_scan(self, capsys):
         rows, table = self.reports(capsys, "scan", "--k1-range", "0.5:0.5:1",

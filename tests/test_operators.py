@@ -116,6 +116,14 @@ class TestRegistry:
         with pytest.raises(DomainError, match="bad parameter"):
             get_test_function(spec)
 
+    @pytest.mark.parametrize("spec, match", [("monomial:-1", "degree must be >= 0"),
+                                             ("gaussian:0", "width must be > 0"),
+                                             ("bump:-1", "support must be > 0")],
+                             ids=["monomial:-1", "gaussian:0", "bump:-1"])
+    def test_out_of_range_parameter_rejected(self, spec, match):
+        with pytest.raises(DomainError, match=match):
+            get_test_function(spec)
+
 
 class TestCherednikD:
     def test_constant_function(self):
@@ -166,6 +174,10 @@ class TestCherednikD:
         f = TestFunction("no-deriv", eval=lambda t: t)
         with pytest.raises(ContractError):
             cherednik_D(Multiplicity(0.5, 0.5), f, 1.0)
+
+    def test_unknown_form_rejected(self):
+        with pytest.raises(DomainError, match="form must be one of"):
+            cherednik_D(Multiplicity(0.5, 0.5), plane_wave(1.0), 1.0, "trigonometric")
 
     # 1.5e-323 and 5e-324 are subnormals with an odd last bit, where x/2 rounds
     @pytest.mark.parametrize("x", [1e-320, -1e-320, 1e-300, -1e-300, 800.0, -800.0,
@@ -283,6 +295,14 @@ class TestApplyV:
         k = Multiplicity(0.5, 0.5)
         assert apply_V(k, gaussian(), 0.0).value == 1.0
         assert apply_V(k, plane_wave(2.0), 0.0).value == 1.0
+
+    def test_point_evaluation_is_f_itself(self):
+        # f(0) as f returns it, the sign of a zero imaginary part included:
+        # e^{-1.5 i 0} is 1 - 0j
+        f = plane_wave(-1.5)
+        value = apply_V(Multiplicity(0.5, 0.5), f, [0.0, 1.3]).value[0]
+        assert np.signbit(np.imag(f.eval(0.0)))
+        assert value.tobytes() == np.complex128(f.eval(0.0)).tobytes()
 
     def test_origin_continuity(self):
         # Vf(x) -> f(0) linearly; constant fitted at the coarse end with a
@@ -658,6 +678,42 @@ class TestDuality:
         with pytest.raises(EvaluationError):
             duality_gap(Multiplicity(0.5, 0.5), f, g)
 
+    @pytest.mark.parametrize("side", ["f", "g"])
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf], ids=["inf", "-inf"])
+    def test_inf_inside_support_raises(self, side, inf):
+        # the infinity turns the side's sum non-finite, which raises once,
+        # as the error and not as a warning
+        def inf_inside(y):
+            y = np.asarray(y, dtype=float)
+            return np.where(np.abs(y) < 0.5, inf, bump(2.0).eval(y))
+
+        bad = TestFunction("inf inside", eval=inf_inside, support=2.0)
+        f, g = (bad, bump(2.0)) if side == "f" else (bump(2.0), bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError):
+                duality_gap(Multiplicity(0.5, 0.5), f, g)
+
+    def test_requires_support(self):
+        with pytest.raises(ContractError, match="declares no compact support"):
+            duality_gap(Multiplicity(0.5, 0.5), bump(2.0), gaussian())
+
+    @pytest.mark.parametrize("k", [Multiplicity(1.5, 1.5), Multiplicity(0.5 + 0.3j, 0.7)],
+                             ids=["real", "complex"])
+    def test_each_side_checked_once(self, k, monkeypatch):
+        # the nested operator sums reach the pairing raw, and only the two
+        # sides' outer sums are checked; here one side (at (1.5, 1.5) both)
+        # climbs to level 5, so a check per node batch would count 3 or 4
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return _point_result(*args)
+
+        monkeypatch.setattr(operators, "_point_result", counted)
+        assert duality_gap(k, plane_wave(6.0), bump(2.0)) <= 1e-13
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("k1, k2", [(0.5 + 0.3j, 0.7), (0.2 - 0.4j, 1.1), (0.05, 0.05),
                                         (1e-3, 0.5)])
     @pytest.mark.parametrize("f, g", [(bump(2.0), bump(2.0)), (plane_wave(0.7), bump(1.5))],
@@ -949,6 +1005,11 @@ class TestIntertwine:
         g1 = intertwine_gap(k, f1, 1.0)
         g2 = intertwine_gap(k, f2, 1.0)
         assert g2 <= 2.0 * g1 + 1e-9
+
+    def test_requires_derivative(self):
+        f = TestFunction("no-deriv", eval=lambda t: np.asarray(t, float))
+        with pytest.raises(ContractError, match="has no derivative"):
+            intertwine_gap(Multiplicity(0.5, 0.5), (monomial(2), f), 1.0)
 
     def test_origin_rejected(self):
         with pytest.raises(DomainError):

@@ -206,6 +206,12 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(gauss_legendre(4), lambda t: 1.0, (2.0, 1.0))
 
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)],
+                             ids=["inf-hi", "inf-lo", "nan-lo"])
+    def test_infinite_interval_rejected(self, interval):
+        with pytest.raises(DomainError, match="interval must be finite"):
+            integrate(gauss_legendre(4), lambda t: 1.0, interval)
+
     @pytest.mark.parametrize("rule", [
         QuadratureRule("mine", np.array([-0.5, 0.0, 0.5]), np.array([0.6, 0.8, 0.6])),
         QuadratureRule("mine", gauss_legendre(3).nodes, np.array([0.6, 0.8, 0.6])),
@@ -236,8 +242,13 @@ class TestIntegrate:
         ([-.5, 0, .5], [.6, math.inf, .6]),
         ([-.5, 0, .5], [.6, .8, .6], [0.5, 1.0]),
         (None, [.6, .8, .6]),
+        ([.5, 0, -.5], [.6, .8, .6]),
+        ([-.5, 0, .5], [.6, 0.0, .6]),
+        ([-1.0, 0, .5], [.6, .8, .6]),
+        ([-.5, 0, 1.0], [.6, .8, .6]),
     ], ids=["short-weights", "2d-nodes", "empty", "ragged", "text", "complex", "nan-node",
-            "inf-weight", "short-gap", "none"])
+            "inf-weight", "short-gap", "none", "decreasing", "zero-weight", "node-at-minus-one",
+            "node-at-one"])
     def test_bad_hand_built_rule_raises_domain_error(self, args):
         # a DomainError, which the CLI maps to exit code 2
         with pytest.raises(DomainError, match="mine"):

@@ -181,6 +181,16 @@ class TestHyp2F1:
         with pytest.raises(DomainError):
             hyp2f1(1.0, 1.0, 2.0, 0.3 + 0.2j)
 
+    def test_complex_argument_on_real_axis(self):
+        # a complex z with zero imaginary part is its real part
+        assert hyp2f1(0.7, 0.3, 1.9, complex(0.5, 0.0)) == hyp2f1(0.7, 0.3, 1.9, 0.5)
+
+    @pytest.mark.parametrize("params", [(math.nan, 1.0, 2.0), (1.0, complex(1.0, math.nan), 2.0),
+                                        (1.0, 1.0, math.inf)], ids=["a", "b", "c"])
+    def test_non_finite_parameter_rejected(self, params):
+        with pytest.raises(DomainError, match="must be finite"):
+            hyp2f1(*params, -0.3)
+
     def test_error_bar_covers_reference(self):
         # complex a, b, real c, both branches: no point is ever dropped
         mp = pytest.importorskip("mpmath")
@@ -282,6 +292,13 @@ class TestOpdamG:
             opdam_G(Multiplicity(0.5, 0.5), 1.0, x)
         with pytest.raises(DomainError):
             jacobi_phi(0.5, 0.5, 1.0, x / 2.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, complex(1.0, math.inf)], ids=["nan", "inf-imag"])
+    def test_non_finite_lam_rejected(self, lam):
+        with pytest.raises(DomainError, match="non-finite spectral parameter"):
+            opdam_G(Multiplicity(0.5, 0.5), lam, 0.7)
+        with pytest.raises(DomainError, match="non-finite spectral parameter"):
+            jacobi_phi(0.5, 0.5, lam, 0.35)
 
     def test_complex_multiplicity_accepted(self):
         val = opdam_G(Multiplicity(0.5 + 0.1j, 0.8), 1.0, 0.7)
@@ -446,3 +463,13 @@ class TestConnectionBranch:
             assert (ms, mc) == ("pfaff", "connection")
             assert abs(vs - vc) <= bs + bc, (lam, x)
             assert _opdam_G(k, lam, x)[2] == ("connection" if inside else "pfaff"), (lam, x)
+
+    def test_non_convergence_names_u_and_carries_partial_value(self, monkeypatch):
+        # at 8 terms the connection series in u = 0.1807 stop short; the
+        # message gives z and u, and the partial value is G's with a bar
+        # covering it
+        monkeypatch.setattr(specfun, "NUMERICS", replace(NUMERICS, series_max_terms=8))
+        with pytest.raises(NonConvergenceError, match=r"z=-4\.5338.*mapped to u=0\.18070") as info:
+            opdam_G(Multiplicity(0.3, 0.3), 8.0, 3.0)
+        ref = eigen_reference(0.3, 0.3, 8.0, 3.0)
+        assert abs(info.value.partial - ref) <= info.value.est_error < 1e-5 * abs(ref)
