@@ -5,7 +5,10 @@ turns d/dx into the differential-difference operator D, fixes the value at
 the origin, and for nonzero x is the integral of the kernel against f over
 (-|x|, |x|).  Its dual tV integrates the kernel times the measure density
 over {|x| > |y|} and is truncated here to the declared compact support of
-its argument.
+its argument.  The duality pairing checks one against the other on
+compactly supported functions; its sums skip the flat zone of g A at g's
+support edge, where g A is below 1e-3 eps of its maximum
+(``_flat_zone``), and form no kernel value there.
 
 V's kernel at x is the same for every test function, and its series depend
 on |x| only, so ``apply_V`` takes a tuple of functions, and it alone lays
@@ -42,7 +45,7 @@ from .config import NUMERICS
 from .errors import ContractError, DomainError
 from .kernel import METHOD, _end_power, _kernel_grid, _kernel_values, weight_A
 from .params import KernelPoint, Multiplicity, _real_array
-from .quadrature import EvalResult, _outer_sums, _point_result
+from .quadrature import _EPS, EvalResult, _outer_sums, _point_result
 
 
 @dataclass(frozen=True)
@@ -264,7 +267,7 @@ def _v_sums(k: Multiplicity, fs, x, u, per_row=True):
 
 
 @np.errstate(all="ignore")   # a non-finite value raises in _point_result
-def _vt_sums(k: Multiplicity, g: TestFunction, y, u):
+def _vt_sums(k: Multiplicity, g: TestFunction, y, u, zone=0.0):
     """Weighted sums of tVg at y, a scalar or an array, for weights u of shape
     (r,) + y.shape: one row gives u[0] tVg(y), two rows u[0] tVg(y) + u[1]
     tVg(-y) for y >= 0, the pair's values at each node from one series.  A
@@ -288,7 +291,7 @@ def _vt_sums(k: Multiplicity, g: TestFunction, y, u):
 
     ya = np.abs(y)
     hi = np.where(u.any(0).reshape(y.shape), np.maximum(ya, a), ya)
-    return _outer_sums(ya, hi, integrand, (_end_power(k), 1.0))
+    return _outer_sums(ya, hi, integrand, (_end_power(k), 1.0), (), zone)
 
 
 def apply_V(k: Multiplicity, f, x):
@@ -372,6 +375,41 @@ def apply_Vt(k: Multiplicity, g: TestFunction, y) -> EvalResult:
     return _point_result(values, bars, _method(level, "empty-domain"))
 
 
+_FLAT_SHARE = 1e-3 * _EPS   # tau: g A below tau max|g A| counts as flat
+# the flat zone's probes: distances from the support's edge over its half-width a
+_ZONE_PROBES = np.geomspace(0.5 * _EPS * _EPS, 1.0, 1024)
+
+
+def _flat_zone(k: Multiplicity, g: TestFunction, a: float) -> float:
+    """The flat zone of g A at the edge a of g's support: the distance inside
+    a within which |g(x) A(x)| <= tau max |g A| at both signs of x, 0 for none.
+
+    It is measured on g A, not on g alone: the pairing's integrands carry g
+    as g A, and A grows steeply toward a at large k, so a zone of g alone
+    reaches where g A is not small (at k = (0.5, 20) up to 8e4 tau max).
+    The probes lie at distances d from a, log-spaced from eps^2 a / 2 to a,
+    at both signs; the threshold takes the largest probe value as max |g A|,
+    whose underestimate only shrinks the zone.  The zone is the distance of
+    the last probe before the first one above the threshold: it holds
+    between the probes where |g A| rises inward, as at a flat edge.  No
+    outer node the cut drops lies below eps a / 2, nor a nested tV node
+    below eps zone / 2, so a zone of at least eps a holds at every node the
+    cut drops, at every level; a smaller one is returned as 0.  So is any
+    zone if a probe value is not finite: the sums then raise as uncut.  The
+    zone stays within a / 2, so each outer sum keeps the nodes around its
+    middle.
+    """
+    d = a * _ZONE_PROBES
+    x = a - d
+    with np.errstate(all="ignore"):
+        ga = np.abs(g.eval(np.stack((x, -x)))).max(0) * np.abs(weight_A(k, x))
+    if not np.isfinite(ga).all():
+        return 0.0
+    above = np.flatnonzero(ga > _FLAT_SHARE * ga.max())
+    zone = d[above[0] - 1] if above.size and above[0] else 0.0
+    return min(zone, 0.5 * a) if zone >= _EPS * a else 0.0
+
+
 def _pairing_sides(k: Multiplicity, f: TestFunction, g: TestFunction):
     """The duality pairing's two sides as (value, error bar) pairs: the
     measure-weighted pairing of Vf with g over supp g, and the plain pairing
@@ -388,28 +426,42 @@ def _pairing_sides(k: Multiplicity, f: TestFunction, g: TestFunction):
     so its outer rule stops short of 0 where that power leaves about eps;
     the right side's is smooth at 0 and takes the centred half rule over
     (-a, a), whose nodes crowd only at a.
+
+    Both sides skip the flat zone of g A at a (``_flat_zone``), found once
+    per call, where |g A| <= tau max |g A| with tau = 1e-3 eps.  No outer
+    node within the zone of a forms a nested sum, as g A weighs the left
+    side's V f and tVg is an integral of g A over (|y|, a); and no node of
+    the right side's nested tV sums within it forms a kernel value.  The
+    tails at the cut ends count the dropped parts in the bars.  The public
+    ``apply_V`` and ``apply_Vt`` take no cut.
     """
     if g.support is None:
         raise ContractError(f"{g.id} declares no compact support")
     a = float(g.support)
+    zone = _flat_zone(k, g, a)
 
-    def pairing(outer, sums, power):
+    def pairing(outer, sums, power, cut):
         # integral of outer(x) op(x) over (0, a) and its mirror image, one
-        # nested sum per node s for x = s, -s; ``power`` at the end 0
+        # nested sum per node s for x = s, -s; ``power`` at the end 0, no
+        # node within ``cut`` of a
         def integrand(i, s, d_lo, d_hi):
             return sums(s, outer(_MIRROR * s))[:2]
         # as in the nested sums, a non-finite value raises in _point_result, not as a warning
         with np.errstate(all="ignore"):
-            value, bar, level = _outer_sums(0.0, a, integrand, (power, 1.0))
+            value, bar, level = _outer_sums(0.0, a, integrand, (power, 1.0), (), cut)
             _point_result(value, bar, _method(level, "empty-domain"))
         return complex(value), float(bar)
 
     # A(x) / |x|^{2 Re s} grows with |x|, so the power bounds the left side at 0
     lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x),
                   lambda s, u: _v_sums(k, (f,), s, u, False),
-                  1.0 + 2.0 * (k.k1 + k.k2).real)
-    # f tVg is smooth at 0
-    rhs = pairing(f.eval, lambda s, u: _vt_sums(k, g, s, u), None)
+                  1.0 + 2.0 * (k.k1 + k.k2).real, zone)
+    # f tVg is smooth at 0.  Its outer cut lies a relative 2^-20 beyond the
+    # nested sums' one, so the zone leaves each nested interval (|y|, a) the
+    # nodes within about 2^-20 of its width of |y|, and every level from 4
+    # up has such nodes beyond the kernel's end cut there (at most eps)
+    rhs = pairing(f.eval, lambda s, u: _vt_sums(k, g, s, u, zone), None,
+                  zone * (1.0 + 2.0 ** -20))
     return lhs, rhs
 
 

@@ -33,7 +33,9 @@ symmetric rule, whose nodes crowd only at the outer end.  An interval may
 carry several outputs (V of several functions, at x and -x), which share its
 nodes and so its kernel values; it is evaluated while any of them is open,
 and an output that stopped keeps its level's value and bar.  Every caller
-but V's is the one-output case.
+but V's is the one-output case.  The duality pairing also cuts the hi end
+of its sums at an absolute distance, the flat zone of g A at its support's
+edge, where no node is evaluated.
 """
 
 import math
@@ -243,7 +245,7 @@ def _on_interval(lo, hi, t, glo, ghi):
     return np.where(t <= 0.0, lo + d_lo, hi - d_hi), d_lo, d_hi
 
 
-def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
+def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=(), zone=0.0):
     """Outer tanh-sinh integrals over the broadcast intervals (lo, hi), each output at its level.
 
     ``integrand(i, s, d_lo, d_hi)`` gets a batch's flat interval indices and
@@ -266,6 +268,17 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
     relative (a caller passes p <= 1 for an end it cannot bound so), but not
     below 1e-280 / (least half-width) while that is below eps, so no end
     distance underflows for intervals wider than about 1e-305.
+
+    ``zone`` is an absolute cut at hi, for a caller whose integrand is
+    negligible within that distance of hi (the flat edge of a support): no
+    node within ``zone`` of hi is evaluated.  Each level's rule is cut for
+    the widest interval, and a narrower one drops its own nodes in the zone:
+    the integrand then gets the kept nodes alone, one per point, and the
+    dropped ones count 0.  The dropped part counts in the bar through the
+    tail at each interval's outermost kept node, which no level lowers, so
+    an output also stops once its level difference is within that tail.  A
+    cut that leaves a level with no node, in the rule or in one interval,
+    raises DomainError naming the interval's ends.
 
     A lower power None makes lo a centre: (lo, hi) stands for (2 lo - hi,
     hi), whose two halves the pieces supply (s and its mirror 2 lo - s), and
@@ -311,7 +324,11 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
         if not todo.size:
             break
         top = level
-        t, w, glo, ghi, wc = _cut(_tanh_sinh_full(level), cut_lo, cut_hi)
+        widest = todo[np.argmax(hi.flat[todo] - lo.flat[todo])]
+        t, w, glo, ghi, wc = _cut(_tanh_sinh_full(level), cut_lo,
+                                  max(cut_hi, zone / (0.5 * (hi.flat[widest] - lo.flat[widest]))))
+        if not t.size:
+            _no_node(level, lo.flat[widest], hi.flat[widest])
         if centred:     # fresh arrays from _cut; node 0 is the centre t = 0
             w[0] *= 0.5
             wc[0] *= 0.5
@@ -320,19 +337,35 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
             i = todo[j:j + step]
             half = 0.5 * (hi.flat[i] - lo.flat[i])
             s, d_lo, d_hi = _on_interval(lo.flat[i][:, None], hi.flat[i][:, None], t, glo, ghi)
-            vals, bars = (np.reshape(v, (n_out, -1) + s.shape)
-                          for v in integrand(i, s, d_lo, d_hi))
+            # the nodes beyond the zone, a prefix of each interval's (d_hi falls along the rule)
+            keep = d_hi >= zone
+            last = np.count_nonzero(keep, 1) - 1
+            if (last < 0).any():
+                empty = i[np.argmin(last)]
+                _no_node(level, lo.flat[empty], hi.flat[empty])
+            if keep.all():
+                vals, bars = (np.reshape(v, (n_out, -1) + s.shape)
+                              for v in integrand(i, s, d_lo, d_hi))
+            else:   # the integrand at the kept nodes alone, one per point; 0 in the zone
+                kept = integrand(i[np.nonzero(keep)[0]],
+                                 *(a[keep][:, None] for a in (s, d_lo, d_hi)))
+                vals, bars = (_scatter(np.reshape(v, (n_out, -1, v.shape[-2])), keep)
+                              for v in kept)
             fine = vals @ w
             diff = fine - vals @ wc
             diff = (np.abs(diff.sum(1)) if centred else np.abs(diff).sum(1)) * half
             mags = (np.abs(vals) @ w).sum(1) * half
-            tail = ghi[-1] / powers[1] * np.abs(vals[..., -1])
-            if not centred:
-                tail = glo[0] / powers[0] * np.abs(vals[..., 0]) + tail
+            # the hi end's tail at each interval's outermost kept node
+            hi_tail = ghi[last] / powers[1] * np.abs(vals[..., np.arange(i.size), last])
+            tail = hi_tail if centred else glo[0] / powers[0] * np.abs(vals[..., 0]) + hi_tail
             tail = tail.sum(1)
             # a NaN difference stops at once: no level makes it finite
             agree = ~(diff > math.sqrt(_EPS) * mags)
             stop = agree | (level == _MAX_TS_LEVEL)
+            if zone:
+                # no level lowers the tail of a cut at the zone: an output whose
+                # difference is within it stops, with that difference in its bar
+                stop |= diff <= hi_tail.sum(1) * half
             now = stop & ~done[:, i]
             values[:, i] = np.where(now, fine.sum(1) * half, values[:, i])
             # m >= d, so m = 0 (pieces outside a support) only with d = 0;
@@ -347,6 +380,19 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=()):
         todo = todo[~done[:, todo].all(0)]
     shape = outputs + lo.shape
     return values.reshape(shape), est.reshape(shape), top
+
+
+def _no_node(level, lo, hi):
+    raise DomainError(f"the end cuts leave no level-{level} node in the interval "
+                      f"({float(lo)!r}, {float(hi)!r})")
+
+
+def _scatter(part, keep):
+    """Values at the nodes ``keep`` marks, (..., kept nodes), spread onto the
+    (..., points, nodes) layout of ``keep`` with zeros elsewhere."""
+    out = np.zeros(part.shape[:-1] + keep.shape, dtype=part.dtype)
+    out[..., keep] = part
+    return out
 
 
 def _gauss_jacobi_pair(n: int, alpha: float, beta: float):

@@ -30,6 +30,7 @@ from trigdunkl import (
     plane_wave,
     positivity_scan,
     tanh_sinh,
+    weight_A,
 )
 from trigdunkl import config, operators, quadrature
 from trigdunkl.quadrature import _point_result
@@ -614,11 +615,132 @@ class TestOuterBarsAgainstLevel8:
         k = Multiplicity(0.0901, 2.953)
         assert _error_over_bar(monkeypatch, lambda: apply_Vt(k, bump(2.0), -0.00588)) <= 1.0
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: near the bump's edge tV's integrand "
-                       "is the bump's own rounding, which no bar counts; error/bar is 486 here")
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 7: near the "
+                       "bump's edge tV's integrand is the bump's own rounding, which no bar "
+                       "counts; error/bar is 486 here")
     def test_apply_vt_near_support_edge_within_bar(self, monkeypatch):
         k, y = Multiplicity(2.083806868215754, 0.060618412340017566), 1.9983366386284847
         assert _error_over_bar(monkeypatch, lambda: apply_Vt(k, bump(2.0), y)) <= 1.0
+
+
+def _uncut(monkeypatch):
+    """Turn the duality pairing's flat-zone cut off."""
+    monkeypatch.setattr(operators, "_flat_zone", lambda k, g, a: 0.0)
+
+
+def _kernel_points(monkeypatch, call):
+    """The kernel values formed by call(), mirror pairs counted twice."""
+    kernel_values, points = operators._kernel_values, []
+
+    def counted(*args, **kwargs):
+        values, bars = kernel_values(*args, **kwargs)
+        points.append(values.size)
+        return values, bars
+
+    with monkeypatch.context() as m:
+        m.setattr(operators, "_kernel_values", counted)
+        call()
+    return sum(points)
+
+
+class TestFlatZone:
+    """The duality pairing skips g A's flat zone at the support's edge."""
+
+    @pytest.mark.parametrize("k1, k2", K_GRID + [(5.0, 5.0), (0.5, 20.0), (0.5 + 0.3j, 0.7),
+                                                 (0.05, 0.05)])
+    @pytest.mark.parametrize("f, g", [(bump(2.0), bump(2.0)), (plane_wave(0.7), bump(1.5))],
+                             ids=["bumps", "plane_wave"])
+    def test_sides_within_bars_of_uncut_level8(self, k1, k2, f, g, monkeypatch):
+        # each cut side against the uncut side started at level 8, within its
+        # bar, and the cut loosens no bar by more than 1%
+        k = Multiplicity(k1, k2)
+        sides = operators._pairing_sides(k, f, g)
+        with monkeypatch.context() as m:
+            _uncut(m)
+            uncut = operators._pairing_sides(k, f, g)
+            _outer_level8(m)
+            refs = operators._pairing_sides(k, f, g)
+        for (value, bar), (_, uncut_bar), (ref, _) in zip(sides, uncut, refs):
+            assert abs(value - ref) <= bar, (value, ref, bar)
+            assert bar <= 1.01 * uncut_bar, (bar, uncut_bar)
+
+    @pytest.mark.parametrize("k1, k2", [(0.3, 0.3), (0.5, 20.0), (5.0, 5.0)])
+    def test_zone_is_flat_for_g_times_density(self, k1, k2):
+        # within the zone |g A| <= tau max |g A| on a fine grid, and 1.2 times
+        # beyond it no longer; at (0.5, 20) A grows steeply toward a, and the
+        # zone of g alone would reach where g A is 8e4 times the threshold
+        k, g, a = Multiplicity(k1, k2), bump(2.0), 2.0
+        zone = operators._flat_zone(k, g, a)
+        x = np.linspace(0.0, a, 200001)
+        ga = np.abs(g.eval(x)) * weight_A(k, x)
+        threshold = 1e-3 * np.finfo(float).eps * ga.max()
+        assert 0.005 < zone < 0.05
+        assert ga[x > a - zone].max() <= threshold
+        assert ga[x > a - 1.2 * zone].max() > threshold
+
+    def test_non_finite_probe_skips_cut(self):
+        def inf_inside(y):
+            y = np.asarray(y, dtype=float)
+            return np.where(np.abs(y) < 0.5, np.inf, bump(2.0).eval(y))
+
+        bad = TestFunction("inf inside", eval=inf_inside, support=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert operators._flat_zone(Multiplicity(0.5, 0.5), bad, 2.0) == 0.0
+
+    def test_no_node_in_the_zone(self, monkeypatch):
+        # no nested V or tV sum at an outer node inside the zone, and no
+        # kernel value of a nested tV sum at an inner node inside it; uncut,
+        # both the outer and the inner nodes reach into it
+        k, f, g, a = Multiplicity(0.7, 0.4), bump(2.0), bump(2.0), 2.0
+        zone = operators._flat_zone(k, g, a)
+        v_sums, vt_sums, kernel_values = (operators._v_sums, operators._vt_sums,
+                                          operators._kernel_values)
+
+        def deepest(cut):
+            outer, inner = [], []
+
+            def nested(sums):
+                def recorded(k, fn, x, u, *rest):
+                    outer.append(np.abs(x).max())
+                    return sums(k, fn, x, u, *rest)
+                return recorded
+
+            def kernel(k, x, y, **kwargs):
+                if kwargs.get("density"):
+                    inner.append(np.abs(x).max())
+                return kernel_values(k, x, y, **kwargs)
+
+            with monkeypatch.context() as m:
+                if not cut:
+                    _uncut(m)
+                m.setattr(operators, "_v_sums", nested(v_sums))
+                m.setattr(operators, "_vt_sums", nested(vt_sums))
+                m.setattr(operators, "_kernel_values", kernel)
+                operators._pairing_sides(k, f, g)
+            return max(outer), max(inner)
+
+        assert max(deepest(True)) <= a - zone
+        assert min(deepest(False)) > a - zone
+
+    def test_fewer_kernel_values(self, monkeypatch):
+        # the cut drops about 38% of the kernel values here
+        k, f, g = Multiplicity(0.7, 0.4), bump(2.0), bump(2.0)
+        cut = _kernel_points(monkeypatch, lambda: duality_gap(k, f, g))
+        with monkeypatch.context() as m:
+            _uncut(m)
+            uncut = _kernel_points(m, lambda: duality_gap(k, f, g))
+        assert cut <= 0.7 * uncut, (cut, uncut)
+
+    @pytest.mark.parametrize("y", [1.99, -1.99])
+    def test_apply_vt_in_the_zone_is_uncut(self, y):
+        # the public dual takes no cut, also at a point inside the zone
+        k, g = Multiplicity(0.5, 0.3), bump(2.0)
+        assert 2.0 - abs(y) < operators._flat_zone(k, g, 2.0)
+        values, bars, level = operators._vt_sums(k, g, y, np.ones(1))
+        res = apply_Vt(k, g, y)
+        assert (res.value, res.est_error) == (values.real.item(), bars.item())
+        assert values.imag.item() == 0.0 and level >= 4
 
 
 class TestDuality:

@@ -432,8 +432,8 @@ class TestOuterSums:
         assert 1e-8 * value < abs(value - below) < math.sqrt(np.finfo(float).eps) * value
         assert abs(value - ref) <= est < 2e-12 * value
 
-    @pytest.mark.xfail(strict=True, reason="a flat edge sharper than the bump's converges "
-                       "slower than the bar's model at level 4; ROADMAP item 7")
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="a flat edge sharper than "
+                       "the bump's converges slower than the bar's model at level 4; ROADMAP item 7")
     def test_sharp_flat_edge_stop_within_bar(self, monkeypatch):
         # exp(-0.08 / (1 - y^2)) falls from 1 to 0 within about 0.04 of the
         # ends; from level 2 to 3 its error fell to the power 1.55 and from 3
@@ -442,6 +442,59 @@ class TestOuterSums:
         ref = self._flat_edge_sum(0.08, 1.25, monkeypatch, 8)[0]
         assert level == 4
         assert abs(value - ref) <= est
+
+    @pytest.mark.parametrize("powers, zone", [((1.0, 1.0), 1.0), ((None, 1.0), 1.5),
+                                              ((1e300, 1.0), 0.9)],
+                             ids=["zone-over-interval", "zone-over-centred", "zone-meets-lo-cut"])
+    def test_cut_leaving_no_node_raises(self, powers, zone):
+        # a level with no node has no sum: the zone reaches the other end's cut
+        calls = []
+        with pytest.raises(DomainError, match=r"no level-4 node in the interval \(-?[01]\.0, 1\.0\)"):
+            _outer_sums(0.0, 1.0, self._recording(calls), powers, (), zone)
+        assert calls == []
+
+    def test_interval_inside_zone_raises(self):
+        # the rule keeps nodes for the wider interval, none for the one the zone covers
+        calls = []
+        with pytest.raises(DomainError, match=r"interval \(0\.5, 0\.51\)"):
+            _outer_sums([0.0, 0.5], [1.0, 0.51], self._recording(calls), (1.0, 1.0), (), 0.02)
+
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_zone_drops_nodes_and_counts_tail(self, centred):
+        # exp(-1 / (d_hi (2 - d_hi))) over (0, 1) and (0, 0.7), or centred:
+        # with an absolute cut at 0.03 no node lies within it of hi, each
+        # interval keeps the others, and the dropped part, above 1e-11 of
+        # the integral, is within the bar through the tail at the outermost
+        # kept node
+        seen = []
+
+        def integrand(i, s, d_lo, d_hi):
+            seen.append(d_hi.min())
+            e = np.exp(-1.0 / (d_hi * (2.0 - d_hi)))
+            vals = np.stack((e, e)) if centred else e
+            return vals, np.zeros(vals.shape)
+
+        powers = (None, 1.0) if centred else (1.0, 1.0)
+        lo, hi = [0.0, 0.0], [1.0, 0.7]
+        full, full_est, _ = _outer_sums(lo, hi, integrand, powers)
+        seen.clear()
+        cut, cut_est, _ = _outer_sums(lo, hi, integrand, powers, (), 0.03)
+        assert min(seen) >= 0.03
+        dropped = np.abs(cut - full)
+        assert np.all(dropped > 1e-11 * full) and np.all(dropped <= cut_est)
+        assert np.all(cut_est < 1e-6 * np.abs(full))
+
+    def test_zone_tail_stops_the_level(self):
+        # a constant cut 0.3 short of its end: the sum of the kept nodes
+        # converges to no level's precision, the tail at the outermost kept
+        # node, at least 0.3, bounds what no level lowers, and the sum stops
+        # at the first level with the dropped part in its bar
+        def integrand(i, s, d_lo, d_hi):
+            return np.ones(s.shape), np.zeros(s.shape)
+
+        value, est, level = _outer_sums(0.0, 1.0, integrand, (1.0, 1.0), (), 0.3)
+        assert level == 4
+        assert abs(value.item() - 1.0) <= est.item() < 0.5
 
     def test_outputs_keep_their_own_levels(self):
         # two outputs on each of three intervals: a constant, which stops at
