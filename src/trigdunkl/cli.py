@@ -1,14 +1,15 @@
 """Command-line front end: point evaluations, verification suites, scans.
 
-Exit codes: 0 success, 1 verification failure, 2 argument error, 3 numerical
-failure (non-convergence, or a non-finite value).  Output is deterministic:
-fixed field order and shortest round-trip float formatting, JSON or CSV, to
-stdout or --out.  Each report is a list of records (a point command's is one
-record).  JSON has one record per line, a list ``[`` and ``]`` on lines of
-their own, written by json's C encoder.  CSV columns follow the record's
-keys, a complex value as a ``_re``, ``_im`` pair, and ``verify`` CSV always
-has ``lhs`` and ``rhs`` as such pairs; csv writes the cells, a float as its
-repr.
+Exit codes: 0 success, 1 verification failure, 2 argument error (also a
+report that cannot be written, as to an --out path in a missing directory),
+3 numerical failure (non-convergence, or a non-finite value).  Output is
+deterministic: fixed field order and shortest round-trip float formatting,
+JSON or CSV, to stdout or --out.  Each report is a list of records (a point
+command's is one record).  JSON has one record per line, a list ``[`` and
+``]`` on lines of their own, written by json's C encoder.  CSV columns
+follow the record's keys, a complex value as a ``_re``, ``_im`` pair, and
+``verify`` CSV always has ``lhs`` and ``rhs`` as such pairs; csv writes the
+cells, a float as its repr.
 """
 
 import argparse
@@ -234,6 +235,9 @@ def main(argv=None) -> int:
     except (NonConvergenceError, EvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:      # the only I/O is writing the report
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_ARGS
 
 
 if __name__ == "__main__":

@@ -7,8 +7,13 @@ substitution Z = -sinh^2(x/2) ever produces.  ``hyp2f1``, ``jacobi_phi``
 and ``opdam_G`` share one evaluator (``_gauss_2f1``) with three branches:
 the series in Z, Pfaff's map onto Z/(Z - 1), and the connection formula in
 1/(1 - Z) for Z < -1 and upper parameters a long way apart (large lam in
-G).  All three sum their series in one loop (``_block_sums``), carry an
-error bar, and raise one NonConvergenceError.
+G).  Each branch is a set of terms (``_direct_terms``, ``_pfaff_terms``,
+``_connection_terms``): a prefactor, the second block's scale, their
+rounding, and the parameters of two series that one loop sums
+(``_block_sums``).  ``_gauss_2f1`` picks the branch, and one sum
+(``_sum_terms``) adds its terms into F1 = 2F1(a, b; c; Z) and (1 - Z) F2,
+with F2 = 2F1(a + 1, b + 1; c + 1; Z), weights the second (by a number, 0
+outside G), forms the error bar and raises one NonConvergenceError.
 """
 
 import cmath
@@ -148,10 +153,17 @@ def jacobi_phi(alpha: float, beta: float, lam, t: float) -> complex:
 # times.  That is at most 30 u per step, so term n is off by at most
 # 15 eps n |t_n|; each partial sum rounds by at most u of its magnitude.
 _STEP_ROUNDING = 15.0
-# The blocks' weight, a / (2 k1 + 2 k2 + 1) sinh(x) or a / c tanh(x/2), is
-# off by at most 12 u (2 u each for a and the divisor, 5 u for the quotient,
-# 3 u for sinh or tanh and the product); with its product by the second sum
-# and the addition that is at most 16 u of |s1| + |weight s2|.
+# The caller's combination F1 + weight (1 - z) F2.  G's weight a / c tanh(x/2)
+# is off by at most 12 u (2 u each for a and c, 5 u for the quotient, 3 u for
+# tanh and the product).  The Pfaff and connection terms count their scale's
+# rounding in their rate.  The direct term's scale 1 - z is off by 2.8 u (1 u,
+# and z's 5.5 u times |z| / (1 - z) < 1/3) and its product with s2 by 1 u;
+# both round the second block only.  With the product by the weight
+# (sqrt(5) u) and the addition that is 19.1 u of |weight (1 - z) s2|, 16.9 u
+# with the quotient's measured 2.8 u, and 1 u of |s1|.  The bar counts 16 u of each
+# block's summed term magnitudes here, and 2.7 u more in the loop's last
+# three partial sums, counted at u each though their terms are below 1e-17 of
+# the sum: 18.7 u, which covers the measured figure.
 _COMBINE_ROUNDING = 8.0
 
 
@@ -261,94 +273,55 @@ def _power_rounding(a, log_1mz):
     return _EPS * (abs(a) * (2.5 + 2.0 * log_1mz) + 2.0)
 
 
-def _gauss_2f1(a, b, c, z, weight=None):
-    """2F1(a, b; c; z), or two blocks of it, for real z < 1.
+def _direct_terms(a, b, c, z):
+    """``_gauss_2f1``'s direct branch, (method, argument, terms): the series in z itself.
 
-    The one evaluator of ``hyp2f1``, ``jacobi_phi`` and ``opdam_G``.  It
-    returns (value, est_error, method, steps): the branch taken, "direct",
-    "pfaff" or "connection", and the steps of its series loops.  The
-    connection branch (``_connection_2f1``) is taken where u = 1/(1 - z) <
-    ``_CONNECTION_MAX_U`` (z < -1), Re a = Re b, |a - b| >=
-    ``_CONNECTION_MIN_GAP``, and a, b, c, c - a and c - b have positive
-    real parts; everywhere else ``_series_2f1``, direct for z > -1/2 and
-    Pfaff below.  Beside the value of 2F1(a, b; c; z), F1, each branch sums
-    the block F2 = 2F1(a + 1, b + 1; c + 1; z) in the same loop.  ``weight``,
-    a function of whether the branch scales F2 by 1 - z (true off the direct
-    branch), gives F2's weight (so scaled); the value is then F1 + weight
-    F2.  Without ``weight`` F2 is not used.
-
-    Raises NonConvergenceError, naming z and the mapped argument and
-    carrying the partial value and its bar, where
-    ``NUMERICS.series_max_terms`` steps do not converge: on the direct
-    branch near z = 1, and on the Pfaff branch where w = z/(z - 1) is near
-    1 (large |z|: G at lam < 3 from about |x| = 8).  The connection
-    branch's argument is below 1/2; its series converge within the cap
-    unless |a| or |b| is in the thousands.
+    Its one term sums F(a, b; c; z) and F(a + 1, b + 1; c + 1; z); the
+    scale 1 - z makes the second block (1 - z) F2, as on the other branches.
+    Its rate is 0: 1 - z and its product round the second block only, and
+    ``_COMBINE_ROUNDING`` counts them.
     """
-    if (1.0 / (1.0 - z) < _CONNECTION_MAX_U and a.real == b.real
-            and abs(a - b) >= _CONNECTION_MIN_GAP
-            and min(a.real, c.real, (c - a).real, (c - b).real) > 0.0):
-        return _connection_2f1(a, b, c, z, weight)
-    return _series_2f1(a, b, c, z, weight)
+    return "direct", z, ((1.0, 1.0 - z, 0.0, a, b, c),)
 
 
-def _series_2f1(a, b, c, z, weight):
-    """``_gauss_2f1``'s direct and Pfaff branches, (value, est_error, method, steps).
+def _pfaff_terms(a, b, c, z):
+    """``_gauss_2f1``'s Pfaff branch, (method, argument, terms), for z < 1.
 
-    For -1/2 < z < 1 the series in z; for z <= -1/2 Pfaff's transformation
-    (DLMF 15.8.1) onto w = z/(z - 1) in [1/3, 1), 2F1(a, b; c; z) =
-    (1 - z)^{-a} 2F1(a, c - b; c; w), so every z < 1 takes one convergent
-    series.  ``_block_sums`` gives that block and the second one,
-    2F1(a + 1, b + 1; c + 1; z) or 2F1(a + 1, c - b; c + 1; w); the value
-    is pre (F1 + weight F2), with pre = 1 or (1 - z)^{-a}.
-
-    The bar is ``_block_sums``' bars combined with the weight, times |pre|,
-    plus the prefactor's rounding (``_power_rounding``) times |value|.
+    Pfaff's transformation (DLMF 15.8.1) onto w = z/(z - 1) in [1/3, 1) for
+    z <= -1/2: 2F1(a, b; c; z) = (1 - z)^{-a} 2F1(a, c - b; c; w), and
+    (1 - z) 2F1(a + 1, b + 1; c + 1; z) = (1 - z)^{-a} 2F1(a + 1, c - b;
+    c + 1; w).  Its one term has the prefactor (1 - z)^{-a}, rounded by
+    ``_power_rounding``, and scale 1.
     """
-    if z > -0.5:
-        w, pre, pre_rounding, form = z, 1.0, 0.0, "direct"
-    else:   # 1 - z > 1, so the prefactor power is principal and real based
-        log_1mz = math.log1p(-z)
-        w, b, form = z / (z - 1.0), c - b, "pfaff"
-        pre = cmath.exp(-a * log_1mz)
-        pre_rounding = _power_rounding(a, log_1mz)
-    f1, f2, e1, e2, steps, converged = _block_sums(a, b, c, w, form)
-    if weight is not None:
-        wt = weight(form != "direct")
-        f1, e1 = f1 + wt * f2, e1 + abs(wt) * e2
-    value = pre * f1
-    bar = abs(pre) * e1 + pre_rounding * abs(value)
-    if not converged:
-        _not_converged(z, form, w, value, bar)
-    return value, bar, form, steps
+    log_1mz = math.log1p(-z)    # 1 - z > 0, so the power is principal and real based
+    pre = cmath.exp(-a * log_1mz)
+    return "pfaff", z / (z - 1.0), ((pre, 1.0, _power_rounding(a, log_1mz), a, c - b, c),)
 
 
-def _connection_2f1(a, b, c, z, weight):
-    """``_gauss_2f1``'s connection branch, (value, est_error, "connection", steps).
+def _connection_terms(a, b, c, z):
+    """``_gauss_2f1``'s connection branch, (method, argument, terms), for z < 0.
 
     A&S 15.3.8: 2F1(a, b; c; z) is the sum over (p, q) = (a, b) and (b, a)
-    of C_p (1 - z)^{-p} 2F1(p, c - q; p - q + 1; u), with C_p = Gamma(c)
-    Gamma(q - p) / (Gamma(q) Gamma(c - p)) and Gamma(q - p) taken as
-    Gamma(1 + q - p) / (q - p), so that every log-Gamma argument has a
-    positive real part.  2F1(a + 1, b + 1; c + 1; z) is the same sum with
-    (c/q) u C_p (1 - z)^{-p} 2F1(p + 1, c - q; p - q + 1; u), so the second
-    block is summed scaled by 1 - z, in the same loop as the first.  Where
+    of C_p (1 - z)^{-p} 2F1(p, c - q; p - q + 1; u) in u = 1/(1 - z), with
+    C_p = Gamma(c) Gamma(q - p) / (Gamma(q) Gamma(c - p)) and Gamma(q - p)
+    taken as Gamma(1 + q - p) / (q - p), so that every log-Gamma argument
+    has a positive real part.  (1 - z) 2F1(a + 1, b + 1; c + 1; z) is the
+    same sum with (c/q) C_p (1 - z)^{-p} 2F1(p + 1, c - q; p - q + 1; u), so
+    each term has the prefactor C_p (1 - z)^{-p} and scale c/q.  Where
     b = conj(a) and c is real the (b, a) term is the conjugate of the
-    (a, b) term: each block is twice the real part of that term's.
+    (a, b) term, and only that one is returned: ``_sum_terms`` doubles its
+    real parts.
 
-    Each term's bar is its series bars times |C_p (1 - z)^{-p}|, plus the
-    rounding of that prefactor times the term: ``_LOGGAMMA_ROUNDING`` per
+    A term's rate is the prefactor's rounding: ``_LOGGAMMA_ROUNDING`` per
     unit of each log-Gamma's two parts, u per partial sum of the exponent,
     ``_power_rounding`` for the power of 1 - z (and the product into the
     first block), and 7 eps for c/q (8 u), its two products into the second
     block (4.5 u) and the sum of the terms (1 u).
     """
-    u, log_1mz = 1.0 / (1.0 - z), math.log1p(-z)
+    log_1mz = math.log1p(-z)
     pairs = ((a, b),) if b == a.conjugate() and c.imag == 0.0 else ((a, b), (b, a))
-    f1 = f2 = 0j
-    e1 = e2 = 0.0
-    steps, converged = 0, True
     gamma_c = _loggamma_parts(c)
+    terms = []
     for p, q in pairs:
         # the largest log-Gamma first: the next two cancel most of its
         # imaginary part, so the partial sums, each rounded by u, shrink
@@ -360,33 +333,75 @@ def _connection_2f1(a, b, c, z, weight):
             rounding += _LOGGAMMA_ROUNDING * (abs(stirling) + abs(shift)) + 0.5 * abs(log_pre)
         log_rest = cmath.log(q - p) + p * log_1mz
         log_pre -= log_rest
-        pre = cmath.exp(log_pre)
-        s1, s2, b1, b2, n, done = _block_sums(p, c - q, p - q + 1.0, u, "connection")
-        steps, converged = steps + n, converged and done
-        scale = c / q
-        t1, t2 = pre * s1, pre * scale * s2
         rate = (_EPS * (rounding + 0.5 * (abs(log_rest) + abs(log_pre)) + 7.0)
                 + _power_rounding(p, log_1mz))
+        terms.append((cmath.exp(log_pre), c / q, rate, p, c - q, p - q + 1.0))
+    return "connection", 1.0 / (1.0 - z), terms
+
+
+def _gauss_2f1(a, b, c, z, weight=0.0):
+    """F1 + weight (1 - z) F2, F1 = 2F1(a, b; c; z) and F2 = 2F1(a + 1, b + 1; c + 1; z).
+
+    For real z < 1; the one evaluator of ``hyp2f1``, ``jacobi_phi``
+    (weight 0: F1 alone) and ``opdam_G`` (weight a/c tanh(x/2)).  It takes
+    the connection branch (``_connection_terms``) where u = 1/(1 - z) <
+    ``_CONNECTION_MAX_U`` (z < -1), Re a = Re b, |a - b| >=
+    ``_CONNECTION_MIN_GAP``, and a, b, c, c - a and c - b have positive real
+    parts; everywhere else the direct branch (``_direct_terms``) for
+    z > -1/2 and Pfaff's (``_pfaff_terms``) below.  ``_sum_terms`` adds up
+    the branch's terms and returns (value, est_error, method, steps).
+    """
+    connection = (1.0 / (1.0 - z) < _CONNECTION_MAX_U and a.real == b.real
+                  and abs(a - b) >= _CONNECTION_MIN_GAP
+                  and min(a.real, c.real, (c - a).real, (c - b).real) > 0.0)
+    branch = _connection_terms if connection else _direct_terms if z > -0.5 else _pfaff_terms
+    return _sum_terms(z, weight, *branch(a, b, c, z))
+
+
+def _sum_terms(z, weight, method, w, terms):
+    """F1 + weight (1 - z) F2 from one branch's terms, the one sum of ``_gauss_2f1``.
+
+    The branch (``_direct_terms``, ``_pfaff_terms`` or ``_connection_terms``)
+    gives its method, its argument w (z, z/(z - 1) or 1/(1 - z)) and its
+    terms (pre, scale, rate, p, q, r).  Returns (value, est_error, method,
+    steps): the branch's name, "direct", "pfaff" or "connection", and the
+    steps of its series loops.
+
+    ``_block_sums`` sums each term's two series, S1 and S2, in the branch's
+    form at (p, q, r; w) in one loop.  The term adds pre S1 to F1 and
+    pre scale S2 to (1 - z) F2, and to each bar its series' bar times the
+    size of its factor plus ``rate`` (the factors' relative rounding) times
+    the size of its product.  A weight of 0 leaves F1's value and bar as
+    they are.
+
+    Raises NonConvergenceError, naming z and the mapped argument and
+    carrying the partial value and its bar, where
+    ``NUMERICS.series_max_terms`` steps do not converge: on the direct
+    branch near z = 1, and on the Pfaff branch where w is near 1 (large
+    |z|: G at lam < 3 from about |x| = 8).  The connection branch's
+    argument is below 1/2; its series converge within the cap unless |a|
+    or |b| is in the thousands.
+    """
+    f1 = f2 = -0j       # adds nothing, not even to a negative zero
+    e1 = e2 = 0.0
+    steps, converged = 0, True
+    for pre, scale, rate, p, q, r in terms:
+        s1, s2, b1, b2, n, done = _block_sums(p, q, r, w, method)
+        steps, converged = steps + n, converged and done
+        t1, t2 = pre * s1, pre * scale * s2
         f1, f2 = f1 + t1, f2 + t2
         e1 += abs(pre) * b1 + rate * abs(t1)
         e2 += abs(pre * scale) * b2 + rate * abs(t2)
-    if len(pairs) == 1:
+    if method == "connection" and len(terms) == 1:      # a conjugate pair's term
         f1, f2, e1, e2 = 2.0 * f1.real + 0j, 2.0 * f2.real + 0j, 2.0 * e1, 2.0 * e2
-    value, bar = f1, e1
-    if weight is not None:
-        wt = weight(True)
-        value, bar = f1 + wt * f2, e1 + abs(wt) * e2
+    if weight:
+        f1, e1 = f1 + weight * f2, e1 + abs(weight) * e2
     if not converged:
-        _not_converged(z, "connection", u, value, bar)
-    return value, bar, "connection", steps
-
-
-def _not_converged(z, form, w, value, bar):
-    """Raise NonConvergenceError naming z and, off the direct branch, the mapped argument."""
-    mapped = {"pfaff": f", Pfaff-mapped to w={w}", "connection": f", mapped to u={w}"}
-    raise NonConvergenceError(
-        f"2F1 series did not converge within {NUMERICS.series_max_terms} terms "
-        f"(z={z}{mapped.get(form, '')})", partial=value, est_error=bar)
+        mapped = {"pfaff": f", Pfaff-mapped to w={w}", "connection": f", mapped to u={w}"}
+        raise NonConvergenceError(
+            f"2F1 series did not converge within {NUMERICS.series_max_terms} terms "
+            f"(z={z}{mapped.get(method, '')})", partial=f1, est_error=e1)
+    return f1, e1, method, steps
 
 
 def opdam_G(k: Multiplicity, lam, x: float) -> complex:
@@ -396,23 +411,25 @@ def opdam_G(k: Multiplicity, lam, x: float) -> complex:
         F1 = 2F1(a, b; c; z),  F2 = 2F1(a + 1, b + 1; c + 1; z)
     with rho = k1/2 + k2, a = rho + i lam, b = rho - i lam, c = k1 + k2 + 1/2
     and z = -sinh^2(x/2), as
-        G = F1 + a / (2 k1 + 2 k2 + 1) * sinh(x) * F2.
+        G = F1 + a / (2 k1 + 2 k2 + 1) * sinh(x) * F2
+          = F1 + (a/c) tanh(x/2) (1 - z) F2.
     Normalized so G(0) = 1 for every admissible parameter pair.
 
     Both blocks come from ``hyp2f1``'s evaluator (``_gauss_2f1``), in one
-    loop.  For z <= -1/2 Pfaff's transformation onto w = z/(z - 1) gives
-    G = (1 - z)^{-a} (H + (a/c) tanh(x/2) P) with H = 2F1(a, c - b; c; w)
-    and P = 2F1(a + 1, c - b; c + 1; w).  Beyond |x| = 2 asinh(1) = 1.76
-    (z < -1) at real lam >= 3 the connection formula takes its place, in
-    u = 1/(1 - z) = 1/cosh^2(x/2): there the Pfaff series cancel and lose
-    digits as lam grows, and the connection terms do not.  F2 is not taken
-    from the derivative identity F2 = c/(ab) dF1/dz (DLMF 15.5.1), which
-    divides by b = rho - i lam, and b vanishes at lam = -i rho; the loops
-    divide by nothing that can vanish for Re k > 0.  Raises
-    NonConvergenceError carrying G's partial value and its bar where the
-    Pfaff series do not converge (lam < 3 or not real, from about |x| = 8,
-    where w is near 1); ``_opdam_G`` also returns the bar, the branch and
-    its series steps.
+    loop, the second scaled by 1 - z on every branch, so G's weight is the
+    one number (a/c) tanh(x/2).  For z <= -1/2 Pfaff's transformation onto
+    w = z/(z - 1) gives F1 = (1 - z)^{-a} H and (1 - z) F2 = (1 - z)^{-a} P
+    with H = 2F1(a, c - b; c; w) and P = 2F1(a + 1, c - b; c + 1; w).
+    Beyond |x| = 2 asinh(1) = 1.76 (z < -1) at real lam >= 3 the connection
+    formula takes its place, in u = 1/(1 - z) = 1/cosh^2(x/2): there the
+    Pfaff series cancel and lose digits as lam grows, and the connection
+    terms do not.  F2 is not taken from the derivative identity
+    F2 = c/(ab) dF1/dz (DLMF 15.5.1), which divides by b = rho - i lam, and
+    b vanishes at lam = -i rho; the loops divide by nothing that can vanish
+    for Re k > 0.  Raises NonConvergenceError carrying G's partial value and
+    its bar where the Pfaff series do not converge (lam < 3 or not real,
+    from about |x| = 8, where w is near 1); ``_opdam_G`` also returns the
+    bar, the branch and its series steps.
     """
     return _opdam_G(k, lam, x)[0]
 
@@ -424,11 +441,6 @@ def _opdam_G(k: Multiplicity, lam, x: float):
         raise DomainError(f"non-finite spectral parameter {lam!r}")
     s = complex(k.k1) + complex(k.k2)
     a, b, c = k.rho + 1j * lam, k.rho - 1j * lam, s + 0.5
-
-    def weight(scaled):
-        # a / c tanh(x/2) equals a / (2s + 1) sinh(x) / (1 - z) but rounds
-        # differently; and sinh(x) is formed only where z > -1/2, since it
-        # overflows from |x| = 711 on
-        return a / c * math.tanh(x / 2.0) if scaled else a / (2.0 * s + 1.0) * math.sinh(x)
-
-    return _gauss_2f1(a, b, c, _minus_sinh_sq(x / 2.0), weight)
+    # a / (2s + 1) sinh(x) F2 = a / c tanh(x/2) (1 - z) F2, and tanh does
+    # not overflow where sinh does (from |x| = 711 on)
+    return _gauss_2f1(a, b, c, _minus_sinh_sq(x / 2.0), a / c * math.tanh(x / 2.0))

@@ -299,6 +299,21 @@ class TestScanCommand:
         assert target.read_text().startswith("k1,k2,x,y,value")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "limits"),
+    ("kernel", "--k1", ".5", "--k2", ".5", "--x", "1", "--y", ".3"),
+], ids=["verify", "kernel"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exit_2(capsys, tmp_path, argv, where):
+    # not 1, which says a verification failed: one error line and no traceback
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: cannot write the report: ") and len(err.splitlines()) == 1
+    assert str(out) in err
+
+
 def _csv_value(cell):
     try:
         return json.loads(cell)

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from test_operators import eigen_reference
-from trigdunkl import (DomainError, Multiplicity, NonConvergenceError, config, gamma_real,
-                       hyp2f1, jacobi_phi, opdam_G, specfun)
+from trigdunkl import (DomainError, Multiplicity, NonConvergenceError, apply_V, config,
+                       gamma_real, hyp2f1, jacobi_phi, opdam_G, plane_wave, specfun)
 from trigdunkl.config import NUMERICS
-from trigdunkl.specfun import (_block_sums, _connection_2f1, _gauss_2f1, _opdam_G, _series_2f1,
-                               loggamma_right_half)
+from trigdunkl.specfun import (_block_sums, _connection_terms, _direct_terms, _gauss_2f1, _opdam_G,
+                               _pfaff_terms, _sum_terms, loggamma_right_half)
 
 
 def _hyp2f1_branch(a, b, c, z):
@@ -408,6 +408,22 @@ class TestOpdamG:
         assert abs(val - ref) <= 1e-13 * abs(ref)
         assert abs(val - ref) <= bar <= bar_rel * abs(ref)
 
+    @pytest.mark.parametrize("k1, k2", [(0.3, 0.3), (1.5, 0.7), (0.5 + 0.3j, 0.7)])
+    def test_within_summed_bars_of_apply_v(self, k1, k2):
+        # V e^{i lam .} = G_lam at large lam, one x a side on each branch:
+        # |x| = 1 direct, 1.5 Pfaff, 2.5 connection.  Where the direct and
+        # Pfaff series cancel, G's bar exceeds 10 only at lam = 30, |x| = 1.5
+        # (54 to 6.7e3) while V's stays below 1e-13: ROADMAP item 1's open part
+        k = Multiplicity(k1, k2)
+        for lam in (8.0, 20.0, 30.0):
+            for x in (1.0, -1.0, 1.5, -1.5, 2.5, -2.5):
+                g, g_bar, method, _ = _opdam_G(k, lam, x)
+                v = apply_V(k, plane_wave(lam), x)
+                assert method == {1.0: "direct", 1.5: "pfaff", 2.5: "connection"}[abs(x)]
+                assert abs(g - v.value) <= g_bar + v.est_error, (lam, x)
+                assert v.est_error < 1e-13, (lam, x)
+                assert (g_bar > 10.0) == (lam == 30.0 and abs(x) == 1.5), (lam, x, g_bar)
+
     def test_non_convergence_carries_partial_value_of_G(self):
         # at x = 10 the Pfaff-mapped argument is 0.99982 and the series stop
         # at the term cap; the partial value is G's, with a bar covering it
@@ -417,17 +433,52 @@ class TestOpdamG:
         assert abs(info.value.partial - ref) <= info.value.est_error < abs(ref)
 
 
-def _opdam_routes(k, lam, x):
-    """G's (value, bar, method, steps) from the Pfaff series and from the connection terms."""
+def _opdam_routes(k, lam, x, branches):
+    """G's (value, bar, method, steps) from each term set in ``branches``."""
     s = complex(k.k1) + complex(k.k2)
     a, b, c = k.rho + 1j * lam, k.rho - 1j * lam, s + 0.5
+    z, weight = -math.sinh(x / 2.0) ** 2, a / c * math.tanh(x / 2.0)
+    return [_sum_terms(z, weight, *branch(a, b, c, z)) for branch in branches]
 
-    def weight(scaled):
-        assert scaled
-        return a / c * math.tanh(x / 2.0)
 
-    z = -math.sinh(x / 2.0) ** 2
-    return _series_2f1(a, b, c, z, weight), _connection_2f1(a, b, c, z, weight)
+class TestTermSets:
+    """``_sum_terms``, the one sum over each branch's terms."""
+
+    @pytest.mark.parametrize("k1, k2", [(0.3, 0.3), (1.5, 0.7), (0.5 + 0.4j, 0.8 - 0.3j)])
+    def test_routes_agree_at_the_pfaff_switch(self, k1, k2):
+        # x_half = 2 asinh(1/sqrt 2) is where z = -1/2.  Just either side of
+        # it the direct and the Pfaff series agree within the sum of their
+        # bars, and _gauss_2f1 takes the direct branch only for z > -1/2
+        k = Multiplicity(k1, k2)
+        x_half = 2.0 * math.asinh(math.sqrt(0.5))
+        for lam in (0.0, 2.5, 8.0):
+            for x in (x_half - 1e-9, x_half + 1e-9, -x_half + 1e-9, -x_half - 1e-9):
+                (vd, bd, m_d, _), (vp, bp, m_p, _) = _opdam_routes(k, lam, x,
+                                                                   (_direct_terms, _pfaff_terms))
+                assert (m_d, m_p) == ("direct", "pfaff")
+                assert abs(vd - vp) <= bd + bp, (lam, x)
+                z = -math.sinh(x / 2.0) ** 2
+                assert _opdam_G(k, lam, x)[2] == ("direct" if z > -0.5 else "pfaff"), (lam, x)
+                assert (z > -0.5) == (abs(x) < x_half), (lam, x)
+
+    @pytest.mark.parametrize("a, b, c, z, method", [
+        (0.7, 1.3, 1.9, 0.4, "direct"),
+        (0.8 + 0.6j, 0.8 - 0.6j, 1.3, -2.1, "pfaff"),
+        (0.6 + 5j, 0.6 - 5j, 1.7, -9.0, "connection"),
+    ])
+    def test_weight_zero_ignores_second_block(self, monkeypatch, a, b, c, z, method):
+        # with weight 0 the value and bar are F1's, even where the second
+        # block's sum and bar are not finite: no 0 * inf turns them into nan
+        value, bar, taken = _hyp2f1_branch(a, b, c, z)
+        assert taken == method and math.isfinite(bar)
+        block_sums = specfun._block_sums
+
+        def broken_second_block(*args):
+            s1, _, e1, _, steps, converged = block_sums(*args)
+            return s1, complex(math.inf, math.nan), e1, math.inf, steps, converged
+
+        monkeypatch.setattr(specfun, "_block_sums", broken_second_block)
+        assert _hyp2f1_branch(a, b, c, z) == (value, bar, method)
 
 
 class TestConnectionBranch:
@@ -459,7 +510,8 @@ class TestConnectionBranch:
         for lam, x, inside in ((3.0, x_half + 1e-9, True), (3.0, x_half - 1e-9, False),
                                (3.0 - 1e-9, 2.5, False), (3.0 + 1e-9, 2.5, True),
                                (3.0, 2.5, True), (2.9, -2.5, False)):
-            (vs, bs, ms, _), (vc, bc, mc, _) = _opdam_routes(k, lam, x)
+            (vs, bs, ms, _), (vc, bc, mc, _) = _opdam_routes(k, lam, x,
+                                                             (_pfaff_terms, _connection_terms))
             assert (ms, mc) == ("pfaff", "connection")
             assert abs(vs - vc) <= bs + bc, (lam, x)
             assert _opdam_G(k, lam, x)[2] == ("connection" if inside else "pfaff"), (lam, x)
