@@ -82,7 +82,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .params import KernelPoint, Multiplicity, _real_array
+from .params import KernelPoint, Multiplicity, _number, _real_array
 from .quadrature import _EPS, EvalResult, _outer_sums, _point_result
 from .specfun import _loggamma_parts
 
@@ -388,8 +388,9 @@ def kernel_K(k: Multiplicity, x, y) -> EvalResult:
 
 def _limit_kernel(k: float, x: float, y: float, name: str, scale: float = 1.0) -> float:
     """The vanishing-k1 form at (scale x, scale y), checked as the public forms check x, y."""
-    if isinstance(k, complex) or not math.isfinite(k) or k <= 0:
-        raise DomainError(f"require real {name} > 0, got {k!r}")
+    k = _number(name, k, real=True)
+    if k <= 0:
+        raise DomainError(f"require {name} > 0, got {k!r}")
     x = scale * _real_array("kernel point x", x).item()     # Python floats overflow quietly
     y = scale * _real_array("kernel point y", y).item()
     KernelPoint(x, y)

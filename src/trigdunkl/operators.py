@@ -33,7 +33,6 @@ arbitrary user callables, which keeps every operator evaluation
 reproducible.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -44,7 +43,7 @@ from . import config
 from .config import NUMERICS
 from .errors import ContractError, DomainError
 from .kernel import METHOD, _end_power, _kernel_grid, _kernel_values, weight_A
-from .params import KernelPoint, Multiplicity, _real_array
+from .params import KernelPoint, Multiplicity, _number, _real_array
 from .quadrature import _EPS, EvalResult, _outer_sums, _point_result
 
 
@@ -67,14 +66,8 @@ class TestFunction:
     support: Optional[float] = None
 
 
-def _check_finite(name, v):
-    if not cmath.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {v!r}")
-
-
 def plane_wave(lam) -> TestFunction:
-    lam = complex(lam)
-    _check_finite("plane_wave frequency", lam)
+    lam = _number("plane_wave frequency", lam)
     if lam.imag == 0.0:
         lam = lam.real
     return TestFunction(
@@ -85,9 +78,10 @@ def plane_wave(lam) -> TestFunction:
 
 
 def monomial(p: int) -> TestFunction:
-    p = int(p)
-    if p < 0:
-        raise DomainError(f"monomial degree must be >= 0, got {p}")
+    degree = _number("monomial degree", p, real=True)
+    if degree < 0 or not degree.is_integer():
+        raise DomainError(f"monomial degree must be >= 0 and an integer, got {p!r}")
+    p = int(degree)
     return TestFunction(
         id=f"monomial({p})",
         eval=lambda y: np.asarray(y, dtype=float) ** p,
@@ -97,12 +91,12 @@ def monomial(p: int) -> TestFunction:
 
 
 def gaussian(width: float = 1.0) -> TestFunction:
-    _check_finite("gaussian width", width)
+    width = _number("gaussian width", width, real=True)
     if width <= 0:
         raise DomainError(f"gaussian width must be > 0, got {width}")
-    w2 = float(width) ** 2
+    w2 = width ** 2
     return TestFunction(
-        id=f"gaussian({float(width)})",
+        id=f"gaussian({width})",
         eval=lambda y: np.exp(-np.asarray(y, dtype=float) ** 2 / w2),
         deriv=lambda y: -2.0 * np.asarray(y, dtype=float) / w2
         * np.exp(-np.asarray(y, dtype=float) ** 2 / w2),
@@ -111,8 +105,7 @@ def gaussian(width: float = 1.0) -> TestFunction:
 
 def bump(a: float = config.BUMP_SUPPORT) -> TestFunction:
     """Smooth bump exp(-1 / (1 - (y/a)^2)) on (-a, a), zero outside."""
-    a = float(a)
-    _check_finite("bump support", a)
+    a = _number("bump support", a, real=True)
     if a <= 0:
         raise DomainError(f"bump support must be > 0, got {a}")
 
@@ -173,7 +166,7 @@ def cherednik_D(k: Multiplicity, f: TestFunction, x: float, form: str = "cothtan
         raise DomainError(f"form must be one of {_D_FORMS}, got {form!r}")
     if f.deriv is None:
         raise ContractError(f"{f.id} has no derivative; the operator needs one")
-    _check_finite("evaluation point", x)
+    x = _number("evaluation point", x, real=True)
     k1, k2 = k.k1, k.k2
     rho = k.rho
     if form == "regularized":

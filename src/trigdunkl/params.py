@@ -1,6 +1,14 @@
-"""Parameter and evaluation-point types."""
+"""Parameter and evaluation-point types, and the argument checks.
+
+Three checks serve the public functions' numeric arguments, and none of
+them parses text or drops an imaginary part: ``_number`` for a scalar (a
+multiplicity, a spectral parameter, a single point, a registry parameter,
+a rule's exponent or interval end), ``_real_array`` for an array of
+points, and ``KernelPoint`` for a kernel's point pairs.
+"""
 
 import cmath
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +31,7 @@ class Multiplicity:
 
     def __post_init__(self):
         for name, v in (("k1", self.k1), ("k2", self.k2)):
-            if not isinstance(v, (int, float, complex)) or not cmath.isfinite(v):
-                raise DomainError(f"{name} must be a finite number, got {v!r}")
-            c = complex(v)
+            c = _number(name, v)
             object.__setattr__(self, name, c.real if c.imag == 0.0 else c)
         if self.k1.real <= 0 or self.k2.real <= 0:
             raise DomainError(
@@ -39,6 +45,24 @@ class Multiplicity:
     @property
     def real_positive(self) -> bool:
         return isinstance(self.k1, float) and isinstance(self.k2, float)
+
+
+def _number(name, v, real=False):
+    """v as a complex, or as a float with ``real``; DomainError unless v is a
+    finite number (a Python number, a numpy scalar or a 0-d array) and, with
+    ``real``, its imaginary part is 0, so that no text is parsed, no array
+    is read as its one element and no imaginary part is dropped."""
+    if not isinstance(v, (float, int, complex)):     # the common types skip the slower checks
+        if isinstance(v, np.ndarray) and not v.ndim:
+            v = v[()]
+        if not isinstance(v, numbers.Number):
+            raise DomainError(f"{name} must be a number, got {v!r}")
+    c = complex(v)
+    if not cmath.isfinite(c):
+        raise DomainError(f"{name} must be finite, got {v!r}")
+    if real and c.imag != 0.0:
+        raise DomainError(f"{name} must be real, got {v!r}")
+    return c.real if real else c
 
 
 def _real_array(name, v):

@@ -39,12 +39,15 @@ edge, where no node is evaluated.
 """
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError
+from .params import _number
 from .specfun import gamma_real
 
 _MAX_GAUSS_N = 512
@@ -163,14 +166,17 @@ def _gauss_jacobi_arrays(n: int, alpha: float, beta: float):
     return nodes, weights
 
 
-def _check_gauss_n(n):
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= _MAX_GAUSS_N:
-        raise DomainError(f"node count must be an integer in 1..{_MAX_GAUSS_N}, got {n!r}")
+def _rule_size(name, v, top):
+    """v as an int in 1..top; DomainError unless v is an integer of any type but bool."""
+    n = operator.index(v) if isinstance(v, numbers.Integral) and not isinstance(v, bool) else 0
+    if not 1 <= n <= top:
+        raise DomainError(f"{name} must be an integer in 1..{top}, got {v!r}")
+    return n
 
 
 def gauss_legendre(n: int) -> QuadratureRule:
     """Classical Gauss-Legendre rule on (-1, 1), exact to degree 2n - 1."""
-    _check_gauss_n(n)
+    n = _rule_size("node count", n, _MAX_GAUSS_N)
     nodes, weights = _gauss_jacobi_arrays(n, 0.0, 0.0)
     return QuadratureRule(f"legendre(n={n})", nodes, weights)
 
@@ -182,13 +188,13 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
     nodes integrates f times the weight exactly for polynomial f of degree
     up to 2n - 1.
     """
-    _check_gauss_n(n)
-    for name, v in (("alpha", alpha), ("beta", beta)):
-        if isinstance(v, complex) or not math.isfinite(v) or v <= -1.0:
-            raise DomainError(f"{name} must be a finite real > -1, got {v!r}")
-    nodes, weights = _gauss_jacobi_arrays(n, float(alpha), float(beta))
+    n = _rule_size("node count", n, _MAX_GAUSS_N)
+    alpha, beta = _number("alpha", alpha, real=True), _number("beta", beta, real=True)
+    if min(alpha, beta) <= -1.0:
+        raise DomainError(f"alpha and beta must be > -1, got ({alpha}, {beta})")
+    nodes, weights = _gauss_jacobi_arrays(n, alpha, beta)
     return QuadratureRule(f"jacobi(n={n},alpha={alpha},beta={beta})", nodes, weights,
-                          alpha=float(alpha), beta=float(beta))
+                          alpha=alpha, beta=beta)
 
 
 @lru_cache(maxsize=32)
@@ -231,8 +237,7 @@ def _cut(rule, cut_lo, cut_hi):
 
 def tanh_sinh(level: int) -> QuadratureRule:
     """Double-exponential rule on (-1, 1); each level halves the step size."""
-    if not isinstance(level, int) or isinstance(level, bool) or not 1 <= level <= _MAX_TS_LEVEL:
-        raise DomainError(f"level must be an integer in 1..{_MAX_TS_LEVEL}, got {level!r}")
+    level = _rule_size("level", level, _MAX_TS_LEVEL)
     nodes, weights, gap_lo, gap_hi, _ = _cut(_tanh_sinh_full(level), _TS_PUBLIC_GAP, _TS_PUBLIC_GAP)
     return QuadratureRule(f"tanh-sinh(level={level})", nodes, weights, gap_lo, gap_hi,
                           level=level)
@@ -448,9 +453,7 @@ def integrate(rule: QuadratureRule, f, interval) -> EvalResult:
                             and np.array_equal(twin.weights, rule.weights)):
         raise DomainError(f"integrate needs a rule from gauss_legendre, gauss_jacobi or "
                           f"tanh_sinh, got the hand-built {rule.kind!r}")
-    lo, hi = interval
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"integration interval must be finite, got {interval!r}")
+    lo, hi = (_number("integration interval", end, real=True) for end in interval)
     if not lo < hi:
         raise DomainError(f"require lo < hi, got ({lo}, {hi})")
     half = 0.5 * (hi - lo)

@@ -22,7 +22,7 @@ import sys
 
 from .config import NUMERICS
 from .errors import DomainError, NonConvergenceError
-from .params import Multiplicity
+from .params import Multiplicity, _number
 
 # Stirling series coefficients B_{2j} / (2j (2j-1)).
 _STIRLING = (
@@ -41,8 +41,7 @@ _EPS = sys.float_info.epsilon
 
 def gamma_real(x: float) -> float:
     """Gamma(x) for real x > 0, from ``math.gamma``."""
-    if isinstance(x, complex) or not math.isfinite(x):
-        raise DomainError(f"gamma_real needs a finite real argument, got {x!r}")
+    x = _number("gamma_real argument", x, real=True)
     if x <= 0:
         raise DomainError(f"gamma_real is restricted to x > 0, got {x}")
     return math.gamma(x)
@@ -50,15 +49,20 @@ def gamma_real(x: float) -> float:
 
 def loggamma_right_half(w) -> complex:
     """Principal log-Gamma for Re w > 0: shifted Stirling series, no reflection."""
+    w = _number("loggamma_right_half argument", w)
+    if w.real <= 0:
+        raise DomainError(f"loggamma_right_half needs Re w > 0, got {w!r}")
     stirling, shift = _loggamma_parts(w)
     return stirling - shift
 
 
 def _loggamma_parts(w):
-    """``loggamma_right_half(w)`` as (Stirling value at w + m, sum of log(w + j), j < m)."""
+    """``loggamma_right_half(w)`` as (Stirling value at w + m, sum of log(w + j), j < m).
+
+    Unchecked: its callers pass Re w > 0 by construction (the connection
+    branch's gate, ``Multiplicity``'s Re k > 0).
+    """
     w = complex(w)
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)) or w.real <= 0:
-        raise DomainError(f"loggamma_right_half needs Re w > 0, got {w!r}")
     shift = 0j
     while w.real < 12.0:
         shift += cmath.log(w)
@@ -70,11 +74,6 @@ def _loggamma_parts(w):
         res += coeff / p
         p *= w2
     return res, shift
-
-
-def _is_nonpositive_integer(v) -> bool:
-    v = complex(v)
-    return v.imag == 0.0 and v.real <= 0.0 and v.real == int(v.real)
 
 
 def hyp2f1(a, b, c, z) -> complex:
@@ -92,22 +91,16 @@ def hyp2f1(a, b, c, z) -> complex:
     (2F1(1, 1; 2; 0.999)), where no caller in the package goes, and on the
     Pfaff branch where w is near 1 (2F1(1, 1; 2; -5000)).
     """
-    if isinstance(z, complex):
-        if z.imag != 0.0:
-            raise DomainError(f"hyp2f1 argument must be real, got {z!r}")
-        z = z.real
-    if not math.isfinite(z) or z >= 1.0:
+    z = _number("hyp2f1 argument", z, real=True)
+    if z >= 1.0:
         raise DomainError(f"hyp2f1 requires real z < 1, got {z}")
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        cv = complex(v)
-        if not (math.isfinite(cv.real) and math.isfinite(cv.imag)):
-            raise DomainError(f"hyp2f1 parameter {name} must be finite, got {v!r}")
-    if _is_nonpositive_integer(c):
-        raise DomainError(f"hyp2f1 lower parameter c={c} is a non-positive integer")
+    a, b, c = (_number(f"hyp2f1 parameter {name}", v) for name, v in zip("abc", (a, b, c)))
+    if c.imag == 0.0 and c.real <= 0.0 and c.real.is_integer():
+        raise DomainError(f"hyp2f1 lower parameter c={c.real} is a non-positive integer")
     if z == 0.0:
         return 1.0 + 0.0j
-    a, b = sorted((complex(a), complex(b)), key=lambda v: (v.real, v.imag))
-    return _gauss_2f1(a, b, complex(c), z)[0]
+    a, b = sorted((a, b), key=lambda v: (v.real, v.imag))
+    return _gauss_2f1(a, b, c, z)[0]
 
 
 def _minus_sinh_sq(t: float) -> float:
@@ -128,12 +121,11 @@ def jacobi_phi(alpha: float, beta: float, lam, t: float) -> complex:
     -sinh^2 t) with r = alpha + beta + 1.  Invariant under lam -> -lam,
     exactly: that swaps the upper parameters, which ``hyp2f1`` sorts.
     """
-    lam = complex(lam)
-    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-        raise DomainError(f"non-finite spectral parameter {lam!r}")
-    r = complex(alpha) + complex(beta) + 1.0
-    zz = _minus_sinh_sq(t)
-    return hyp2f1((r + 1j * lam) / 2, (r - 1j * lam) / 2, complex(alpha) + 1.0, zz)
+    alpha, beta = _number("alpha", alpha), _number("beta", beta)
+    lam = _number("spectral parameter", lam)
+    r = alpha + beta + 1.0
+    zz = _minus_sinh_sq(_number("evaluation point", t, real=True))
+    return hyp2f1((r + 1j * lam) / 2, (r - 1j * lam) / 2, alpha + 1.0, zz)
 
 
 # Rounding per step of ``_block_sums``, first order in u = eps/2, for
@@ -436,9 +428,8 @@ def opdam_G(k: Multiplicity, lam, x: float) -> complex:
 
 def _opdam_G(k: Multiplicity, lam, x: float):
     """(G_{i lam}(x), est_error, method, steps) as in ``opdam_G`` and ``_gauss_2f1``."""
-    lam = complex(lam)
-    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-        raise DomainError(f"non-finite spectral parameter {lam!r}")
+    lam = _number("spectral parameter", lam)
+    x = _number("evaluation point", x, real=True)
     s = complex(k.k1) + complex(k.k2)
     a, b, c = k.rho + 1j * lam, k.rho - 1j * lam, s + 0.5
     # a / (2s + 1) sinh(x) F2 = a / c tanh(x/2) (1 - z) F2, and tanh does

@@ -117,6 +117,19 @@ class TestRegistry:
         with pytest.raises(DomainError, match="bad parameter"):
             get_test_function(spec)
 
+    @pytest.mark.parametrize("p", [2.7, -0.5, -1, "3", 2 + 1j, np.array([2])])
+    def test_monomial_degree_not_a_nonnegative_integer_rejected(self, p):
+        # no degree is rounded, clipped or parsed into another
+        with pytest.raises(DomainError, match="monomial degree must be"):
+            monomial(p)
+
+    def test_monomial_degree_of_any_integral_value(self):
+        square = monomial(2)
+        for p in (2.0, np.int64(2), np.float32(2.0)):
+            f = monomial(p)
+            assert f.id == "monomial(2)"
+            assert f.eval(1.5) == square.eval(1.5) and f.deriv(1.5) == square.deriv(1.5)
+
     @pytest.mark.parametrize("spec, match", [("monomial:-1", "degree must be >= 0"),
                                              ("gaussian:0", "width must be > 0"),
                                              ("bump:-1", "support must be > 0")],

@@ -148,6 +148,20 @@ class TestTanhSinh:
             tanh_sinh(level)
 
 
+@pytest.mark.parametrize("build, top", [(gauss_legendre, 512),
+                                        (lambda n: gauss_jacobi(n, 0.5, 0.0), 512),
+                                        (tanh_sinh, 12)],
+                         ids=["legendre", "jacobi", "tanh-sinh"])
+def test_rule_size_takes_any_integer_type(build, top):
+    rule = build(4)
+    for n in (np.int64(4), np.uint8(4)):
+        other = build(n)
+        assert other.kind == rule.kind and np.array_equal(other.nodes, rule.nodes)
+    for bad in (True, 4.0, np.float64(4.0), "4", 0, top + 1):
+        with pytest.raises(DomainError, match=r"must be an integer in 1\.\."):
+            build(bad)
+
+
 class TestCompanionRules:
     @pytest.mark.parametrize("level", [4, 6, 8])
     @pytest.mark.parametrize("cut", [1e-280, 1e-60, 1e-12])

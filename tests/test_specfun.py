@@ -295,10 +295,47 @@ class TestOpdamG:
 
     @pytest.mark.parametrize("lam", [math.nan, complex(1.0, math.inf)], ids=["nan", "inf-imag"])
     def test_non_finite_lam_rejected(self, lam):
-        with pytest.raises(DomainError, match="non-finite spectral parameter"):
+        with pytest.raises(DomainError, match="spectral parameter must be finite"):
             opdam_G(Multiplicity(0.5, 0.5), lam, 0.7)
-        with pytest.raises(DomainError, match="non-finite spectral parameter"):
+        with pytest.raises(DomainError, match="spectral parameter must be finite"):
             jacobi_phi(0.5, 0.5, lam, 0.35)
+
+    @staticmethod
+    def _multiplicities(st):
+        # real and complex pairs, Re k in [0.05, 3] and Im k in [-1, 1]
+        part = st.floats(-1.0, 1.0)
+        return st.builds(lambda k1, k2, i1, i2, cx: Multiplicity(complex(k1, cx * i1),
+                                                                 complex(k2, cx * i2)),
+                         st.floats(0.05, 3.0), st.floats(0.05, 3.0), part, part, st.booleans())
+
+    def test_property_one_at_origin(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        lams = st.one_of(st.floats(-30.0, 30.0),
+                         st.complex_numbers(max_magnitude=30.0, allow_nan=False,
+                                            allow_infinity=False))
+
+        @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=50)
+        @hyp.given(self._multiplicities(st), lams)
+        def check(k, lam):
+            assert opdam_G(k, lam, 0.0) == 1.0
+
+        check()
+
+    def test_property_conjugation_within_bars(self):
+        # G_{-lam} for conj k is conj G_lam for real lam, on all three branches
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=100)
+        @hyp.given(self._multiplicities(st), st.floats(0.0, 30.0), st.floats(-3.0, 3.0))
+        def check(k, lam, x):
+            conj = Multiplicity(complex(k.k1).conjugate(), complex(k.k2).conjugate())
+            g, bar = _opdam_G(k, lam, x)[:2]
+            g_conj, bar_conj = _opdam_G(conj, -lam, x)[:2]
+            assert abs(g_conj - g.conjugate()) <= bar + bar_conj
+
+        check()
 
     def test_complex_multiplicity_accepted(self):
         val = opdam_G(Multiplicity(0.5 + 0.1j, 0.8), 1.0, 0.7)
