@@ -6,9 +6,10 @@ the origin, and for nonzero x is the integral of the kernel against f over
 (-|x|, |x|).  Its dual tV integrates the kernel times the measure density
 over {|x| > |y|} and is truncated here to the declared compact support of
 its argument.  The duality pairing checks one against the other on
-compactly supported functions; its sums skip the flat zone of g A at g's
+compactly supported functions; its sums cut the flat zone of g A at g's
 support edge, where g A is below 1e-3 eps of its maximum
-(``_flat_zone``), and form no kernel value there.
+(``_flat_zone``): each sum once, sized on its widest interval, so every
+node they drop lies in the zone.
 
 V's kernel at x is the same for every test function, and its series depend
 on |x| only, so ``apply_V`` takes a tuple of functions, and it alone lays
@@ -34,6 +35,7 @@ reproducible.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -79,8 +81,14 @@ def plane_wave(lam) -> TestFunction:
 
 def monomial(p: int) -> TestFunction:
     degree = _number("monomial degree", p, real=True)
-    if degree < 0 or not degree.is_integer():
-        raise DomainError(f"monomial degree must be >= 0 and an integer, got {p!r}")
+    try:
+        exact = operator.index(p)     # an integer type, read exactly
+    except TypeError:
+        exact = degree
+    # the power takes its degree as a float: one that rounds there is refused
+    if degree < 0 or not degree.is_integer() or degree != exact:
+        raise DomainError(f"monomial degree must be >= 0 and an integer that a float "
+                          f"holds exactly, got {p!r}")
     p = int(degree)
     return TestFunction(
         id=f"monomial({p})",
@@ -384,13 +392,14 @@ def _flat_zone(k: Multiplicity, g: TestFunction, a: float) -> float:
     at both signs; the threshold takes the largest probe value as max |g A|,
     whose underestimate only shrinks the zone.  The zone is the distance of
     the last probe before the first one above the threshold: it holds
-    between the probes where |g A| rises inward, as at a flat edge.  No
-    outer node the cut drops lies below eps a / 2, nor a nested tV node
-    below eps zone / 2, so a zone of at least eps a holds at every node the
-    cut drops, at every level; a smaller one is returned as 0.  So is any
-    zone if a probe value is not finite: the sums then raise as uncut.  The
-    zone stays within a / 2, so each outer sum keeps the nodes around its
-    middle.
+    between the probes where |g A| rises inward, as at a flat edge.  Each
+    sum's own end cut keeps its nodes at least eps times its half-width
+    from a: eps a / 2 for an outer node, eps zone / 2 for a nested tV node,
+    whose interval is at least the zone wide.  So a zone of at least eps a
+    holds at every node a cut drops, at every level; a smaller one is
+    returned as 0.  So is any zone if a probe value is not finite: the sums
+    then raise as uncut.  The zone stays within a / 2, so each outer sum
+    keeps the nodes around its middle.
     """
     d = a * _ZONE_PROBES
     x = a - d
@@ -420,41 +429,40 @@ def _pairing_sides(k: Multiplicity, f: TestFunction, g: TestFunction):
     the right side's is smooth at 0 and takes the centred half rule over
     (-a, a), whose nodes crowd only at a.
 
-    Both sides skip the flat zone of g A at a (``_flat_zone``), found once
+    Both sides cut the flat zone of g A at a (``_flat_zone``), found once
     per call, where |g A| <= tau max |g A| with tau = 1e-3 eps.  No outer
     node within the zone of a forms a nested sum, as g A weighs the left
-    side's V f and tVg is an integral of g A over (|y|, a); and no node of
-    the right side's nested tV sums within it forms a kernel value.  The
-    tails at the cut ends count the dropped parts in the bars.  The public
-    ``apply_V`` and ``apply_Vt`` take no cut.
+    side's V f and tVg is an integral of g A over (|y|, a).  Each of the
+    right side's nested tV sums cuts the zone once, sized on its widest
+    interval (|y|, a), which forms no kernel value in it; a narrower one
+    keeps its nodes down to the zone times its width over the widest's, so
+    every node dropped lies in the zone.  The tails at the cut ends count
+    the dropped parts in the bars.  The public ``apply_V`` and ``apply_Vt``
+    take no cut.
     """
     if g.support is None:
         raise ContractError(f"{g.id} declares no compact support")
     a = float(g.support)
     zone = _flat_zone(k, g, a)
 
-    def pairing(outer, sums, power, cut):
+    def pairing(outer, sums, power):
         # integral of outer(x) op(x) over (0, a) and its mirror image, one
         # nested sum per node s for x = s, -s; ``power`` at the end 0, no
-        # node within ``cut`` of a
+        # node within the zone of a
         def integrand(i, s, d_lo, d_hi):
             return sums(s, outer(_MIRROR * s))[:2]
         # as in the nested sums, a non-finite value raises in _point_result, not as a warning
         with np.errstate(all="ignore"):
-            value, bar, level = _outer_sums(0.0, a, integrand, (power, 1.0), (), cut)
+            value, bar, level = _outer_sums(0.0, a, integrand, (power, 1.0), (), zone)
             _point_result(value, bar, _method(level, "empty-domain"))
         return complex(value), float(bar)
 
     # A(x) / |x|^{2 Re s} grows with |x|, so the power bounds the left side at 0
     lhs = pairing(lambda x: np.asarray(g.eval(x)) * weight_A(k, x),
                   lambda s, u: _v_sums(k, (f,), s, u, False),
-                  1.0 + 2.0 * (k.k1 + k.k2).real, zone)
-    # f tVg is smooth at 0.  Its outer cut lies a relative 2^-20 beyond the
-    # nested sums' one, so the zone leaves each nested interval (|y|, a) the
-    # nodes within about 2^-20 of its width of |y|, and every level from 4
-    # up has such nodes beyond the kernel's end cut there (at most eps)
-    rhs = pairing(f.eval, lambda s, u: _vt_sums(k, g, s, u, zone), None,
-                  zone * (1.0 + 2.0 ** -20))
+                  1.0 + 2.0 * (k.k1 + k.k2).real)
+    # f tVg is smooth at 0
+    rhs = pairing(f.eval, lambda s, u: _vt_sums(k, g, s, u, zone), None)
     return lhs, rhs
 
 
@@ -537,9 +545,9 @@ def positivity_scan(k_grid, x_grid, y_fraction_grid) -> ScanReport:
     for k in ks:
         if not k.real_positive:
             raise DomainError(f"positivity_scan needs real parameters, got k = ({k.k1}, {k.k2})")
-    x_grid = tuple(float(x) for x in x_grid)
-    fracs = tuple(float(fr) for fr in y_fraction_grid)
-    xs = np.repeat(x_grid, len(fracs))
+    x_grid = _real_array("x grid", x_grid).ravel()
+    fracs = _real_array("y fraction grid", y_fraction_grid).ravel()
+    xs = np.repeat(x_grid, fracs.size)
     ys = np.outer(np.abs(x_grid), fracs).ravel()
     KernelPoint(xs, ys)
     values, bars = np.empty((2, len(ks), xs.size))

@@ -57,7 +57,10 @@ def _number(name, v, real=False):
             v = v[()]
         if not isinstance(v, numbers.Number):
             raise DomainError(f"{name} must be a number, got {v!r}")
-    c = complex(v)
+    try:
+        c = complex(v)
+    except OverflowError:       # an int beyond the doubles
+        c = cmath.inf
     if not cmath.isfinite(c):
         raise DomainError(f"{name} must be finite, got {v!r}")
     if real and c.imag != 0.0:

@@ -35,7 +35,8 @@ nodes and so its kernel values; it is evaluated while any of them is open,
 and an output that stopped keeps its level's value and bar.  Every caller
 but V's is the one-output case.  The duality pairing also cuts the hi end
 of its sums at an absolute distance, the flat zone of g A at its support's
-edge, where no node is evaluated.
+edge: one cut of the rule per call, sized on the call's widest interval,
+which evaluates no node in the zone, while a narrower one keeps a few there.
 """
 
 import math
@@ -253,8 +254,9 @@ def _on_interval(lo, hi, t, glo, ghi):
 def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=(), zone=0.0):
     """Outer tanh-sinh integrals over the broadcast intervals (lo, hi), each output at its level.
 
-    ``integrand(i, s, d_lo, d_hi)`` gets a batch's flat interval indices and
-    the abscissae with their end distances (points x nodes), and returns the
+    ``integrand(i, s, d_lo, d_hi)`` gets a batch's distinct flat interval
+    indices and the abscissae with their end distances (points x nodes,
+    every node of the level's rule at every point), and returns the
     integrand there and its error bar, of shape ``outputs`` + pieces +
     (points, nodes): an output is the sum over its pieces of the domain (e.g.
     s and -s).  An empty interval gives 0 without the integrand.  Each level
@@ -275,15 +277,17 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=(), zone=0.0):
     distance underflows for intervals wider than about 1e-305.
 
     ``zone`` is an absolute cut at hi, for a caller whose integrand is
-    negligible within that distance of hi (the flat edge of a support): no
-    node within ``zone`` of hi is evaluated.  Each level's rule is cut for
-    the widest interval, and a narrower one drops its own nodes in the zone:
-    the integrand then gets the kept nodes alone, one per point, and the
-    dropped ones count 0.  The dropped part counts in the bar through the
-    tail at each interval's outermost kept node, which no level lowers, so
-    an output also stops once its level difference is within that tail.  A
-    cut that leaves a level with no node, in the rule or in one interval,
-    raises DomainError naming the interval's ends.
+    negligible within that distance of hi (the flat edge of a support).  It
+    is one cut of the rule for the whole call, sized on the widest interval,
+    which evaluates no node within ``zone`` of hi; a narrower interval keeps
+    the nodes down to ``zone`` times its half-width over the widest's, all
+    of them in the zone, so every node dropped lies in the zone.  Tanh-sinh
+    nodes crowd at the ends, so that one cut drops most of the zone's nodes
+    in every interval.  The dropped part counts in the bar through the tail
+    at the rule's outermost node, which no level lowers, so an output also
+    stops once its level difference is within that tail.  A cut that leaves
+    a level with no node raises DomainError naming the widest interval's
+    ends.
 
     A lower power None makes lo a centre: (lo, hi) stands for (2 lo - hi,
     hi), whose two halves the pieces supply (s and its mirror 2 lo - s), and
@@ -324,16 +328,18 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=(), zone=0.0):
     floor = min(_EPS, _TS_FULL_GAP / half_min)
     # a centre keeps the nodes at gap 1 + t >= 1 from the lower end: t >= 0
     cut_lo, cut_hi = (1.0 if p is None else max(_EPS ** (1.0 / p), floor) for p in powers)
+    if todo.size:   # the zone is one cut at hi, sized on the widest interval
+        widest = todo[np.argmax(hi.flat[todo] - lo.flat[todo])]
+        cut_hi = max(cut_hi, zone / (0.5 * (hi.flat[widest] - lo.flat[widest])))
     top = 0     # the highest level integrated
     for level in range(_MIN_TS_LEVEL, _MAX_TS_LEVEL + 1):
         if not todo.size:
             break
         top = level
-        widest = todo[np.argmax(hi.flat[todo] - lo.flat[todo])]
-        t, w, glo, ghi, wc = _cut(_tanh_sinh_full(level), cut_lo,
-                                  max(cut_hi, zone / (0.5 * (hi.flat[widest] - lo.flat[widest]))))
+        t, w, glo, ghi, wc = _cut(_tanh_sinh_full(level), cut_lo, cut_hi)
         if not t.size:
-            _no_node(level, lo.flat[widest], hi.flat[widest])
+            raise DomainError(f"the end cuts leave no level-{level} node in the interval "
+                              f"({float(lo.flat[widest])!r}, {float(hi.flat[widest])!r})")
         if centred:     # fresh arrays from _cut; node 0 is the centre t = 0
             w[0] *= 0.5
             wc[0] *= 0.5
@@ -342,26 +348,14 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=(), zone=0.0):
             i = todo[j:j + step]
             half = 0.5 * (hi.flat[i] - lo.flat[i])
             s, d_lo, d_hi = _on_interval(lo.flat[i][:, None], hi.flat[i][:, None], t, glo, ghi)
-            # the nodes beyond the zone, a prefix of each interval's (d_hi falls along the rule)
-            keep = d_hi >= zone
-            last = np.count_nonzero(keep, 1) - 1
-            if (last < 0).any():
-                empty = i[np.argmin(last)]
-                _no_node(level, lo.flat[empty], hi.flat[empty])
-            if keep.all():
-                vals, bars = (np.reshape(v, (n_out, -1) + s.shape)
-                              for v in integrand(i, s, d_lo, d_hi))
-            else:   # the integrand at the kept nodes alone, one per point; 0 in the zone
-                kept = integrand(i[np.nonzero(keep)[0]],
-                                 *(a[keep][:, None] for a in (s, d_lo, d_hi)))
-                vals, bars = (_scatter(np.reshape(v, (n_out, -1, v.shape[-2])), keep)
-                              for v in kept)
+            vals, bars = (np.reshape(v, (n_out, -1) + s.shape)
+                          for v in integrand(i, s, d_lo, d_hi))
             fine = vals @ w
             diff = fine - vals @ wc
             diff = (np.abs(diff.sum(1)) if centred else np.abs(diff).sum(1)) * half
             mags = (np.abs(vals) @ w).sum(1) * half
-            # the hi end's tail at each interval's outermost kept node
-            hi_tail = ghi[last] / powers[1] * np.abs(vals[..., np.arange(i.size), last])
+            # the hi end's tail at the rule's outermost node
+            hi_tail = ghi[-1] / powers[1] * np.abs(vals[..., -1])
             tail = hi_tail if centred else glo[0] / powers[0] * np.abs(vals[..., 0]) + hi_tail
             tail = tail.sum(1)
             # a NaN difference stops at once: no level makes it finite
@@ -385,19 +379,6 @@ def _outer_sums(lo, hi, integrand, powers=(1.0, 1.0), outputs=(), zone=0.0):
         todo = todo[~done[:, todo].all(0)]
     shape = outputs + lo.shape
     return values.reshape(shape), est.reshape(shape), top
-
-
-def _no_node(level, lo, hi):
-    raise DomainError(f"the end cuts leave no level-{level} node in the interval "
-                      f"({float(lo)!r}, {float(hi)!r})")
-
-
-def _scatter(part, keep):
-    """Values at the nodes ``keep`` marks, (..., kept nodes), spread onto the
-    (..., points, nodes) layout of ``keep`` with zeros elsewhere."""
-    out = np.zeros(part.shape[:-1] + keep.shape, dtype=part.dtype)
-    out[..., keep] = part
-    return out
 
 
 def _gauss_jacobi_pair(n: int, alpha: float, beta: float):

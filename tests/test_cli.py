@@ -164,8 +164,10 @@ class TestApplyCommands:
         ("apply-v", "--function", "plane_wave:inf", "--x", "0.5"),
         ("apply-v", "--function", "gaussian:inf", "--x", "0.5"),
         ("apply-v", "--function", "bump:abc", "--x", "0.5"),
+        ("apply-v", "--function", "monomial:1" + "0" * 400, "--x", "1"),
+        ("apply-v", "--function", "monomial:9007199254740993", "--x", "1"),
     ], ids=["apply-v-bump-nan", "apply-vt-bump-nan", "plane_wave-nan", "plane_wave-inf",
-            "gaussian-inf", "bump-unparseable"])
+            "gaussian-inf", "bump-unparseable", "monomial-beyond-doubles", "monomial-2^53+1"])
     def test_bad_function_parameter_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, argv[0], "--k1", "0.5", "--k2", "0.5", *argv[1:])
         assert code == 2

@@ -130,6 +130,21 @@ class TestRegistry:
             assert f.id == "monomial(2)"
             assert f.eval(1.5) == square.eval(1.5) and f.deriv(1.5) == square.deriv(1.5)
 
+    @pytest.mark.parametrize("p", [2 ** 53 + 1, np.int64(2 ** 53 + 1), np.array(2 ** 53 + 1)],
+                             ids=["int", "int64", "0-d-array"])
+    def test_monomial_degree_a_float_cannot_hold_rejected(self, p):
+        # the power takes its degree as a float, where 2^53 + 1 is the even 2^53
+        with pytest.raises(DomainError, match="monomial degree must be"):
+            monomial(p)
+        with pytest.raises(DomainError, match="monomial degree must be"):
+            get_test_function(f"monomial:{int(p)}")
+
+    def test_monomial_degree_a_float_holds_exactly(self):
+        # the parity of a degree near 2^53 survives
+        assert monomial(2 ** 53 - 1).eval(-1.0) == -1.0
+        assert monomial(np.int64(2 ** 53)).eval(-1.0) == 1.0
+        assert monomial(2 ** 60).id == f"monomial({2 ** 60})"
+
     @pytest.mark.parametrize("spec, match", [("monomial:-1", "degree must be >= 0"),
                                              ("gaussian:0", "width must be > 0"),
                                              ("bump:-1", "support must be > 0")],
@@ -702,42 +717,67 @@ class TestFlatZone:
             assert operators._flat_zone(Multiplicity(0.5, 0.5), bad, 2.0) == 0.0
 
     def test_no_node_in_the_zone(self, monkeypatch):
-        # no nested V or tV sum at an outer node inside the zone, and no
-        # kernel value of a nested tV sum at an inner node inside it; uncut,
-        # both the outer and the inner nodes reach into it
+        # no outer node within the zone forms a nested sum; each nested tV
+        # sum's widest interval forms no kernel value within it, a narrower
+        # one may, and every node a nested sum drops at hi lies within it;
+        # uncut, the outer nodes and the widest nested intervals' nodes reach
+        # into it
         k, f, g, a = Multiplicity(0.7, 0.4), bump(2.0), bump(2.0), 2.0
         zone = operators._flat_zone(k, g, a)
-        v_sums, vt_sums, kernel_values = (operators._v_sums, operators._vt_sums,
-                                          operators._kernel_values)
+        outer_sums, cut = operators._outer_sums, quadrature._cut
 
-        def deepest(cut):
-            outer, inner = [], []
+        def record(uncut):
+            # per _outer_sums call: its nesting depth, whether lo is an array
+            # (the right side's nested tV sums, lo = |y|), the intervals, the
+            # integrand's (i, d_hi) and the rule's (full rule, cut_hi)
+            calls, open_calls = [], []
 
-            def nested(sums):
-                def recorded(k, fn, x, u, *rest):
-                    outer.append(np.abs(x).max())
-                    return sums(k, fn, x, u, *rest)
-                return recorded
+            def sums(lo, hi, integrand, *rest):
+                call = dict(depth=len(open_calls), tv=np.ndim(lo) > 0,
+                            width=np.subtract(hi, lo).ravel(), seen=[], cuts=[])
+                calls.append(call)
+                open_calls.append(call)
 
-            def kernel(k, x, y, **kwargs):
-                if kwargs.get("density"):
-                    inner.append(np.abs(x).max())
-                return kernel_values(k, x, y, **kwargs)
+                def recorded(i, s, d_lo, d_hi):
+                    call["seen"].append((i, d_hi))
+                    return integrand(i, s, d_lo, d_hi)
+                try:
+                    return outer_sums(lo, hi, recorded, *rest)
+                finally:
+                    open_calls.pop()
+
+            def recorded_cut(rule, cut_lo, cut_hi):
+                open_calls[-1]["cuts"].append((rule, cut_hi))
+                return cut(rule, cut_lo, cut_hi)
 
             with monkeypatch.context() as m:
-                if not cut:
+                if uncut:
                     _uncut(m)
-                m.setattr(operators, "_v_sums", nested(v_sums))
-                m.setattr(operators, "_vt_sums", nested(vt_sums))
-                m.setattr(operators, "_kernel_values", kernel)
+                m.setattr(operators, "_outer_sums", sums)
+                m.setattr(quadrature, "_cut", recorded_cut)
                 operators._pairing_sides(k, f, g)
-            return max(outer), max(inner)
+            outer = min(d.min() for c in calls if c["depth"] == 0 for _, d in c["seen"])
+            return outer, [c for c in calls if c["depth"] == 1 and c["tv"]]
 
-        assert max(deepest(True)) <= a - zone
-        assert min(deepest(False)) > a - zone
+        def widest_gaps(nested):
+            # per batch, the least end distance to hi of its sum's widest interval
+            return [d[i == c["width"].argmax()].min() for c in nested for i, d in c["seen"]
+                    if (i == c["width"].argmax()).any()]
+
+        outer, nested = record(False)
+        assert outer >= zone and nested
+        assert min(widest_gaps(nested)) >= zone
+        assert min(d.min() for c in nested for _, d in c["seen"]) < zone
+        for c in nested:
+            for rule, cut_hi in c["cuts"]:
+                dropped = rule[3][rule[3] < cut_hi]
+                assert dropped.size and 0.5 * c["width"].max() * dropped.max() < zone
+        outer, nested = record(True)
+        assert outer < zone
+        assert min(widest_gaps(nested)) < zone
 
     def test_fewer_kernel_values(self, monkeypatch):
-        # the cut drops about 38% of the kernel values here
+        # the cut drops about 37% of the kernel values here
         k, f, g = Multiplicity(0.7, 0.4), bump(2.0), bump(2.0)
         cut = _kernel_points(monkeypatch, lambda: duality_gap(k, f, g))
         with monkeypatch.context() as m:

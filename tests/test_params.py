@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trigdunkl import (DomainError, Multiplicity, bump, cherednik_D, gaussian, jacobi_phi,
-                       kernel_K_limit_k1zero, opdam_G, plane_wave, positivity_scan)
+                       kernel_K_limit_k1zero, monomial, opdam_G, plane_wave, positivity_scan)
 from trigdunkl.params import _number
 from trigdunkl.quadrature import gauss_jacobi, integrate, tanh_sinh
 from trigdunkl.specfun import gamma_real, hyp2f1, loggamma_right_half
@@ -32,6 +32,9 @@ class TestNumber:
         (np.array([0.5]), "must be a number"), ([0.5], "must be a number"),
         (np.array("1"), "must be a number"), (np.array("1", dtype=object), "must be a number"),
         (np.True_, "must be a number"), (math.nan, "must be finite"),
+        pytest.param(10 ** 400, "must be finite", id="int-beyond-doubles"),
+        pytest.param(-10 ** 400, "must be finite", id="negative-int-beyond-doubles"),
+        pytest.param(Fraction(10 ** 400, 3), "must be finite", id="fraction-beyond-doubles"),
         (complex(1.0, math.inf), "must be finite"), (np.float64(-math.inf), "must be finite"),
     ])
     def test_rejected(self, v, match):
@@ -64,6 +67,14 @@ BAD_CALLS = {
     "gaussian-complex": lambda: gaussian(1j),
     "bump-complex": lambda: bump(1 + 1j),
     "Multiplicity-array": lambda: Multiplicity(np.array([0.5]), 0.3),
+    "Multiplicity-int-beyond-doubles": lambda: Multiplicity(10 ** 400, 1),
+    "hyp2f1-a-int-beyond-doubles": lambda: hyp2f1(10 ** 400, 1, 2, 0.5),
+    "plane_wave-int-beyond-doubles": lambda: plane_wave(10 ** 400),
+    "monomial-int-beyond-doubles": lambda: monomial(10 ** 400),
+    "positivity_scan-x-text": lambda: positivity_scan([(0.5, 0.5)], ["1.0"], ["0.5"]),
+    "positivity_scan-fraction-bytes": lambda: positivity_scan([(0.5, 0.5)], [1.0], [b"0.5"]),
+    "positivity_scan-x-complex": lambda: positivity_scan([(0.5, 0.5)], [1 + 0j], [0.5]),
+    "positivity_scan-fraction-text": lambda: positivity_scan([(0.5, 0.5)], [1.0], ["0.5"]),
 }
 
 
@@ -78,4 +89,9 @@ def test_numpy_scalars_accepted():
         assert Multiplicity(k1, 0.3) == Multiplicity(float(k1), 0.3)
     assert (positivity_scan(np.array([[1, 1]]), [1.0], [0.5]).cells
             == positivity_scan([(1.0, 1.0)], [1.0], [0.5]).cells)
+    x, fracs = [0.6, -1.3, 2], [0.0, -0.99, 0.5]
+    report = positivity_scan([(0.5, 0.5)], x, fracs)
+    for given in ((tuple(x), tuple(fracs)), (np.array(x), np.array(fracs)),
+                  ([np.float64(v) for v in x], fracs)):
+        assert positivity_scan([(0.5, 0.5)], *given) == report
     assert kernel_K_limit_k1zero(np.array(0.5), 1.0, 0.3) == kernel_K_limit_k1zero(0.5, 1.0, 0.3)

@@ -467,23 +467,28 @@ class TestOuterSums:
             _outer_sums(0.0, 1.0, self._recording(calls), powers, (), zone)
         assert calls == []
 
-    def test_interval_inside_zone_raises(self):
-        # the rule keeps nodes for the wider interval, none for the one the zone covers
+    def test_interval_inside_zone_within_bar(self):
+        # the zone is one cut sized on the widest interval: the one it covers
+        # keeps nodes down to 0.02 x 0.005 / 0.5 of its hi, and its value,
+        # short of the dropped part, lies within its bar
         calls = []
-        with pytest.raises(DomainError, match=r"interval \(0\.5, 0\.51\)"):
-            _outer_sums([0.0, 0.5], [1.0, 0.51], self._recording(calls), (1.0, 1.0), (), 0.02)
+        values, est, _ = _outer_sums([0.0, 0.5], [1.0, 0.51], self._recording(calls),
+                                     (1.0, 1.0), (), 0.02)
+        assert any(1 in i for i in calls)
+        assert np.all(np.abs(values - [1.0, 0.01]) <= est)
 
     @pytest.mark.parametrize("centred", [False, True])
     def test_zone_drops_nodes_and_counts_tail(self, centred):
         # exp(-1 / (d_hi (2 - d_hi))) over (0, 1) and (0, 0.7), or centred:
-        # with an absolute cut at 0.03 no node lies within it of hi, each
-        # interval keeps the others, and the dropped part, above 1e-11 of
-        # the integral, is within the bar through the tail at the outermost
-        # kept node
-        seen = []
+        # with an absolute cut at 0.03 the wider interval sees no node within
+        # it of hi, the narrower one none within 0.03 x 0.35 / 0.5 but some
+        # within 0.03; the dropped parts, the wider one's above 1e-11 of its
+        # integral, are within the bars through the tail at the outermost node
+        seen = {0: [], 1: []}
 
         def integrand(i, s, d_lo, d_hi):
-            seen.append(d_hi.min())
+            for j, d in zip(i.tolist(), d_hi.min(1).tolist()):
+                seen[j].append(d)
             e = np.exp(-1.0 / (d_hi * (2.0 - d_hi)))
             vals = np.stack((e, e)) if centred else e
             return vals, np.zeros(vals.shape)
@@ -491,12 +496,33 @@ class TestOuterSums:
         powers = (None, 1.0) if centred else (1.0, 1.0)
         lo, hi = [0.0, 0.0], [1.0, 0.7]
         full, full_est, _ = _outer_sums(lo, hi, integrand, powers)
-        seen.clear()
+        seen = {0: [], 1: []}
         cut, cut_est, _ = _outer_sums(lo, hi, integrand, powers, (), 0.03)
-        assert min(seen) >= 0.03
+        assert min(seen[0]) >= 0.03
+        assert 0.03 * 0.7 * (1.0 - 1e-15) <= min(seen[1]) < 0.03
         dropped = np.abs(cut - full)
-        assert np.all(dropped > 1e-11 * full) and np.all(dropped <= cut_est)
+        assert dropped[0] > 1e-11 * abs(full[0]) and np.all(dropped <= cut_est)
         assert np.all(cut_est < 1e-6 * np.abs(full))
+
+    @pytest.mark.parametrize("powers", [(1.0, 1.0), (None, 1.0)], ids=["ends", "centred"])
+    def test_zone_keeps_the_full_layout(self, powers):
+        # under a zone every batch gets distinct intervals and every node of
+        # the level's rule at each of them, also an interval the zone covers
+        layouts = []
+
+        def integrand(i, s, d_lo, d_hi):
+            layouts.append((i.copy(), s.shape, d_lo.shape, d_hi.shape, d_hi / half[i][:, None]))
+            return np.ones(s.shape), np.zeros(s.shape)
+
+        lo, hi = np.array([0.0, 0.0, 0.5]), np.array([1.0, 0.7, 0.51])
+        half = hi - lo if powers[0] is None else 0.5 * (hi - lo)
+        _outer_sums(lo, hi, integrand, powers, (), 0.03)
+        assert layouts
+        for i, *shapes, gaps in layouts:
+            assert np.unique(i).size == i.size
+            assert shapes == [(i.size, gaps.shape[1])] * 3
+            # one rule for all: the same relative gaps at every interval
+            assert np.allclose(gaps, gaps[0], rtol=1e-14, atol=0.0)
 
     def test_zone_tail_stops_the_level(self):
         # a constant cut 0.3 short of its end: the sum of the kept nodes
